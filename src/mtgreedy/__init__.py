@@ -8,15 +8,13 @@ backward steps, and re-solves restricted least squares after every move.
 from .engine import (
     BackwardCandidate,
     ForwardCandidate,
-    best_forward,
     check_step_records,
     coalesce_threshold,
     fit,
+    gain_matrix,
     refit,
     row_cost,
-    row_gain,
     singleton_cost,
-    singleton_gain,
     verify_trace,
 )
 from .linalg import singular_value_extremes, solve_least_squares
@@ -24,13 +22,11 @@ from .model import (
     FitReport,
     GreedyConfig,
     MultiTaskProblem,
-    RewardLedger,
     StepRecord,
     SupportPattern,
     Task,
     loss,
     residuals,
-    task_support,
 )
 from .oracle import exhaustive_best_fit, gain_oracle
 from .diagnostics import (
@@ -62,16 +58,16 @@ from .experiments import (
 
 __all__ = [
     "BackwardCandidate", "FitReport", "ForwardCandidate", "GreedyConfig",
-    "MultiTaskProblem", "RewardLedger", "StepRecord", "SupportPattern",
+    "MultiTaskProblem", "StepRecord", "SupportPattern",
     "SweepConfig", "SweepRow", "SynthSpec", "Task", "TheoremInputs",
     "TruthPartition",
-    "best_forward", "beta_min", "check_step_records", "coalesce_threshold",
+    "beta_min", "check_step_records", "coalesce_threshold",
     "cross_validate", "epsilon_lower_bound", "error_bound", "eta_lower_bound",
-    "exhaustive_best_fit", "fit", "foba_single_task", "gain_oracle",
+    "exhaustive_best_fit", "fit", "foba_single_task", "gain_matrix", "gain_oracle",
     "gen_synthetic", "gradient_bound_lambda", "loss", "n_for_theta",
     "partition_supports", "refit", "rep_constants", "residuals", "row_cost",
-    "row_gain", "run_sweep", "sign_support_success", "singleton_cost",
-    "singleton_gain", "singular_value_extremes", "solve_least_squares",
-    "task_support", "theta", "transition_threshold", "trial_seed",
+    "run_sweep", "sign_support_success", "singleton_cost",
+    "singular_value_extremes", "solve_least_squares",
+    "theta", "transition_threshold", "trial_seed",
     "union_support_size", "verify_trace",
 ]

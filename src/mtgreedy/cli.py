@@ -171,27 +171,13 @@ def cmd_diagnose(args):
     }
     feasible = math.comb(problem.p, args.sparsity) <= diagnostics.REP_ENUMERATION_LIMIT
     if feasible:
-        c_min = math.inf
-        sig_max = 0.0
-        for t in problem.tasks:
-            c, rho = diagnostics.rep_constants(t.X, args.sparsity)
-            c_min = min(c_min, c)
-            sig_max = max(sig_max, rho * c)
-        rho = sig_max / c_min
-        eta = diagnostics.eta_lower_bound(problem.r, rho, args.w, args.nu)
-        inputs = diagnostics.TheoremInputs(
-            C_min=c_min, rho=rho, lam=doc["lambda"], eta=eta, w=args.w,
-            nu=args.nu, r=problem.r, s_star=max(part.s_star_max, 1), epsilon=0.0)
-        eps_lower = diagnostics.epsilon_lower_bound(inputs)
-        inputs = diagnostics.TheoremInputs(
-            C_min=c_min, rho=rho, lam=doc["lambda"], eta=eta, w=args.w,
-            nu=args.nu, r=problem.r, s_star=max(part.s_star_max, 1),
-            epsilon=eps_lower)
+        inputs = diagnostics.theorem_inputs(
+            problem, args.sparsity, doc["lambda"], max(part.s_star_max, 1), args.w, args.nu)
         doc.update({
-            "C_min": c_min,
-            "rho": rho,
-            "eta_lower": eta,
-            "epsilon_lower": eps_lower,
+            "C_min": inputs.C_min,
+            "rho": inputs.rho,
+            "eta_lower": inputs.eta,
+            "epsilon_lower": inputs.epsilon,
             "error_bound": diagnostics.error_bound(inputs),
         })
     else:

@@ -7,7 +7,7 @@ closed-form lower bounds and error bound that tie them together.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -137,6 +137,27 @@ def epsilon_lower_bound(inputs):
     """Smallest admissible stopping threshold for the given conditions."""
     return (4.0 * inputs.rho**2 * inputs.eta * inputs.r**2 * inputs.s_star
             * inputs.lam**2) / (inputs.w * inputs.nu * inputs.C_min**2)
+
+
+def theorem_inputs(problem, sparsity, lam, s_star, w, nu):
+    """Assemble the bound inputs for a problem at its smallest admissible epsilon.
+
+    C_min is the smallest per-task restricted constant at the given sparsity
+    and rho the largest restricted singular value over C_min; eta is its
+    lower bound, and epsilon is set to the epsilon lower bound these imply.
+    Raises like ``rep_constants`` when the enumeration is too large.
+    """
+    c_min = math.inf
+    sig_max = 0.0
+    for t in problem.tasks:
+        c, rho = rep_constants(t.X, sparsity)
+        c_min = min(c_min, c)
+        sig_max = max(sig_max, rho * c)
+    rho = sig_max / c_min
+    inputs = TheoremInputs(
+        C_min=c_min, rho=rho, lam=lam, eta=eta_lower_bound(problem.r, rho, w, nu),
+        w=w, nu=nu, r=problem.r, s_star=s_star, epsilon=0.0)
+    return replace(inputs, epsilon=epsilon_lower_bound(inputs))
 
 
 def error_bound(inputs):

@@ -19,7 +19,6 @@ from .linalg import solve_least_squares
 from .model import (
     FitReport,
     GreedyConfig,
-    RewardLedger,
     StepRecord,
     SupportPattern,
     loss,
@@ -39,39 +38,6 @@ class BackwardCandidate:
     kind: str
     index: tuple
     weighted_cost: float
-
-
-def singleton_gain(problem, beta, residuals, i, j):
-    """Best loss decrease from adjusting entry (i, j) alone, with its optimizer.
-
-    Closed form for the one-dimensional quadratic: with x the i-th design
-    column of task j and r its current residual, the optimal increment is
-    gamma* = (x.r)/||x||^2 and the decrease is (x.r)^2 / (2 n ||x||^2).
-    Zero columns yield (0, 0).
-    """
-    t = problem.tasks[j]
-    x = t.X[:, i]
-    xsq = float(x @ x)
-    if xsq == 0.0:
-        return 0.0, 0.0
-    xr = float(x @ residuals[j])
-    gain = xr * xr / (2.0 * t.n * xsq)
-    return gain, xr / xsq
-
-
-def row_gain(problem, beta, residuals, m, w):
-    """Weighted gain of adjusting the whole feature row m, plus per-task optimizers.
-
-    The loss separates over tasks, so the row subproblem solves one
-    single-entry problem per task; the summed decrease is divided by w.
-    """
-    total = 0.0
-    alpha = np.zeros(problem.r)
-    for j in range(problem.r):
-        g, gamma = singleton_gain(problem, beta, residuals, m, j)
-        total += g
-        alpha[j] = gamma
-    return total / w, alpha
 
 
 def singleton_cost(problem, beta, i, j, residuals=None, pattern=None):
@@ -117,12 +83,15 @@ def refit(problem, pattern):
     return beta
 
 
-def _pattern(singles, rows):
-    return SupportPattern(singletons=frozenset(singles), rows=frozenset(rows))
+def gain_matrix(problem, residuals, colsq):
+    """Every singleton gain at the current residuals, as a (p, r) array.
 
-
-def _gain_matrix(problem, residuals, colsq):
-    """All singleton gains as a (p, r) array; zero columns score zero."""
+    Entry (i, j) is the best loss decrease from adjusting that entry alone.
+    With x the i-th design column of task j and r its residual, the
+    one-dimensional quadratic gives (x.r)^2 / (2 n ||x||^2); zero columns
+    score zero.  colsq[j] holds the squared column norms of task j's design.
+    A row's gain is the sum of its entries, which the selector divides by w.
+    """
     gains = np.zeros((problem.p, problem.r))
     for j, t in enumerate(problem.tasks):
         c = t.X.T @ residuals[j]
@@ -166,15 +135,6 @@ def _best_forward(problem, singles, rows, config, gains):
     return ForwardCandidate("singleton", (i, j), float(best_single))
 
 
-def best_forward(problem, beta, pattern, config, residuals=None):
-    """Best admissible forward candidate at the given state (None if saturated)."""
-    if residuals is None:
-        residuals = compute_residuals(problem, beta)
-    colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
-    gains = _gain_matrix(problem, residuals, colsq)
-    return _best_forward(problem, set(pattern.singletons), set(pattern.rows), config, gains)
-
-
 def _worst_backward(problem, beta, singles, rows, config, residuals):
     """Cheapest removal across both classes; rows are removed on ties."""
     best_s = None
@@ -197,6 +157,48 @@ def coalesce_threshold(w):
     return math.floor(w) + 1
 
 
+class SupportState:
+    """The support a fit holds: singleton cells (i, j) plus shared feature rows.
+
+    Every move is applied here, so a fit and the replay of its trace move
+    identically.  Adding a row drops that feature's singletons.  Adding a
+    singleton promotes its feature to a row once the feature holds
+    coalesce_threshold(w) singletons, when rows and coalescing are both on.
+    Removing an object the support does not hold raises KeyError.
+    """
+
+    def __init__(self, config):
+        self.singles = set()
+        self.rows = set()
+        self.promote_at = (coalesce_threshold(config.w)
+                           if config.rows_enabled and config.coalesce_rows else None)
+
+    def add(self, kind, index):
+        """Add a "row" (m,) or a "singleton" (i, j); return the promoted feature or None."""
+        i = index[0]
+        if kind == "row":
+            self.singles -= {cell for cell in self.singles if cell[0] == i}
+            self.rows.add(i)
+            return None
+        self.singles.add(index)
+        if self.promote_at is not None:
+            held = {cell for cell in self.singles if cell[0] == i}
+            if len(held) >= self.promote_at:
+                self.singles -= held
+                self.rows.add(i)
+                return i
+        return None
+
+    def remove(self, kind, index):
+        if kind == "row":
+            self.rows.remove(index[0])
+        else:
+            self.singles.remove(index)
+
+    def pattern(self):
+        return SupportPattern(singletons=frozenset(self.singles), rows=frozenset(self.rows))
+
+
 def fit(problem, config):
     """Run the full greedy procedure and return a FitReport with its trace.
 
@@ -212,45 +214,30 @@ def fit(problem, config):
         raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
 
     p, r = problem.p, problem.r
-    singles: set = set()
-    rows: set = set()
+    state = SupportState(config)
     beta = np.zeros((p, r))
     res = [t.y.astype(float).copy() for t in problem.tasks]
     colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
-    ledger = RewardLedger()
-    steps: list = []
+    # (reward, step index) of every forward step not yet matched by a removal
+    ledger = []
+    steps = []
     cap = config.step_cap(p, r)
     forward_taken = 0
     termination = "gain-below-threshold"
-    d = coalesce_threshold(config.w)
 
     while True:
         if forward_taken >= cap:
             termination = "max-steps"
             break
-        gains = _gain_matrix(problem, res, colsq)
-        cand = _best_forward(problem, singles, rows, config, gains)
+        gains = gain_matrix(problem, res, colsq)
+        cand = _best_forward(problem, state.singles, state.rows, config, gains)
         if cand is None or cand.weighted_reward <= config.epsilon + config.comparison_tolerance:
-            termination = "gain-below-threshold"
             break
 
         forward_taken += 1
-        promoted = None
-        if cand.kind == "row":
-            m = cand.index[0]
-            singles -= {(i, j) for (i, j) in singles if i == m}
-            rows.add(m)
-        else:
-            i, j = cand.index
-            singles.add((i, j))
-            if config.coalesce_rows and config.rows_enabled:
-                held = [(ii, jj) for (ii, jj) in singles if ii == i]
-                if len(held) >= d:
-                    singles -= set(held)
-                    rows.add(i)
-                    promoted = i
-        ledger.push(cand.weighted_reward, cand.kind, len(steps))
-        beta = refit(problem, _pattern(singles, rows))
+        promoted = state.add(cand.kind, cand.index)
+        ledger.append((cand.weighted_reward, len(steps)))
+        beta = refit(problem, state.pattern())
         res = compute_residuals(problem, beta)
         steps.append(StepRecord(
             kind="forward",
@@ -264,19 +251,14 @@ def fit(problem, config):
 
         # Backward passes: keep removing while the cheapest removal costs at
         # most nu times the most recent recorded reward.
-        while singles or rows:
-            if len(ledger) == 0:
-                break
-            back = _worst_backward(problem, beta, singles, rows, config, res)
-            top_reward, _, top_step = ledger.top
+        while ledger and (state.singles or state.rows):
+            back = _worst_backward(problem, beta, state.singles, state.rows, config, res)
+            top_reward, top_step = ledger[-1]
             if back.weighted_cost > config.nu * top_reward:
                 break
             ledger.pop()
-            if back.kind == "row":
-                rows.discard(back.index[0])
-            else:
-                singles.discard((back.index[0], back.index[1]))
-            beta = refit(problem, _pattern(singles, rows))
+            state.remove(back.kind, back.index)
+            beta = refit(problem, state.pattern())
             res = compute_residuals(problem, beta)
             steps.append(StepRecord(
                 kind="backward",
@@ -291,7 +273,7 @@ def fit(problem, config):
 
     return FitReport(
         coefficients=beta,
-        pattern=_pattern(singles, rows),
+        pattern=state.pattern(),
         final_loss=loss(problem, beta),
         steps=tuple(steps),
         termination=termination,
@@ -343,49 +325,36 @@ def check_step_records(report, config, initial_loss):
 def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
     """Replay a fit trace and verify the engine's state invariants.
 
-    On top of ``check_step_records`` this re-applies every move, refits, and
-    asserts that recorded losses match to loss_tol, that the loss gradient
-    vanishes on the support after every refit (|grad| <= grad_tol), and that
-    the replayed final pattern and coefficients agree with the report.
+    On top of ``check_step_records`` this re-applies every move through a
+    ``SupportState``, refits, and asserts that each replayed promotion equals
+    the recorded one, that recorded losses match to loss_tol, that the loss
+    gradient vanishes on the support after every refit (|grad| <= grad_tol),
+    and that the replayed final pattern and coefficients agree with the report.
     """
     check_step_records(report, config, loss(problem, np.zeros((problem.p, problem.r))))
-    singles: set = set()
-    rows: set = set()
-    d = coalesce_threshold(config.w)
+    state = SupportState(config)
     for idx, s in enumerate(report.steps):
         if s.kind == "forward":
-            if s.object_kind == "row":
-                m = s.index[0]
-                singles -= {(i, j) for (i, j) in singles if i == m}
-                rows.add(m)
-            else:
-                i, j = s.index
-                singles.add((i, j))
-                if s.promoted_row is not None:
-                    held = [(ii, jj) for (ii, jj) in singles if ii == i]
-                    assert s.promoted_row == i and len(held) >= d, (
-                        f"step {idx}: promotion recorded without {d} singletons")
-                    singles -= set(held)
-                    rows.add(i)
+            promoted = state.add(s.object_kind, s.index)
+            assert promoted == s.promoted_row, (
+                f"step {idx}: replay promotes row {promoted}, trace records {s.promoted_row}")
         else:
-            if s.object_kind == "row":
-                assert s.index[0] in rows, f"step {idx}: removing absent row"
-                rows.discard(s.index[0])
-            else:
-                assert (s.index[0], s.index[1]) in singles, (
-                    f"step {idx}: removing absent singleton")
-                singles.discard((s.index[0], s.index[1]))
-        beta = refit(problem, _pattern(singles, rows))
+            try:
+                state.remove(s.object_kind, s.index)
+            except KeyError:
+                raise AssertionError(f"step {idx}: removing absent {s.object_kind}") from None
+        pattern = state.pattern()
+        beta = refit(problem, pattern)
         step_loss = loss(problem, beta)
         assert abs(step_loss - s.loss_after) <= loss_tol * (1.0 + abs(step_loss)), (
             f"step {idx}: replayed loss {step_loss} vs recorded {s.loss_after}")
         res = compute_residuals(problem, beta)
         for j, t in enumerate(problem.tasks):
             grad = -(t.X.T @ res[j]) / t.n
-            for i in _pattern(singles, rows).task_support(j):
+            for i in pattern.task_support(j):
                 assert abs(grad[i]) <= grad_tol, (
                     f"step {idx}: gradient {grad[i]} on supported ({i},{j})")
-    assert _pattern(singles, rows) == report.pattern, "replayed pattern differs"
+    assert state.pattern() == report.pattern, "replayed pattern differs"
     beta = refit(problem, report.pattern)
     assert np.allclose(beta, report.coefficients, atol=1e-12, rtol=0.0), (
         "replayed coefficients differ")

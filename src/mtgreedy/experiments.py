@@ -9,7 +9,7 @@ different overlap levels kappa on a common axis.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,11 +234,7 @@ def foba_single_task(problem, config):
     Step records keep per-task losses and indices remapped to the original
     task; the merged report's final_loss is the full multi-task loss.
     """
-    if config.rows_enabled:
-        config = GreedyConfig(
-            epsilon=config.epsilon, w=config.w, nu=config.nu, rows_enabled=False,
-            max_forward_steps=config.max_forward_steps, tie_break=config.tie_break,
-            comparison_tolerance=config.comparison_tolerance, coalesce_rows=False)
+    config = replace(config, rows_enabled=False, coalesce_rows=False)
     beta = np.zeros((problem.p, problem.r))
     singles = set()
     steps = []
@@ -248,13 +244,7 @@ def foba_single_task(problem, config):
         report = fit(sub, config)
         beta[:, j] = report.coefficients[:, 0]
         singles |= {(i, j) for (i, _) in report.pattern.singletons}
-        for s in report.steps:
-            steps.append(type(s)(
-                kind=s.kind, object_kind=s.object_kind,
-                index=(s.index[0], j), reward_or_cost=s.reward_or_cost,
-                loss_after=s.loss_after, ledger_depth=s.ledger_depth,
-                popped_reward=s.popped_reward, popped_step=s.popped_step,
-                promoted_row=s.promoted_row))
+        steps.extend(replace(s, index=(s.index[0], j)) for s in report.steps)
         if report.termination == "max-steps":
             termination = "max-steps"
     return FitReport(

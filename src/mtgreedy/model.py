@@ -5,7 +5,7 @@ size p.  Estimates are dense p-by-r coefficient matrices whose support is
 described by a pattern of singleton entries plus whole shared rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,23 +85,17 @@ class SupportPattern:
         return set(self.rows) | {i for (i, jj) in self.singletons if jj == j}
 
 
-def task_support(pattern, j, r=None):
-    """Module-level alias for ``SupportPattern.task_support``."""
-    return pattern.task_support(j, r)
-
-
 @dataclass(frozen=True)
 class GreedyConfig:
     """Tuning knobs for the greedy fit.
 
     epsilon           stopping threshold on the weighted forward gain (>= 0)
-    w                 sharing weight dividing row gains/costs, 1 <= w <= r
+    w                 sharing weight dividing row gains/costs, 1 <= w <= r;
+                      at w = 1 every forward step takes a whole row
     nu                backward factor in (0, 1): a removal must cost at most
                       nu times the recorded reward it is matched against
     rows_enabled      when False the row object class is never considered
     max_forward_steps cap guarding pathological configurations (None: 16 + 4*p*r)
-    tie_break         candidate tie rule; only "index" (lowest feature, then
-                      lowest task) is defined
     comparison_tolerance  absolute slack used at the stopping gate
     coalesce_rows     reclassify a feature as a shared row once it holds
                       enough singletons to out-earn the row weighting
@@ -112,7 +106,6 @@ class GreedyConfig:
     nu: float = 0.5
     rows_enabled: bool = True
     max_forward_steps: int | None = None
-    tie_break: str = "index"
     comparison_tolerance: float = 1e-12
     coalesce_rows: bool = True
 
@@ -123,8 +116,6 @@ class GreedyConfig:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if self.rows_enabled and not self.w >= 1:
             raise ValueError(f"w must be >= 1 when rows are enabled, got {self.w}")
-        if self.tie_break != "index":
-            raise ValueError(f"unknown tie_break rule {self.tie_break!r}")
         if not self.comparison_tolerance >= 0:
             raise ValueError("comparison_tolerance must be >= 0")
         if self.max_forward_steps is not None and self.max_forward_steps < 0:
@@ -134,30 +125,6 @@ class GreedyConfig:
         if self.max_forward_steps is not None:
             return self.max_forward_steps
         return 16 + 4 * p * r
-
-
-@dataclass
-class RewardLedger:
-    """Stack of recorded forward rewards; backward removals pop against it.
-
-    Depth always equals forward steps taken minus backward steps taken, and
-    every recorded reward cleared the stopping gate when it was pushed.
-    """
-
-    stack: list = field(default_factory=list)
-
-    def push(self, reward, kind, step_index):
-        self.stack.append((reward, kind, step_index))
-
-    def pop(self):
-        return self.stack.pop()
-
-    @property
-    def top(self):
-        return self.stack[-1]
-
-    def __len__(self):
-        return len(self.stack)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtgreedy import MultiTaskProblem, SupportPattern, refit
+from mtgreedy import MultiTaskProblem, SupportPattern, gain_matrix, refit, residuals
 
 
 def random_problem(rng, p, r, n_range=(15, 30)):
@@ -33,6 +33,12 @@ def random_state(rng, p, r):
                              n_rows=int(rng.integers(0, 2)))
     beta = refit(problem, pattern)
     return problem, pattern, beta
+
+
+def gains_at(problem, beta):
+    """The engine's (p, r) singleton gain matrix at estimate beta."""
+    colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
+    return gain_matrix(problem, residuals(problem, beta), colsq)
 
 
 def planted_shared_problem(seed, p=6, r=2, n=24, balanced=False):

@@ -19,6 +19,7 @@ from mtgreedy import (
     rep_constants,
     union_support_size,
 )
+from mtgreedy.diagnostics import theorem_inputs
 
 
 EXAMPLE = np.array([
@@ -177,6 +178,19 @@ class TestBounds:
         bigger_support = TheoremInputs(C_min=1.0, rho=1.0, lam=1.0, eta=4.0, w=1.0,
                                        nu=0.5, r=1, s_star=4, epsilon=1.0)
         assert error_bound(more_noise) > 4.0 and error_bound(bigger_support) > 4.0
+
+    def test_theorem_inputs_assembly(self, rng):
+        designs = [rng.standard_normal((12, 5)) for _ in range(2)]
+        problem = MultiTaskProblem.from_arrays(designs, [np.ones(12), np.ones(12)])
+        inputs = theorem_inputs(problem, sparsity=2, lam=0.3, s_star=2, w=1.5, nu=0.5)
+        per_task = [rep_constants(X, 2) for X in designs]
+        c_min = min(c for c, _ in per_task)
+        assert inputs.C_min == c_min
+        assert inputs.rho == pytest.approx(max(c * rho for c, rho in per_task) / c_min,
+                                           rel=1e-12)
+        assert inputs.eta == eta_lower_bound(2, inputs.rho, 1.5, 0.5)
+        assert (inputs.lam, inputs.s_star, inputs.r) == (0.3, 2, 2)
+        assert inputs.epsilon > 0.0 and inputs.epsilon == epsilon_lower_bound(inputs)
 
     def test_inputs_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,22 +7,24 @@ from mtgreedy import (
     GreedyConfig,
     MultiTaskProblem,
     SupportPattern,
-    best_forward,
+    SynthSpec,
     check_step_records,
     exhaustive_best_fit,
     fit,
     foba_single_task,
+    gen_synthetic,
     loss,
     refit,
     residuals,
     row_cost,
-    row_gain,
+    sign_support_success,
     singleton_cost,
-    singleton_gain,
     verify_trace,
 )
+from mtgreedy.engine import SupportState, _best_forward
 
-from conftest import planted_shared_problem, random_problem, random_pattern, random_state
+from conftest import (
+    gains_at, planted_shared_problem, random_problem, random_pattern, random_state)
 
 
 def two_point_problem(y0=(1.0, 1.0), y1=None, x1=(1.0, 1.0)):
@@ -33,87 +37,92 @@ def two_point_problem(y0=(1.0, 1.0), y1=None, x1=(1.0, 1.0)):
         [X0, X1], [np.array(y0, dtype=float), np.array(y1, dtype=float)])
 
 
+def forward_candidate(problem, pattern, config):
+    """The forward selector's choice at the restricted optimum of a pattern."""
+    gains = gains_at(problem, refit(problem, pattern))
+    return _best_forward(problem, set(pattern.singletons), set(pattern.rows), config, gains)
+
+
+def coalescing_problem():
+    """Shared feature 2 with unbalanced magnitudes enters one task at a time,
+    so its second singleton must reclassify the feature as a row."""
+    rng = np.random.default_rng(5)
+    p, r, n = 6, 2, 24
+    beta = np.zeros((p, r))
+    beta[2, 0], beta[2, 1] = 2.0, 0.6   # ratio beats the w gate
+    beta[4, 1] = 1.0
+    designs = [rng.standard_normal((n, p)) for _ in range(r)]
+    return MultiTaskProblem.from_arrays(
+        designs, [designs[j] @ beta[:, j] for j in range(r)])
+
+
 class TestSingletonGain:
     def test_closed_form_matches_grid_oracle(self):
         problem = two_point_problem()
         beta = np.zeros((1, 1))
-        res = residuals(problem, beta)
-        gain, gamma = singleton_gain(problem, beta, res, 0, 0)
+        gain = gains_at(problem, beta)[0, 0]
         assert gain == pytest.approx(0.5, abs=1e-15)
-        assert gamma == pytest.approx(1.0, abs=1e-15)
         # brute 1-d oracle over a gamma grid
         grid = np.linspace(-3, 3, 20001)
         base = loss(problem, beta)
         vals = [loss(problem, np.array([[g]])) for g in grid]
-        k = int(np.argmin(vals))
-        assert base - vals[k] == pytest.approx(gain, abs=1e-7)
-        assert grid[k] == pytest.approx(gamma, abs=1e-3)
+        assert base - min(vals) == pytest.approx(gain, abs=1e-7)
 
     def test_orthogonal_residual_gives_zero(self):
         X = np.array([[1.0], [1.0]])
         y = np.array([1.0, -1.0])  # orthogonal to the column
         problem = MultiTaskProblem.from_arrays([X], [y])
-        beta = np.zeros((1, 1))
-        gain, gamma = singleton_gain(problem, beta, residuals(problem, beta), 0, 0)
-        assert gain == 0.0 and gamma == 0.0
+        assert gains_at(problem, np.zeros((1, 1)))[0, 0] == 0.0
 
     def test_zero_column_convention(self):
         X = np.array([[0.0, 1.0], [0.0, 1.0]])
         problem = MultiTaskProblem.from_arrays([X], [np.ones(2)])
-        beta = np.zeros((2, 1))
-        gain, gamma = singleton_gain(problem, beta, residuals(problem, beta), 0, 0)
-        assert gain == 0.0 and gamma == 0.0
+        gains = gains_at(problem, np.zeros((2, 1)))
+        assert gains[0, 0] == 0.0 and gains[1, 0] > 0.0
 
 
 class TestRowGain:
     def test_sum_of_tasks_divided_by_weight(self):
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
-        beta = np.zeros((1, 2))
-        weighted, alpha = row_gain(problem, beta, residuals(problem, beta), 0, 1.5)
-        assert weighted == pytest.approx((0.5 + 0.5) / 1.5, abs=1e-15)
-        assert np.allclose(alpha, [1.0, 1.0])
+        assert np.allclose(gains_at(problem, np.zeros((1, 2))), [[0.5, 0.5]], atol=1e-15)
+        cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9, w=1.5))
+        assert cand.weighted_reward == pytest.approx((0.5 + 0.5) / 1.5, abs=1e-15)
 
     def test_zero_residuals(self):
         problem = two_point_problem()
         beta = np.array([[1.0]])  # exact fit
-        weighted, alpha = row_gain(problem, beta, residuals(problem, beta), 0, 1.5)
-        assert weighted == 0.0 and np.allclose(alpha, 0.0)
+        assert np.array_equal(gains_at(problem, beta), np.zeros((1, 1)))
 
     def test_single_task_weight_one_degenerates_to_singleton(self):
         problem = two_point_problem()
-        beta = np.zeros((1, 1))
-        res = residuals(problem, beta)
-        weighted, _ = row_gain(problem, beta, res, 0, 1.0)
-        gain, _ = singleton_gain(problem, beta, res, 0, 0)
-        assert weighted == pytest.approx(gain, abs=1e-15)
+        cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9, w=1.0))
+        assert cand.kind == "row"
+        assert cand.weighted_reward == pytest.approx(gains_at(problem, np.zeros((1, 1)))[0, 0],
+                                                     abs=1e-15)
 
 
 class TestBestForward:
     def test_zero_response_rewards_nothing(self):
         problem = two_point_problem(y0=(0.0, 0.0), y1=(0.0, 0.0))
-        cand = best_forward(problem, np.zeros((1, 2)), SupportPattern(),
-                            GreedyConfig(epsilon=1e-9))
+        cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9))
         assert cand.weighted_reward == 0.0
 
     def test_single_task_signal_prefers_singleton(self):
         # feature correlates with task 0 only; row reward is halved by w
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, -1.0))
-        cand = best_forward(problem, np.zeros((1, 2)), SupportPattern(),
-                            GreedyConfig(epsilon=1e-9, w=1.5))
+        cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9, w=1.5))
         assert cand.kind == "singleton" and cand.index == (0, 0)
 
     def test_balanced_signal_prefers_row(self):
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
-        cand = best_forward(problem, np.zeros((1, 2)), SupportPattern(),
-                            GreedyConfig(epsilon=1e-9, w=1.5))
+        cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9, w=1.5))
         assert cand.kind == "row" and cand.index == (0,)
         assert cand.weighted_reward == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_saturated_support_returns_none(self):
         problem = two_point_problem()
         pattern = SupportPattern(rows=frozenset({0}))
-        assert best_forward(problem, refit(problem, pattern), pattern,
-                            GreedyConfig(epsilon=1e-9)) is None
+        assert forward_candidate(problem, pattern, GreedyConfig(epsilon=1e-9)) is None
 
 
 class TestCosts:
@@ -238,16 +247,7 @@ class TestFit:
         assert report.pattern == pattern and best_loss <= 1e-18
 
     def test_sequential_shared_entries_coalesce_into_row(self):
-        # shared feature with unbalanced magnitudes enters one task at a
-        # time; the second singleton must reclassify the feature as a row
-        rng = np.random.default_rng(5)
-        p, r, n = 6, 2, 24
-        beta = np.zeros((p, r))
-        beta[2, 0], beta[2, 1] = 2.0, 0.6   # ratio beats the w gate
-        beta[4, 1] = 1.0
-        designs = [rng.standard_normal((n, p)) for _ in range(r)]
-        problem = MultiTaskProblem.from_arrays(
-            designs, [designs[j] @ beta[:, j] for j in range(r)])
+        problem = coalescing_problem()
         report = fit(problem, GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5))
         assert 2 in report.pattern.rows
         assert all(i != 2 for (i, _) in report.pattern.singletons)
@@ -295,6 +295,20 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(problem, GreedyConfig(epsilon=1e-9, w=2.5))
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_unit_weight_takes_only_rows(self, r):
+        # at w = 1 a feature's row gain, the sum over tasks, never trails its
+        # best single entry, so task-specific supports cannot be recovered
+        config = GreedyConfig(epsilon=1e-5, w=1.0, nu=0.5)
+        for seed in range(5):
+            spec = SynthSpec(p=40, n=30, r=r, s=4, kappa=0.5, noise_variance=1e-4, seed=seed)
+            problem, beta_star = gen_synthetic(spec)
+            report = fit(problem, config)
+            assert report.steps
+            assert all(s.object_kind == "row" for s in report.steps if s.kind == "forward")
+            assert report.pattern.singletons == frozenset()
+            assert not sign_support_success(report.coefficients, beta_star)
+
     def test_final_loss_matches_coefficients(self, rng):
         problem = random_problem(rng, p=6, r=2)
         report = fit(problem, GreedyConfig(epsilon=1e-3))
@@ -310,6 +324,42 @@ class TestFit:
         check_step_records(report, config, loss(problem, np.zeros((8, 2))))
 
 
+class TestSupportState:
+    def test_row_add_drops_feature_singletons(self):
+        state = SupportState(GreedyConfig(epsilon=0.0, w=2.5))
+        for cell in [(1, 0), (1, 2), (3, 1)]:
+            assert state.add("singleton", cell) is None
+        assert state.add("row", (1,)) is None
+        assert state.singles == {(3, 1)} and state.rows == {1}
+        assert state.pattern() == SupportPattern(
+            singletons=frozenset({(3, 1)}), rows=frozenset({1}))
+
+    @pytest.mark.parametrize("w, at", [(1.5, 2), (2.0, 3), (2.7, 3)])
+    def test_promotion_at_floor_w_plus_one(self, w, at):
+        state = SupportState(GreedyConfig(epsilon=0.0, w=w))
+        for j in range(at - 1):
+            assert state.add("singleton", (4, j)) is None
+        assert state.add("singleton", (4, at - 1)) == 4
+        assert state.singles == set() and state.rows == {4}
+
+    @pytest.mark.parametrize("off", [{"coalesce_rows": False}, {"rows_enabled": False}])
+    def test_no_promotion_when_rows_or_coalescing_off(self, off):
+        state = SupportState(GreedyConfig(epsilon=0.0, w=1.5, **off))
+        for j in range(3):
+            assert state.add("singleton", (0, j)) is None
+        assert state.singles == {(0, 0), (0, 1), (0, 2)} and state.rows == set()
+
+    def test_removing_absent_object_raises(self):
+        state = SupportState(GreedyConfig(epsilon=0.0))
+        state.add("singleton", (0, 1))
+        with pytest.raises(KeyError):
+            state.remove("singleton", (0, 0))
+        with pytest.raises(KeyError):
+            state.remove("row", (0,))
+        state.remove("singleton", (0, 1))
+        assert state.pattern() == SupportPattern()
+
+
 class TestVerifyTrace:
     def test_accepts_clean_traces_and_rejects_tampered_ones(self, rng):
         problem = random_problem(rng, p=6, r=2)
@@ -318,15 +368,17 @@ class TestVerifyTrace:
         verify_trace(problem, config, report)
         if report.steps:
             bad = list(report.steps)
-            s = bad[0]
-            bad[0] = type(s)(
-                kind=s.kind, object_kind=s.object_kind, index=s.index,
-                reward_or_cost=s.reward_or_cost, loss_after=s.loss_after + 0.5,
-                ledger_depth=s.ledger_depth, popped_reward=s.popped_reward,
-                popped_step=s.popped_step, promoted_row=s.promoted_row)
-            tampered = type(report)(
-                coefficients=report.coefficients, pattern=report.pattern,
-                final_loss=report.final_loss, steps=tuple(bad),
-                termination=report.termination)
+            bad[0] = replace(bad[0], loss_after=bad[0].loss_after + 0.5)
+            tampered = replace(report, steps=tuple(bad))
             with pytest.raises(AssertionError):
                 verify_trace(problem, config, tampered)
+
+    def test_rejects_dropped_promotion_record(self):
+        problem = coalescing_problem()
+        config = GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5)
+        report = fit(problem, config)
+        idx = next(k for k, s in enumerate(report.steps) if s.promoted_row is not None)
+        bad = list(report.steps)
+        bad[idx] = replace(bad[idx], promoted_row=None)
+        with pytest.raises(AssertionError, match=f"step {idx}: "):
+            verify_trace(problem, config, replace(report, steps=tuple(bad)))

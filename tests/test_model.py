@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtgreedy import GreedyConfig, MultiTaskProblem, SupportPattern, loss, task_support
+from mtgreedy import GreedyConfig, MultiTaskProblem, SupportPattern, loss
 
 from conftest import random_problem
 
@@ -60,7 +60,6 @@ def test_task_support_examples():
     pattern = SupportPattern(singletons=frozenset({(2, 0)}), rows=frozenset({5}))
     assert pattern.task_support(0) == {2, 5}
     assert pattern.task_support(1) == {5}
-    assert task_support(pattern, 1) == {5}
     with pytest.raises(ValueError):
         pattern.task_support(2, r=2)
     with pytest.raises(ValueError):
@@ -84,7 +83,7 @@ def test_problem_validation():
     {"epsilon": 0.1, "nu": 0.0},
     {"epsilon": 0.1, "nu": 1.0},
     {"epsilon": 0.1, "w": 0.5},
-    {"epsilon": 0.1, "tie_break": "random"},
+    {"epsilon": 0.1, "max_forward_steps": -1},
     {"epsilon": 0.1, "comparison_tolerance": -1e-9},
 ])
 def test_config_validation(kwargs):

@@ -9,21 +9,17 @@ from mtgreedy import (
     GreedyConfig,
     gain_oracle,
     loss,
-    residuals,
-    row_gain,
-    singleton_gain,
 )
 
-from conftest import random_state
+from conftest import gains_at, random_state
 
 
 def test_oracle_matches_engine_singleton_gains(rng):
     for _ in range(40):
         problem, _, beta = random_state(rng, p=5, r=2)
-        res = residuals(problem, beta)
         i = int(rng.integers(0, 5))
         j = int(rng.integers(0, 2))
-        gain, _ = singleton_gain(problem, beta, res, i, j)
+        gain = gains_at(problem, beta)[i, j]
         assert gain_oracle(problem, beta, ("singleton", i, j)) == pytest.approx(gain, abs=1e-8)
 
 
@@ -37,9 +33,8 @@ def test_oracle_zero_residual_state():
 
 def test_row_oracle_unweights_engine_value(rng):
     problem, _, beta = random_state(rng, p=5, r=3)
-    res = residuals(problem, beta)
     w = 1.7
-    weighted, _ = row_gain(problem, beta, res, 2, w)
+    weighted = gains_at(problem, beta)[2].sum() / w
     raw = gain_oracle(problem, beta, ("row", 2), w=1.0)
     assert raw == pytest.approx(w * weighted, abs=1e-8)
     assert gain_oracle(problem, beta, ("row", 2), w=w) == pytest.approx(weighted, abs=1e-8)

@@ -8,6 +8,13 @@ the best singleton by that factor).  After every addition, backward steps
 remove objects whose weighted cost is at most nu times the most recently
 recorded reward, popping that reward off a ledger so that every removal is
 matched one-to-one with a prior addition.
+
+A fit keeps one ``LeastSquaresFactor`` per task and moves it with the
+support: an added column is orthogonalized against the task's current
+columns and updates the residual and loss in O(n); a removal refactors that
+task; a task whose support did not change does no work.  A task whose columns
+become dependent, or outnumber its samples, falls back to the minimum-norm
+solve of the reference ``refit`` until a removal makes it factor again.
 """
 
 import math
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_least_squares
+from .linalg import LeastSquaresFactor, solve_least_squares
 from .model import (
     FitReport,
     GreedyConfig,
@@ -68,18 +75,26 @@ def row_cost(problem, beta, m, w, residuals=None, pattern=None):
     return total / w
 
 
-def refit(problem, pattern):
+def refit(problem, pattern, factors=None):
     """Restricted least-squares re-estimate on a support pattern.
 
     Each task is solved independently on its supported columns; entries off
     the pattern are exact zeros.  Rank-deficient supports take the
-    minimum-norm solution.
+    minimum-norm solution.  Without ``factors`` every task is solved from
+    scratch (the reference).  With one ``LeastSquaresFactor`` per task, each
+    factor is moved to the task's support instead, and its residual and loss
+    are then current.
     """
     beta = np.zeros((problem.p, problem.r))
     for j, t in enumerate(problem.tasks):
-        cols = sorted(pattern.task_support(j))
-        if cols:
-            beta[cols, j] = solve_least_squares(t.X[:, cols], t.y)
+        if factors is None:
+            cols = sorted(pattern.task_support(j))
+            if cols:
+                beta[cols, j] = solve_least_squares(t.X[:, cols], t.y)
+        else:
+            f = factors[j]
+            f.move_to(pattern.task_support(j))
+            beta[f.cols, j] = f.coef
     return beta
 
 
@@ -135,18 +150,41 @@ def _best_forward(problem, singles, rows, config, gains):
     return ForwardCandidate("singleton", (i, j), float(best_single))
 
 
-def _worst_backward(problem, beta, singles, rows, config, residuals):
-    """Cheapest removal across both classes; rows are removed on ties."""
+def removal_costs(problem, beta, residuals, colsq):
+    """Every entry's ``singleton_cost`` at once, as a (p, r) array.
+
+    Entry (i, j) is (b^2 ||x||^2 + 2 b x.r) / (2 n) with b = beta[i, j], x the
+    i-th column of task j and r its residual.  Entries with b = 0, off-support
+    ones included, cost 0, so a task whose coefficients are all zero is
+    skipped.
+    """
+    costs = np.zeros((problem.p, problem.r))
+    for j, t in enumerate(problem.tasks):
+        b = beta[:, j]
+        if b.any():
+            costs[:, j] = (b * b * colsq[j] + 2.0 * b * (t.X.T @ residuals[j])) / (2.0 * t.n)
+    return costs
+
+
+def _worst_backward(problem, beta, singles, rows, config, residuals, colsq):
+    """Cheapest removal across both classes; rows are removed on ties.
+
+    Within a class, the first object in sorted order wins ties.
+    """
+    costs = removal_costs(problem, beta, residuals, colsq)
     best_s = None
-    for (i, j) in sorted(singles):
-        c = singleton_cost(problem, beta, i, j, residuals)
-        if best_s is None or c < best_s.weighted_cost:
-            best_s = BackwardCandidate("singleton", (i, j), c)
+    if singles:
+        cells = sorted(singles)
+        ii, jj = zip(*cells)
+        c = costs[list(ii), list(jj)]
+        k = int(np.argmin(c))
+        best_s = BackwardCandidate("singleton", cells[k], float(c[k]))
     best_r = None
-    for m in sorted(rows):
-        c = row_cost(problem, beta, m, config.w, residuals)
-        if best_r is None or c < best_r.weighted_cost:
-            best_r = BackwardCandidate("row", (m,), c)
+    if rows:
+        ms = sorted(rows)
+        c = costs[ms, :].sum(axis=1) / config.w
+        k = int(np.argmin(c))
+        best_r = BackwardCandidate("row", (ms[k],), float(c[k]))
     if best_r is not None and (best_s is None or best_r.weighted_cost <= best_s.weighted_cost):
         return best_r
     return best_s
@@ -216,7 +254,8 @@ def fit(problem, config):
     p, r = problem.p, problem.r
     state = SupportState(config)
     beta = np.zeros((p, r))
-    res = [t.y.astype(float).copy() for t in problem.tasks]
+    factors = [LeastSquaresFactor(t.X, t.y) for t in problem.tasks]
+    res = [f.residual for f in factors]
     colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
     # (reward, step index) of every forward step not yet matched by a removal
     ledger = []
@@ -237,14 +276,14 @@ def fit(problem, config):
         forward_taken += 1
         promoted = state.add(cand.kind, cand.index)
         ledger.append((cand.weighted_reward, len(steps)))
-        beta = refit(problem, state.pattern())
-        res = compute_residuals(problem, beta)
+        beta = refit(problem, state.pattern(), factors)
+        res = [f.residual for f in factors]
         steps.append(StepRecord(
             kind="forward",
             object_kind=cand.kind,
             index=cand.index,
             reward_or_cost=cand.weighted_reward,
-            loss_after=loss(problem, beta),
+            loss_after=sum(f.loss for f in factors),
             ledger_depth=len(ledger),
             promoted_row=promoted,
         ))
@@ -252,20 +291,20 @@ def fit(problem, config):
         # Backward passes: keep removing while the cheapest removal costs at
         # most nu times the most recent recorded reward.
         while ledger and (state.singles or state.rows):
-            back = _worst_backward(problem, beta, state.singles, state.rows, config, res)
+            back = _worst_backward(problem, beta, state.singles, state.rows, config, res, colsq)
             top_reward, top_step = ledger[-1]
             if back.weighted_cost > config.nu * top_reward:
                 break
             ledger.pop()
             state.remove(back.kind, back.index)
-            beta = refit(problem, state.pattern())
-            res = compute_residuals(problem, beta)
+            beta = refit(problem, state.pattern(), factors)
+            res = [f.residual for f in factors]
             steps.append(StepRecord(
                 kind="backward",
                 object_kind=back.kind,
                 index=back.index,
                 reward_or_cost=back.weighted_cost,
-                loss_after=loss(problem, beta),
+                loss_after=sum(f.loss for f in factors),
                 ledger_depth=len(ledger),
                 popped_reward=top_reward,
                 popped_step=top_step,
@@ -274,7 +313,7 @@ def fit(problem, config):
     return FitReport(
         coefficients=beta,
         pattern=state.pattern(),
-        final_loss=loss(problem, beta),
+        final_loss=sum(f.loss for f in factors),
         steps=tuple(steps),
         termination=termination,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import check_step_records, fit
-from .model import FitReport, GreedyConfig, MultiTaskProblem, SupportPattern, Task, loss
+from .model import FitReport, GreedyConfig, MultiTaskProblem, SupportPattern, loss
 
 
 def _round_half_up(x):

@@ -15,8 +15,6 @@ import pytest
 
 from mtgreedy import (
     GreedyConfig,
-    MultiTaskProblem,
-    SupportPattern,
     SweepConfig,
     SynthSpec,
     coalesce_threshold,
@@ -27,7 +25,6 @@ from mtgreedy import (
     fit,
     gain_oracle,
     gen_synthetic,
-    loss,
     partition_supports,
     beta_min,
     rep_constants,

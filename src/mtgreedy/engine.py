@@ -15,6 +15,11 @@ columns and updates the residual and loss in O(n); a removal refactors that
 task; a task whose support did not change does no work.  A task whose columns
 become dependent, or outnumber its samples, falls back to the minimum-norm
 solve of the reference ``refit`` until a removal makes it factor again.
+
+Both selectors read the correlations c_j = X_j^T r_j, which each factor
+computes once per change of its residual: the backward removal costs after
+a refit and the next forward gains share them, and a task whose support did
+not move keeps its vector.
 """
 
 import math
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LeastSquaresFactor, solve_least_squares
+from .linalg import LeastSquaresFactor, effective_condition, solve_least_squares
 from .model import (
     FitReport,
     GreedyConfig,
@@ -98,18 +103,19 @@ def refit(problem, pattern, factors=None):
     return beta
 
 
-def gain_matrix(problem, residuals, colsq):
+def gain_matrix(problem, correlations, colsq):
     """Every singleton gain at the current residuals, as a (p, r) array.
 
     Entry (i, j) is the best loss decrease from adjusting that entry alone.
     With x the i-th design column of task j and r its residual, the
     one-dimensional quadratic gives (x.r)^2 / (2 n ||x||^2); zero columns
-    score zero.  colsq[j] holds the squared column norms of task j's design.
-    A row's gain is the sum of its entries, which the selector divides by w.
+    score zero.  correlations[j] is X^T r of task j (length p) and colsq[j]
+    holds the squared column norms of task j's design.  A row's gain is the
+    sum of its entries, which the selector divides by w.
     """
     gains = np.zeros((problem.p, problem.r))
     for j, t in enumerate(problem.tasks):
-        c = t.X.T @ residuals[j]
+        c = correlations[j]
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.where(colsq[j] > 0.0, c * c / (2.0 * t.n * colsq[j]), 0.0)
         gains[:, j] = g
@@ -150,11 +156,12 @@ def _best_forward(problem, singles, rows, config, gains):
     return ForwardCandidate("singleton", (i, j), float(best_single))
 
 
-def removal_costs(problem, beta, residuals, colsq):
+def removal_costs(problem, beta, correlations, colsq):
     """Every entry's ``singleton_cost`` at once, as a (p, r) array.
 
     Entry (i, j) is (b^2 ||x||^2 + 2 b x.r) / (2 n) with b = beta[i, j], x the
-    i-th column of task j and r its residual.  Entries with b = 0, off-support
+    i-th column of task j and r its residual; correlations[j] is X^T r of
+    task j, the vector ``gain_matrix`` reads.  Entries with b = 0, off-support
     ones included, cost 0, so a task whose coefficients are all zero is
     skipped.
     """
@@ -162,16 +169,16 @@ def removal_costs(problem, beta, residuals, colsq):
     for j, t in enumerate(problem.tasks):
         b = beta[:, j]
         if b.any():
-            costs[:, j] = (b * b * colsq[j] + 2.0 * b * (t.X.T @ residuals[j])) / (2.0 * t.n)
+            costs[:, j] = (b * b * colsq[j] + 2.0 * b * correlations[j]) / (2.0 * t.n)
     return costs
 
 
-def _worst_backward(problem, beta, singles, rows, config, residuals, colsq):
+def _worst_backward(problem, beta, singles, rows, config, correlations, colsq):
     """Cheapest removal across both classes; rows are removed on ties.
 
     Within a class, the first object in sorted order wins ties.
     """
-    costs = removal_costs(problem, beta, residuals, colsq)
+    costs = removal_costs(problem, beta, correlations, colsq)
     best_s = None
     if singles:
         cells = sorted(singles)
@@ -255,7 +262,6 @@ def fit(problem, config):
     state = SupportState(config)
     beta = np.zeros((p, r))
     factors = [LeastSquaresFactor(t.X, t.y) for t in problem.tasks]
-    res = [f.residual for f in factors]
     colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
     # (reward, step index) of every forward step not yet matched by a removal
     ledger = []
@@ -268,7 +274,7 @@ def fit(problem, config):
         if forward_taken >= cap:
             termination = "max-steps"
             break
-        gains = gain_matrix(problem, res, colsq)
+        gains = gain_matrix(problem, [f.correlation for f in factors], colsq)
         cand = _best_forward(problem, state.singles, state.rows, config, gains)
         if cand is None or cand.weighted_reward <= config.epsilon + config.comparison_tolerance:
             break
@@ -277,7 +283,6 @@ def fit(problem, config):
         promoted = state.add(cand.kind, cand.index)
         ledger.append((cand.weighted_reward, len(steps)))
         beta = refit(problem, state.pattern(), factors)
-        res = [f.residual for f in factors]
         steps.append(StepRecord(
             kind="forward",
             object_kind=cand.kind,
@@ -291,14 +296,14 @@ def fit(problem, config):
         # Backward passes: keep removing while the cheapest removal costs at
         # most nu times the most recent recorded reward.
         while ledger and (state.singles or state.rows):
-            back = _worst_backward(problem, beta, state.singles, state.rows, config, res, colsq)
+            back = _worst_backward(problem, beta, state.singles, state.rows, config,
+                                   [f.correlation for f in factors], colsq)
             top_reward, top_step = ledger[-1]
             if back.weighted_cost > config.nu * top_reward:
                 break
             ledger.pop()
             state.remove(back.kind, back.index)
             beta = refit(problem, state.pattern(), factors)
-            res = [f.residual for f in factors]
             steps.append(StepRecord(
                 kind="backward",
                 object_kind=back.kind,
@@ -367,10 +372,20 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
     On top of ``check_step_records`` this re-applies every move through a
     ``SupportState``, refits, and asserts that each replayed promotion equals
     the recorded one, that recorded losses match to loss_tol, that the loss
-    gradient vanishes on the support after every refit (|grad| <= grad_tol),
-    and that the replayed final pattern and coefficients agree with the report.
+    gradient vanishes on the support after every refit, and that the replayed
+    final pattern and coefficients agree with the report.
+
+    The solve checks scale with the data.  The gradient x_i.r_j / n of a
+    supported entry must stay within grad_tol * ||x_i|| ||y_j|| / n, the size
+    at which round-off enters it (||r_j|| is no scale: it vanishes when a
+    support interpolates).  Task j's coefficients must match the reference
+    solve within 1e-12 * kappa * (||b_j|| + kappa ||r_j|| / s_max), the
+    first-order least-squares perturbation bound, with s_max and kappa the
+    largest singular value and the condition number of its supported columns.
     """
     check_step_records(report, config, loss(problem, np.zeros((problem.p, problem.r))))
+    xnorm = [np.linalg.norm(t.X, axis=0) for t in problem.tasks]
+    ynorm = [np.linalg.norm(t.y) for t in problem.tasks]
     state = SupportState(config)
     for idx, s in enumerate(report.steps):
         if s.kind == "forward":
@@ -391,10 +406,18 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
         for j, t in enumerate(problem.tasks):
             grad = -(t.X.T @ res[j]) / t.n
             for i in pattern.task_support(j):
-                assert abs(grad[i]) <= grad_tol, (
-                    f"step {idx}: gradient {grad[i]} on supported ({i},{j})")
+                bound = grad_tol * xnorm[j][i] * ynorm[j] / t.n
+                assert abs(grad[i]) <= bound, (
+                    f"step {idx}: gradient {grad[i]} on supported ({i},{j}) exceeds {bound:.3g}")
     assert state.pattern() == report.pattern, "replayed pattern differs"
     beta = refit(problem, report.pattern)
-    assert np.allclose(beta, report.coefficients, atol=1e-12, rtol=0.0), (
-        "replayed coefficients differ")
+    for j, (t, res) in enumerate(zip(problem.tasks, compute_residuals(problem, beta))):
+        cols = sorted(report.pattern.task_support(j))
+        s_max, kappa = effective_condition(t.X[:, cols])
+        # an empty or all-zero support leaves both solves at exact zeros
+        tol = 0.0 if s_max == 0.0 else 1e-12 * kappa * (
+            np.linalg.norm(beta[cols, j]) + kappa * np.linalg.norm(res) / s_max)
+        diff = float(np.max(np.abs(beta[:, j] - report.coefficients[:, j])))
+        assert diff <= tol, (
+            f"task {j}: replayed coefficients differ by {diff:.3g}, tolerance {tol:.3g}")
     assert abs(loss(problem, beta) - report.final_loss) <= loss_tol * (1.0 + report.final_loss)

@@ -39,7 +39,9 @@ class LeastSquaresFactor:
     R^-1 (k x k, upper triangular) and z = Q^T y are stored; Q is applied as
     X_S R^-1, so no n x k basis is kept.  ``coef`` (in ``cols`` order),
     ``residual`` y - X_S coef and ``loss`` ||residual||^2 / 2n follow every
-    move.
+    move.  ``correlation`` X^T residual is computed on first use after a move
+    that changed the residual, so a task whose support did not move keeps
+    its array.
 
     Appending a column orthogonalizes it against Q by classical Gram-Schmidt
     with one reorthogonalization pass, then updates the residual and loss in
@@ -67,6 +69,14 @@ class LeastSquaresFactor:
     def _set_residual(self, residual):
         self.residual = residual
         self.loss = float(residual @ residual) / (2.0 * self.n)
+        self._correlation = None
+
+    @property
+    def correlation(self):
+        """X^T residual, one product per residual change."""
+        if self._correlation is None:
+            self._correlation = self.X.T @ self.residual
+        return self._correlation
 
     def move_to(self, support):
         """Make the factor hold exactly the column indices in ``support``."""
@@ -140,6 +150,17 @@ class LeastSquaresFactor:
         A = self.X[:, self.cols]
         self.coef = solve_least_squares(A, self.y)
         self._set_residual(self.y - A @ self.coef)
+
+
+def effective_condition(A):
+    """(largest singular value, condition number) of A as the minimum-norm
+    solve sees it: the condition is taken over the singular values above
+    RANK_RTOL of the largest.  An all-zero A gives (0.0, 1.0)."""
+    s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
+    if not s.size or s[0] == 0.0:
+        return 0.0, 1.0
+    kept = s[s > RANK_RTOL * s[0]]
+    return float(s[0]), float(s[0] / kept[-1])
 
 
 def singular_value_extremes(A):

@@ -35,10 +35,15 @@ def random_state(rng, p, r):
     return problem, pattern, beta
 
 
+def correlations_at(problem, beta):
+    """X_j^T r_j of every task at estimate beta."""
+    return [t.X.T @ res for t, res in zip(problem.tasks, residuals(problem, beta))]
+
+
 def gains_at(problem, beta):
     """The engine's (p, r) singleton gain matrix at estimate beta."""
     colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
-    return gain_matrix(problem, residuals(problem, beta), colsq)
+    return gain_matrix(problem, correlations_at(problem, beta), colsq)
 
 
 def planted_shared_problem(seed, p=6, r=2, n=24, balanced=False):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from mtgreedy import (
     GreedyConfig,
     MultiTaskProblem,
     SupportPattern,
+    SweepConfig,
     SynthSpec,
     check_step_records,
     exhaustive_best_fit,
@@ -21,6 +23,7 @@ from mtgreedy import (
     singleton_cost,
     verify_trace,
 )
+from mtgreedy import engine
 from mtgreedy.engine import SupportState, _best_forward
 
 from conftest import (
@@ -382,3 +385,61 @@ class TestVerifyTrace:
         bad[idx] = replace(bad[idx], promoted_row=None)
         with pytest.raises(AssertionError, match=f"step {idx}: "):
             verify_trace(problem, config, replace(report, steps=tuple(bad)))
+
+    def test_checks_hold_at_any_data_scale(self, monkeypatch):
+        """X and y scaled by s, epsilon by s^2: the same moves, a clean replay,
+        and both a tampered loss and a nudged replay solve still fail."""
+        spec = SynthSpec(p=128, n=74, r=2, kappa=0.5, noise_variance=1e-4, seed=1)
+        base, _ = gen_synthetic(spec)
+        config = SweepConfig(epsilon_c=1e-5).greedy_config(spec.support_size, spec.p, spec.n)
+        reference = engine.refit
+
+        def nudged(problem, pattern, factors=None):
+            return reference(problem, pattern, factors) * (1.0 + 1e-6)
+
+        moves = None
+        for s in (1.0, 1e3, 1e6):
+            problem = MultiTaskProblem.from_arrays(
+                [t.X * s for t in base.tasks], [t.y * s for t in base.tasks])
+            scaled = replace(config, epsilon=config.epsilon * s * s)
+            report = fit(problem, scaled)
+            got = [(st.kind, st.object_kind, st.index, st.promoted_row) for st in report.steps]
+            assert moves is None or got == moves
+            moves = got
+            verify_trace(problem, scaled, report)
+            bad = list(report.steps)
+            bad[0] = replace(bad[0], loss_after=bad[0].loss_after * (1.0 + 1e-6))
+            with pytest.raises(AssertionError, match="step 0: replayed loss"):
+                verify_trace(problem, scaled, replace(report, steps=tuple(bad)))
+            with monkeypatch.context() as m:
+                m.setattr(engine, "refit", nudged)
+                with pytest.raises(AssertionError, match="step 0: gradient"):
+                    verify_trace(problem, scaled, report, loss_tol=math.inf)
+        assert len(moves) == 25
+
+    def test_coefficient_check_follows_the_support_condition(self):
+        """A support holding two columns 1e-5 apart: the incremental and the
+        reference solve differ by the problem's own sensitivity, far above
+        round-off on O(1) coefficients, and the replay accepts it."""
+        rng = np.random.default_rng(0)
+        n = 40
+        X = rng.standard_normal((n, 6))
+        X[:, 1] = X[:, 0] + 1e-5 * rng.standard_normal(n)
+        y = (X[:, 0] + 0.2 * (X[:, 1] - X[:, 0]) / 1e-5 + 0.5 * X[:, 3]
+             + 1e-3 * rng.standard_normal(n))
+        problem = MultiTaskProblem.from_arrays([X], [y])
+        config = GreedyConfig(epsilon=0.0, rows_enabled=False)
+        report = fit(problem, config)
+        assert {0, 1} <= report.pattern.task_support(0)
+        gap = np.abs(report.coefficients - refit(problem, report.pattern)).max()
+        assert 1e-12 < gap < 1e-5
+        verify_trace(problem, config, report)
+
+    def test_rejects_tampered_coefficients(self):
+        problem, _, _, _ = planted_shared_problem(seed=3, p=8, n=30)
+        config = GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5)
+        report = fit(problem, config)
+        verify_trace(problem, config, report)
+        bad = report.coefficients * (1.0 + 1e-6)
+        with pytest.raises(AssertionError, match="replayed coefficients differ"):
+            verify_trace(problem, config, replace(report, coefficients=bad))

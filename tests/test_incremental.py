@@ -3,7 +3,8 @@
 ``refit(problem, pattern, factors)`` moves one LeastSquaresFactor per task
 with the support; ``refit(problem, pattern)`` solves every task from
 scratch.  Random move sequences, including dependent columns and tasks with
-fewer samples than supported columns, must keep the two in agreement.  The
+fewer samples than supported columns, must keep the two in agreement, and
+each factor's cached X^T r must equal the product at its residual.  The
 vectorized removal costs are checked against the single-object formulas.
 """
 
@@ -27,10 +28,11 @@ from mtgreedy import (
     row_cost,
     singleton_cost,
 )
+from mtgreedy import engine
 from mtgreedy.engine import SupportState, _worst_backward, removal_costs
 from mtgreedy.linalg import LeastSquaresFactor
 
-from conftest import random_state
+from conftest import correlations_at, random_state
 
 P, R = 8, 3
 
@@ -80,6 +82,7 @@ def assert_matches_reference(problem, pattern, factors):
         cols = sorted(pattern.task_support(j))
         X = problem.tasks[j].X[:, cols]
         assert f.exact == (not cols or np.linalg.matrix_rank(X) == len(cols))
+        assert np.array_equal(f.correlation, f.X.T @ f.residual)
     assert sum(f.loss for f in factors) == pytest.approx(loss(problem, want), rel=1e-9, abs=1e-15)
 
 
@@ -89,8 +92,12 @@ def test_factors_track_reference_refit_over_move_sequences(moves):
     factors = [LeastSquaresFactor(t.X, t.y) for t in PROBLEM.tasks]
     state = SupportState(CONFIG)
     for m in moves:
+        before = [(set(f.cols), f.correlation) for f in factors]
         apply(state, m)
         assert_matches_reference(PROBLEM, state.pattern(), factors)
+        for f, (cols, corr) in zip(factors, before):
+            if set(f.cols) == cols:
+                assert f.correlation is corr
 
 
 def test_fallback_and_recovery():
@@ -123,10 +130,48 @@ def test_unchanged_task_does_no_work():
     factors = [LeastSquaresFactor(t.X, t.y) for t in PROBLEM.tasks]
     pattern = SupportPattern(singletons=frozenset({(3, 0), (4, 1)}))
     refit(PROBLEM, pattern, factors)
-    held = [(f.residual, f.coef) for f in factors]
+    held = [(f.residual, f.coef, f.correlation) for f in factors]
     refit(PROBLEM, SupportPattern(singletons=frozenset({(3, 0), (4, 1), (6, 2)})), factors)
-    for (res, coef), f in list(zip(held, factors))[:2]:
-        assert f.residual is res and f.coef is coef
+    for (res, coef, corr), f in list(zip(held, factors))[:2]:
+        assert f.residual is res and f.coef is coef and f.correlation is corr
+    assert factors[2].correlation is not held[2][2]
+
+
+def test_fit_takes_one_correlation_per_residual_change(monkeypatch):
+    """Each task's X^T r is computed once for its initial residual and at
+    most once per later residual change, not once per selector and step."""
+    made = []
+
+    class CountingFactor(LeastSquaresFactor):
+        def __init__(self, X, y):
+            self.changes = self.products = 0
+            super().__init__(X, y)
+            made.append(self)
+
+        def _set_residual(self, residual):
+            self.changes += 1
+            super()._set_residual(residual)
+
+        @property
+        def correlation(self):
+            if self._correlation is None:
+                self.products += 1
+            return super().correlation
+
+    spec = SynthSpec(p=128, n=40, r=2, kappa=0.5, noise_variance=1e-4, seed=1)
+    problem, _ = gen_synthetic(spec)
+    config = SweepConfig(epsilon_c=1e-5).greedy_config(spec.support_size, spec.p, spec.n)
+    want = fit(problem, config)
+    monkeypatch.setattr(engine, "LeastSquaresFactor", CountingFactor)
+    report = fit(problem, config)
+    assert report.steps == want.steps
+    kinds = {(s.kind, s.object_kind) for s in report.steps}
+    assert {("backward", "singleton"), ("forward", "row")} <= kinds
+    assert len(made) == problem.r
+    for f in made:
+        assert 1 <= f.products <= f.changes
+    forward = sum(1 for s in report.steps if s.kind == "forward")
+    assert sum(f.products for f in made) < problem.r * forward
 
 
 def scalar_worst_backward(problem, beta, singles, rows, w, res):
@@ -151,8 +196,9 @@ class TestRemovalCosts:
         for _ in range(30):
             problem, pattern, beta = random_state(rng, p=7, r=3)
             res = residuals(problem, beta)
+            corr = correlations_at(problem, beta)
             colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
-            costs = removal_costs(problem, beta, res, colsq)
+            costs = removal_costs(problem, beta, corr, colsq)
             for j in range(problem.r):
                 for i in pattern.task_support(j):
                     assert costs[i, j] == pytest.approx(
@@ -162,7 +208,7 @@ class TestRemovalCosts:
                     row_cost(problem, beta, m, 1.5, res), rel=1e-10, abs=1e-14)
             if pattern.singletons or pattern.rows:
                 got = _worst_backward(problem, beta, set(pattern.singletons), set(pattern.rows),
-                                      GreedyConfig(epsilon=0.0, w=1.5), res, colsq)
+                                      GreedyConfig(epsilon=0.0, w=1.5), corr, colsq)
                 want = scalar_worst_backward(problem, beta, pattern.singletons, pattern.rows,
                                              1.5, res)
                 assert (got.kind, got.index) == want[:2]
@@ -173,13 +219,13 @@ class TestRemovalCosts:
         X = np.eye(2)
         problem = MultiTaskProblem.from_arrays([X, X], [np.ones(2), np.ones(2)])
         beta = np.ones((2, 2))
-        res = residuals(problem, beta)
+        corr = correlations_at(problem, beta)
         colsq = [np.ones(2), np.ones(2)]
         pick = _worst_backward(problem, beta, {(1, 1), (1, 0)}, set(),
-                               GreedyConfig(epsilon=0.0, w=2.0), res, colsq)
+                               GreedyConfig(epsilon=0.0, w=2.0), corr, colsq)
         assert (pick.kind, pick.index, pick.weighted_cost) == ("singleton", (1, 0), 0.25)
         pick = _worst_backward(problem, beta, {(1, 1), (1, 0)}, {0},
-                               GreedyConfig(epsilon=0.0, w=2.0), res, colsq)
+                               GreedyConfig(epsilon=0.0, w=2.0), corr, colsq)
         assert (pick.kind, pick.index, pick.weighted_cost) == ("row", (0,), 0.25)
 
 

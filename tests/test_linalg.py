@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtgreedy import singular_value_extremes, solve_least_squares
+from mtgreedy.linalg import effective_condition
 
 
 def test_identity_solve():
@@ -78,3 +79,13 @@ def test_extremes_reject_empty_or_wide():
         singular_value_extremes(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         singular_value_extremes(np.zeros((2, 3)))
+
+
+def test_effective_condition_skips_the_null_space():
+    assert effective_condition(np.diag([4.0, 2.0, 0.5])) == (4.0, 8.0)
+    # a zero column or a duplicate adds no condition; the min-norm solve drops it
+    A = np.column_stack([np.diag([4.0, 2.0]), np.zeros(2), [4.0, 0.0]])
+    s_max, kappa = effective_condition(A)
+    assert s_max == pytest.approx(4.0 * np.sqrt(2.0)) and kappa == pytest.approx(2.0 * np.sqrt(2.0))
+    assert effective_condition(np.zeros((3, 2))) == (0.0, 1.0)
+    assert effective_condition(np.zeros((3, 0))) == (0.0, 1.0)

@@ -154,7 +154,9 @@ def split_for_validation(problem, train_labels=None):
     """Halve a digit training problem per class for holdout tuning.
 
     Tasks share the design, so the split is computed once on the indicator
-    responses and applied to every task.  Returns (train, holdout) problems.
+    responses and applied to every task, and X is sliced once per half: every
+    task of a half holds that half's one design array, so a fit shares its
+    orthogonalizations between them.  Returns (train, holdout) problems.
     """
     X = problem.tasks[0].X
     labels = np.full(X.shape[0], -1, dtype=int)
@@ -168,7 +170,9 @@ def split_for_validation(problem, train_labels=None):
         second.extend(block[half:] if block.size > half else block[:half])
     first = np.asarray(first)
     second = np.asarray(second)
-    sub_a = tuple(Task(X[first], t.y[first]) for t in problem.tasks)
-    sub_b = tuple(Task(X[second], t.y[second]) for t in problem.tasks)
-    return (MultiTaskProblem(p=problem.p, r=problem.r, tasks=sub_a),
-            MultiTaskProblem(p=problem.p, r=problem.r, tasks=sub_b))
+    halves = []
+    for rows in (first, second):
+        X_half = X[rows]
+        tasks = tuple(Task(X_half, t.y[rows]) for t in problem.tasks)
+        halves.append(MultiTaskProblem(p=problem.p, r=problem.r, tasks=tasks))
+    return tuple(halves)

@@ -16,6 +16,16 @@ task; a task whose support did not change does no work.  A task whose columns
 become dependent, or outnumber its samples, falls back to the minimum-norm
 solve of the reference ``refit`` until a removal makes it factor again.
 
+Tasks whose designs are one array object (``t.X is``; the digit tasks are)
+share the orthogonalizations.  The factors of such tasks start on one empty
+``Basis`` and hold the same immutable basis as long as their columns move
+alike.  Each ``refit`` keeps a memo of the steps taken from each basis, so a
+row added to ten tasks on one design is orthogonalized once, not ten times;
+the memo is dropped when ``refit`` returns.  Designs are matched by object
+identity only, never by value, so tasks with designs of their own (the
+synthetic sweeps, problems read from files) share nothing.  Each task still
+does the same floating-point operations as with a basis of its own.
+
 Both selectors read the correlations c_j = X_j^T r_j, which each factor
 computes once per change of its residual: the backward removal costs after
 a refit and the next forward gains share them, and a task whose support did
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LeastSquaresFactor, effective_condition, solve_least_squares
+from .linalg import Basis, LeastSquaresFactor, effective_condition, solve_least_squares
 from .model import (
     FitReport,
     GreedyConfig,
@@ -88,9 +98,11 @@ def refit(problem, pattern, factors=None):
     minimum-norm solution.  Without ``factors`` every task is solved from
     scratch (the reference).  With one ``LeastSquaresFactor`` per task, each
     factor is moved to the task's support instead, and its residual and loss
-    are then current.
+    are then current.  The factors share one memo for this call, so a step
+    from one basis is computed once however many tasks take it.
     """
     beta = np.zeros((problem.p, problem.r))
+    memo = {}
     for j, t in enumerate(problem.tasks):
         if factors is None:
             cols = sorted(pattern.task_support(j))
@@ -98,7 +110,7 @@ def refit(problem, pattern, factors=None):
                 beta[cols, j] = solve_least_squares(t.X[:, cols], t.y)
         else:
             f = factors[j]
-            f.move_to(pattern.task_support(j))
+            f.move_to(pattern.task_support(j), memo)
             beta[f.cols, j] = f.coef
     return beta
 
@@ -244,11 +256,26 @@ class SupportState:
         return SupportPattern(singletons=frozenset(self.singles), rows=frozenset(self.rows))
 
 
+def start_factors(problem):
+    """(one empty LeastSquaresFactor per task, each task's squared column norms).
+
+    Tasks whose designs are one array object share its empty basis and its
+    column norms; designs are told apart by identity, not compared by value.
+    """
+    designs = {}
+    for t in problem.tasks:
+        if id(t.X) not in designs:
+            designs[id(t.X)] = (Basis(t.X), np.einsum("ij,ij->j", t.X, t.X))
+    factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y) for t in problem.tasks]
+    colsq = [designs[id(t.X)][1] for t in problem.tasks]
+    return factors, colsq
+
+
 def fit(problem, config):
     """Run the full greedy procedure and return a FitReport with its trace.
 
-    Forward steps stop once the best weighted gain falls to the stopping
-    threshold (within the comparison tolerance) or the step cap is hit.
+    Forward steps stop once the best weighted gain falls to epsilon plus
+    comparison_tolerance times the loss at beta = 0, or the step cap is hit.
     When row coalescing is on, a feature accumulating floor(w) + 1 singletons
     is reclassified as a shared row, mirroring how true supports are
     partitioned by per-row entry counts.
@@ -261,8 +288,8 @@ def fit(problem, config):
     p, r = problem.p, problem.r
     state = SupportState(config)
     beta = np.zeros((p, r))
-    factors = [LeastSquaresFactor(t.X, t.y) for t in problem.tasks]
-    colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
+    factors, colsq = start_factors(problem)
+    gate = config.epsilon + config.comparison_tolerance * sum(f.loss for f in factors)
     # (reward, step index) of every forward step not yet matched by a removal
     ledger = []
     steps = []
@@ -276,7 +303,7 @@ def fit(problem, config):
             break
         gains = gain_matrix(problem, [f.correlation for f in factors], colsq)
         cand = _best_forward(problem, state.singles, state.rows, config, gains)
-        if cand is None or cand.weighted_reward <= config.epsilon + config.comparison_tolerance:
+        if cand is None or cand.weighted_reward <= gate:
             break
 
         forward_taken += 1

@@ -1,4 +1,10 @@
-"""Small dense linear-algebra helpers used by the fitting engine and diagnostics."""
+"""Small dense linear-algebra helpers used by the fitting engine and diagnostics.
+
+``Basis`` holds some columns of one design as X_S = QR and is never changed
+once made, so every task on that design can hold the same one.
+``LeastSquaresFactor`` is one task's least squares on a basis: its own
+z = Q^T y, coefficients, residual, loss and X^T r.
+"""
 
 import math
 
@@ -32,39 +38,112 @@ def solve_least_squares(A, b):
     return x
 
 
+class Basis:
+    """Some columns of one design held as X_S = QR; never changed once made.
+
+    ``X`` is the design, ``cols`` the held column indices in insertion order
+    and ``rinv`` R^-1 (k x k, upper triangular); Q is applied as X_S R^-1, so
+    no n x k basis is kept.  An inexact basis (``exact`` False, ``rinv``
+    None) holds sorted columns that are dependent or outnumber the samples;
+    the factors on it take the minimum-norm solve.  Every task on one design
+    may hold the same basis, since nothing in it depends on a response.
+    """
+
+    __slots__ = ("X", "cols", "exact", "rinv")
+
+    def __init__(self, X, cols=None, exact=True, rinv=None):
+        self.X = X
+        self.cols = [] if cols is None else cols
+        self.exact = exact
+        self.rinv = np.zeros((0, 0)) if rinv is None and exact else rinv
+
+    def append(self, c):
+        """(basis with column c appended, its unit vector q), or None when c is dependent.
+
+        Classical Gram-Schmidt with one reorthogonalization pass; a column
+        whose orthogonal part is at most ORTH_RTOL of its norm is dependent.
+        """
+        X = self.X
+        x = X[:, c]
+        k = len(self.cols)
+        v = x
+        d = np.zeros(k)
+        if k:
+            A = X[:, self.cols]
+            for _ in range(2):
+                h = self.rinv.T @ (A.T @ v)
+                v = v - A @ (self.rinv @ h)
+                d += h
+        rho = math.sqrt(float(v @ v))
+        if not rho > ORTH_RTOL * math.sqrt(float(x @ x)):
+            return None
+        q = v / rho
+        rinv = np.zeros((k + 1, k + 1))
+        rinv[:k, :k] = self.rinv
+        rinv[:k, k] = self.rinv @ d / -rho
+        rinv[k, k] = 1.0 / rho
+        return Basis(X, self.cols + [c], True, rinv), q
+
+    def refactor(self, cols):
+        """(basis of ``cols`` factored afresh by a QR, its Q), or None when
+        ``cols`` outnumber the samples or are rank deficient."""
+        X = self.X
+        if len(cols) > X.shape[0]:
+            return None
+        A = X[:, cols]
+        Q, R = np.linalg.qr(A)
+        if np.any(np.abs(np.diag(R)) <= ORTH_RTOL * np.linalg.norm(A, axis=0)):
+            return None
+        return Basis(X, cols, True, np.linalg.solve(R, np.eye(len(cols)))), Q
+
+
+_UNSEEN = object()
+
+
 class LeastSquaresFactor:
     """Least squares of y on a changing set of X's columns, updated per move.
 
-    The supported columns X_S are held in insertion order as X_S = QR.  Only
-    R^-1 (k x k, upper triangular) and z = Q^T y are stored; Q is applied as
-    X_S R^-1, so no n x k basis is kept.  ``coef`` (in ``cols`` order),
-    ``residual`` y - X_S coef and ``loss`` ||residual||^2 / 2n follow every
-    move.  ``correlation`` X^T residual is computed on first use after a move
-    that changed the residual, so a task whose support did not move keeps
-    its array.
+    The factor holds a ``Basis`` of its supported columns and z = Q^T y.
+    ``coef`` (in ``cols`` order), ``residual`` y - X_S coef and ``loss``
+    ||residual||^2 / 2n follow every move; ``cols`` and ``exact`` are the
+    basis's.  ``correlation`` X^T residual is computed on first use after a
+    move that changed the residual, so a task whose support did not move
+    keeps its array.  A factor starts on ``empty``, the basis of no columns
+    of its task's design; factors made on the same ``empty`` may share every
+    later basis.
 
-    Appending a column orthogonalizes it against Q by classical Gram-Schmidt
-    with one reorthogonalization pass, then updates the residual and loss in
-    O(n).  Removing a column refactors the remaining ones with a QR.  When a
-    column's orthogonal part is at most ORTH_RTOL of its norm, or the support
-    outgrows the sample count, the factor is inexact: it solves with
-    solve_least_squares on the sorted columns (the minimum-norm answer) until
-    a removal leaves a support that factors again.
+    Appending a column takes the basis's Gram-Schmidt step, then updates the
+    residual and loss in O(n).  Removing a column refactors the remaining
+    ones with a QR.  When a column's orthogonal part is at most ORTH_RTOL of
+    its norm, or the support outgrows the sample count, the basis is inexact
+    and the factor solves with solve_least_squares on the sorted columns
+    (the minimum-norm answer) until a removal leaves a support that factors
+    again.
+
+    ``move_to`` takes a memo, a dict from (basis, step) to the step's result.
+    Factors that hold the same basis and pass the same memo compute each
+    step once: the orthogonalization, the QR and the inexact basis are
+    shared, while z, the coefficients, the residual and the solve stay the
+    task's own.
     """
 
-    def __init__(self, X, y):
-        self.X = X
+    def __init__(self, empty, y):
+        self.X = empty.X
         self.y = np.asarray(y, dtype=float)
-        self.n = X.shape[0]
+        self.n = self.X.shape[0]
+        self._empty = empty
         self._clear()
 
     def _clear(self):
-        self.cols = []
-        self.exact = True
-        self._rinv = np.zeros((0, 0))
+        self._take(self._empty)
         self._z = np.zeros(0)
         self.coef = np.zeros(0)
         self._set_residual(self.y.copy())
+
+    def _take(self, basis):
+        self.basis = basis
+        self.cols = basis.cols
+        self.exact = basis.exact
 
     def _set_residual(self, residual):
         self.residual = residual
@@ -78,75 +157,65 @@ class LeastSquaresFactor:
             self._correlation = self.X.T @ self.residual
         return self._correlation
 
-    def move_to(self, support):
-        """Make the factor hold exactly the column indices in ``support``."""
+    def move_to(self, support, memo=None):
+        """Make the factor hold exactly the column indices in ``support``.
+
+        Steps already in ``memo`` are reused and new ones are stored there.
+        """
+        if memo is None:
+            memo = {}
         held = set(self.cols)
         if held == support:
             return
         kept = [c for c in self.cols if c in support]
         added = sorted(support - held)
         if len(kept) < len(self.cols):
-            self._refactor(kept + added)
+            self._refactor(kept + added, memo)
         elif not self.exact:
-            self._solve(kept + added)
+            self._solve(kept + added, memo)
         else:
             for c in added:
-                if not self._append(c):
-                    self._solve(kept + added)
+                key = (self.basis, c)
+                step = memo.get(key, _UNSEEN)
+                if step is _UNSEEN:
+                    step = memo[key] = self.basis.append(c)
+                if step is None:
+                    self._solve(kept + added, memo)
                     return
+                basis, q = step
+                zeta = float(q @ self.residual)
+                # an append leaves the basis exact; set only what changed
+                self.basis = basis
+                self.cols = basis.cols
+                self._z = np.concatenate((self._z, (zeta,)))
+                self.coef = basis.rinv @ self._z
+                self._set_residual(self.residual - zeta * q)
 
-    def _append(self, c):
-        """Add column c to an exact factor; False when it is dependent."""
-        x = self.X[:, c]
-        k = len(self.cols)
-        v = x
-        d = np.zeros(k)
-        if k:
-            A = self.X[:, self.cols]
-            for _ in range(2):
-                h = self._rinv.T @ (A.T @ v)
-                v = v - A @ (self._rinv @ h)
-                d += h
-        rho = math.sqrt(float(v @ v))
-        if not rho > ORTH_RTOL * math.sqrt(float(x @ x)):
-            return False
-        q = v / rho
-        rinv = np.zeros((k + 1, k + 1))
-        rinv[:k, :k] = self._rinv
-        rinv[:k, k] = self._rinv @ d / -rho
-        rinv[k, k] = 1.0 / rho
-        zeta = float(q @ self.residual)
-        self.cols.append(c)
-        self._rinv = rinv
-        self._z = np.concatenate((self._z, (zeta,)))
-        self.coef = rinv @ self._z
-        self._set_residual(self.residual - zeta * q)
-        return True
-
-    def _refactor(self, cols):
+    def _refactor(self, cols, memo):
         """Factor ``cols`` afresh with a QR; fall back when it is rank deficient."""
         if not cols:
             self._clear()
             return
-        if len(cols) > self.n:
-            self._solve(cols)
+        key = (self.basis, "qr", tuple(cols))
+        step = memo.get(key, _UNSEEN)
+        if step is _UNSEEN:
+            step = memo[key] = self.basis.refactor(cols)
+        if step is None:
+            self._solve(cols, memo)
             return
-        A = self.X[:, cols]
-        Q, R = np.linalg.qr(A)
-        if np.any(np.abs(np.diag(R)) <= ORTH_RTOL * np.linalg.norm(A, axis=0)):
-            self._solve(cols)
-            return
-        self.cols = list(cols)
-        self.exact = True
-        self._rinv = np.linalg.solve(R, np.eye(len(cols)))
+        basis, Q = step
+        self._take(basis)
         self._z = Q.T @ self.y
-        self.coef = self._rinv @ self._z
+        self.coef = basis.rinv @ self._z
         self._set_residual(self.y - Q @ self._z)
 
-    def _solve(self, cols):
+    def _solve(self, cols, memo):
         """Inexact support: the minimum-norm solve on the sorted columns."""
-        self.cols = sorted(cols)
-        self.exact = False
+        key = (self.basis, "min-norm", tuple(cols))
+        basis = memo.get(key)
+        if basis is None:
+            basis = memo[key] = Basis(self.X, sorted(cols), False)
+        self._take(basis)
         A = self.X[:, self.cols]
         self.coef = solve_least_squares(A, self.y)
         self._set_residual(self.y - A @ self.coef)

@@ -96,7 +96,11 @@ class GreedyConfig:
                       nu times the recorded reward it is matched against
     rows_enabled      when False the row object class is never considered
     max_forward_steps cap guarding pathological configurations (None: 16 + 4*p*r)
-    comparison_tolerance  absolute slack used at the stopping gate
+    comparison_tolerance  relative slack at the stopping gate: forward steps
+                      stop at gains up to epsilon + comparison_tolerance * L0,
+                      with L0 = sum_j ||y_j||^2 / (2 n_j) the loss at beta = 0.
+                      Scaling X and y by s scales every gain and L0 by s^2,
+                      so a fit with epsilon scaled by s^2 takes the same steps.
     coalesce_rows     reclassify a feature as a shared row once it holds
                       enough singletons to out-earn the row weighting
     """

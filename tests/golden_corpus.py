@@ -4,7 +4,9 @@ Each case builds its problem from its own seed with numpy's default_rng, so
 the corpus does not depend on the package's data generators.  The corpus
 covers ordinary planted problems plus degenerate designs: zero, duplicate and
 linearly dependent columns, fewer samples than support entries at
-epsilon = 0, a single task, integer sharing weights and w = r.
+epsilon = 0, a single task, integer sharing weights and w = r.  The last
+cases give several tasks one design object, as the digit tasks have, so the
+fit shares each orthogonalization between them.
 
 Re-record (only after an intended change of the engine's decisions):
 
@@ -108,6 +110,31 @@ def noise_only(seed, p, n):
     return MultiTaskProblem.from_arrays([rng.standard_normal((n, p))], [rng.standard_normal(n)])
 
 
+def shared_design(seed, p, n, s_shared, s_own, r_shared, other=(), noise=0.01,
+                  duplicate=False):
+    """r_shared tasks hold one design object X; each n in ``other`` adds a task
+    with a design of its own and n samples.  All tasks share s_shared features
+    and own s_own more.  With ``duplicate``, column 1 of X repeats column 0,
+    while features 0 and 1 both carry signal in the other tasks, so a row add
+    puts both copies into every sharing task at once."""
+    rng = np.random.default_rng(seed)
+    r = r_shared + len(other)
+    X = rng.standard_normal((n, p))
+    designs = [X] * r_shared + [rng.standard_normal((m, p)) for m in other]
+    feats = rng.choice(np.arange(2, p), size=s_shared + r * s_own, replace=False)
+    beta = np.zeros((p, r))
+    beta[feats[:s_shared], :] = rng.standard_normal((s_shared, r))
+    for j in range(r):
+        beta[feats[s_shared + j * s_own: s_shared + (j + 1) * s_own], j] = rng.standard_normal(s_own)
+    if duplicate:
+        X[:, 1] = X[:, 0]
+        beta[0, :] = 1.0
+        beta[1, r_shared:] = -1.2
+    responses = [A @ beta[:, j] + noise * rng.standard_normal(A.shape[0])
+                 for j, A in enumerate(designs)]
+    return MultiTaskProblem.from_arrays(designs, responses)
+
+
 def cases():
     """(name, problem, config) of every corpus case, in fixture order."""
     out = []
@@ -158,6 +185,14 @@ def cases():
     add("short_task_eps_small", short_task(602, 6), epsilon=1e-6, w=1.5)
     add("short_task_noisy_eps_zero", short_task(604, 3), epsilon=0.0, w=1.5, nu=0.9)
     add("interpolate_single_task", noise_only(603, 15, 8), epsilon=0.0)
+    # Tasks sharing one design object.
+    add("shared_rows_w1_r10", shared_design(700, 40, 30, 4, 0, 10), epsilon=1e-3, w=1.0)
+    add("shared_singletons_removal", shared_design(702, 30, 25, 2, 2, 4, noise=0.3),
+        epsilon=1e-4, w=1.5)
+    add("shared_duplicate_column", shared_design(702, 16, 20, 1, 1, 3, other=(20,),
+                                                 duplicate=True), epsilon=1e-4, w=1.0)
+    add("shared_short_eps_zero", shared_design(703, 20, 4, 6, 1, 2, other=(40,)),
+        epsilon=0.0, w=1.0)
     return out
 
 

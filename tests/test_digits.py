@@ -116,6 +116,20 @@ class TestBuildTasks:
             stacked = np.column_stack([t.y for t in sub.tasks])
             assert np.array_equal(stacked.sum(axis=0), np.full(10, 5.0))
 
+    def test_validation_halves_share_one_design(self, mfeat_dir):
+        """Each half slices X once: its tasks hold one design array, equal to
+        the rows the per-class halving picks."""
+        ds = load_mfeat(mfeat_dir)
+        problem, _ = build_tasks(ds, n_per_class=10, seed=3)
+        labels = np.argmax(np.column_stack([t.y for t in problem.tasks]), axis=1)
+        halves = (slice(None, 5), slice(5, None))
+        for sub, half in zip(split_for_validation(problem), halves):
+            rows = np.concatenate([np.flatnonzero(labels == c)[half] for c in range(10)])
+            assert all(t.X is sub.tasks[0].X for t in sub.tasks)
+            assert np.array_equal(sub.tasks[0].X, problem.tasks[0].X[rows])
+            for t, full in zip(sub.tasks, problem.tasks):
+                assert np.array_equal(t.y, full.y[rows])
+
 
 class TestClassifyAndReport:
     def _zero_report(self, p, r):

@@ -312,6 +312,21 @@ class TestFit:
             assert report.pattern.singletons == frozenset()
             assert not sign_support_success(report.coefficients, beta_star)
 
+    def test_stopping_gate_is_scale_free(self):
+        """X and y scaled by s and epsilon by s^2 give the same moves at every
+        scale: the gate's slack is relative to the loss at beta = 0 (an
+        absolute 1e-12 stopped this fit after 6 steps at s = 1e-6)."""
+        spec = SynthSpec(p=128, n=74, r=2, kappa=0.5, noise_variance=1e-4, seed=1)
+        base, _ = gen_synthetic(spec)
+        config = SweepConfig(epsilon_c=1e-5).greedy_config(spec.support_size, spec.p, spec.n)
+        moves = set()
+        for s in (1e-6, 1e-3, 1.0, 1e3, 1e9):
+            problem = MultiTaskProblem.from_arrays(
+                [t.X * s for t in base.tasks], [t.y * s for t in base.tasks])
+            report = fit(problem, replace(config, epsilon=config.epsilon * s * s))
+            moves.add(tuple((st.kind, st.object_kind, st.index) for st in report.steps))
+        assert len(moves) == 1 and len(moves.pop()) == 25
+
     def test_final_loss_matches_coefficients(self, rng):
         problem = random_problem(rng, p=6, r=2)
         report = fit(problem, GreedyConfig(epsilon=1e-3))

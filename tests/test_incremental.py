@@ -2,10 +2,12 @@
 
 ``refit(problem, pattern, factors)`` moves one LeastSquaresFactor per task
 with the support; ``refit(problem, pattern)`` solves every task from
-scratch.  Random move sequences, including dependent columns and tasks with
-fewer samples than supported columns, must keep the two in agreement, and
-each factor's cached X^T r must equal the product at its residual.  The
-vectorized removal costs are checked against the single-object formulas.
+scratch.  Random move sequences, including dependent columns, tasks with
+fewer samples than supported columns and tasks that share one design, must
+keep the two in agreement, and each factor's cached X^T r must equal the
+product at its residual.  Tasks on one design share their bases and each
+orthogonalization, and never each other's arrays.  The vectorized removal
+costs are checked against the single-object formulas.
 """
 
 import tracemalloc
@@ -29,8 +31,8 @@ from mtgreedy import (
     singleton_cost,
 )
 from mtgreedy import engine
-from mtgreedy.engine import SupportState, _worst_backward, removal_costs
-from mtgreedy.linalg import LeastSquaresFactor
+from mtgreedy.engine import SupportState, _worst_backward, removal_costs, start_factors
+from mtgreedy.linalg import Basis, LeastSquaresFactor
 
 from conftest import correlations_at, random_state
 
@@ -50,7 +52,19 @@ def degenerate_problem():
     return MultiTaskProblem.from_arrays(designs, responses)
 
 
+def shared_problem():
+    """Tasks 0 and 1 hold one 10 x 8 design object whose column 2 duplicates
+    column 1; task 2 has its own design with only 4 samples."""
+    rng = np.random.default_rng(78)
+    X = rng.standard_normal((10, P))
+    X[:, 2] = X[:, 1]
+    designs = [X, X, rng.standard_normal((4, P))]
+    responses = [rng.standard_normal(A.shape[0]) for A in designs]
+    return MultiTaskProblem.from_arrays(designs, responses)
+
+
 PROBLEM = degenerate_problem()
+SHARED = shared_problem()
 CONFIG = GreedyConfig(epsilon=0.0, w=1.5)
 
 move = st.one_of(
@@ -86,24 +100,85 @@ def assert_matches_reference(problem, pattern, factors):
     assert sum(f.loss for f in factors) == pytest.approx(loss(problem, want), rel=1e-9, abs=1e-15)
 
 
+def task_arrays(f):
+    """Copies of the arrays one task's factor holds, its basis's R^-1 included."""
+    held = (f.basis.rinv, f._z, f.coef, f.residual, f.correlation)
+    return [None if a is None else a.copy() for a in held]
+
+
+def assert_arrays_equal(got, want):
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def assert_sharing(factors, before):
+    """Tasks on one design that held one basis and now hold equal columns
+    hold one basis; no move changed an earlier basis or another task's
+    arrays, and no two factors hold the same array."""
+    groups = {}
+    for f, (basis, _, _) in zip(factors, before):
+        groups.setdefault((id(f.X), id(basis), tuple(f.cols)), set()).add(id(f.basis))
+    assert all(len(held) == 1 for held in groups.values())
+    for f, (basis, cols, arrays) in zip(factors, before):
+        assert_arrays_equal([basis.rinv], arrays[:1])
+        if f.cols == cols:
+            assert f.basis is basis
+            assert_arrays_equal(task_arrays(f), arrays)
+    for a, f in enumerate(factors):
+        for g in factors[a + 1:]:
+            assert f.residual is not g.residual and f.coef is not g.coef
+            assert f._z is not g._z or not f._z.size
+
+
+def run_moves(problem, moves):
+    factors, _ = start_factors(problem)
+    state = SupportState(CONFIG)
+    for m in moves:
+        before = [(f.basis, list(f.cols), task_arrays(f)) for f in factors]
+        corr = [f.correlation for f in factors]
+        apply(state, m)
+        assert_matches_reference(problem, state.pattern(), factors)
+        assert_sharing(factors, before)
+        for f, (_, cols, _), c in zip(factors, before, corr):
+            if f.cols == cols:
+                assert f.correlation is c
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(move, min_size=1, max_size=30))
 def test_factors_track_reference_refit_over_move_sequences(moves):
-    factors = [LeastSquaresFactor(t.X, t.y) for t in PROBLEM.tasks]
-    state = SupportState(CONFIG)
-    for m in moves:
-        before = [(set(f.cols), f.correlation) for f in factors]
-        apply(state, m)
-        assert_matches_reference(PROBLEM, state.pattern(), factors)
-        for f, (cols, corr) in zip(factors, before):
-            if set(f.cols) == cols:
-                assert f.correlation is corr
+    run_moves(PROBLEM, moves)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(move, min_size=1, max_size=30))
+def test_factors_on_a_shared_design_track_reference_refit(moves):
+    run_moves(SHARED, moves)
+
+
+def test_shared_design_shares_its_steps():
+    """A row reaches both tasks on the shared design through one basis; a
+    singleton of task 0 parts them, and removing it joins their columns
+    again but not their bases: task 0's QR refactor gives another R^-1 than
+    task 1's Gram-Schmidt steps, so sharing them would change a fit."""
+    factors, colsq = start_factors(SHARED)
+    assert factors[0].basis is factors[1].basis is not factors[2].basis
+    assert colsq[0] is colsq[1]
+    rows = SupportPattern(rows=frozenset({3, 5}))
+    refit(SHARED, rows, factors)
+    assert factors[0].basis is factors[1].basis and factors[0].cols == [3, 5]
+    refit(SHARED, SupportPattern(singletons=frozenset({(6, 0)}), rows=rows.rows), factors)
+    assert factors[0].cols == [3, 5, 6] and factors[1].basis.cols == [3, 5]
+    refit(SHARED, rows, factors)
+    assert factors[0].cols == factors[1].cols == [3, 5]
+    assert not np.array_equal(factors[0].basis.rinv, factors[1].basis.rinv)
+    assert_matches_reference(SHARED, rows, factors)
 
 
 def test_fallback_and_recovery():
     """Task 1 turns inexact when the duplicate column joins and exact again
     once it leaves; re-appending a removed column restores the same fit."""
-    factors = [LeastSquaresFactor(t.X, t.y) for t in PROBLEM.tasks]
+    factors, _ = start_factors(PROBLEM)
     f = factors[1]
     walk = [({1, 6}, True), ({1, 2, 6}, False), ({1, 2, 6, 7}, False),
             ({1, 6, 7}, True), ({1, 7}, True), ({1, 6, 7}, True), (set(), True)]
@@ -119,7 +194,7 @@ def test_nearly_collinear_columns_keep_the_residual_orthogonal():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((60, 1)) + 1e-4 * rng.standard_normal((60, 8))
     y = rng.standard_normal(60)
-    f = LeastSquaresFactor(X, y)
+    f = LeastSquaresFactor(Basis(X), y)
     f.move_to(set(range(8)))
     assert f.exact
     scale = np.linalg.norm(X, axis=0).max() * np.linalg.norm(y)
@@ -127,7 +202,7 @@ def test_nearly_collinear_columns_keep_the_residual_orthogonal():
 
 
 def test_unchanged_task_does_no_work():
-    factors = [LeastSquaresFactor(t.X, t.y) for t in PROBLEM.tasks]
+    factors, _ = start_factors(PROBLEM)
     pattern = SupportPattern(singletons=frozenset({(3, 0), (4, 1)}))
     refit(PROBLEM, pattern, factors)
     held = [(f.residual, f.coef, f.correlation) for f in factors]
@@ -143,9 +218,9 @@ def test_fit_takes_one_correlation_per_residual_change(monkeypatch):
     made = []
 
     class CountingFactor(LeastSquaresFactor):
-        def __init__(self, X, y):
+        def __init__(self, empty, y):
             self.changes = self.products = 0
-            super().__init__(X, y)
+            super().__init__(empty, y)
             made.append(self)
 
         def _set_residual(self, residual):
@@ -172,6 +247,38 @@ def test_fit_takes_one_correlation_per_residual_change(monkeypatch):
         assert 1 <= f.products <= f.changes
     forward = sum(1 for s in report.steps if s.kind == "forward")
     assert sum(f.products for f in made) < problem.r * forward
+
+
+def test_rows_on_one_design_orthogonalize_each_column_once(monkeypatch):
+    """A rows-only fit of r tasks on one design object runs one Gram-Schmidt
+    step per added column, not r; the same fit on r equal copies of the
+    design runs r, since designs are matched by identity."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((30, 40))
+    beta = np.zeros((40, 6))
+    beta[[3, 17, 29], :] = rng.standard_normal((3, 6))
+    responses = [X @ beta[:, j] + 0.01 * rng.standard_normal(30) for j in range(6)]
+    config = GreedyConfig(epsilon=1e-3, w=1.0)
+    appends = []
+    append = Basis.append
+
+    def counting(basis, c):
+        appends.append(c)
+        return append(basis, c)
+
+    monkeypatch.setattr(Basis, "append", counting)
+    shared = MultiTaskProblem.from_arrays([X] * 6, responses)
+    report = fit(shared, config)
+    added = [s.index[0] for s in report.steps]
+    assert len(added) >= 3 and all(
+        s.kind == "forward" and s.object_kind == "row" for s in report.steps)
+    assert appends == added
+    appends.clear()
+    copies = MultiTaskProblem.from_arrays([X.copy() for _ in range(6)], responses)
+    again = fit(copies, config)
+    assert again.steps == report.steps
+    assert np.array_equal(again.coefficients, report.coefficients)
+    assert sorted(appends) == sorted(added * 6)
 
 
 def scalar_worst_backward(problem, beta, singles, rows, w, res):

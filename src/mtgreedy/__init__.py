@@ -6,18 +6,14 @@ backward steps, and re-solves restricted least squares after every move.
 """
 
 from .engine import (
-    BackwardCandidate,
-    ForwardCandidate,
     check_step_records,
     coalesce_threshold,
     fit,
     gain_matrix,
     refit,
-    row_cost,
-    singleton_cost,
     verify_trace,
 )
-from .linalg import singular_value_extremes, solve_least_squares
+from .linalg import solve_least_squares
 from .model import (
     FitReport,
     GreedyConfig,
@@ -28,7 +24,7 @@ from .model import (
     loss,
     residuals,
 )
-from .oracle import exhaustive_best_fit, gain_oracle
+from .oracle import cost_oracle, exhaustive_best_fit, gain_oracle
 from .diagnostics import (
     TheoremInputs,
     TruthPartition,
@@ -57,17 +53,15 @@ from .experiments import (
 )
 
 __all__ = [
-    "BackwardCandidate", "FitReport", "ForwardCandidate", "GreedyConfig",
-    "MultiTaskProblem", "StepRecord", "SupportPattern",
+    "FitReport", "GreedyConfig", "MultiTaskProblem", "StepRecord", "SupportPattern",
     "SweepConfig", "SweepRow", "SynthSpec", "Task", "TheoremInputs",
     "TruthPartition",
-    "beta_min", "check_step_records", "coalesce_threshold",
+    "beta_min", "check_step_records", "coalesce_threshold", "cost_oracle",
     "cross_validate", "epsilon_lower_bound", "error_bound", "eta_lower_bound",
     "exhaustive_best_fit", "fit", "foba_single_task", "gain_matrix", "gain_oracle",
     "gen_synthetic", "gradient_bound_lambda", "loss", "n_for_theta",
-    "partition_supports", "refit", "rep_constants", "residuals", "row_cost",
-    "run_sweep", "sign_support_success", "singleton_cost",
-    "singular_value_extremes", "solve_least_squares",
+    "partition_supports", "refit", "rep_constants", "residuals",
+    "run_sweep", "sign_support_success", "solve_least_squares",
     "theta", "transition_threshold", "trial_seed",
     "union_support_size", "verify_trace",
 ]

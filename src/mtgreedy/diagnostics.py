@@ -12,8 +12,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import singular_value_extremes
-
 REP_ENUMERATION_LIMIT = 100_000
 
 
@@ -120,9 +118,9 @@ def rep_constants(X, s):
     c_min = math.inf
     sig_max = 0.0
     for cols in combinations(range(p), s):
-        lo, hi = singular_value_extremes(scaled[:, cols])
-        c_min = min(c_min, lo)
-        sig_max = max(sig_max, hi)
+        sv = np.linalg.svd(scaled[:, cols], compute_uv=False)
+        c_min = min(c_min, float(sv[-1]))
+        sig_max = max(sig_max, float(sv[0]))
     if c_min <= 0.0:
         raise ValueError("restricted design is singular; constants undefined")
     return c_min, sig_max / c_min

@@ -150,7 +150,7 @@ def classify_and_report(fit_report, test):
     )
 
 
-def split_for_validation(problem, train_labels=None):
+def split_for_validation(problem):
     """Halve a digit training problem per class for holdout tuning.
 
     Tasks share the design, so the split is computed once on the indicator

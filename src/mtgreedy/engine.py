@@ -7,7 +7,14 @@ decrease (row gains are divided by the sharing weight w, so a row must beat
 the best singleton by that factor).  After every addition, backward steps
 remove objects whose weighted cost is at most nu times the most recently
 recorded reward, popping that reward off a ledger so that every removal is
-matched one-to-one with a prior addition.
+matched one-to-one with a prior addition.  Forward steps stop once the best
+weighted gain is at most epsilon plus COMPARISON_TOLERANCE times the loss at
+beta = 0.
+
+Each quantity has one closed form: ``gain_matrix`` gives every singleton's
+forward gain and ``removal_costs`` every entry's backward cost, and a row's
+value is the sum over its entries.  The referees in ``oracle``
+(``gain_oracle``, ``cost_oracle``) re-evaluate the loss instead.
 
 A fit keeps one ``LeastSquaresFactor`` per task and moves it with the
 support: an added column is orthogonalized against the task's current
@@ -48,46 +55,20 @@ from .model import (
 )
 
 
+# Slack at the stopping gate, relative to the loss at beta = 0: scaling X and
+# y by s scales every gain and that loss by s^2, so a fit with epsilon scaled
+# by s^2 takes the same steps.
+COMPARISON_TOLERANCE = 1e-12
+
+
 @dataclass(frozen=True)
-class ForwardCandidate:
+class Candidate:
+    """An object the selectors pick: value is its weighted reward (an
+    addition) or its weighted cost (a removal)."""
+
     kind: str          # "singleton" | "row"
     index: tuple       # (i, j) or (m,)
-    weighted_reward: float
-
-
-@dataclass(frozen=True)
-class BackwardCandidate:
-    kind: str
-    index: tuple
-    weighted_cost: float
-
-
-def singleton_cost(problem, beta, i, j, residuals=None, pattern=None):
-    """Exact loss increase from zeroing entry (i, j) of the current estimate.
-
-    When a pattern is supplied, (i, j) must be one of its singleton cells.
-    """
-    if pattern is not None and (i, j) not in pattern.singletons:
-        raise ValueError(f"({i}, {j}) is not a supported singleton")
-    b = float(beta[i, j])
-    t = problem.tasks[j]
-    x = t.X[:, i]
-    r = residuals[j] if residuals is not None else t.y - t.X @ beta[:, j]
-    # ||r + b x||^2 - ||r||^2 expanded; exact for a single-entry change.
-    return (b * b * float(x @ x) + 2.0 * b * float(x @ r)) / (2.0 * t.n)
-
-
-def row_cost(problem, beta, m, w, residuals=None, pattern=None):
-    """Weighted loss increase from zeroing the whole feature row m.
-
-    When a pattern is supplied, m must be one of its shared rows.
-    """
-    if pattern is not None and m not in pattern.rows:
-        raise ValueError(f"feature {m} is not a supported row")
-    total = 0.0
-    for j in range(problem.r):
-        total += singleton_cost(problem, beta, m, j, residuals)
-    return total / w
+    value: float
 
 
 def refit(problem, pattern, factors=None):
@@ -164,18 +145,20 @@ def _best_forward(problem, singles, rows, config, gains):
     if best_single < 0.0 and best_row < 0.0:
         return None
     if best_row >= best_single:
-        return ForwardCandidate("row", (best_m,), float(best_row))
-    return ForwardCandidate("singleton", (i, j), float(best_single))
+        return Candidate("row", (best_m,), float(best_row))
+    return Candidate("singleton", (i, j), float(best_single))
 
 
 def removal_costs(problem, beta, correlations, colsq):
-    """Every entry's ``singleton_cost`` at once, as a (p, r) array.
+    """Every entry's removal cost, as a (p, r) array.
 
-    Entry (i, j) is (b^2 ||x||^2 + 2 b x.r) / (2 n) with b = beta[i, j], x the
-    i-th column of task j and r its residual; correlations[j] is X^T r of
-    task j, the vector ``gain_matrix`` reads.  Entries with b = 0, off-support
-    ones included, cost 0, so a task whose coefficients are all zero is
-    skipped.
+    Entry (i, j) is the exact loss increase from zeroing beta[i, j] alone:
+    ||r + b x||^2 - ||r||^2 over 2 n, i.e. (b^2 ||x||^2 + 2 b x.r) / (2 n), with
+    b = beta[i, j], x the i-th column of task j and r its residual.
+    correlations[j] is X^T r of task j, the vector ``gain_matrix`` reads.  A
+    row's cost is the sum of its entries, which the selector divides by w.
+    Entries with b = 0, off-support ones included, cost 0, so a task whose
+    coefficients are all zero is skipped.
     """
     costs = np.zeros((problem.p, problem.r))
     for j, t in enumerate(problem.tasks):
@@ -197,14 +180,14 @@ def _worst_backward(problem, beta, singles, rows, config, correlations, colsq):
         ii, jj = zip(*cells)
         c = costs[list(ii), list(jj)]
         k = int(np.argmin(c))
-        best_s = BackwardCandidate("singleton", cells[k], float(c[k]))
+        best_s = Candidate("singleton", cells[k], float(c[k]))
     best_r = None
     if rows:
         ms = sorted(rows)
         c = costs[ms, :].sum(axis=1) / config.w
         k = int(np.argmin(c))
-        best_r = BackwardCandidate("row", (ms[k],), float(c[k]))
-    if best_r is not None and (best_s is None or best_r.weighted_cost <= best_s.weighted_cost):
+        best_r = Candidate("row", (ms[k],), float(c[k]))
+    if best_r is not None and (best_s is None or best_r.value <= best_s.value):
         return best_r
     return best_s
 
@@ -275,7 +258,7 @@ def fit(problem, config):
     """Run the full greedy procedure and return a FitReport with its trace.
 
     Forward steps stop once the best weighted gain falls to epsilon plus
-    comparison_tolerance times the loss at beta = 0, or the step cap is hit.
+    COMPARISON_TOLERANCE times the loss at beta = 0, or the step cap is hit.
     When row coalescing is on, a feature accumulating floor(w) + 1 singletons
     is reclassified as a shared row, mirroring how true supports are
     partitioned by per-row entry counts.
@@ -289,7 +272,7 @@ def fit(problem, config):
     state = SupportState(config)
     beta = np.zeros((p, r))
     factors, colsq = start_factors(problem)
-    gate = config.epsilon + config.comparison_tolerance * sum(f.loss for f in factors)
+    gate = config.epsilon + COMPARISON_TOLERANCE * sum(f.loss for f in factors)
     # (reward, step index) of every forward step not yet matched by a removal
     ledger = []
     steps = []
@@ -303,18 +286,18 @@ def fit(problem, config):
             break
         gains = gain_matrix(problem, [f.correlation for f in factors], colsq)
         cand = _best_forward(problem, state.singles, state.rows, config, gains)
-        if cand is None or cand.weighted_reward <= gate:
+        if cand is None or cand.value <= gate:
             break
 
         forward_taken += 1
         promoted = state.add(cand.kind, cand.index)
-        ledger.append((cand.weighted_reward, len(steps)))
+        ledger.append((cand.value, len(steps)))
         beta = refit(problem, state.pattern(), factors)
         steps.append(StepRecord(
             kind="forward",
             object_kind=cand.kind,
             index=cand.index,
-            reward_or_cost=cand.weighted_reward,
+            reward_or_cost=cand.value,
             loss_after=sum(f.loss for f in factors),
             ledger_depth=len(ledger),
             promoted_row=promoted,
@@ -326,7 +309,7 @@ def fit(problem, config):
             back = _worst_backward(problem, beta, state.singles, state.rows, config,
                                    [f.correlation for f in factors], colsq)
             top_reward, top_step = ledger[-1]
-            if back.weighted_cost > config.nu * top_reward:
+            if back.value > config.nu * top_reward:
                 break
             ledger.pop()
             state.remove(back.kind, back.index)
@@ -335,7 +318,7 @@ def fit(problem, config):
                 kind="backward",
                 object_kind=back.kind,
                 index=back.index,
-                reward_or_cost=back.weighted_cost,
+                reward_or_cost=back.value,
                 loss_after=sum(f.loss for f in factors),
                 ledger_depth=len(ledger),
                 popped_reward=top_reward,
@@ -355,7 +338,8 @@ def check_step_records(report, config, initial_loss):
     """Cheap trace invariants computed from recorded values only.
 
     Checks, for every step: rewards cleared the stopping gate; each removal
-    cost at most nu times the reward it popped; each matched add/remove pair
+    popped the latest unmatched addition, by step index and by reward, and
+    cost at most nu times that reward; each matched add/remove pair
     strictly decreased the loss; and the final pattern keeps fewer than
     floor(w) + 1 singletons on any non-shared feature row when rows are in
     play with a non-integer weight.  Raises AssertionError on violation.
@@ -374,6 +358,8 @@ def check_step_records(report, config, initial_loss):
             assert stack, f"step {idx}: removal with empty ledger"
             fidx = stack.pop()
             forward = report.steps[fidx]
+            assert s.popped_step == fidx, (
+                f"step {idx}: pops step {s.popped_step}, ledger top is step {fidx}")
             assert s.popped_reward == forward.reward_or_cost, (
                 f"step {idx}: popped reward mismatch with step {fidx}")
             assert s.reward_or_cost <= config.nu * s.popped_reward, (

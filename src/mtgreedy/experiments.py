@@ -234,7 +234,7 @@ def foba_single_task(problem, config):
     Step records keep per-task losses and indices remapped to the original
     task; the merged report's final_loss is the full multi-task loss.
     """
-    config = replace(config, rows_enabled=False, coalesce_rows=False)
+    config = replace(config, rows_enabled=False)
     beta = np.zeros((problem.p, problem.r))
     singles = set()
     steps = []

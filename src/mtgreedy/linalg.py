@@ -1,8 +1,10 @@
-"""Small dense linear-algebra helpers used by the fitting engine and diagnostics.
+"""Small dense linear algebra for the fitting engine.
 
-``Basis`` holds some columns of one design as X_S = QR and is never changed
-once made, so every task on that design can hold the same one.
-``LeastSquaresFactor`` is one task's least squares on a basis: its own
+``solve_least_squares`` is the minimum-norm reference solve, and
+``effective_condition`` gives the condition of a support as that solve sees
+it, for the replay's coefficient check.  ``Basis`` holds some columns of
+one design as X_S = QR and is never changed once made, so every task on
+that design can hold the same one.  ``LeastSquaresFactor`` is one task's least squares on a basis: its own
 z = Q^T y, coefficients, residual, loss and X^T r.
 """
 
@@ -231,13 +233,3 @@ def effective_condition(A):
     kept = s[s > RANK_RTOL * s[0]]
     return float(s[0]), float(s[0] / kept[-1])
 
-
-def singular_value_extremes(A):
-    """Return (smallest, largest) singular value of a dense matrix A with m >= k >= 1."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] == 0 or A.shape[1] == 0:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {A.shape}")
-    if A.shape[0] < A.shape[1]:
-        raise ValueError(f"expected m >= k, got shape {A.shape}")
-    s = np.linalg.svd(A, compute_uv=False)
-    return float(s[-1]), float(s[0])

@@ -78,9 +78,9 @@ class SupportPattern:
         if overlap:
             raise ValueError(f"features {sorted(overlap)} appear both as rows and singletons")
 
-    def task_support(self, j, r=None):
+    def task_support(self, j):
         """Feature indices active for task j: shared rows plus task-j singletons."""
-        if j < 0 or (r is not None and j >= r):
+        if j < 0:
             raise ValueError(f"task index {j} out of range")
         return set(self.rows) | {i for (i, jj) in self.singletons if jj == j}
 
@@ -89,18 +89,15 @@ class SupportPattern:
 class GreedyConfig:
     """Tuning knobs for the greedy fit.
 
-    epsilon           stopping threshold on the weighted forward gain (>= 0)
+    epsilon           stopping threshold on the weighted forward gain (>= 0);
+                      the fit adds a slack relative to the loss at beta = 0
+                      (engine.COMPARISON_TOLERANCE), so it is scale-free
     w                 sharing weight dividing row gains/costs, 1 <= w <= r;
                       at w = 1 every forward step takes a whole row
     nu                backward factor in (0, 1): a removal must cost at most
                       nu times the recorded reward it is matched against
     rows_enabled      when False the row object class is never considered
     max_forward_steps cap guarding pathological configurations (None: 16 + 4*p*r)
-    comparison_tolerance  relative slack at the stopping gate: forward steps
-                      stop at gains up to epsilon + comparison_tolerance * L0,
-                      with L0 = sum_j ||y_j||^2 / (2 n_j) the loss at beta = 0.
-                      Scaling X and y by s scales every gain and L0 by s^2,
-                      so a fit with epsilon scaled by s^2 takes the same steps.
     coalesce_rows     reclassify a feature as a shared row once it holds
                       enough singletons to out-earn the row weighting
     """
@@ -110,7 +107,6 @@ class GreedyConfig:
     nu: float = 0.5
     rows_enabled: bool = True
     max_forward_steps: int | None = None
-    comparison_tolerance: float = 1e-12
     coalesce_rows: bool = True
 
     def __post_init__(self):
@@ -120,8 +116,6 @@ class GreedyConfig:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if self.rows_enabled and not self.w >= 1:
             raise ValueError(f"w must be >= 1 when rows are enabled, got {self.w}")
-        if not self.comparison_tolerance >= 0:
-            raise ValueError("comparison_tolerance must be >= 0")
         if self.max_forward_steps is not None and self.max_forward_steps < 0:
             raise ValueError("max_forward_steps must be >= 0")
 

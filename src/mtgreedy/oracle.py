@@ -1,8 +1,9 @@
 """Brute-force reference computations for validating the greedy engine.
 
 These deliberately avoid the engine's closed forms: gains are measured by
-re-evaluating the full loss around candidate updates, and best-fit supports
-are found by exhaustive enumeration on desk-size instances.
+re-evaluating the full loss around candidate updates, removal costs by
+re-evaluating it with the object zeroed, and best-fit supports are found by
+exhaustive enumeration on desk-size instances.
 """
 
 from itertools import combinations
@@ -77,6 +78,26 @@ def gain_oracle(problem, beta, obj, w=1.0):
             x = t.X[:, m]
             cand[m, j] += float(solve_least_squares(x.reshape(-1, 1), r)[0])
         return (base - loss(problem, cand)) / w
+    raise ValueError(f"unknown object {obj!r}")
+
+
+def cost_oracle(problem, beta, obj, w=1.0):
+    """Loss increase from zeroing one object of beta, measured from scratch.
+
+    obj is ("singleton", i, j) or ("row", m).  Row costs are divided by w, so
+    calling with the engine's w makes the value directly comparable to the
+    engine's weighted removal cost, and w=1 gives the raw increase.
+    """
+    beta = np.asarray(beta, dtype=float)
+    zeroed = beta.copy()
+    if obj[0] == "singleton":
+        _, i, j = obj
+        zeroed[i, j] = 0.0
+        return loss(problem, zeroed) - loss(problem, beta)
+    if obj[0] == "row":
+        _, m = obj
+        zeroed[m, :] = 0.0
+        return (loss(problem, zeroed) - loss(problem, beta)) / w
     raise ValueError(f"unknown object {obj!r}")
 
 

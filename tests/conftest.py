@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtgreedy import MultiTaskProblem, SupportPattern, gain_matrix, refit, residuals
+from mtgreedy.engine import removal_costs
 
 
 def random_problem(rng, p, r, n_range=(15, 30)):
@@ -44,6 +45,12 @@ def gains_at(problem, beta):
     """The engine's (p, r) singleton gain matrix at estimate beta."""
     colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
     return gain_matrix(problem, correlations_at(problem, beta), colsq)
+
+
+def costs_at(problem, beta):
+    """The engine's (p, r) removal cost matrix at estimate beta."""
+    colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
+    return removal_costs(problem, beta, correlations_at(problem, beta), colsq)
 
 
 def planted_shared_problem(seed, p=6, r=2, n=24, balanced=False):

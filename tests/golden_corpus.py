@@ -8,9 +8,13 @@ epsilon = 0, a single task, integer sharing weights and w = r.  The last
 cases give several tasks one design object, as the digit tasks have, so the
 fit shares each orthogonalization between them.
 
-Re-record (only after an intended change of the engine's decisions):
+Record new cases, or re-record after an intended change of the engine's
+decisions:
 
     PYTHONPATH=src python3 tests/golden_corpus.py
+
+The recorder keeps every recorded entry that its fresh fit still ``matches``
+as it is, and writes only new or changed cases.
 """
 
 import json
@@ -207,15 +211,51 @@ def summarize(report):
     }
 
 
+def matches(got, want):
+    """Whether a fit's summary reproduces a recorded one: the same steps,
+    termination and pattern, and the final loss within 1e-9 relative (with a
+    1e-25 absolute floor for fits that interpolate to a round-off loss)."""
+    return (got["steps"] == want["steps"]
+            and got["termination"] == want["termination"]
+            and (got["singletons"], got["rows"]) == (want["singletons"], want["rows"])
+            and abs(got["final_loss"] - want["final_loss"])
+            <= max(1e-9 * abs(want["final_loss"]), 1e-25))
+
+
+def merge(recorded, fitted):
+    """(fixture entries in corpus order, names written anew).
+
+    A recorded entry that its fresh fit ``matches`` is kept as it was; a new
+    case, or one whose fit no longer matches, takes the fresh summary.
+    """
+    entries, written = {}, []
+    for name, got in fitted.items():
+        want = recorded.get(name)
+        if want is not None and matches(got, want):
+            entries[name] = want
+        else:
+            entries[name] = got
+            written.append(name)
+    return entries, written
+
+
+def render(entries):
+    """The fixture text: one case per line."""
+    lines = [f"{json.dumps(name)}: {json.dumps(summary)}" for name, summary in entries.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def record():
     from mtgreedy import fit
 
-    out = {name: summarize(fit(problem, config)) for name, problem, config in cases()}
-    lines = [f"{json.dumps(name)}: {json.dumps(summary)}" for name, summary in out.items()]
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    return out
+    recorded = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    fitted = {name: summarize(fit(problem, config)) for name, problem, config in cases()}
+    entries, written = merge(recorded, fitted)
+    FIXTURE.write_text(render(entries))
+    return written
 
 
 if __name__ == "__main__":
-    recorded = record()
-    print(f"recorded {len(recorded)} cases to {FIXTURE.name}", file=sys.stderr)
+    written = record()
+    print(f"wrote {len(written)} new or changed cases to {FIXTURE.name}"
+          + (f": {', '.join(written)}" if written else ""), file=sys.stderr)

@@ -121,6 +121,15 @@ class TestRepConstants:
         assert c == pytest.approx(min(lows), abs=1e-10)
         assert rho == pytest.approx(max(highs) / min(lows), abs=1e-10)
 
+    def test_invariant_under_row_permutation(self):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((7, 3))
+        perm = rng.permutation(7)
+        for s in (1, 2, 3):
+            c1, rho1 = rep_constants(X, s)
+            c2, rho2 = rep_constants(X[perm], s)
+            assert abs(c1 - c2) <= 1e-10 and abs(rho1 - rho2) <= 1e-10
+
     def test_two_sided_bound_on_sparse_vectors(self):
         rng = np.random.default_rng(5)
         n, p, s = 25, 7, 2

@@ -11,6 +11,7 @@ from mtgreedy import (
     SweepConfig,
     SynthSpec,
     check_step_records,
+    cost_oracle,
     exhaustive_best_fit,
     fit,
     foba_single_task,
@@ -18,16 +19,15 @@ from mtgreedy import (
     loss,
     refit,
     residuals,
-    row_cost,
     sign_support_success,
-    singleton_cost,
     verify_trace,
 )
 from mtgreedy import engine
-from mtgreedy.engine import SupportState, _best_forward
+from mtgreedy.engine import SupportState, _best_forward, _worst_backward
 
 from conftest import (
-    gains_at, planted_shared_problem, random_problem, random_pattern, random_state)
+    correlations_at, costs_at, gains_at, planted_shared_problem, random_problem,
+    random_pattern, random_state)
 
 
 def two_point_problem(y0=(1.0, 1.0), y1=None, x1=(1.0, 1.0)):
@@ -89,7 +89,7 @@ class TestRowGain:
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
         assert np.allclose(gains_at(problem, np.zeros((1, 2))), [[0.5, 0.5]], atol=1e-15)
         cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9, w=1.5))
-        assert cand.weighted_reward == pytest.approx((0.5 + 0.5) / 1.5, abs=1e-15)
+        assert cand.value == pytest.approx((0.5 + 0.5) / 1.5, abs=1e-15)
 
     def test_zero_residuals(self):
         problem = two_point_problem()
@@ -100,7 +100,7 @@ class TestRowGain:
         problem = two_point_problem()
         cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9, w=1.0))
         assert cand.kind == "row"
-        assert cand.weighted_reward == pytest.approx(gains_at(problem, np.zeros((1, 1)))[0, 0],
+        assert cand.value == pytest.approx(gains_at(problem, np.zeros((1, 1)))[0, 0],
                                                      abs=1e-15)
 
 
@@ -108,7 +108,7 @@ class TestBestForward:
     def test_zero_response_rewards_nothing(self):
         problem = two_point_problem(y0=(0.0, 0.0), y1=(0.0, 0.0))
         cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9))
-        assert cand.weighted_reward == 0.0
+        assert cand.value == 0.0
 
     def test_single_task_signal_prefers_singleton(self):
         # feature correlates with task 0 only; row reward is halved by w
@@ -120,7 +120,7 @@ class TestBestForward:
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
         cand = forward_candidate(problem, SupportPattern(), GreedyConfig(epsilon=1e-9, w=1.5))
         assert cand.kind == "row" and cand.index == (0,)
-        assert cand.weighted_reward == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert cand.value == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_saturated_support_returns_none(self):
         problem = two_point_problem()
@@ -131,49 +131,41 @@ class TestBestForward:
 class TestCosts:
     def test_zero_entry_costs_nothing(self):
         problem = two_point_problem()
-        assert singleton_cost(problem, np.zeros((1, 1)), 0, 0) == 0.0
+        assert costs_at(problem, np.zeros((1, 1)))[0, 0] == 0.0
 
     def test_exact_fit_removal_cost(self):
         problem = two_point_problem()
         beta = np.array([[1.0]])  # residual is zero
-        assert singleton_cost(problem, beta, 0, 0) == pytest.approx(0.5, abs=1e-15)
+        assert costs_at(problem, beta)[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_loss_difference_oracle(self, rng):
         for _ in range(20):
             problem, pattern, beta = random_state(rng, p=6, r=2)
+            costs = costs_at(problem, beta)
             for (i, j) in pattern.singletons:
-                zeroed = beta.copy()
-                zeroed[i, j] = 0.0
-                direct = loss(problem, zeroed) - loss(problem, beta)
-                assert singleton_cost(problem, beta, i, j) == pytest.approx(direct, abs=1e-10)
+                direct = cost_oracle(problem, beta, ("singleton", i, j))
+                assert costs[i, j] == pytest.approx(direct, abs=1e-10)
             for m in pattern.rows:
-                zeroed = beta.copy()
-                zeroed[m, :] = 0.0
-                direct = loss(problem, zeroed) - loss(problem, beta)
-                assert row_cost(problem, beta, m, 1.5) == pytest.approx(direct / 1.5, abs=1e-10)
+                direct = cost_oracle(problem, beta, ("row", m), w=1.5)
+                assert costs[m].sum() / 1.5 == pytest.approx(direct, abs=1e-10)
 
     def test_row_cost_sums_tasks(self):
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
         beta = np.ones((1, 2))  # exact fit in both tasks
-        assert row_cost(problem, beta, 0, 1.5) == pytest.approx((0.5 + 0.5) / 1.5, abs=1e-15)
-
-    def test_membership_contracts(self):
-        problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
-        pattern = SupportPattern(singletons=frozenset({(0, 0)}))
-        beta = refit(problem, pattern)
-        with pytest.raises(ValueError):
-            singleton_cost(problem, beta, 0, 1, pattern=pattern)
-        with pytest.raises(ValueError):
-            row_cost(problem, beta, 0, 1.5, pattern=pattern)
+        colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
+        pick = _worst_backward(problem, beta, set(), {0}, GreedyConfig(epsilon=0.0, w=1.5),
+                               correlations_at(problem, beta), colsq)
+        assert (pick.kind, pick.index) == ("row", (0,))
+        assert pick.value == pytest.approx((0.5 + 0.5) / 1.5, abs=1e-15)
 
     def test_costs_nonnegative_at_restricted_optimum(self, rng):
         for _ in range(20):
             problem, pattern, beta = random_state(rng, p=6, r=2)
-            res = residuals(problem, beta)
+            costs = costs_at(problem, beta)
             for (i, j) in pattern.singletons:
-                assert singleton_cost(problem, beta, i, j, res) >= -1e-10
+                assert costs[i, j] >= -1e-10
             for m in pattern.rows:
-                assert row_cost(problem, beta, m, 1.5, res) >= -1e-10
+                assert costs[m].sum() / 1.5 >= -1e-10
 
 
 class TestRefit:

@@ -7,7 +7,7 @@ fewer samples than supported columns and tasks that share one design, must
 keep the two in agreement, and each factor's cached X^T r must equal the
 product at its residual.  Tasks on one design share their bases and each
 orthogonalization, and never each other's arrays.  The vectorized removal
-costs are checked against the single-object formulas.
+costs are checked against the loss-difference oracle.
 """
 
 import tracemalloc
@@ -22,13 +22,12 @@ from mtgreedy import (
     SupportPattern,
     SweepConfig,
     SynthSpec,
+    cost_oracle,
     fit,
     gen_synthetic,
     loss,
     refit,
     residuals,
-    row_cost,
-    singleton_cost,
 )
 from mtgreedy import engine
 from mtgreedy.engine import SupportState, _worst_backward, removal_costs, start_factors
@@ -281,16 +280,16 @@ def test_rows_on_one_design_orthogonalize_each_column_once(monkeypatch):
     assert sorted(appends) == sorted(added * 6)
 
 
-def scalar_worst_backward(problem, beta, singles, rows, w, res):
-    """The per-object loop the vectorized selector replaced."""
+def scalar_worst_backward(problem, beta, singles, rows, w):
+    """The per-object loop the vectorized selector replaced, on oracle costs."""
     best = None
     for (i, j) in sorted(singles):
-        c = singleton_cost(problem, beta, i, j, res)
+        c = cost_oracle(problem, beta, ("singleton", i, j))
         if best is None or c < best[2]:
             best = ("singleton", (i, j), c)
     best_r = None
     for m in sorted(rows):
-        c = row_cost(problem, beta, m, w, res)
+        c = cost_oracle(problem, beta, ("row", m), w)
         if best_r is None or c < best_r[2]:
             best_r = ("row", (m,), c)
     if best_r is not None and (best is None or best_r[2] <= best[2]):
@@ -302,24 +301,22 @@ class TestRemovalCosts:
     def test_match_single_object_formulas(self, rng):
         for _ in range(30):
             problem, pattern, beta = random_state(rng, p=7, r=3)
-            res = residuals(problem, beta)
             corr = correlations_at(problem, beta)
             colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
             costs = removal_costs(problem, beta, corr, colsq)
             for j in range(problem.r):
                 for i in pattern.task_support(j):
                     assert costs[i, j] == pytest.approx(
-                        singleton_cost(problem, beta, i, j, res), rel=1e-10, abs=1e-14)
+                        cost_oracle(problem, beta, ("singleton", i, j)), rel=1e-10, abs=1e-14)
             for m in pattern.rows:
                 assert costs[m].sum() / 1.5 == pytest.approx(
-                    row_cost(problem, beta, m, 1.5, res), rel=1e-10, abs=1e-14)
+                    cost_oracle(problem, beta, ("row", m), 1.5), rel=1e-10, abs=1e-14)
             if pattern.singletons or pattern.rows:
                 got = _worst_backward(problem, beta, set(pattern.singletons), set(pattern.rows),
                                       GreedyConfig(epsilon=0.0, w=1.5), corr, colsq)
-                want = scalar_worst_backward(problem, beta, pattern.singletons, pattern.rows,
-                                             1.5, res)
+                want = scalar_worst_backward(problem, beta, pattern.singletons, pattern.rows, 1.5)
                 assert (got.kind, got.index) == want[:2]
-                assert got.weighted_cost == pytest.approx(want[2], rel=1e-10, abs=1e-14)
+                assert got.value == pytest.approx(want[2], rel=1e-10, abs=1e-14)
 
     def test_tie_order(self):
         """Equal costs: the first singleton in sorted order, and a row over a singleton."""
@@ -330,10 +327,10 @@ class TestRemovalCosts:
         colsq = [np.ones(2), np.ones(2)]
         pick = _worst_backward(problem, beta, {(1, 1), (1, 0)}, set(),
                                GreedyConfig(epsilon=0.0, w=2.0), corr, colsq)
-        assert (pick.kind, pick.index, pick.weighted_cost) == ("singleton", (1, 0), 0.25)
+        assert (pick.kind, pick.index, pick.value) == ("singleton", (1, 0), 0.25)
         pick = _worst_backward(problem, beta, {(1, 1), (1, 0)}, {0},
                                GreedyConfig(epsilon=0.0, w=2.0), corr, colsq)
-        assert (pick.kind, pick.index, pick.weighted_cost) == ("row", (0,), 0.25)
+        assert (pick.kind, pick.index, pick.value) == ("row", (0,), 0.25)
 
 
 def test_fit_memory_stays_a_small_share_of_the_designs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtgreedy import singular_value_extremes, solve_least_squares
+from mtgreedy import solve_least_squares
 from mtgreedy.linalg import effective_condition
 
 
@@ -48,37 +48,6 @@ def test_rank_deficient_minimum_norm():
     b = A @ np.array([2.0, 0.0])
     x = solve_least_squares(A, b)
     assert np.allclose(x, [1.0, 1.0])
-
-
-def test_extremes_identity_and_diagonal():
-    assert singular_value_extremes(np.eye(3)) == (1.0, 1.0)
-    lo, hi = singular_value_extremes(np.diag([1.0, 2.0]))
-    assert (lo, hi) == (1.0, 2.0)
-
-
-def test_extremes_match_eigenvalue_oracle():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((4, 2))
-    lo, hi = singular_value_extremes(A)
-    eigs = np.linalg.eigvalsh(A.T @ A)
-    assert abs(lo - np.sqrt(eigs[0])) <= 1e-10
-    assert abs(hi - np.sqrt(eigs[-1])) <= 1e-10
-
-
-def test_extremes_invariant_under_row_permutation():
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((7, 3))
-    perm = rng.permutation(7)
-    lo1, hi1 = singular_value_extremes(A)
-    lo2, hi2 = singular_value_extremes(A[perm])
-    assert abs(lo1 - lo2) <= 1e-10 and abs(hi1 - hi2) <= 1e-10
-
-
-def test_extremes_reject_empty_or_wide():
-    with pytest.raises(ValueError):
-        singular_value_extremes(np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        singular_value_extremes(np.zeros((2, 3)))
 
 
 def test_effective_condition_skips_the_null_space():

@@ -61,8 +61,6 @@ def test_task_support_examples():
     assert pattern.task_support(0) == {2, 5}
     assert pattern.task_support(1) == {5}
     with pytest.raises(ValueError):
-        pattern.task_support(2, r=2)
-    with pytest.raises(ValueError):
         pattern.task_support(-1)
 
 
@@ -84,7 +82,6 @@ def test_problem_validation():
     {"epsilon": 0.1, "nu": 1.0},
     {"epsilon": 0.1, "w": 0.5},
     {"epsilon": 0.1, "max_forward_steps": -1},
-    {"epsilon": 0.1, "comparison_tolerance": -1e-9},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from mtgreedy import (
     exhaustive_best_fit,
     fit,
     GreedyConfig,
+    cost_oracle,
     gain_oracle,
     loss,
 )
@@ -44,6 +45,19 @@ def test_oracle_rejects_unknown_objects(rng):
     problem, _, beta = random_state(rng, p=4, r=2)
     with pytest.raises(ValueError):
         gain_oracle(problem, beta, ("block", 1))
+    with pytest.raises(ValueError):
+        cost_oracle(problem, beta, ("block", 1))
+
+
+def test_cost_oracle_by_hand():
+    """Identity design, y = 1 in both tasks: zeroing an exact-fit entry raises
+    the loss by 1^2 / (2 * 2); a row zeroes both tasks' entries."""
+    problem = MultiTaskProblem.from_arrays([np.eye(2), np.eye(2)], [np.ones(2), np.ones(2)])
+    beta = np.ones((2, 2))
+    assert cost_oracle(problem, beta, ("singleton", 1, 0)) == 0.25
+    assert cost_oracle(problem, beta, ("row", 0)) == 0.5
+    assert cost_oracle(problem, beta, ("row", 0), w=2.0) == 0.25
+    assert cost_oracle(problem, np.zeros((2, 2)), ("singleton", 0, 1)) == 0.0
 
 
 class TestExhaustive:

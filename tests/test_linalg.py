@@ -1,8 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from mtgreedy import solve_least_squares
+from mtgreedy.diagnostics import rep_constants
 from mtgreedy.linalg import effective_condition
+
+
+def extremes(A):
+    """Smallest and largest singular value of a tall A, read off
+    rep_constants over its one full column subset."""
+    m, k = A.shape
+    c_min, rho = rep_constants(A, k)
+    lo = c_min * math.sqrt(m)
+    return lo, rho * lo
 
 
 def test_identity_solve():
@@ -48,6 +60,21 @@ def test_rank_deficient_minimum_norm():
     b = A @ np.array([2.0, 0.0])
     x = solve_least_squares(A, b)
     assert np.allclose(x, [1.0, 1.0])
+
+
+def test_extremes_identity_and_diagonal():
+    assert extremes(np.eye(3)) == (1.0, 1.0)
+    lo, hi = extremes(np.diag([1.0, 2.0]))
+    assert (lo, hi) == (1.0, 2.0)
+
+
+def test_extremes_match_eigenvalue_oracle():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((4, 2))
+    lo, hi = extremes(A)
+    eigs = np.linalg.eigvalsh(A.T @ A)
+    assert abs(lo - np.sqrt(eigs[0])) <= 1e-10
+    assert abs(hi - np.sqrt(eigs[-1])) <= 1e-10
 
 
 def test_effective_condition_skips_the_null_space():

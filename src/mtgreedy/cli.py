@@ -157,6 +157,7 @@ def cmd_diagnose(args):
     if beta_star is None:
         raise ValueError("diagnose requires beta_star in the problem file")
     part = diagnostics.partition_supports(beta_star, args.threshold)
+    beta_min = diagnostics.beta_min(beta_star, args.threshold)
     doc = {
         "partition": {
             "d": part.d,
@@ -165,8 +166,7 @@ def cmd_diagnose(args):
             "s_star": list(part.s_star),
             "s_star_max": part.s_star_max,
         },
-        "beta_min": (None if math.isinf(diagnostics.beta_min(beta_star, args.threshold))
-                     else diagnostics.beta_min(beta_star, args.threshold)),
+        "beta_min": None if math.isinf(beta_min) else beta_min,
         "lambda": diagnostics.gradient_bound_lambda(problem, beta_star),
     }
     feasible = math.comb(problem.p, args.sparsity) <= diagnostics.REP_ENUMERATION_LIMIT

@@ -11,10 +11,11 @@ matched one-to-one with a prior addition.  Forward steps stop once the best
 weighted gain is at most epsilon plus COMPARISON_TOLERANCE times the loss at
 beta = 0.
 
-Each quantity has one closed form: ``gain_matrix`` gives every singleton's
-forward gain and ``removal_costs`` every entry's backward cost, and a row's
-value is the sum over its entries.  The referees in ``oracle``
-(``gain_oracle``, ``cost_oracle``) re-evaluate the loss instead.
+Each quantity has one closed form over the (p, r) coefficient grid:
+``gain_matrix`` gives every singleton's forward gain and ``removal_costs``
+every entry's backward cost, and a row's value is the sum over its entries.
+The referees in ``oracle`` (``gain_oracle``, ``cost_oracle``) re-evaluate the
+loss instead.
 
 A fit keeps one ``LeastSquaresFactor`` per task and moves it with the
 support: an added column is orthogonalized against the task's current
@@ -33,14 +34,20 @@ identity only, never by value, so tasks with designs of their own (the
 synthetic sweeps, problems read from files) share nothing.  Each task still
 does the same floating-point operations as with a basis of its own.
 
-Both selectors read the correlations c_j = X_j^T r_j, which each factor
-computes once per change of its residual: the backward removal costs after
-a refit and the next forward gains share them, and a task whose support did
-not move keeps its vector.
+A move is a few whole-array expressions.  A fit stacks the correlations
+c_j = X_j^T r_j as the columns of one (p, r) array; each factor computes its
+column once per change of its residual, so the backward removal costs after
+a refit and the next forward gains share it, and a task whose support did
+not move keeps its column.  The ``SupportState`` keeps a boolean mask of its
+singleton cells and one of its rows next to the sets, so each selector is one
+masked argmax or argmin.  Ties go to the first cell in sorted (i, j) order
+and the first row in sorted order, and a row beats a singleton of equal
+value.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,13 +81,15 @@ class Candidate:
 def refit(problem, pattern, factors=None):
     """Restricted least-squares re-estimate on a support pattern.
 
-    Each task is solved independently on its supported columns; entries off
-    the pattern are exact zeros.  Rank-deficient supports take the
-    minimum-norm solution.  Without ``factors`` every task is solved from
-    scratch (the reference).  With one ``LeastSquaresFactor`` per task, each
-    factor is moved to the task's support instead, and its residual and loss
-    are then current.  The factors share one memo for this call, so a step
-    from one basis is computed once however many tasks take it.
+    ``pattern`` is a ``SupportPattern`` or a ``SupportState``; only its
+    ``task_support(j)`` is read.  Each task is solved independently on its
+    supported columns; entries off the pattern are exact zeros.
+    Rank-deficient supports take the minimum-norm solution.  Without
+    ``factors`` every task is solved from scratch (the reference).  With one
+    ``LeastSquaresFactor`` per task, each factor is moved to the task's
+    support instead, and its residual and loss are then current.  The factors
+    share one memo for this call, so a step from one basis is computed once
+    however many tasks take it.
     """
     beta = np.zeros((problem.p, problem.r))
     memo = {}
@@ -96,48 +105,51 @@ def refit(problem, pattern, factors=None):
     return beta
 
 
-def gain_matrix(problem, correlations, colsq):
-    """Every singleton gain at the current residuals, as a (p, r) array.
+class Scales(NamedTuple):
+    """Per-fit constants of the (p, r) grid, made once by ``grid_scales``."""
+
+    colsq: np.ndarray    # (p, r): squared norm of column i of task j's design
+    two_n: np.ndarray    # (r,): 2 n_j
+    denom: np.ndarray    # (p, r): 2 n_j colsq, inf where the column is zero
+
+
+def grid_scales(problem, colsq):
+    """The ``Scales`` of a problem from each task's squared column norms."""
+    sq = np.column_stack(colsq)
+    two_n = np.array([2.0 * t.n for t in problem.tasks])
+    return Scales(sq, two_n, np.where(sq > 0.0, two_n * sq, np.inf))
+
+
+def gain_matrix(problem, correlations, scales):
+    """Every singleton gain of ``problem`` at the current residuals, as a (p, r) array.
 
     Entry (i, j) is the best loss decrease from adjusting that entry alone.
     With x the i-th design column of task j and r its residual, the
     one-dimensional quadratic gives (x.r)^2 / (2 n ||x||^2); zero columns
-    score zero.  correlations[j] is X^T r of task j (length p) and colsq[j]
-    holds the squared column norms of task j's design.  A row's gain is the
-    sum of its entries, which the selector divides by w.
+    score zero, since their denominator is inf.  ``correlations`` is the
+    (p, r) array whose column j is X^T r of task j.  A row's gain is the sum
+    of its entries, which the selector divides by w.
     """
-    gains = np.zeros((problem.p, problem.r))
-    for j, t in enumerate(problem.tasks):
-        c = correlations[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(colsq[j] > 0.0, c * c / (2.0 * t.n * colsq[j]), 0.0)
-        gains[:, j] = g
-    return gains
+    return correlations * correlations / scales.denom
 
 
 def _best_forward(problem, singles, rows, config, gains):
     """Pick the best admissible candidate; None when the support is saturated.
 
+    ``singles`` and ``rows`` are the ``MaskedSet``s of a ``SupportState``.
     Singleton candidates exclude supported cells and features already held as
-    rows; row candidates exclude current rows.  The row is chosen on ties.
+    rows; row candidates exclude current rows.  The first cell in (i, j)
+    order and the first row win ties within a class, and the row wins a tie
+    between classes.
     """
-    masked = gains.copy()
-    for (i, j) in singles:
-        masked[i, j] = -1.0
-    row_list = sorted(rows)
-    if row_list:
-        masked[row_list, :] = -1.0
-
-    flat = int(np.argmax(masked))
-    i, j = divmod(flat, problem.r)
+    masked = np.where(singles.mask | rows.mask[:, None], -1.0, gains)
+    i, j = divmod(int(np.argmax(masked)), problem.r)
     best_single = masked[i, j]
 
     best_row = -1.0
     best_m = -1
     if config.rows_enabled:
-        row_sums = gains.sum(axis=1)
-        if row_list:
-            row_sums[row_list] = -1.0
+        row_sums = np.where(rows.mask, -1.0, gains.sum(axis=1))
         best_m = int(np.argmax(row_sums))
         if row_sums[best_m] >= 0.0:
             best_row = row_sums[best_m] / config.w
@@ -149,44 +161,35 @@ def _best_forward(problem, singles, rows, config, gains):
     return Candidate("singleton", (i, j), float(best_single))
 
 
-def removal_costs(problem, beta, correlations, colsq):
+def removal_costs(beta, correlations, scales):
     """Every entry's removal cost, as a (p, r) array.
 
     Entry (i, j) is the exact loss increase from zeroing beta[i, j] alone:
     ||r + b x||^2 - ||r||^2 over 2 n, i.e. (b^2 ||x||^2 + 2 b x.r) / (2 n), with
     b = beta[i, j], x the i-th column of task j and r its residual.
-    correlations[j] is X^T r of task j, the vector ``gain_matrix`` reads.  A
-    row's cost is the sum of its entries, which the selector divides by w.
-    Entries with b = 0, off-support ones included, cost 0, so a task whose
-    coefficients are all zero is skipped.
+    ``correlations`` is the (p, r) array ``gain_matrix`` reads.  A row's cost
+    is the sum of its entries, which the selector divides by w.  Entries with
+    b = 0, off-support ones included, cost 0.
     """
-    costs = np.zeros((problem.p, problem.r))
-    for j, t in enumerate(problem.tasks):
-        b = beta[:, j]
-        if b.any():
-            costs[:, j] = (b * b * colsq[j] + 2.0 * b * correlations[j]) / (2.0 * t.n)
-    return costs
+    return (beta * beta * scales.colsq + 2.0 * beta * correlations) / scales.two_n
 
 
-def _worst_backward(problem, beta, singles, rows, config, correlations, colsq):
+def _worst_backward(problem, beta, singles, rows, config, correlations, scales):
     """Cheapest removal across both classes; rows are removed on ties.
 
+    ``singles`` and ``rows`` are the ``MaskedSet``s of a ``SupportState``.
     Within a class, the first object in sorted order wins ties.
     """
-    costs = removal_costs(problem, beta, correlations, colsq)
+    costs = removal_costs(beta, correlations, scales)
     best_s = None
     if singles:
-        cells = sorted(singles)
-        ii, jj = zip(*cells)
-        c = costs[list(ii), list(jj)]
-        k = int(np.argmin(c))
-        best_s = Candidate("singleton", cells[k], float(c[k]))
+        i, j = divmod(int(np.argmin(np.where(singles.mask, costs, np.inf))), problem.r)
+        best_s = Candidate("singleton", (i, j), float(costs[i, j]))
     best_r = None
     if rows:
-        ms = sorted(rows)
-        c = costs[ms, :].sum(axis=1) / config.w
-        k = int(np.argmin(c))
-        best_r = Candidate("row", (ms[k],), float(c[k]))
+        c = np.where(rows.mask, costs.sum(axis=1) / config.w, np.inf)
+        m = int(np.argmin(c))
+        best_r = Candidate("row", (m,), float(c[m]))
     if best_r is not None and (best_s is None or best_r.value <= best_s.value):
         return best_r
     return best_s
@@ -197,6 +200,23 @@ def coalesce_threshold(w):
     return math.floor(w) + 1
 
 
+class MaskedSet(set):
+    """A set of grid keys kept with a boolean mask: ``mask[key]`` is True
+    exactly for the members.  Only ``add`` and ``remove`` keep the mask."""
+
+    def __init__(self, shape):
+        super().__init__()
+        self.mask = np.zeros(shape, dtype=bool)
+
+    def add(self, key):
+        super().add(key)
+        self.mask[key] = True
+
+    def remove(self, key):
+        super().remove(key)
+        self.mask[key] = False
+
+
 class SupportState:
     """The support a fit holds: singleton cells (i, j) plus shared feature rows.
 
@@ -205,11 +225,18 @@ class SupportState:
     singleton promotes its feature to a row once the feature holds
     coalesce_threshold(w) singletons, when rows and coalescing are both on.
     Removing an object the support does not hold raises KeyError.
+
+    ``singles`` (cells over the (p, r) grid) and ``rows`` (features over p)
+    are ``MaskedSet``s.  ``feature_tasks[i]`` is the set of tasks j with
+    (i, j) held, kept only for features that hold a singleton, and
+    ``task_support(j)`` is task j's column set; every move updates them all.
     """
 
-    def __init__(self, config):
-        self.singles = set()
-        self.rows = set()
+    def __init__(self, config, p, r):
+        self.singles = MaskedSet((p, r))
+        self.rows = MaskedSet(p)
+        self.feature_tasks = {}
+        self._columns = [set() for _ in range(r)]
         self.promote_at = (coalesce_threshold(config.w)
                            if config.rows_enabled and config.coalesce_rows else None)
 
@@ -217,23 +244,40 @@ class SupportState:
         """Add a "row" (m,) or a "singleton" (i, j); return the promoted feature or None."""
         i = index[0]
         if kind == "row":
-            self.singles -= {cell for cell in self.singles if cell[0] == i}
+            for j in self.feature_tasks.pop(i, ()):
+                self.singles.remove((i, j))
             self.rows.add(i)
+            for cols in self._columns:
+                cols.add(i)
             return None
+        j = index[1]
         self.singles.add(index)
-        if self.promote_at is not None:
-            held = {cell for cell in self.singles if cell[0] == i}
-            if len(held) >= self.promote_at:
-                self.singles -= held
-                self.rows.add(i)
-                return i
+        self._columns[j].add(i)
+        tasks = self.feature_tasks.setdefault(i, set())
+        tasks.add(j)
+        if self.promote_at is not None and len(tasks) >= self.promote_at:
+            self.add("row", (i,))
+            return i
         return None
 
     def remove(self, kind, index):
+        i = index[0]
         if kind == "row":
-            self.rows.remove(index[0])
+            self.rows.remove(i)
+            for cols in self._columns:
+                cols.remove(i)
         else:
             self.singles.remove(index)
+            j = index[1]
+            self._columns[j].remove(i)
+            tasks = self.feature_tasks[i]
+            tasks.remove(j)
+            if not tasks:
+                del self.feature_tasks[i]
+
+    def task_support(self, j):
+        """Feature indices active for task j; the state's own set, not a copy."""
+        return self._columns[j]
 
     def pattern(self):
         return SupportPattern(singletons=frozenset(self.singles), rows=frozenset(self.rows))
@@ -254,6 +298,16 @@ def start_factors(problem):
     return factors, colsq
 
 
+def _stack_correlations(correlations, factors, held):
+    """Copy into column j of ``correlations`` the X^T r of each task whose
+    residual changed since the last copy; ``held[j]`` is the array copied."""
+    for j, f in enumerate(factors):
+        c = f.correlation
+        if c is not held[j]:
+            correlations[:, j] = c
+            held[j] = c
+
+
 def fit(problem, config):
     """Run the full greedy procedure and return a FitReport with its trace.
 
@@ -269,9 +323,13 @@ def fit(problem, config):
         raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
 
     p, r = problem.p, problem.r
-    state = SupportState(config)
+    state = SupportState(config, p, r)
     beta = np.zeros((p, r))
     factors, colsq = start_factors(problem)
+    scales = grid_scales(problem, colsq)
+    # column j is X^T r of task j; held[j] is the factor's array copied there
+    correlations = np.empty((p, r))
+    held = [None] * r
     gate = config.epsilon + COMPARISON_TOLERANCE * sum(f.loss for f in factors)
     # (reward, step index) of every forward step not yet matched by a removal
     ledger = []
@@ -284,7 +342,8 @@ def fit(problem, config):
         if forward_taken >= cap:
             termination = "max-steps"
             break
-        gains = gain_matrix(problem, [f.correlation for f in factors], colsq)
+        _stack_correlations(correlations, factors, held)
+        gains = gain_matrix(problem, correlations, scales)
         cand = _best_forward(problem, state.singles, state.rows, config, gains)
         if cand is None or cand.value <= gate:
             break
@@ -292,7 +351,7 @@ def fit(problem, config):
         forward_taken += 1
         promoted = state.add(cand.kind, cand.index)
         ledger.append((cand.value, len(steps)))
-        beta = refit(problem, state.pattern(), factors)
+        beta = refit(problem, state, factors)
         steps.append(StepRecord(
             kind="forward",
             object_kind=cand.kind,
@@ -306,14 +365,15 @@ def fit(problem, config):
         # Backward passes: keep removing while the cheapest removal costs at
         # most nu times the most recent recorded reward.
         while ledger and (state.singles or state.rows):
+            _stack_correlations(correlations, factors, held)
             back = _worst_backward(problem, beta, state.singles, state.rows, config,
-                                   [f.correlation for f in factors], colsq)
+                                   correlations, scales)
             top_reward, top_step = ledger[-1]
             if back.value > config.nu * top_reward:
                 break
             ledger.pop()
             state.remove(back.kind, back.index)
-            beta = refit(problem, state.pattern(), factors)
+            beta = refit(problem, state, factors)
             steps.append(StepRecord(
                 kind="backward",
                 object_kind=back.kind,
@@ -399,7 +459,7 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
     check_step_records(report, config, loss(problem, np.zeros((problem.p, problem.r))))
     xnorm = [np.linalg.norm(t.X, axis=0) for t in problem.tasks]
     ynorm = [np.linalg.norm(t.y) for t in problem.tasks]
-    state = SupportState(config)
+    state = SupportState(config, problem.p, problem.r)
     for idx, s in enumerate(report.steps):
         if s.kind == "forward":
             promoted = state.add(s.object_kind, s.index)

@@ -122,6 +122,8 @@ def report_to_dict(report, recovery=None):
         }
         if s.popped_reward is not None:
             entry["popped_reward"] = s.popped_reward
+        if s.popped_step is not None:
+            entry["popped_step"] = s.popped_step
         if s.promoted_row is not None:
             entry["promoted_row"] = s.promoted_row
         steps.append(entry)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mtgreedy import MultiTaskProblem, SupportPattern, gain_matrix, refit, residuals
-from mtgreedy.engine import removal_costs
+from mtgreedy import (
+    GreedyConfig, MultiTaskProblem, SupportPattern, gain_matrix, refit, residuals)
+from mtgreedy.engine import SupportState, grid_scales, removal_costs
 
 
 def random_problem(rng, p, r, n_range=(15, 30)):
@@ -37,20 +38,38 @@ def random_state(rng, p, r):
 
 
 def correlations_at(problem, beta):
-    """X_j^T r_j of every task at estimate beta."""
-    return [t.X.T @ res for t, res in zip(problem.tasks, residuals(problem, beta))]
+    """X_j^T r_j of every task at estimate beta, as the columns of a (p, r) array."""
+    return np.column_stack(
+        [t.X.T @ res for t, res in zip(problem.tasks, residuals(problem, beta))])
+
+
+def scales_of(problem):
+    """The engine's per-fit grid constants of a problem."""
+    return grid_scales(problem, [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks])
 
 
 def gains_at(problem, beta):
     """The engine's (p, r) singleton gain matrix at estimate beta."""
-    colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
-    return gain_matrix(problem, correlations_at(problem, beta), colsq)
+    return gain_matrix(problem, correlations_at(problem, beta), scales_of(problem))
 
 
 def costs_at(problem, beta):
     """The engine's (p, r) removal cost matrix at estimate beta."""
-    colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
-    return removal_costs(problem, beta, correlations_at(problem, beta), colsq)
+    return removal_costs(beta, correlations_at(problem, beta), scales_of(problem))
+
+
+def state_of(pattern, p, r):
+    """A SupportState holding exactly ``pattern``, for calling the selectors.
+
+    It is built with coalescing off, so a feature holding many singletons
+    stays as it is; the selectors read the weight from their own config.
+    """
+    state = SupportState(GreedyConfig(epsilon=0.0, coalesce_rows=False), p, r)
+    for m in sorted(pattern.rows):
+        state.add("row", (m,))
+    for cell in sorted(pattern.singletons):
+        state.add("singleton", cell)
+    return state
 
 
 def planted_shared_problem(seed, p=6, r=2, n=24, balanced=False):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mtgreedy import GreedyConfig, fit
 from mtgreedy.cli import main
 from mtgreedy.fileio import (
     format_float,
@@ -78,6 +79,23 @@ class TestFit:
         doc = json.loads(out.read_text())
         assert doc["pattern"]["rows"] == []
         assert pattern_from_dict(doc["pattern"]).rows == frozenset()
+
+    def test_trace_pairs_each_removal_with_its_addition(self, tmp_path):
+        """Every backward step names the forward step it pops, as in the
+        in-memory report."""
+        prob, out = tmp_path / "prob.json", tmp_path / "fit.json"
+        assert run(["gen", "--p", "60", "--r", "2", "--kappa", "0.3", "--n", "25",
+                    "--seed", "5", "--noise-variance", "1.0", "--out", str(prob)]) == 0
+        assert run(["fit", "--in", str(prob), "--epsilon", "1e-3", "--out", str(out)]) == 0
+        steps = json.loads(out.read_text())["steps"]
+        problem, _, _ = problem_from_dict(json.loads(prob.read_text()))
+        report = fit(problem, GreedyConfig(epsilon=1e-3))
+        backward = [k for k, s in enumerate(steps) if s["kind"] == "backward"]
+        assert backward and len(steps) == len(report.steps)
+        for k in backward:
+            assert steps[steps[k]["popped_step"]]["kind"] == "forward"
+            assert steps[k]["popped_step"] == report.steps[k].popped_step
+        assert all("popped_step" not in s for s in steps if s["kind"] == "forward")
 
     def test_invalid_backward_factor_rejected(self, noiseless_file):
         assert run(["fit", "--in", str(noiseless_file), "--epsilon", "1e-9",

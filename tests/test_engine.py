@@ -27,7 +27,7 @@ from mtgreedy.engine import SupportState, _best_forward, _worst_backward
 
 from conftest import (
     correlations_at, costs_at, gains_at, planted_shared_problem, random_problem,
-    random_pattern, random_state)
+    random_pattern, random_state, scales_of, state_of)
 
 
 def two_point_problem(y0=(1.0, 1.0), y1=None, x1=(1.0, 1.0)):
@@ -43,7 +43,8 @@ def two_point_problem(y0=(1.0, 1.0), y1=None, x1=(1.0, 1.0)):
 def forward_candidate(problem, pattern, config):
     """The forward selector's choice at the restricted optimum of a pattern."""
     gains = gains_at(problem, refit(problem, pattern))
-    return _best_forward(problem, set(pattern.singletons), set(pattern.rows), config, gains)
+    state = state_of(pattern, problem.p, problem.r)
+    return _best_forward(problem, state.singles, state.rows, config, gains)
 
 
 def coalescing_problem():
@@ -152,9 +153,10 @@ class TestCosts:
     def test_row_cost_sums_tasks(self):
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
         beta = np.ones((1, 2))  # exact fit in both tasks
-        colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
-        pick = _worst_backward(problem, beta, set(), {0}, GreedyConfig(epsilon=0.0, w=1.5),
-                               correlations_at(problem, beta), colsq)
+        state = state_of(SupportPattern(rows=frozenset({0})), 1, 2)
+        pick = _worst_backward(problem, beta, state.singles, state.rows,
+                               GreedyConfig(epsilon=0.0, w=1.5),
+                               correlations_at(problem, beta), scales_of(problem))
         assert (pick.kind, pick.index) == ("row", (0,))
         assert pick.value == pytest.approx((0.5 + 0.5) / 1.5, abs=1e-15)
 
@@ -336,31 +338,41 @@ class TestFit:
 
 class TestSupportState:
     def test_row_add_drops_feature_singletons(self):
-        state = SupportState(GreedyConfig(epsilon=0.0, w=2.5))
+        state = SupportState(GreedyConfig(epsilon=0.0, w=2.5), 5, 3)
         for cell in [(1, 0), (1, 2), (3, 1)]:
             assert state.add("singleton", cell) is None
         assert state.add("row", (1,)) is None
         assert state.singles == {(3, 1)} and state.rows == {1}
         assert state.pattern() == SupportPattern(
             singletons=frozenset({(3, 1)}), rows=frozenset({1}))
+        assert state.feature_tasks == {3: {1}}
+        assert [state.task_support(j) for j in range(3)] == [{1}, {1, 3}, {1}]
 
     @pytest.mark.parametrize("w, at", [(1.5, 2), (2.0, 3), (2.7, 3)])
     def test_promotion_at_floor_w_plus_one(self, w, at):
-        state = SupportState(GreedyConfig(epsilon=0.0, w=w))
+        state = SupportState(GreedyConfig(epsilon=0.0, w=w), 5, 3)
         for j in range(at - 1):
             assert state.add("singleton", (4, j)) is None
+        below = np.zeros((5, 3), dtype=bool)
+        below[4, :at - 1] = True
+        assert np.array_equal(state.singles.mask, below) and not state.rows.mask.any()
+        assert state.feature_tasks == {4: set(range(at - 1))}
         assert state.add("singleton", (4, at - 1)) == 4
         assert state.singles == set() and state.rows == {4}
+        assert not state.singles.mask.any()
+        assert np.array_equal(state.rows.mask, np.arange(5) == 4)
+        assert state.feature_tasks == {}
+        assert all(state.task_support(j) == {4} for j in range(3))
 
     @pytest.mark.parametrize("off", [{"coalesce_rows": False}, {"rows_enabled": False}])
     def test_no_promotion_when_rows_or_coalescing_off(self, off):
-        state = SupportState(GreedyConfig(epsilon=0.0, w=1.5, **off))
+        state = SupportState(GreedyConfig(epsilon=0.0, w=1.5, **off), 1, 3)
         for j in range(3):
             assert state.add("singleton", (0, j)) is None
         assert state.singles == {(0, 0), (0, 1), (0, 2)} and state.rows == set()
 
     def test_removing_absent_object_raises(self):
-        state = SupportState(GreedyConfig(epsilon=0.0))
+        state = SupportState(GreedyConfig(epsilon=0.0), 1, 2)
         state.add("singleton", (0, 1))
         with pytest.raises(KeyError):
             state.remove("singleton", (0, 0))

@@ -7,7 +7,10 @@ fewer samples than supported columns and tasks that share one design, must
 keep the two in agreement, and each factor's cached X^T r must equal the
 product at its residual.  Tasks on one design share their bases and each
 orthogonalization, and never each other's arrays.  The vectorized removal
-costs are checked against the loss-difference oracle.
+costs are checked against the loss-difference oracle, and the masked
+selectors against the per-object loops they replaced.  After every move the
+``SupportState``'s masks, per-feature singleton sets and per-task column sets
+must say what its pattern says.
 """
 
 import tracemalloc
@@ -30,10 +33,13 @@ from mtgreedy import (
     residuals,
 )
 from mtgreedy import engine
-from mtgreedy.engine import SupportState, _worst_backward, removal_costs, start_factors
+from mtgreedy.engine import (
+    Candidate, SupportState, _best_forward, _worst_backward, gain_matrix, grid_scales,
+    removal_costs, start_factors)
 from mtgreedy.linalg import Basis, LeastSquaresFactor
 
-from conftest import correlations_at, random_state
+from conftest import (
+    correlations_at, gains_at, random_pattern, random_state, scales_of, state_of)
 
 P, R = 8, 3
 
@@ -129,18 +135,35 @@ def assert_sharing(factors, before):
             assert f._z is not g._z or not f._z.size
 
 
+def assert_bookkeeping(state, p, r):
+    """The state's masks and per-feature and per-task sets match its pattern."""
+    pattern = state.pattern()
+    singles = np.zeros((p, r), dtype=bool)
+    by_feature = {}
+    for (i, j) in pattern.singletons:
+        singles[i, j] = True
+        by_feature.setdefault(i, set()).add(j)
+    assert np.array_equal(state.singles.mask, singles)
+    assert np.array_equal(state.rows.mask, np.isin(np.arange(p), list(pattern.rows)))
+    assert state.feature_tasks == by_feature
+    for j in range(r):
+        assert state.task_support(j) == pattern.task_support(j)
+
+
 def run_moves(problem, moves):
     factors, _ = start_factors(problem)
-    state = SupportState(CONFIG)
+    state = SupportState(CONFIG, problem.p, problem.r)
     for m in moves:
         before = [(f.basis, list(f.cols), task_arrays(f)) for f in factors]
         corr = [f.correlation for f in factors]
         apply(state, m)
+        assert_bookkeeping(state, problem.p, problem.r)
         assert_matches_reference(problem, state.pattern(), factors)
         assert_sharing(factors, before)
         for f, (_, cols, _), c in zip(factors, before, corr):
             if f.cols == cols:
                 assert f.correlation is c
+    return state
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -153,6 +176,18 @@ def test_factors_track_reference_refit_over_move_sequences(moves):
 @given(st.lists(move, min_size=1, max_size=30))
 def test_factors_on_a_shared_design_track_reference_refit(moves):
     run_moves(SHARED, moves)
+
+
+@pytest.mark.parametrize("problem", [PROBLEM, SHARED], ids=["own", "shared"])
+def test_bookkeeping_through_promotion_row_drop_and_removals(problem):
+    """A row add that drops a singleton, a promotion at w = 1.5, then a
+    singleton and both rows removed, with the state checked after each."""
+    moves = [("singleton", 1, 0), ("row", 1), ("singleton", 2, 0), ("singleton", 2, 1),
+             ("singleton", 4, 2)]
+    state = run_moves(problem, moves)
+    assert state.singles == {(4, 2)} and state.rows == {1, 2}
+    state = run_moves(problem, moves + [("remove", 0)] * 3)
+    assert state.pattern() == SupportPattern()
 
 
 def test_shared_design_shares_its_steps():
@@ -297,13 +332,150 @@ def scalar_worst_backward(problem, beta, singles, rows, w):
     return best
 
 
+def loop_gains(problem, correlations, colsq):
+    """The per-task gain loop the stacked ``gain_matrix`` replaced."""
+    gains = np.zeros((problem.p, problem.r))
+    for j, t in enumerate(problem.tasks):
+        c = correlations[:, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains[:, j] = np.where(colsq[j] > 0.0, c * c / (2.0 * t.n * colsq[j]), 0.0)
+    return gains
+
+
+def loop_costs(problem, beta, correlations, colsq):
+    """The per-task cost loop the stacked ``removal_costs`` replaced."""
+    costs = np.zeros((problem.p, problem.r))
+    for j, t in enumerate(problem.tasks):
+        b = beta[:, j]
+        if b.any():
+            costs[:, j] = (b * b * colsq[j] + 2.0 * b * correlations[:, j]) / (2.0 * t.n)
+    return costs
+
+
+def set_best_forward(problem, singles, rows, config, gains):
+    """The set-loop forward selector the masked one replaced."""
+    masked = gains.copy()
+    for (i, j) in singles:
+        masked[i, j] = -1.0
+    row_list = sorted(rows)
+    if row_list:
+        masked[row_list, :] = -1.0
+    i, j = divmod(int(np.argmax(masked)), problem.r)
+    best_single = masked[i, j]
+    best_row = -1.0
+    best_m = -1
+    if config.rows_enabled:
+        row_sums = gains.sum(axis=1)
+        if row_list:
+            row_sums[row_list] = -1.0
+        best_m = int(np.argmax(row_sums))
+        if row_sums[best_m] >= 0.0:
+            best_row = row_sums[best_m] / config.w
+    if best_single < 0.0 and best_row < 0.0:
+        return None
+    if best_row >= best_single:
+        return Candidate("row", (best_m,), float(best_row))
+    return Candidate("singleton", (i, j), float(best_single))
+
+
+def set_worst_backward(problem, beta, singles, rows, config, correlations, colsq):
+    """The set-loop backward selector the masked one replaced."""
+    costs = loop_costs(problem, beta, correlations, colsq)
+    best_s = None
+    if singles:
+        cells = sorted(singles)
+        ii, jj = zip(*cells)
+        c = costs[list(ii), list(jj)]
+        k = int(np.argmin(c))
+        best_s = Candidate("singleton", cells[k], float(c[k]))
+    best_r = None
+    if rows:
+        ms = sorted(rows)
+        c = costs[ms, :].sum(axis=1) / config.w
+        k = int(np.argmin(c))
+        best_r = Candidate("row", (ms[k],), float(c[k]))
+    if best_r is not None and (best_s is None or best_r.value <= best_s.value):
+        return best_r
+    return best_s
+
+
+def assert_same_candidate(got, want):
+    """Same kind and index, a bit-equal value, and plain Python numbers."""
+    if want is None:
+        assert got is None
+        return
+    assert (got.kind, got.index) == (want.kind, want.index)
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert type(got.value) is float and all(type(k) is int for k in got.index)
+
+
+class TestMaskedSelectors:
+    CONFIGS = (GreedyConfig(epsilon=0.0, w=1.5), GreedyConfig(epsilon=0.0, w=3.0),
+               GreedyConfig(epsilon=0.0, rows_enabled=False))
+
+    def test_match_the_set_loops_on_degenerate_designs(self):
+        """Zero, duplicate and combined columns: the stacked closed forms equal
+        the per-task loops bit for bit, and both selectors pick what the set
+        loops pick."""
+        rng = np.random.default_rng(8)
+        colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in PROBLEM.tasks]
+        scales = grid_scales(PROBLEM, colsq)
+        for _ in range(40):
+            pattern = random_pattern(rng, P, R, n_singles=int(rng.integers(0, 9)),
+                                     n_rows=int(rng.integers(0, 3)))
+            beta = refit(PROBLEM, pattern)
+            corr = correlations_at(PROBLEM, beta)
+            gains = gain_matrix(PROBLEM, corr, scales)
+            assert np.array_equal(gains, loop_gains(PROBLEM, corr, colsq))
+            assert np.array_equal(removal_costs(beta, corr, scales),
+                                  loop_costs(PROBLEM, beta, corr, colsq))
+            state = state_of(pattern, P, R)
+            singles, rows = set(pattern.singletons), set(pattern.rows)
+            for config in self.CONFIGS:
+                assert_same_candidate(
+                    _best_forward(PROBLEM, state.singles, state.rows, config, gains),
+                    set_best_forward(PROBLEM, singles, rows, config, gains))
+                if singles or rows:
+                    assert_same_candidate(
+                        _worst_backward(PROBLEM, beta, state.singles, state.rows, config,
+                                        corr, scales),
+                        set_worst_backward(PROBLEM, beta, singles, rows, config, corr, colsq))
+
+    def test_forward_ties_and_saturation(self):
+        """Columns 0 and 1 duplicate each other in both tasks and every gain
+        below is exact: the first cell in (i, j) order wins, a row wins at
+        equal value, and a saturated support gives None."""
+        X = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
+        problem = MultiTaskProblem.from_arrays([X, X], [np.ones(2), np.ones(2)])
+        gains = gains_at(problem, np.zeros((3, 2)))
+        assert np.array_equal(gains, [[0.5, 0.5], [0.5, 0.5], [0.25, 0.25]])
+
+        def pick(pattern, config):
+            state = state_of(pattern, 3, 2)
+            got = _best_forward(problem, state.singles, state.rows, config, gains)
+            assert_same_candidate(got, set_best_forward(
+                problem, set(pattern.singletons), set(pattern.rows), config, gains))
+            return got
+
+        no_rows = GreedyConfig(epsilon=0.0, rows_enabled=False)
+        assert pick(SupportPattern(), no_rows) == Candidate("singleton", (0, 0), 0.5)
+        held = SupportPattern(singletons=frozenset({(0, 0)}))
+        assert pick(held, no_rows) == Candidate("singleton", (0, 1), 0.5)
+        w2 = GreedyConfig(epsilon=0.0, w=2.0)
+        assert pick(SupportPattern(), w2) == Candidate("row", (0,), 0.5)
+        assert pick(SupportPattern(rows=frozenset({0})), w2) == Candidate("row", (1,), 0.5)
+        assert pick(SupportPattern(rows=frozenset({0, 1, 2})), w2) is None
+        every_cell = frozenset((i, j) for i in range(3) for j in range(2))
+        assert pick(SupportPattern(singletons=every_cell), no_rows) is None
+
+
 class TestRemovalCosts:
     def test_match_single_object_formulas(self, rng):
         for _ in range(30):
             problem, pattern, beta = random_state(rng, p=7, r=3)
             corr = correlations_at(problem, beta)
-            colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks]
-            costs = removal_costs(problem, beta, corr, colsq)
+            scales = scales_of(problem)
+            costs = removal_costs(beta, corr, scales)
             for j in range(problem.r):
                 for i in pattern.task_support(j):
                     assert costs[i, j] == pytest.approx(
@@ -312,8 +484,9 @@ class TestRemovalCosts:
                 assert costs[m].sum() / 1.5 == pytest.approx(
                     cost_oracle(problem, beta, ("row", m), 1.5), rel=1e-10, abs=1e-14)
             if pattern.singletons or pattern.rows:
-                got = _worst_backward(problem, beta, set(pattern.singletons), set(pattern.rows),
-                                      GreedyConfig(epsilon=0.0, w=1.5), corr, colsq)
+                state = state_of(pattern, problem.p, problem.r)
+                got = _worst_backward(problem, beta, state.singles, state.rows,
+                                      GreedyConfig(epsilon=0.0, w=1.5), corr, scales)
                 want = scalar_worst_backward(problem, beta, pattern.singletons, pattern.rows, 1.5)
                 assert (got.kind, got.index) == want[:2]
                 assert got.value == pytest.approx(want[2], rel=1e-10, abs=1e-14)
@@ -324,12 +497,14 @@ class TestRemovalCosts:
         problem = MultiTaskProblem.from_arrays([X, X], [np.ones(2), np.ones(2)])
         beta = np.ones((2, 2))
         corr = correlations_at(problem, beta)
-        colsq = [np.ones(2), np.ones(2)]
-        pick = _worst_backward(problem, beta, {(1, 1), (1, 0)}, set(),
-                               GreedyConfig(epsilon=0.0, w=2.0), corr, colsq)
+        scales = grid_scales(problem, [np.ones(2), np.ones(2)])
+        state = state_of(SupportPattern(singletons=frozenset({(1, 1), (1, 0)})), 2, 2)
+        pick = _worst_backward(problem, beta, state.singles, state.rows,
+                               GreedyConfig(epsilon=0.0, w=2.0), corr, scales)
         assert (pick.kind, pick.index, pick.value) == ("singleton", (1, 0), 0.25)
-        pick = _worst_backward(problem, beta, {(1, 1), (1, 0)}, {0},
-                               GreedyConfig(epsilon=0.0, w=2.0), corr, colsq)
+        state.add("row", (0,))
+        pick = _worst_backward(problem, beta, state.singles, state.rows,
+                               GreedyConfig(epsilon=0.0, w=2.0), corr, scales)
         assert (pick.kind, pick.index, pick.value) == ("row", (0,), 0.25)
 
 

@@ -35,14 +35,18 @@ synthetic sweeps, problems read from files) share nothing.  Each task still
 does the same floating-point operations as with a basis of its own.
 
 A move is a few whole-array expressions.  A fit stacks the correlations
-c_j = X_j^T r_j as the columns of one (p, r) array; each factor computes its
-column once per change of its residual, so the backward removal costs after
+c_j = X_j^T r_j as the columns of one (p, r) array, and a factor gives a new
+column only when its residual changes, so the backward removal costs after
 a refit and the next forward gains share it, and a task whose support did
-not move keeps its column.  The ``SupportState`` keeps a boolean mask of its
-singleton cells and one of its rows next to the sets, so each selector is one
-masked argmax or argmin.  Ties go to the first cell in sorted (i, j) order
-and the first row in sorted order, and a row beats a singleton of equal
-value.
+not move keeps its column.  An append with unit vector q updates the column
+to c_j - zeta_j X^T q, with X^T q kept in the memo entry of the step, so the
+tasks that take one step on one design share one product with the design;
+a refactor or a min-norm fallback computes X_j^T r_j afresh.  The updated
+correlations agree with the product to round-off.  The ``SupportState``
+keeps a boolean mask of its singleton cells and one of its rows next to the
+sets, so each selector is one masked argmax or argmin.  Ties go to the
+first cell in sorted (i, j) order and the first row in sorted order, and a
+row beats a singleton of equal value.
 """
 
 import math
@@ -402,7 +406,8 @@ def check_step_records(report, config, initial_loss):
     cost at most nu times that reward; each matched add/remove pair
     strictly decreased the loss; and the final pattern keeps fewer than
     floor(w) + 1 singletons on any non-shared feature row when rows are in
-    play with a non-integer weight.  Raises AssertionError on violation.
+    play with a non-integer weight.  Raises AssertionError on violation,
+    also under ``python -O``.
     """
     loss_before = [initial_loss]
     for s in report.steps:
@@ -410,43 +415,51 @@ def check_step_records(report, config, initial_loss):
     stack = []
     for idx, s in enumerate(report.steps):
         if s.kind == "forward":
-            assert s.reward_or_cost > config.epsilon, (
-                f"step {idx}: recorded reward {s.reward_or_cost} under threshold")
+            if not s.reward_or_cost > config.epsilon:
+                raise AssertionError(
+                    f"step {idx}: recorded reward {s.reward_or_cost} under threshold")
             stack.append(idx)
         else:
-            assert s.reward_or_cost >= -1e-10, f"step {idx}: negative removal cost"
-            assert stack, f"step {idx}: removal with empty ledger"
+            if not s.reward_or_cost >= -1e-10:
+                raise AssertionError(f"step {idx}: negative removal cost")
+            if not stack:
+                raise AssertionError(f"step {idx}: removal with empty ledger")
             fidx = stack.pop()
             forward = report.steps[fidx]
-            assert s.popped_step == fidx, (
-                f"step {idx}: pops step {s.popped_step}, ledger top is step {fidx}")
-            assert s.popped_reward == forward.reward_or_cost, (
-                f"step {idx}: popped reward mismatch with step {fidx}")
-            assert s.reward_or_cost <= config.nu * s.popped_reward, (
-                f"step {idx}: cost {s.reward_or_cost} exceeds "
-                f"nu * {s.popped_reward}")
+            if s.popped_step != fidx:
+                raise AssertionError(
+                    f"step {idx}: pops step {s.popped_step}, ledger top is step {fidx}")
+            if s.popped_reward != forward.reward_or_cost:
+                raise AssertionError(f"step {idx}: popped reward mismatch with step {fidx}")
+            if not s.reward_or_cost <= config.nu * s.popped_reward:
+                raise AssertionError(
+                    f"step {idx}: cost {s.reward_or_cost} exceeds nu * {s.popped_reward}")
             drop = loss_before[fidx] - forward.loss_after
             rise = s.loss_after - loss_before[idx]
-            assert drop - rise > 0.0, (
-                f"steps {fidx}/{idx}: paired add/remove did not decrease the loss")
+            if not drop - rise > 0.0:
+                raise AssertionError(
+                    f"steps {fidx}/{idx}: paired add/remove did not decrease the loss")
     if config.rows_enabled and config.coalesce_rows and config.w != math.floor(config.w):
         d = coalesce_threshold(config.w)
         counts: dict = {}
         for (i, _) in report.pattern.singletons:
             counts[i] = counts.get(i, 0) + 1
         worst = max(counts.values(), default=0)
-        assert worst <= d - 1, (
-            f"a non-shared row holds {worst} singletons; limit is {d - 1}")
+        if worst > d - 1:
+            raise AssertionError(f"a non-shared row holds {worst} singletons; limit is {d - 1}")
 
 
 def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
     """Replay a fit trace and verify the engine's state invariants.
 
     On top of ``check_step_records`` this re-applies every move through a
-    ``SupportState``, refits, and asserts that each replayed promotion equals
-    the recorded one, that recorded losses match to loss_tol, that the loss
-    gradient vanishes on the support after every refit, and that the replayed
-    final pattern and coefficients agree with the report.
+    ``SupportState``, refits, and checks that each addition adds an object
+    the support does not hold and each removal one it holds, that each
+    replayed promotion equals the recorded one, that recorded losses match
+    to loss_tol, that the loss gradient vanishes on the support after every
+    refit, and that the replayed final pattern and coefficients agree with
+    the report.  A violation raises AssertionError naming the step, also
+    under ``python -O``.
 
     The solve checks scale with the data.  The gradient x_i.r_j / n of a
     supported entry must stay within grad_tol * ||x_i|| ||y_j|| / n, the size
@@ -462,9 +475,13 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
     state = SupportState(config, problem.p, problem.r)
     for idx, s in enumerate(report.steps):
         if s.kind == "forward":
+            if s.index[0] in state.rows or s.index in state.singles:
+                raise AssertionError(
+                    f"step {idx}: adds {s.object_kind} {s.index}, which the support holds")
             promoted = state.add(s.object_kind, s.index)
-            assert promoted == s.promoted_row, (
-                f"step {idx}: replay promotes row {promoted}, trace records {s.promoted_row}")
+            if promoted != s.promoted_row:
+                raise AssertionError(
+                    f"step {idx}: replay promotes row {promoted}, trace records {s.promoted_row}")
         else:
             try:
                 state.remove(s.object_kind, s.index)
@@ -473,16 +490,20 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
         pattern = state.pattern()
         beta = refit(problem, pattern)
         step_loss = loss(problem, beta)
-        assert abs(step_loss - s.loss_after) <= loss_tol * (1.0 + abs(step_loss)), (
-            f"step {idx}: replayed loss {step_loss} vs recorded {s.loss_after}")
+        if not abs(step_loss - s.loss_after) <= loss_tol * (1.0 + abs(step_loss)):
+            raise AssertionError(
+                f"step {idx}: replayed loss {step_loss} vs recorded {s.loss_after}")
         res = compute_residuals(problem, beta)
         for j, t in enumerate(problem.tasks):
             grad = -(t.X.T @ res[j]) / t.n
             for i in pattern.task_support(j):
                 bound = grad_tol * xnorm[j][i] * ynorm[j] / t.n
-                assert abs(grad[i]) <= bound, (
-                    f"step {idx}: gradient {grad[i]} on supported ({i},{j}) exceeds {bound:.3g}")
-    assert state.pattern() == report.pattern, "replayed pattern differs"
+                if not abs(grad[i]) <= bound:
+                    raise AssertionError(
+                        f"step {idx}: gradient {grad[i]} on supported ({i},{j}) "
+                        f"exceeds {bound:.3g}")
+    if state.pattern() != report.pattern:
+        raise AssertionError("replayed pattern differs")
     beta = refit(problem, report.pattern)
     for j, (t, res) in enumerate(zip(problem.tasks, compute_residuals(problem, beta))):
         cols = sorted(report.pattern.task_support(j))
@@ -491,6 +512,10 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
         tol = 0.0 if s_max == 0.0 else 1e-12 * kappa * (
             np.linalg.norm(beta[cols, j]) + kappa * np.linalg.norm(res) / s_max)
         diff = float(np.max(np.abs(beta[:, j] - report.coefficients[:, j])))
-        assert diff <= tol, (
-            f"task {j}: replayed coefficients differ by {diff:.3g}, tolerance {tol:.3g}")
-    assert abs(loss(problem, beta) - report.final_loss) <= loss_tol * (1.0 + report.final_loss)
+        if not diff <= tol:
+            raise AssertionError(
+                f"task {j}: replayed coefficients differ by {diff:.3g}, tolerance {tol:.3g}")
+    final_loss = loss(problem, beta)
+    if not abs(final_loss - report.final_loss) <= loss_tol * (1.0 + report.final_loss):
+        raise AssertionError(
+            f"replayed final loss {final_loss} vs recorded {report.final_loss}")

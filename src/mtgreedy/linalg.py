@@ -4,8 +4,11 @@
 ``effective_condition`` gives the condition of a support as that solve sees
 it, for the replay's coefficient check.  ``Basis`` holds some columns of
 one design as X_S = QR and is never changed once made, so every task on
-that design can hold the same one.  ``LeastSquaresFactor`` is one task's least squares on a basis: its own
-z = Q^T y, coefficients, residual, loss and X^T r.
+that design can hold the same one.  ``LeastSquaresFactor`` is one task's
+least squares on a basis: its own z = Q^T y, coefficients, residual, loss
+and X^T r.  An append with unit vector q moves the residual to r - zeta q, so
+the factor updates its X^T r as X^T r - zeta X^T q, and every task that takes
+the same step shares one X^T q.
 """
 
 import math
@@ -102,31 +105,50 @@ class Basis:
 _UNSEEN = object()
 
 
+class _Append:
+    """An append step as a ``move_to`` memo keeps it: the new basis, its unit
+    vector q and g = X^T q, computed the first time a task asks for it."""
+
+    __slots__ = ("basis", "q", "_g")
+
+    def __init__(self, basis, q):
+        self.basis = basis
+        self.q = q
+        self._g = None
+
+    @property
+    def g(self):
+        if self._g is None:
+            self._g = self.basis.X.T @ self.q
+        return self._g
+
+
 class LeastSquaresFactor:
     """Least squares of y on a changing set of X's columns, updated per move.
 
     The factor holds a ``Basis`` of its supported columns and z = Q^T y.
     ``coef`` (in ``cols`` order), ``residual`` y - X_S coef and ``loss``
     ||residual||^2 / 2n follow every move; ``cols`` and ``exact`` are the
-    basis's.  ``correlation`` X^T residual is computed on first use after a
-    move that changed the residual, so a task whose support did not move
-    keeps its array.  A factor starts on ``empty``, the basis of no columns
-    of its task's design; factors made on the same ``empty`` may share every
-    later basis.
+    basis's.  A factor starts on ``empty``, the basis of no columns of its
+    task's design; factors made on the same ``empty`` may share every later
+    basis.
 
     Appending a column takes the basis's Gram-Schmidt step, then updates the
-    residual and loss in O(n).  Removing a column refactors the remaining
-    ones with a QR.  When a column's orthogonal part is at most ORTH_RTOL of
-    its norm, or the support outgrows the sample count, the basis is inexact
-    and the factor solves with solve_least_squares on the sorted columns
-    (the minimum-norm answer) until a removal leaves a support that factors
-    again.
+    residual and loss in O(n) and a current ``correlation`` in O(p).
+    Removing a column refactors the remaining ones with a QR.  When a
+    column's orthogonal part is at most ORTH_RTOL of its norm, or the support
+    outgrows the sample count, the basis is inexact and the factor solves
+    with solve_least_squares on the sorted columns (the minimum-norm answer)
+    until a removal leaves a support that factors again.  The held columns
+    are also kept as a set, added to on each append and rebuilt on each
+    refactor or solve, so a move that removes nothing builds no set or list
+    of them.
 
     ``move_to`` takes a memo, a dict from (basis, step) to the step's result.
     Factors that hold the same basis and pass the same memo compute each
-    step once: the orthogonalization, the QR and the inexact basis are
-    shared, while z, the coefficients, the residual and the solve stay the
-    task's own.
+    step once: the orthogonalization with its X^T q, the QR and the inexact
+    basis are shared, while z, the coefficients, the residual, X^T r and the
+    solve stay the task's own.
     """
 
     def __init__(self, empty, y):
@@ -146,6 +168,7 @@ class LeastSquaresFactor:
         self.basis = basis
         self.cols = basis.cols
         self.exact = basis.exact
+        self._held = set(basis.cols)
 
     def _set_residual(self, residual):
         self.residual = residual
@@ -154,7 +177,13 @@ class LeastSquaresFactor:
 
     @property
     def correlation(self):
-        """X^T residual, one product per residual change."""
+        """X^T residual, a new array after every move that changed the residual.
+
+        An append updates a current correlation c to c - zeta X^T q, which
+        agrees with the product to round-off; after a refactor, a min-norm
+        solve or a move with no current correlation, the first use computes
+        the product X^T residual.
+        """
         if self._correlation is None:
             self._correlation = self.X.T @ self.residual
         return self._correlation
@@ -166,32 +195,37 @@ class LeastSquaresFactor:
         """
         if memo is None:
             memo = {}
-        held = set(self.cols)
+        held = self._held
         if held == support:
             return
-        kept = [c for c in self.cols if c in support]
         added = sorted(support - held)
-        if len(kept) < len(self.cols):
-            self._refactor(kept + added, memo)
+        if len(held) + len(added) > len(support):
+            self._refactor([c for c in self.cols if c in support] + added, memo)
         elif not self.exact:
-            self._solve(kept + added, memo)
+            self._solve(self.cols + added, memo)
         else:
+            cols = self.cols
             for c in added:
                 key = (self.basis, c)
                 step = memo.get(key, _UNSEEN)
                 if step is _UNSEEN:
-                    step = memo[key] = self.basis.append(c)
+                    step = self.basis.append(c)
+                    step = memo[key] = None if step is None else _Append(*step)
                 if step is None:
-                    self._solve(kept + added, memo)
+                    self._solve(cols + added, memo)
                     return
-                basis, q = step
+                basis, q = step.basis, step.q
                 zeta = float(q @ self.residual)
                 # an append leaves the basis exact; set only what changed
                 self.basis = basis
                 self.cols = basis.cols
+                held.add(c)
                 self._z = np.concatenate((self._z, (zeta,)))
                 self.coef = basis.rinv @ self._z
+                correlation = self._correlation
                 self._set_residual(self.residual - zeta * q)
+                if correlation is not None:
+                    self._correlation = correlation - zeta * step.g
 
     def _refactor(self, cols, memo):
         """Factor ``cols`` afresh with a QR; fall back when it is rank deficient."""

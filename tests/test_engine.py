@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ import pytest
 from mtgreedy import (
     GreedyConfig,
     MultiTaskProblem,
+    StepRecord,
     SupportPattern,
     SweepConfig,
     SynthSpec,
@@ -404,6 +410,56 @@ class TestVerifyTrace:
         bad[idx] = replace(bad[idx], promoted_row=None)
         with pytest.raises(AssertionError, match=f"step {idx}: "):
             verify_trace(problem, config, replace(report, steps=tuple(bad)))
+
+    def test_rejects_a_singleton_added_on_a_held_row(self):
+        problem = coalescing_problem()
+        config = GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5)
+        report = fit(problem, config)
+        idx = next(k for k, s in enumerate(report.steps) if s.promoted_row == 2)
+        last = report.steps[-1]
+        extra = StepRecord(kind="forward", object_kind="singleton", index=(2, 0),
+                           reward_or_cost=1.0, loss_after=last.loss_after,
+                           ledger_depth=last.ledger_depth + 1)
+        bad = report.steps[:idx + 1] + (extra,) + report.steps[idx + 1:]
+        assert all(s.kind == "forward" for s in bad[idx + 1:])
+        with pytest.raises(AssertionError, match=rf"step {idx + 1}: adds singleton \(2, 0\)"):
+            verify_trace(problem, config, replace(report, steps=bad))
+
+    def test_rejects_tampered_traces_under_python_O(self):
+        """The checks raise AssertionError themselves, so ``python -O``, which
+        strips ``assert`` statements, still rejects a tampered trace."""
+        script = textwrap.dedent("""
+            from dataclasses import replace
+            import numpy as np
+            from mtgreedy import (GreedyConfig, SynthSpec, check_step_records, fit,
+                                  gen_synthetic, loss, verify_trace)
+            spec = SynthSpec(p=60, n=25, r=2, kappa=0.5, noise_variance=1.0, seed=5)
+            problem, _ = gen_synthetic(spec)
+            config = GreedyConfig(epsilon=1e-3)
+            report = fit(problem, config)
+            bad = list(report.steps)
+            bad[0] = replace(bad[0], reward_or_cost=-1.0, loss_after=bad[0].loss_after + 0.5)
+            tampered = replace(report, steps=tuple(bad))
+            zero = loss(problem, np.zeros((problem.p, problem.r)))
+            print(__debug__)
+            for check in (lambda: check_step_records(tampered, config, zero),
+                          lambda: verify_trace(problem, config, tampered)):
+                try:
+                    check()
+                except AssertionError as e:
+                    print(e)
+                else:
+                    print("accepted")
+            """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        rejected = "step 0: recorded reward -1.0 under threshold"
+        assert out.stdout.splitlines() == ["False", rejected, rejected]
 
     def test_checks_hold_at_any_data_scale(self, monkeypatch):
         """X and y scaled by s, epsilon by s^2: the same moves, a clean replay,

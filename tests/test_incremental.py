@@ -4,13 +4,15 @@
 with the support; ``refit(problem, pattern)`` solves every task from
 scratch.  Random move sequences, including dependent columns, tasks with
 fewer samples than supported columns and tasks that share one design, must
-keep the two in agreement, and each factor's cached X^T r must equal the
-product at its residual.  Tasks on one design share their bases and each
-orthogonalization, and never each other's arrays.  The vectorized removal
-costs are checked against the loss-difference oracle, and the masked
-selectors against the per-object loops they replaced.  After every move the
-``SupportState``'s masks, per-feature singleton sets and per-task column sets
-must say what its pattern says.
+keep the two in agreement.  Each factor's cached X^T r must equal the
+product at its residual after a refactor, and agree with it to round-off
+after the appends that update it; a row step on one design takes one
+product with the design for all its tasks.  Tasks on one design share their
+bases and each orthogonalization, and never each other's arrays.  The
+vectorized removal costs are checked against the loss-difference oracle,
+and the masked selectors against the per-object loops they replaced.  After
+every move the ``SupportState``'s masks, per-feature singleton sets and
+per-task column sets must say what its pattern says.
 """
 
 import tracemalloc
@@ -25,6 +27,7 @@ from mtgreedy import (
     SupportPattern,
     SweepConfig,
     SynthSpec,
+    Task,
     cost_oracle,
     fit,
     gen_synthetic,
@@ -92,8 +95,21 @@ def apply(state, m):
         state.add("singleton", m[1:])
 
 
+def assert_correlation(f, direct):
+    """The factor's X^T r equals the product when it was computed afresh
+    (``direct``), and agrees with it to 1e-13 ||x_i|| ||y|| when an append
+    updated it."""
+    want = f.X.T @ f.residual
+    if direct:
+        assert np.array_equal(f.correlation, want)
+    else:
+        bound = 1e-13 * np.linalg.norm(f.X, axis=0) * np.linalg.norm(f.y)
+        assert np.all(np.abs(f.correlation - want) <= bound)
+
+
 def assert_matches_reference(problem, pattern, factors):
     beta = refit(problem, pattern, factors)
+    direct = [f._correlation is None for f in factors]
     want = refit(problem, pattern)
     assert np.allclose(beta, want, rtol=0.0, atol=1e-9)
     for j, (f, res) in enumerate(zip(factors, residuals(problem, want))):
@@ -101,7 +117,7 @@ def assert_matches_reference(problem, pattern, factors):
         cols = sorted(pattern.task_support(j))
         X = problem.tasks[j].X[:, cols]
         assert f.exact == (not cols or np.linalg.matrix_rank(X) == len(cols))
-        assert np.array_equal(f.correlation, f.X.T @ f.residual)
+        assert_correlation(f, direct[j])
     assert sum(f.loss for f in factors) == pytest.approx(loss(problem, want), rel=1e-9, abs=1e-15)
 
 
@@ -313,6 +329,76 @@ def test_rows_on_one_design_orthogonalize_each_column_once(monkeypatch):
     assert again.steps == report.steps
     assert np.array_equal(again.coefficients, report.coefficients)
     assert sorted(appends) == sorted(added * 6)
+
+
+def test_a_row_step_on_one_design_takes_one_product_with_it():
+    """m tasks on one design start with one X^T y each; a row step they all
+    take then costs one product X^T q with the design, not m, and a removal,
+    which refactors every task, one X^T r per task again."""
+    n, p, m = 20, 30, 5
+    products = []
+
+    class Design(np.ndarray):
+        """Counts the products taken with the whole transposed design."""
+
+        def __matmul__(self, other):
+            if self.shape == (p, n):
+                products.append(other.shape)
+            return np.asarray(self) @ other
+
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((n, p)).view(Design)
+    problem = MultiTaskProblem(
+        p=p, r=m, tasks=tuple(Task(X, rng.standard_normal(n)) for _ in range(m)))
+    factors, _ = start_factors(problem)
+    state = SupportState(GreedyConfig(epsilon=0.0, w=2.0), p, m)
+
+    def products_to_reach(state):
+        """Products taken to move every factor to ``state`` and read its X^T r."""
+        products.clear()
+        refit(problem, state, factors)
+        correlations = [f.correlation for f in factors]
+        assert all(c.shape == (p,) for c in correlations)
+        return len(products)
+
+    assert products_to_reach(state) == m
+    for i in (3, 17, 8):
+        state.add("row", (i,))
+        assert products_to_reach(state) == 1
+        for f in factors:
+            assert_correlation(f, direct=False)
+    state.remove("row", (17,))
+    assert products_to_reach(state) == m
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_updated_correlations_stay_at_round_off_through_a_long_fit(monkeypatch, scale):
+    """A 342-step append-only fit of three tasks on one design, rows and
+    singletons: after every move each task's updated X^T r is within
+    1e-13 ||x_i|| ||y|| of the product, at every data scale."""
+    rng = np.random.default_rng(21)
+    n, p, r = 300, 120, 3
+    X = rng.standard_normal((n, p))
+    B = rng.standard_normal((p, r)) * (rng.random((p, 1)) < 0.5)
+    Y = X @ B + 0.1 * rng.standard_normal((n, r))
+    problem = MultiTaskProblem.from_arrays([scale * X] * r, list(scale * Y.T))
+    assert problem.tasks[0].X is problem.tasks[r - 1].X
+    checked = []
+    reference = engine.refit
+
+    def checked_refit(problem, state, factors=None):
+        beta = reference(problem, state, factors)
+        for f in factors:
+            assert f._correlation is not None
+            assert_correlation(f, direct=False)
+        checked.append(len(factors))
+        return beta
+
+    monkeypatch.setattr(engine, "refit", checked_refit)
+    report = fit(problem, GreedyConfig(epsilon=0.0, w=2.0))
+    assert checked == [r] * len(report.steps) and len(report.steps) == 342
+    assert {(s.kind, s.object_kind) for s in report.steps} == {
+        ("forward", "row"), ("forward", "singleton")}
 
 
 def scalar_worst_backward(problem, beta, singles, rows, w):

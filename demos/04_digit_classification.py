@@ -12,11 +12,11 @@ Supply the dataset directory as argv[1] or via MTGREEDY_MFEAT_DIR.  The
 files are not downloaded automatically.
 """
 
-import math
 import os
 import sys
 
 from mtgreedy import GreedyConfig, cross_validate, fit
+from mtgreedy.experiments import stopping_threshold
 from mtgreedy.digits import (
     build_tasks,
     classify_and_report,
@@ -46,7 +46,7 @@ _, w_best, cv = cross_validate(
     c_grid=[1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0],
     w_grid=[1.0, 1.25, 1.5, 1.75, 2.0],
     nu=0.5, s_hint=s_hint)
-eps = cv["best_c"] * s_hint * math.log(problem.p) / problem.tasks[0].n
+eps = stopping_threshold(cv["best_c"], s_hint, problem.p, problem.tasks[0].n)
 print(f"grid search chose c={cv['best_c']}, w={w_best} (epsilon={eps:.4g})")
 
 report = fit(problem, GreedyConfig(epsilon=eps, w=w_best, nu=0.5))

@@ -206,8 +206,8 @@ def cmd_digits(args):
         cv_train, cv_hold = digits_mod.split_for_validation(problem)
         _, w_best, cv_report = experiments.cross_validate(
             cv_train, cv_hold, args.epsilon_c_grid, args.w_grid, args.nu, s_hint)
-        n_full = problem.tasks[0].n
-        eps = cv_report["best_c"] * s_hint * math.log(problem.p) / n_full
+        eps = experiments.stopping_threshold(
+            cv_report["best_c"], s_hint, problem.p, problem.tasks[0].n)
         report = engine_fit(problem, GreedyConfig(epsilon=eps, w=w_best, nu=args.nu))
         scored = digits_mod.classify_and_report(report, test)
         per_trial.append({

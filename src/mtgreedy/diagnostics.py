@@ -12,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .model import SupportPattern
+
 REP_ENUMERATION_LIMIT = 100_000
 
 
@@ -170,6 +172,5 @@ def union_support_size(pattern, truth, j):
     """Size of task j's estimated-union-true feature support."""
     if not (0 <= j < len(truth.s_star)):
         raise ValueError(f"task index {j} out of range")
-    estimated = pattern.task_support(j)
-    true_set = set(truth.shared_rows) | {i for (i, jj) in truth.nonshared if jj == j}
-    return len(estimated | true_set)
+    true = SupportPattern(singletons=truth.nonshared, rows=truth.shared_rows)
+    return len(pattern.task_support(j) | true.task_support(j))

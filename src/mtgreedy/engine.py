@@ -17,36 +17,36 @@ every entry's backward cost, and a row's value is the sum over its entries.
 The referees in ``oracle`` (``gain_oracle``, ``cost_oracle``) re-evaluate the
 loss instead.
 
-A fit keeps one ``LeastSquaresFactor`` per task and moves it with the
-support: an added column is orthogonalized against the task's current
-columns and updates the residual and loss in O(n); a removal refactors that
-task; a task whose support did not change does no work.  A task whose columns
-become dependent, or outnumber its samples, falls back to the minimum-norm
-solve of the reference ``refit`` until a removal makes it factor again.
+A fit keeps its estimate in two (p, r) grids made by ``start_factors``: B,
+the coefficients, and C, whose column j is c_j = X_j^T r_j.  Column j of each
+is the only full-length copy of task j's values, and task j's
+``LeastSquaresFactor`` owns it and writes it in place when, and only when,
+the task's support moves.  An added column is orthogonalized against the
+task's current columns; the factor writes B[cols, j], updates the residual
+and loss in O(n) and sets C[:, j] -= zeta X^T q.  A removal refactors that
+task, zeroes the columns it drops and writes C[:, j] = X^T r afresh.  A task
+whose columns become dependent, or outnumber its samples, falls back to the
+minimum-norm solve of the reference ``refit`` until a removal makes it
+factor again.  The updated correlations agree with the product to
+round-off.  A task whose support did not move does no work.
 
 Tasks whose designs are one array object (``t.X is``; the digit tasks are)
 share the orthogonalizations.  The factors of such tasks start on one empty
 ``Basis`` and hold the same immutable basis as long as their columns move
-alike.  Each ``refit`` keeps a memo of the steps taken from each basis, so a
-row added to ten tasks on one design is orthogonalized once, not ten times;
-the memo is dropped when ``refit`` returns.  Designs are matched by object
+alike.  Each ``refit`` keeps a memo of the steps taken from each basis, with
+the X^T q of every append, so a row added to ten tasks on one design is
+orthogonalized once and takes one product with the design, not ten; the
+memo is dropped when ``refit`` returns.  Designs are matched by object
 identity only, never by value, so tasks with designs of their own (the
 synthetic sweeps, problems read from files) share nothing.  Each task still
 does the same floating-point operations as with a basis of its own.
 
-A move is a few whole-array expressions.  A fit stacks the correlations
-c_j = X_j^T r_j as the columns of one (p, r) array, and a factor gives a new
-column only when its residual changes, so the backward removal costs after
-a refit and the next forward gains share it, and a task whose support did
-not move keeps its column.  An append with unit vector q updates the column
-to c_j - zeta_j X^T q, with X^T q kept in the memo entry of the step, so the
-tasks that take one step on one design share one product with the design;
-a refactor or a min-norm fallback computes X_j^T r_j afresh.  The updated
-correlations agree with the product to round-off.  The ``SupportState``
-keeps a boolean mask of its singleton cells and one of its rows next to the
-sets, so each selector is one masked argmax or argmin.  Ties go to the
-first cell in sorted (i, j) order and the first row in sorted order, and a
-row beats a singleton of equal value.
+A move is a few whole-array expressions over B and C, so the backward
+removal costs after a refit and the next forward gains read the same grids.
+The ``SupportState`` keeps a boolean mask of its singleton cells and one of
+its rows next to the sets, so each selector is one masked argmax or argmin.
+Ties go to the first cell in sorted (i, j) order and the first row in
+sorted order, and a row beats a singleton of equal value.
 """
 
 import math
@@ -86,26 +86,26 @@ def refit(problem, pattern, factors=None):
     """Restricted least-squares re-estimate on a support pattern.
 
     ``pattern`` is a ``SupportPattern`` or a ``SupportState``; only its
-    ``task_support(j)`` is read.  Each task is solved independently on its
-    supported columns; entries off the pattern are exact zeros.
-    Rank-deficient supports take the minimum-norm solution.  Without
-    ``factors`` every task is solved from scratch (the reference).  With one
+    ``task_support(j)`` is read.  Without ``factors`` every task is solved
+    from scratch on its supported columns and the (p, r) estimate is
+    returned, with exact zeros off the pattern and the minimum-norm solution
+    on rank-deficient supports (the reference).  With one
     ``LeastSquaresFactor`` per task, each factor is moved to the task's
-    support instead, and its residual and loss are then current.  The factors
+    support instead and nothing is returned: the factors' coefficient and
+    correlation columns, residuals and losses are then current.  The factors
     share one memo for this call, so a step from one basis is computed once
     however many tasks take it.
     """
-    beta = np.zeros((problem.p, problem.r))
-    memo = {}
-    for j, t in enumerate(problem.tasks):
-        if factors is None:
-            cols = sorted(pattern.task_support(j))
-            if cols:
-                beta[cols, j] = solve_least_squares(t.X[:, cols], t.y)
-        else:
-            f = factors[j]
+    if factors is not None:
+        memo = {}
+        for j, f in enumerate(factors):
             f.move_to(pattern.task_support(j), memo)
-            beta[f.cols, j] = f.coef
+        return
+    beta = np.zeros((problem.p, problem.r))
+    for j, t in enumerate(problem.tasks):
+        cols = sorted(pattern.task_support(j))
+        if cols:
+            beta[cols, j] = solve_least_squares(t.X[:, cols], t.y)
     return beta
 
 
@@ -231,15 +231,14 @@ class SupportState:
     Removing an object the support does not hold raises KeyError.
 
     ``singles`` (cells over the (p, r) grid) and ``rows`` (features over p)
-    are ``MaskedSet``s.  ``feature_tasks[i]`` is the set of tasks j with
-    (i, j) held, kept only for features that hold a singleton, and
-    ``task_support(j)`` is task j's column set; every move updates them all.
+    are ``MaskedSet``s, so row i of ``singles.mask`` marks the tasks holding
+    a singleton on feature i, and ``task_support(j)`` is task j's column set;
+    every move updates them all.
     """
 
     def __init__(self, config, p, r):
         self.singles = MaskedSet((p, r))
         self.rows = MaskedSet(p)
-        self.feature_tasks = {}
         self._columns = [set() for _ in range(r)]
         self.promote_at = (coalesce_threshold(config.w)
                            if config.rows_enabled and config.coalesce_rows else None)
@@ -248,7 +247,7 @@ class SupportState:
         """Add a "row" (m,) or a "singleton" (i, j); return the promoted feature or None."""
         i = index[0]
         if kind == "row":
-            for j in self.feature_tasks.pop(i, ()):
+            for j in np.flatnonzero(self.singles.mask[i]).tolist():
                 self.singles.remove((i, j))
             self.rows.add(i)
             for cols in self._columns:
@@ -257,9 +256,8 @@ class SupportState:
         j = index[1]
         self.singles.add(index)
         self._columns[j].add(i)
-        tasks = self.feature_tasks.setdefault(i, set())
-        tasks.add(j)
-        if self.promote_at is not None and len(tasks) >= self.promote_at:
+        if (self.promote_at is not None
+                and np.count_nonzero(self.singles.mask[i]) >= self.promote_at):
             self.add("row", (i,))
             return i
         return None
@@ -272,12 +270,7 @@ class SupportState:
                 cols.remove(i)
         else:
             self.singles.remove(index)
-            j = index[1]
-            self._columns[j].remove(i)
-            tasks = self.feature_tasks[i]
-            tasks.remove(j)
-            if not tasks:
-                del self.feature_tasks[i]
+            self._columns[index[1]].remove(i)
 
     def task_support(self, j):
         """Feature indices active for task j; the state's own set, not a copy."""
@@ -288,28 +281,24 @@ class SupportState:
 
 
 def start_factors(problem):
-    """(one empty LeastSquaresFactor per task, each task's squared column norms).
+    """(factors, colsq, beta, correlations) of a fit at beta = 0.
 
-    Tasks whose designs are one array object share its empty basis and its
-    column norms; designs are told apart by identity, not compared by value.
+    ``beta`` and ``correlations`` are the fit's (p, r) coefficient and X^T r
+    grids, and the empty ``LeastSquaresFactor`` of task j owns their column
+    j; ``colsq`` lists each task's squared column norms.  Tasks whose designs
+    are one array object share its empty basis and its column norms;
+    designs are told apart by identity, not compared by value.
     """
     designs = {}
     for t in problem.tasks:
         if id(t.X) not in designs:
             designs[id(t.X)] = (Basis(t.X), np.einsum("ij,ij->j", t.X, t.X))
-    factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y) for t in problem.tasks]
+    beta = np.zeros((problem.p, problem.r))
+    correlations = np.empty((problem.p, problem.r))
+    factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y, beta[:, j], correlations[:, j])
+               for j, t in enumerate(problem.tasks)]
     colsq = [designs[id(t.X)][1] for t in problem.tasks]
-    return factors, colsq
-
-
-def _stack_correlations(correlations, factors, held):
-    """Copy into column j of ``correlations`` the X^T r of each task whose
-    residual changed since the last copy; ``held[j]`` is the array copied."""
-    for j, f in enumerate(factors):
-        c = f.correlation
-        if c is not held[j]:
-            correlations[:, j] = c
-            held[j] = c
+    return factors, colsq, beta, correlations
 
 
 def fit(problem, config):
@@ -328,12 +317,8 @@ def fit(problem, config):
 
     p, r = problem.p, problem.r
     state = SupportState(config, p, r)
-    beta = np.zeros((p, r))
-    factors, colsq = start_factors(problem)
+    factors, colsq, beta, correlations = start_factors(problem)
     scales = grid_scales(problem, colsq)
-    # column j is X^T r of task j; held[j] is the factor's array copied there
-    correlations = np.empty((p, r))
-    held = [None] * r
     gate = config.epsilon + COMPARISON_TOLERANCE * sum(f.loss for f in factors)
     # (reward, step index) of every forward step not yet matched by a removal
     ledger = []
@@ -346,7 +331,6 @@ def fit(problem, config):
         if forward_taken >= cap:
             termination = "max-steps"
             break
-        _stack_correlations(correlations, factors, held)
         gains = gain_matrix(problem, correlations, scales)
         cand = _best_forward(problem, state.singles, state.rows, config, gains)
         if cand is None or cand.value <= gate:
@@ -355,7 +339,7 @@ def fit(problem, config):
         forward_taken += 1
         promoted = state.add(cand.kind, cand.index)
         ledger.append((cand.value, len(steps)))
-        beta = refit(problem, state, factors)
+        refit(problem, state, factors)
         steps.append(StepRecord(
             kind="forward",
             object_kind=cand.kind,
@@ -369,7 +353,6 @@ def fit(problem, config):
         # Backward passes: keep removing while the cheapest removal costs at
         # most nu times the most recent recorded reward.
         while ledger and (state.singles or state.rows):
-            _stack_correlations(correlations, factors, held)
             back = _worst_backward(problem, beta, state.singles, state.rows, config,
                                    correlations, scales)
             top_reward, top_step = ledger[-1]
@@ -377,7 +360,7 @@ def fit(problem, config):
                 break
             ledger.pop()
             state.remove(back.kind, back.index)
-            beta = refit(problem, state, factors)
+            refit(problem, state, factors)
             steps.append(StepRecord(
                 kind="backward",
                 object_kind=back.kind,

@@ -86,20 +86,27 @@ def gen_synthetic(spec):
     return MultiTaskProblem.from_arrays(designs, responses), beta
 
 
-def theta(n, s, p, kappa):
-    """Rescaled sample size n / (s * log(p - (2 - kappa) * s))."""
+def _theta_log(s, p, kappa):
+    """log(p - (2 - kappa) * s), the log in the rescaled sample size."""
     inner = p - (2.0 - kappa) * s
     if inner <= 1.0:
         raise ValueError(f"log argument {inner} must exceed 1")
-    return n / (s * math.log(inner))
+    return math.log(inner)
+
+
+def theta(n, s, p, kappa):
+    """Rescaled sample size n / (s * log(p - (2 - kappa) * s))."""
+    return n / (s * _theta_log(s, p, kappa))
 
 
 def n_for_theta(theta_value, s, p, kappa):
     """Smallest integer sample size reaching the requested rescaled size."""
-    inner = p - (2.0 - kappa) * s
-    if inner <= 1.0:
-        raise ValueError(f"log argument {inner} must exceed 1")
-    return int(math.ceil(theta_value * s * math.log(inner)))
+    return int(math.ceil(theta_value * s * _theta_log(s, p, kappa)))
+
+
+def stopping_threshold(c, s, p, n):
+    """The stopping threshold epsilon = c * s * log(p) / n."""
+    return c * s * math.log(p) / n
 
 
 def sign_support_success(beta_hat, beta_star):
@@ -134,7 +141,7 @@ class SweepConfig:
     check_traces: bool = True
 
     def greedy_config(self, s, p, n):
-        eps = self.epsilon_c * s * math.log(p) / n
+        eps = stopping_threshold(self.epsilon_c, s, p, n)
         return GreedyConfig(epsilon=eps, w=self.w, nu=self.nu, rows_enabled=self.rows_enabled)
 
 
@@ -216,7 +223,7 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     best = None
     for c in c_grid:
         for w in w_grid:
-            eps = c * s_hint * math.log(train_problem.p) / n_avg
+            eps = stopping_threshold(c, s_hint, train_problem.p, n_avg)
             report = fit(train_problem, GreedyConfig(epsilon=eps, w=w, nu=nu))
             score = 0.0
             for j, t in enumerate(holdout_problem.tasks):

@@ -93,6 +93,8 @@ def problem_from_dict(doc):
         if beta_star.shape != (p, r):
             raise ValueError(
                 f"beta_star shape {beta_star.shape} does not match ({p}, {r})")
+        if not np.all(np.isfinite(beta_star)):
+            raise ValueError("beta_star has non-finite entries")
     return problem, beta_star, doc.get("meta")
 
 

@@ -5,10 +5,11 @@
 it, for the replay's coefficient check.  ``Basis`` holds some columns of
 one design as X_S = QR and is never changed once made, so every task on
 that design can hold the same one.  ``LeastSquaresFactor`` is one task's
-least squares on a basis: its own z = Q^T y, coefficients, residual, loss
-and X^T r.  An append with unit vector q moves the residual to r - zeta q, so
-the factor updates its X^T r as X^T r - zeta X^T q, and every task that takes
-the same step shares one X^T q.
+least squares on a basis: its own z = Q^T y, residual and loss, with its
+coefficients and X^T r written in place into two length-p views the caller
+owns.  An append with unit vector q moves the residual to r - zeta q, so the
+factor updates its X^T r as X^T r - zeta X^T q, and every task that takes
+the same step shares the one X^T q that ``Basis.append`` returns.
 """
 
 import math
@@ -63,10 +64,12 @@ class Basis:
         self.rinv = np.zeros((0, 0)) if rinv is None and exact else rinv
 
     def append(self, c):
-        """(basis with column c appended, its unit vector q), or None when c is dependent.
+        """(basis with column c appended, its unit vector q, X^T q), or None
+        when c is dependent.
 
         Classical Gram-Schmidt with one reorthogonalization pass; a column
         whose orthogonal part is at most ORTH_RTOL of its norm is dependent.
+        X^T q is what every task taking the step needs to update its X^T r.
         """
         X = self.X
         x = X[:, c]
@@ -87,7 +90,7 @@ class Basis:
         rinv[:k, :k] = self.rinv
         rinv[:k, k] = self.rinv @ d / -rho
         rinv[k, k] = 1.0 / rho
-        return Basis(X, self.cols + [c], True, rinv), q
+        return Basis(X, self.cols + [c], True, rinv), q, X.T @ q
 
     def refactor(self, cols):
         """(basis of ``cols`` factored afresh by a QR, its Q), or None when
@@ -105,44 +108,31 @@ class Basis:
 _UNSEEN = object()
 
 
-class _Append:
-    """An append step as a ``move_to`` memo keeps it: the new basis, its unit
-    vector q and g = X^T q, computed the first time a task asks for it."""
-
-    __slots__ = ("basis", "q", "_g")
-
-    def __init__(self, basis, q):
-        self.basis = basis
-        self.q = q
-        self._g = None
-
-    @property
-    def g(self):
-        if self._g is None:
-            self._g = self.basis.X.T @ self.q
-        return self._g
-
-
 class LeastSquaresFactor:
     """Least squares of y on a changing set of X's columns, updated per move.
 
-    The factor holds a ``Basis`` of its supported columns and z = Q^T y.
-    ``coef`` (in ``cols`` order), ``residual`` y - X_S coef and ``loss``
-    ||residual||^2 / 2n follow every move; ``cols`` and ``exact`` are the
-    basis's.  A factor starts on ``empty``, the basis of no columns of its
-    task's design; factors made on the same ``empty`` may share every later
+    The factor holds a ``Basis`` of its supported columns and z = Q^T y,
+    with ``residual`` y - X_S b and ``loss`` ||residual||^2 / 2n following
+    every move; ``cols`` and ``exact`` are the basis's.  ``beta`` and
+    ``correlation`` are length-p views the caller owns (a column of the
+    fit's coefficient and correlation grids): the factor writes b at its
+    columns and zeros elsewhere into ``beta``, and X^T residual into
+    ``correlation``, in place and only when its support moves.  A factor
+    starts on ``empty``, the basis of no columns of its task's design, with
+    ``beta`` zero; factors made on the same ``empty`` may share every later
     basis.
 
-    Appending a column takes the basis's Gram-Schmidt step, then updates the
-    residual and loss in O(n) and a current ``correlation`` in O(p).
-    Removing a column refactors the remaining ones with a QR.  When a
-    column's orthogonal part is at most ORTH_RTOL of its norm, or the support
-    outgrows the sample count, the basis is inexact and the factor solves
-    with solve_least_squares on the sorted columns (the minimum-norm answer)
-    until a removal leaves a support that factors again.  The held columns
-    are also kept as a set, added to on each append and rebuilt on each
-    refactor or solve, so a move that removes nothing builds no set or list
-    of them.
+    Appending a column takes the basis's Gram-Schmidt step, writes the new
+    coefficients and updates the residual and loss in O(n) and the
+    correlation in O(p).  Removing a column refactors the remaining ones
+    with a QR.  When a column's orthogonal part is at most ORTH_RTOL of its
+    norm, or the support outgrows the sample count, the basis is inexact and
+    the factor solves with solve_least_squares on the sorted columns (the
+    minimum-norm answer) until a removal leaves a support that factors
+    again.  A refactor, a solve or a clear zeroes the columns it drops and
+    takes the product X^T r afresh.  The held columns are also kept as a
+    set, added to on each append and rebuilt on each refactor or solve, so a
+    move that removes nothing builds no set or list of them.
 
     ``move_to`` takes a memo, a dict from (basis, step) to the step's result.
     Factors that hold the same basis and pass the same memo compute each
@@ -151,42 +141,39 @@ class LeastSquaresFactor:
     solve stay the task's own.
     """
 
-    def __init__(self, empty, y):
+    def __init__(self, empty, y, beta, correlation):
         self.X = empty.X
         self.y = np.asarray(y, dtype=float)
         self.n = self.X.shape[0]
+        self.beta = beta
+        self.correlation = correlation
         self._empty = empty
+        self.cols = []
         self._clear()
 
     def _clear(self):
         self._take(self._empty)
         self._z = np.zeros(0)
-        self.coef = np.zeros(0)
         self._set_residual(self.y.copy())
 
     def _take(self, basis):
+        """Hold ``basis``, zeroing the old columns in ``beta``; the caller
+        writes the new coefficients."""
+        self.beta[self.cols] = 0.0
         self.basis = basis
         self.cols = basis.cols
         self.exact = basis.exact
         self._held = set(basis.cols)
 
-    def _set_residual(self, residual):
+    def _set_residual(self, residual, shift=None):
+        """Take ``residual``; X^T r is updated as X^T r - shift after an
+        append (shift = zeta X^T q), and computed afresh otherwise."""
         self.residual = residual
         self.loss = float(residual @ residual) / (2.0 * self.n)
-        self._correlation = None
-
-    @property
-    def correlation(self):
-        """X^T residual, a new array after every move that changed the residual.
-
-        An append updates a current correlation c to c - zeta X^T q, which
-        agrees with the product to round-off; after a refactor, a min-norm
-        solve or a move with no current correlation, the first use computes
-        the product X^T residual.
-        """
-        if self._correlation is None:
-            self._correlation = self.X.T @ self.residual
-        return self._correlation
+        if shift is None:
+            self.correlation[:] = self.X.T @ residual
+        else:
+            self.correlation -= shift
 
     def move_to(self, support, memo=None):
         """Make the factor hold exactly the column indices in ``support``.
@@ -209,23 +196,19 @@ class LeastSquaresFactor:
                 key = (self.basis, c)
                 step = memo.get(key, _UNSEEN)
                 if step is _UNSEEN:
-                    step = self.basis.append(c)
-                    step = memo[key] = None if step is None else _Append(*step)
+                    step = memo[key] = self.basis.append(c)
                 if step is None:
                     self._solve(cols + added, memo)
                     return
-                basis, q = step.basis, step.q
+                basis, q, g = step
                 zeta = float(q @ self.residual)
                 # an append leaves the basis exact; set only what changed
                 self.basis = basis
                 self.cols = basis.cols
                 held.add(c)
                 self._z = np.concatenate((self._z, (zeta,)))
-                self.coef = basis.rinv @ self._z
-                correlation = self._correlation
-                self._set_residual(self.residual - zeta * q)
-                if correlation is not None:
-                    self._correlation = correlation - zeta * step.g
+                self.beta[basis.cols] = basis.rinv @ self._z
+                self._set_residual(self.residual - zeta * q, zeta * g)
 
     def _refactor(self, cols, memo):
         """Factor ``cols`` afresh with a QR; fall back when it is rank deficient."""
@@ -242,7 +225,7 @@ class LeastSquaresFactor:
         basis, Q = step
         self._take(basis)
         self._z = Q.T @ self.y
-        self.coef = basis.rinv @ self._z
+        self.beta[self.cols] = basis.rinv @ self._z
         self._set_residual(self.y - Q @ self._z)
 
     def _solve(self, cols, memo):
@@ -253,8 +236,9 @@ class LeastSquaresFactor:
             basis = memo[key] = Basis(self.X, sorted(cols), False)
         self._take(basis)
         A = self.X[:, self.cols]
-        self.coef = solve_least_squares(A, self.y)
-        self._set_residual(self.y - A @ self.coef)
+        coef = solve_least_squares(A, self.y)
+        self.beta[self.cols] = coef
+        self._set_residual(self.y - A @ coef)
 
 
 def effective_condition(A):

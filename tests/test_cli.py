@@ -109,6 +109,24 @@ class TestFit:
         garbled.write_text("{not json")
         assert run(["fit", "--in", str(garbled), "--epsilon", "1e-9"]) == 2
 
+    @pytest.mark.parametrize("command", [["fit", "--epsilon", "1e-9"],
+                                         ["diagnose", "--d", "2", "--s", "2"]])
+    def test_non_finite_truth_rejected_at_parse_time(self, tmp_path, capsys, command):
+        """A NaN in beta_star is refused when the file is read, naming the
+        field, before any fit runs or output is written."""
+        prob, out = tmp_path / "prob.json", tmp_path / "out.json"
+        assert run(["gen", "--p", "8", "--r", "2", "--kappa", "0.5", "--n", "12",
+                    "--seed", "1", "--out", str(prob)]) == 0
+        doc = json.loads(prob.read_text())
+        doc["beta_star"][0][0] = float("nan")
+        prob.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="beta_star"):
+            problem_from_dict(json.loads(prob.read_text()))
+        capsys.readouterr()
+        assert run([command[0], "--in", str(prob), *command[1:], "--out", str(out)]) == 2
+        assert "beta_star" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_single_point_csv(self, tmp_path, capsys):

@@ -351,7 +351,7 @@ class TestSupportState:
         assert state.singles == {(3, 1)} and state.rows == {1}
         assert state.pattern() == SupportPattern(
             singletons=frozenset({(3, 1)}), rows=frozenset({1}))
-        assert state.feature_tasks == {3: {1}}
+        assert np.array_equal(np.argwhere(state.singles.mask), [[3, 1]])
         assert [state.task_support(j) for j in range(3)] == [{1}, {1, 3}, {1}]
 
     @pytest.mark.parametrize("w, at", [(1.5, 2), (2.0, 3), (2.7, 3)])
@@ -362,12 +362,10 @@ class TestSupportState:
         below = np.zeros((5, 3), dtype=bool)
         below[4, :at - 1] = True
         assert np.array_equal(state.singles.mask, below) and not state.rows.mask.any()
-        assert state.feature_tasks == {4: set(range(at - 1))}
         assert state.add("singleton", (4, at - 1)) == 4
         assert state.singles == set() and state.rows == {4}
         assert not state.singles.mask.any()
         assert np.array_equal(state.rows.mask, np.arange(5) == 4)
-        assert state.feature_tasks == {}
         assert all(state.task_support(j) == {4} for j in range(3))
 
     @pytest.mark.parametrize("off", [{"coalesce_rows": False}, {"rows_enabled": False}])

@@ -4,11 +4,13 @@
 with the support; ``refit(problem, pattern)`` solves every task from
 scratch.  Random move sequences, including dependent columns, tasks with
 fewer samples than supported columns and tasks that share one design, must
-keep the two in agreement.  Each factor's cached X^T r must equal the
-product at its residual after a refactor, and agree with it to round-off
-after the appends that update it; a row step on one design takes one
-product with the design for all its tasks.  Tasks on one design share their
-bases and each orthogonalization, and never each other's arrays.  The
+keep the two in agreement, in the fit's (p, r) coefficient grid that the
+factors write in place.  Each factor's X^T r column must equal the product
+at its residual after a refactor, and agree with it to round-off after the
+appends that update it; a row step on one design takes one product with the
+design for all its tasks, and a task that does not move takes none.  Tasks
+on one design share their bases and each orthogonalization, and never each
+other's arrays.  The
 vectorized removal costs are checked against the loss-difference oracle,
 and the masked selectors against the per-object loops they replaced.  After
 every move the ``SupportState``'s masks, per-feature singleton sets and
@@ -47,6 +49,37 @@ from conftest import (
 P, R = 8, 3
 
 
+class Design(np.ndarray):
+    """A design that appends to ``products`` each product taken with its
+    whole transpose; the arrays derived from it share the list."""
+
+    def __array_finalize__(self, obj):
+        self.whole = getattr(obj, "whole", None)
+        self.products = getattr(obj, "products", None)
+
+    def __matmul__(self, other):
+        whole = self.whole
+        if (self.shape == whole.shape[::-1] and self.strides == whole.strides[::-1]
+                and np.may_share_memory(self, whole)):
+            self.products.append(other.shape)
+        return np.asarray(self) @ other
+
+
+def counted(X):
+    """X as a ``Design`` that has taken no products yet."""
+    X = np.asarray(X, dtype=float).view(Design)
+    X.whole, X.products = X, []
+    return X
+
+
+def counted_problem(designs, responses):
+    """A problem on ``counted`` designs; one design object stays one."""
+    made = {id(X): counted(X) for X in designs}
+    tasks = tuple(Task(made[id(X)], np.asarray(y, dtype=float))
+                  for X, y in zip(designs, responses))
+    return MultiTaskProblem(p=tasks[0].X.shape[1], r=len(tasks), tasks=tasks)
+
+
 def degenerate_problem():
     """Three tasks over 8 features: task 0 has a zero column 0, task 1 has
     column 2 duplicating column 1, and task 2 has only 4 samples with
@@ -57,7 +90,7 @@ def degenerate_problem():
     designs[1][:, 2] = designs[1][:, 1]
     designs[2][:, 5] = designs[2][:, 3] + designs[2][:, 4]
     responses = [rng.standard_normal(X.shape[0]) for X in designs]
-    return MultiTaskProblem.from_arrays(designs, responses)
+    return counted_problem(designs, responses)
 
 
 def shared_problem():
@@ -68,7 +101,7 @@ def shared_problem():
     X[:, 2] = X[:, 1]
     designs = [X, X, rng.standard_normal((4, P))]
     responses = [rng.standard_normal(A.shape[0]) for A in designs]
-    return MultiTaskProblem.from_arrays(designs, responses)
+    return counted_problem(designs, responses)
 
 
 PROBLEM = degenerate_problem()
@@ -107,9 +140,26 @@ def assert_correlation(f, direct):
         assert np.all(np.abs(f.correlation - want) <= bound)
 
 
-def assert_matches_reference(problem, pattern, factors):
-    beta = refit(problem, pattern, factors)
-    direct = [f._correlation is None for f in factors]
+def move_factors(problem, pattern, factors, direct):
+    """Move the factors to ``pattern`` through ``refit``; return the number
+    of products each design object took, by ``id``.  ``direct[j]`` notes
+    whether task j's X^T r was last computed afresh: a move that drops a
+    column or leaves an inexact basis computes it, one that only appends
+    updates it, and a task that does not move keeps it."""
+    designs = {id(t.X): t.X for t in problem.tasks}
+    for X in designs.values():
+        X.products.clear()
+    held = [set(f.cols) for f in factors]
+    refit(problem, pattern, factors)
+    for j, f in enumerate(factors):
+        if set(f.cols) != held[j]:
+            direct[j] = not held[j] <= set(f.cols) or not f.exact
+    return {k: len(X.products) for k, X in designs.items()}
+
+
+def assert_matches_reference(problem, pattern, factors, beta, direct):
+    """The factors and the fit's coefficient grid ``beta`` they write match
+    the reference ``refit`` on ``pattern``."""
     want = refit(problem, pattern)
     assert np.allclose(beta, want, rtol=0.0, atol=1e-9)
     for j, (f, res) in enumerate(zip(factors, residuals(problem, want))):
@@ -122,8 +172,9 @@ def assert_matches_reference(problem, pattern, factors):
 
 
 def task_arrays(f):
-    """Copies of the arrays one task's factor holds, its basis's R^-1 included."""
-    held = (f.basis.rinv, f._z, f.coef, f.residual, f.correlation)
+    """Copies of the arrays one task's factor holds, its basis's R^-1 and its
+    coefficient and X^T r columns included."""
+    held = (f.basis.rinv, f._z, f.beta, f.residual, f.correlation)
     return [None if a is None else a.copy() for a in held]
 
 
@@ -135,7 +186,8 @@ def assert_arrays_equal(got, want):
 def assert_sharing(factors, before):
     """Tasks on one design that held one basis and now hold equal columns
     hold one basis; no move changed an earlier basis or another task's
-    arrays, and no two factors hold the same array."""
+    arrays, and no two factors hold the same array or views that share
+    memory."""
     groups = {}
     for f, (basis, _, _) in zip(factors, before):
         groups.setdefault((id(f.X), id(basis), tuple(f.cols)), set()).add(id(f.basis))
@@ -147,38 +199,41 @@ def assert_sharing(factors, before):
             assert_arrays_equal(task_arrays(f), arrays)
     for a, f in enumerate(factors):
         for g in factors[a + 1:]:
-            assert f.residual is not g.residual and f.coef is not g.coef
+            assert f.residual is not g.residual
+            assert not np.shares_memory(f.beta, g.beta)
+            assert not np.shares_memory(f.correlation, g.correlation)
             assert f._z is not g._z or not f._z.size
 
 
 def assert_bookkeeping(state, p, r):
-    """The state's masks and per-feature and per-task sets match its pattern."""
+    """The state's masks and per-task sets match its pattern."""
     pattern = state.pattern()
     singles = np.zeros((p, r), dtype=bool)
-    by_feature = {}
     for (i, j) in pattern.singletons:
         singles[i, j] = True
-        by_feature.setdefault(i, set()).add(j)
     assert np.array_equal(state.singles.mask, singles)
     assert np.array_equal(state.rows.mask, np.isin(np.arange(p), list(pattern.rows)))
-    assert state.feature_tasks == by_feature
     for j in range(r):
         assert state.task_support(j) == pattern.task_support(j)
 
 
 def run_moves(problem, moves):
-    factors, _ = start_factors(problem)
+    """Apply ``moves`` through a ``SupportState`` and check everything after
+    each: the state, the factors against the reference, the sharing, and
+    that a design none of whose tasks moved took no product."""
+    factors, _, beta, _ = start_factors(problem)
+    direct = [True] * problem.r
     state = SupportState(CONFIG, problem.p, problem.r)
     for m in moves:
         before = [(f.basis, list(f.cols), task_arrays(f)) for f in factors]
-        corr = [f.correlation for f in factors]
         apply(state, m)
         assert_bookkeeping(state, problem.p, problem.r)
-        assert_matches_reference(problem, state.pattern(), factors)
+        products = move_factors(problem, state, factors, direct)
+        assert_matches_reference(problem, state.pattern(), factors, beta, direct)
         assert_sharing(factors, before)
-        for f, (_, cols, _), c in zip(factors, before, corr):
-            if f.cols == cols:
-                assert f.correlation is c
+        moved = {id(t.X) for t, f, (_, cols, _) in zip(problem.tasks, factors, before)
+                 if f.cols != cols}
+        assert all(k in moved or not count for k, count in products.items())
     return state
 
 
@@ -211,30 +266,35 @@ def test_shared_design_shares_its_steps():
     singleton of task 0 parts them, and removing it joins their columns
     again but not their bases: task 0's QR refactor gives another R^-1 than
     task 1's Gram-Schmidt steps, so sharing them would change a fit."""
-    factors, colsq = start_factors(SHARED)
+    factors, colsq, beta, _ = start_factors(SHARED)
+    direct = [True] * SHARED.r
     assert factors[0].basis is factors[1].basis is not factors[2].basis
     assert colsq[0] is colsq[1]
     rows = SupportPattern(rows=frozenset({3, 5}))
-    refit(SHARED, rows, factors)
+    move_factors(SHARED, rows, factors, direct)
     assert factors[0].basis is factors[1].basis and factors[0].cols == [3, 5]
-    refit(SHARED, SupportPattern(singletons=frozenset({(6, 0)}), rows=rows.rows), factors)
+    move_factors(SHARED, SupportPattern(singletons=frozenset({(6, 0)}), rows=rows.rows),
+                 factors, direct)
     assert factors[0].cols == [3, 5, 6] and factors[1].basis.cols == [3, 5]
-    refit(SHARED, rows, factors)
+    move_factors(SHARED, rows, factors, direct)
     assert factors[0].cols == factors[1].cols == [3, 5]
     assert not np.array_equal(factors[0].basis.rinv, factors[1].basis.rinv)
-    assert_matches_reference(SHARED, rows, factors)
+    assert direct == [True, False, False]
+    assert_matches_reference(SHARED, rows, factors, beta, direct)
 
 
 def test_fallback_and_recovery():
     """Task 1 turns inexact when the duplicate column joins and exact again
     once it leaves; re-appending a removed column restores the same fit."""
-    factors, _ = start_factors(PROBLEM)
+    factors, _, beta, _ = start_factors(PROBLEM)
+    direct = [True] * PROBLEM.r
     f = factors[1]
     walk = [({1, 6}, True), ({1, 2, 6}, False), ({1, 2, 6, 7}, False),
             ({1, 6, 7}, True), ({1, 7}, True), ({1, 6, 7}, True), (set(), True)]
     for support, exact in walk:
         pattern = SupportPattern(singletons=frozenset((i, 1) for i in support))
-        assert_matches_reference(PROBLEM, pattern, factors)
+        move_factors(PROBLEM, pattern, factors, direct)
+        assert_matches_reference(PROBLEM, pattern, factors, beta, direct)
         assert f.exact is exact and set(f.cols) == support
 
 
@@ -244,7 +304,7 @@ def test_nearly_collinear_columns_keep_the_residual_orthogonal():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((60, 1)) + 1e-4 * rng.standard_normal((60, 8))
     y = rng.standard_normal(60)
-    f = LeastSquaresFactor(Basis(X), y)
+    f = LeastSquaresFactor(Basis(X), y, np.zeros(8), np.empty(8))
     f.move_to(set(range(8)))
     assert f.exact
     scale = np.linalg.norm(X, axis=0).max() * np.linalg.norm(y)
@@ -252,14 +312,23 @@ def test_nearly_collinear_columns_keep_the_residual_orthogonal():
 
 
 def test_unchanged_task_does_no_work():
-    factors, _ = start_factors(PROBLEM)
+    """Tasks 0 and 1 do not move: they keep their residual object and
+    bit-equal coefficient and X^T r columns, and their designs take no
+    product; task 2's columns change."""
+    factors, _, _, _ = start_factors(PROBLEM)
+    direct = [True] * PROBLEM.r
     pattern = SupportPattern(singletons=frozenset({(3, 0), (4, 1)}))
-    refit(PROBLEM, pattern, factors)
-    held = [(f.residual, f.coef, f.correlation) for f in factors]
-    refit(PROBLEM, SupportPattern(singletons=frozenset({(3, 0), (4, 1), (6, 2)})), factors)
+    move_factors(PROBLEM, pattern, factors, direct)
+    held = [(f.residual, f.beta.copy(), f.correlation.copy()) for f in factors]
+    products = move_factors(
+        PROBLEM, SupportPattern(singletons=frozenset({(3, 0), (4, 1), (6, 2)})),
+        factors, direct)
     for (res, coef, corr), f in list(zip(held, factors))[:2]:
-        assert f.residual is res and f.coef is coef and f.correlation is corr
-    assert factors[2].correlation is not held[2][2]
+        assert f.residual is res
+        assert np.array_equal(f.beta, coef) and np.array_equal(f.correlation, corr)
+        assert products[id(f.X)] == 0
+    assert not np.array_equal(factors[2].beta, held[2][1])
+    assert not np.array_equal(factors[2].correlation, held[2][2])
 
 
 def test_fit_takes_one_correlation_per_residual_change(monkeypatch):
@@ -268,25 +337,20 @@ def test_fit_takes_one_correlation_per_residual_change(monkeypatch):
     made = []
 
     class CountingFactor(LeastSquaresFactor):
-        def __init__(self, empty, y):
-            self.changes = self.products = 0
-            super().__init__(empty, y)
+        def __init__(self, empty, y, beta, correlation):
+            self.changes = 0
+            super().__init__(empty, y, beta, correlation)
             made.append(self)
 
-        def _set_residual(self, residual):
+        def _set_residual(self, residual, shift=None):
             self.changes += 1
-            super()._set_residual(residual)
-
-        @property
-        def correlation(self):
-            if self._correlation is None:
-                self.products += 1
-            return super().correlation
+            super()._set_residual(residual, shift)
 
     spec = SynthSpec(p=128, n=40, r=2, kappa=0.5, noise_variance=1e-4, seed=1)
-    problem, _ = gen_synthetic(spec)
+    plain, _ = gen_synthetic(spec)
+    problem = counted_problem([t.X for t in plain.tasks], [t.y for t in plain.tasks])
     config = SweepConfig(epsilon_c=1e-5).greedy_config(spec.support_size, spec.p, spec.n)
-    want = fit(problem, config)
+    want = fit(plain, config)
     monkeypatch.setattr(engine, "LeastSquaresFactor", CountingFactor)
     report = fit(problem, config)
     assert report.steps == want.steps
@@ -294,9 +358,9 @@ def test_fit_takes_one_correlation_per_residual_change(monkeypatch):
     assert {("backward", "singleton"), ("forward", "row")} <= kinds
     assert len(made) == problem.r
     for f in made:
-        assert 1 <= f.products <= f.changes
+        assert 1 <= len(f.X.products) <= f.changes
     forward = sum(1 for s in report.steps if s.kind == "forward")
-    assert sum(f.products for f in made) < problem.r * forward
+    assert sum(len(t.X.products) for t in problem.tasks) < problem.r * forward
 
 
 def test_rows_on_one_design_orthogonalize_each_column_once(monkeypatch):
@@ -336,32 +400,21 @@ def test_a_row_step_on_one_design_takes_one_product_with_it():
     take then costs one product X^T q with the design, not m, and a removal,
     which refactors every task, one X^T r per task again."""
     n, p, m = 20, 30, 5
-    products = []
-
-    class Design(np.ndarray):
-        """Counts the products taken with the whole transposed design."""
-
-        def __matmul__(self, other):
-            if self.shape == (p, n):
-                products.append(other.shape)
-            return np.asarray(self) @ other
-
     rng = np.random.default_rng(12)
-    X = rng.standard_normal((n, p)).view(Design)
-    problem = MultiTaskProblem(
-        p=p, r=m, tasks=tuple(Task(X, rng.standard_normal(n)) for _ in range(m)))
-    factors, _ = start_factors(problem)
+    problem = counted_problem([rng.standard_normal((n, p))] * m,
+                              [rng.standard_normal(n) for _ in range(m)])
+    X = problem.tasks[0].X
+    assert all(t.X is X for t in problem.tasks)
+    factors, _, _, correlations = start_factors(problem)
+    assert len(X.products) == m and correlations.shape == (p, m)
     state = SupportState(GreedyConfig(epsilon=0.0, w=2.0), p, m)
+    direct = [True] * m
 
     def products_to_reach(state):
-        """Products taken to move every factor to ``state`` and read its X^T r."""
-        products.clear()
-        refit(problem, state, factors)
-        correlations = [f.correlation for f in factors]
-        assert all(c.shape == (p,) for c in correlations)
-        return len(products)
+        """Products taken to move every factor to ``state``, its X^T r included."""
+        return move_factors(problem, state, factors, direct)[id(X)]
 
-    assert products_to_reach(state) == m
+    assert products_to_reach(state) == 0
     for i in (3, 17, 8):
         state.add("row", (i,))
         assert products_to_reach(state) == 1
@@ -387,12 +440,10 @@ def test_updated_correlations_stay_at_round_off_through_a_long_fit(monkeypatch, 
     reference = engine.refit
 
     def checked_refit(problem, state, factors=None):
-        beta = reference(problem, state, factors)
+        reference(problem, state, factors)
         for f in factors:
-            assert f._correlation is not None
             assert_correlation(f, direct=False)
         checked.append(len(factors))
-        return beta
 
     monkeypatch.setattr(engine, "refit", checked_refit)
     report = fit(problem, GreedyConfig(epsilon=0.0, w=2.0))

@@ -66,12 +66,11 @@ def partition_supports(beta_star, d):
     beta_star = np.asarray(beta_star, dtype=float)
     p, r = beta_star.shape
     nonzero = beta_star != 0.0
-    counts = nonzero.sum(axis=1)
-    shared = frozenset(int(i) for i in np.flatnonzero(counts >= d))
-    nonshared = frozenset(
-        (int(i), int(j)) for i, j in np.argwhere(nonzero) if int(i) not in shared)
-    s_star = tuple(
-        len(shared) + sum(1 for (i, jj) in nonshared if jj == j) for j in range(r))
+    is_shared = nonzero.sum(axis=1) >= d
+    own = nonzero & ~is_shared[:, None]
+    shared = frozenset(int(i) for i in np.flatnonzero(is_shared))
+    nonshared = frozenset((int(i), int(j)) for i, j in np.argwhere(own))
+    s_star = tuple(len(shared) + int(k) for k in own.sum(axis=0))
     return TruthPartition(
         d=d, shared_rows=shared, nonshared=nonshared,
         s_star=s_star, s_star_max=max(s_star) if s_star else 0)

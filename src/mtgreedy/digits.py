@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MultiTaskProblem, Task
+from .model import MultiTaskProblem, Task, design_array
 
 # (file suffix, column count), concatenated in this order.
 FEATURE_FILES = (
@@ -97,8 +97,9 @@ def load_mfeat(directory):
 def build_tasks(dataset, n_per_class, seed):
     """Sample a class-balanced training split and build the ten-task problem.
 
-    Every task shares the same training design; task i's response is the 0/1
-    indicator of digit i.  Rows not drawn form the test split.
+    Every task shares the same column-major training design; task i's
+    response is the 0/1 indicator of digit i.  Rows not drawn form the test
+    split.
     """
     if not (1 <= n_per_class <= PER_CLASS):
         raise ValueError(f"n_per_class must lie in [1, {PER_CLASS}], got {n_per_class}")
@@ -111,7 +112,7 @@ def build_tasks(dataset, n_per_class, seed):
     train_idx = np.asarray(train_idx)
     mask = np.zeros(dataset.features.shape[0], dtype=bool)
     mask[train_idx] = True
-    X = dataset.features[train_idx]
+    X = design_array(dataset.features[train_idx])
     train_labels = dataset.labels[train_idx]
     tasks = tuple(
         Task(X, (train_labels == i).astype(float)) for i in range(N_CLASSES))
@@ -154,9 +155,10 @@ def split_for_validation(problem):
     """Halve a digit training problem per class for holdout tuning.
 
     Tasks share the design, so the split is computed once on the indicator
-    responses and applied to every task, and X is sliced once per half: every
-    task of a half holds that half's one design array, so a fit shares its
-    orthogonalizations between them.  Returns (train, holdout) problems.
+    responses and applied to every task, and X is sliced once per half into a
+    column-major array: every task of a half holds that half's one design
+    array, so a fit shares its orthogonalizations between them.  Returns
+    (train, holdout) problems.
     """
     X = problem.tasks[0].X
     labels = np.full(X.shape[0], -1, dtype=int)
@@ -172,7 +174,7 @@ def split_for_validation(problem):
     second = np.asarray(second)
     halves = []
     for rows in (first, second):
-        X_half = X[rows]
+        X_half = design_array(X[rows])
         tasks = tuple(Task(X_half, t.y[rows]) for t in problem.tasks)
         halves.append(MultiTaskProblem(p=problem.p, r=problem.r, tasks=tasks))
     return tuple(halves)

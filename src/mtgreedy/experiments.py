@@ -17,6 +17,11 @@ from .engine import check_step_records, fit
 from .model import FitReport, GreedyConfig, MultiTaskProblem, SupportPattern, loss
 
 
+# gen_synthetic draws a design this many rows at a time into its column-major
+# array: the values equal one C-order draw, without holding a second copy.
+_DRAW_ROWS = 64
+
+
 def _round_half_up(x):
     return int(math.floor(x + 0.5))
 
@@ -60,7 +65,9 @@ def gen_synthetic(spec):
     round(kappa * s) features are active in every task; each task gets
     s - round(kappa * s) further features of its own, all disjoint, chosen
     uniformly without replacement.  Active values, design entries, and noise
-    are i.i.d. Gaussian (noise scaled to the configured variance).
+    are i.i.d. Gaussian (noise scaled to the configured variance).  Each
+    design is column-major and holds the values of one C-order
+    ``standard_normal((n, p))`` draw of the same stream.
     """
     s = spec.support_size
     shared = spec.shared_count
@@ -79,7 +86,9 @@ def gen_synthetic(spec):
         active = np.concatenate([shared_feats, own_feats]).astype(int)
         beta[active, j] = rng.standard_normal(active.size)
     for j in range(spec.r):
-        X = rng.standard_normal((spec.n, spec.p))
+        X = np.empty((spec.n, spec.p), order="F")
+        for i in range(0, spec.n, _DRAW_ROWS):
+            X[i:i + _DRAW_ROWS] = rng.standard_normal((min(_DRAW_ROWS, spec.n - i), spec.p))
         z = sigma * rng.standard_normal(spec.n)
         designs.append(X)
         responses.append(X @ beta[:, j] + z)

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .model import MultiTaskProblem, SupportPattern, Task
+from .model import MultiTaskProblem, SupportPattern, Task, design_array
 
 
 def format_float(x):
@@ -67,7 +67,10 @@ def problem_to_dict(problem, beta_star=None, meta=None):
 
 
 def problem_from_dict(doc):
-    """Parse and validate a problem document; returns (problem, beta_star, meta)."""
+    """Parse and validate a problem document; returns (problem, beta_star, meta).
+
+    Each design is read column-major, the layout ``gen_synthetic`` builds.
+    """
     try:
         p = int(doc["p"])
         r = int(doc["r"])
@@ -79,7 +82,7 @@ def problem_from_dict(doc):
     tasks = []
     for j, entry in enumerate(raw_tasks):
         try:
-            X = np.asarray(entry["X"], dtype=float)
+            X = design_array(entry["X"])
             y = np.asarray(entry["y"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"task {j}: malformed arrays: {exc}") from exc

@@ -10,6 +10,9 @@ coefficients and X^T r written in place into two length-p views the caller
 owns.  An append with unit vector q moves the residual to r - zeta q, so the
 factor updates its X^T r as X^T r - zeta X^T q, and every task that takes
 the same step shares the one X^T q that ``Basis.append`` returns.
+
+Designs are column-major (``model.design_array``), so the gather X[:, cols]
+of a basis step, and each single column X[:, c], read contiguous memory.
 """
 
 import math

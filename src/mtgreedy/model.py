@@ -10,9 +10,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def design_array(X):
+    """X as a float design in column-major (Fortran) order.
+
+    Every design the package builds goes through here once, so a basis step
+    reads each held column as contiguous memory.  An array already in that
+    order is returned as it is.
+    """
+    return np.asfortranarray(X, dtype=float)
+
+
 @dataclass(frozen=True)
 class Task:
-    """One regression task: design X of shape (n, p) and response y of length n."""
+    """One regression task: design X of shape (n, p) and response y of length n.
+
+    X is used as given.  The package's constructors hand it a column-major
+    array (``design_array``); any other layout fits the same but runs slower,
+    since each basis step then gathers strided columns.  Tasks on one design
+    should hold the same array object, so that a fit shares their steps.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -51,8 +67,18 @@ class MultiTaskProblem:
 
     @classmethod
     def from_arrays(cls, designs, responses):
+        """A problem with task j on (designs[j], responses[j]).
+
+        Each distinct design object is made column-major (``design_array``)
+        once, so tasks passed the same array still hold one array.
+        """
+        designs = list(designs)       # alive, so no id is reused below
+        made = {}
+        for X in designs:
+            if id(X) not in made:
+                made[id(X)] = design_array(X)
         tasks = tuple(
-            Task(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+            Task(made[id(X)], np.asarray(y, dtype=float))
             for X, y in zip(designs, responses)
         )
         return cls(p=tasks[0].X.shape[1], r=len(tasks), tasks=tasks)

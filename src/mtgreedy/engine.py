@@ -47,10 +47,17 @@ The ``SupportState`` keeps a boolean mask of its singleton cells and one of
 its rows next to the sets, so each selector is one masked argmax or argmin.
 Ties go to the first cell in sorted (i, j) order and the first row in
 sorted order, and a row beats a singleton of equal value.
+
+Epsilon enters a fit only at its forward gate, so for one problem and one
+config up to epsilon, the fit at a larger epsilon is a step-by-step prefix
+of the fit at a smaller one.  A ``FitPath`` holds a fit's live state, and
+``fit`` given one continues it at a smaller or equal epsilon, with the same
+report as a fresh fit.  ``experiments.cross_validate`` runs each sharing
+weight's grid of thresholds as one such path, from the largest down.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -301,7 +308,33 @@ def start_factors(problem):
     return factors, colsq, beta, correlations
 
 
-def fit(problem, config):
+class FitPath:
+    """The live state of a greedy path, which ``fit`` continues.
+
+    Made at beta = 0 for one problem object and one config; a ``fit`` given
+    the path goes on from where the previous one stopped, for a config that
+    differs from the path's only in a smaller or equal epsilon.  The path
+    holds the ``SupportState``, the factors with the fit's B and C grids,
+    the ``Scales``, the loss at beta = 0, the ledger, the steps and the
+    count of forward steps taken.
+    """
+
+    def __init__(self, problem, config):
+        if config.rows_enabled and problem.r > 1 and config.w > problem.r:
+            raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
+        self.problem = problem
+        self.config = config
+        self.state = SupportState(config, problem.p, problem.r)
+        self.factors, colsq, self.beta, self.correlations = start_factors(problem)
+        self.scales = grid_scales(problem, colsq)
+        self.zero_loss = sum(f.loss for f in self.factors)
+        # (reward, step index) of every forward step not yet matched by a removal
+        self.ledger = []
+        self.steps = []
+        self.forward_taken = 0
+
+
+def fit(problem, config, path=None):
     """Run the full greedy procedure and return a FitReport with its trace.
 
     Forward steps stop once the best weighted gain falls to epsilon plus
@@ -309,26 +342,39 @@ def fit(problem, config):
     When row coalescing is on, a feature accumulating floor(w) + 1 singletons
     is reclassified as a shared row, mirroring how true supports are
     partitioned by per-row entry counts.
+
+    Epsilon enters only at that forward gate, and the step cap and every
+    choice are independent of it.  So for one problem and a config fixed up
+    to epsilon, the fit at a larger epsilon is exactly a prefix of the fit
+    at a smaller one: it ends at the first forward candidate the larger
+    gate stops.  Given a ``FitPath``, the fit continues the path from where
+    its previous fit stopped, and the report equals that of a fresh fit bit
+    for bit.  ValueError is raised when the path belongs to another problem
+    object, when the config differs from the path's in more than epsilon,
+    or when epsilon exceeds the path's last one.  The report's coefficients
+    are a copy, since the path goes on writing its grid in place.
     """
     if not isinstance(config, GreedyConfig):
         raise TypeError("config must be a GreedyConfig")
-    if config.rows_enabled and problem.r > 1 and config.w > problem.r:
-        raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
+    if path is None:
+        path = FitPath(problem, config)
+    elif problem is not path.problem:
+        raise ValueError("the path belongs to another problem object")
+    elif replace(config, epsilon=path.config.epsilon) != path.config:
+        raise ValueError("the config differs from the path's in more than epsilon")
+    elif config.epsilon > path.config.epsilon:
+        raise ValueError(
+            f"epsilon={config.epsilon} exceeds the path's last epsilon {path.config.epsilon}")
+    path.config = config
 
-    p, r = problem.p, problem.r
-    state = SupportState(config, p, r)
-    factors, colsq, beta, correlations = start_factors(problem)
-    scales = grid_scales(problem, colsq)
-    gate = config.epsilon + COMPARISON_TOLERANCE * sum(f.loss for f in factors)
-    # (reward, step index) of every forward step not yet matched by a removal
-    ledger = []
-    steps = []
-    cap = config.step_cap(p, r)
-    forward_taken = 0
+    state, factors, ledger, steps = path.state, path.factors, path.ledger, path.steps
+    beta, correlations, scales = path.beta, path.correlations, path.scales
+    gate = config.epsilon + COMPARISON_TOLERANCE * path.zero_loss
+    cap = config.step_cap(problem.p, problem.r)
     termination = "gain-below-threshold"
 
     while True:
-        if forward_taken >= cap:
+        if path.forward_taken >= cap:
             termination = "max-steps"
             break
         gains = gain_matrix(problem, correlations, scales)
@@ -336,7 +382,7 @@ def fit(problem, config):
         if cand is None or cand.value <= gate:
             break
 
-        forward_taken += 1
+        path.forward_taken += 1
         promoted = state.add(cand.kind, cand.index)
         ledger.append((cand.value, len(steps)))
         refit(problem, state, factors)
@@ -373,7 +419,7 @@ def fit(problem, config):
             ))
 
     return FitReport(
-        coefficients=beta,
+        coefficients=beta.copy(),
         pattern=state.pattern(),
         final_loss=sum(f.loss for f in factors),
         steps=tuple(steps),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import check_step_records, fit
+from .engine import FitPath, check_step_records, fit
 from .model import FitReport, GreedyConfig, MultiTaskProblem, SupportPattern, loss
 
 
@@ -220,26 +220,40 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     """Grid search over (c, w) pairs scored by holdout squared error.
 
     The stopping threshold is c * s_hint * log(p) / n with n the average
-    training sample count.  Ties keep the smallest c, then the smallest w.
-    Returns (epsilon, w, report) where the report lists every grid point.
+    training sample count.  Each distinct w's fits run as one greedy path
+    (``engine.FitPath``): the distinct c values are taken from largest to
+    smallest, and each fit continues where the fit at the previous, larger
+    c stopped, which gives the report of a fresh fit.  One path is alive at
+    a time.  The rows list the grid in the caller's (c, w) order, and ties
+    keep the first point in that order: the smallest c, then the smallest
+    w, on ascending grids.  Returns (epsilon, w, report) where the report
+    lists every grid point.
     """
     if not c_grid or not w_grid:
         raise ValueError("grids must be non-empty")
     if s_hint < 1:
         raise ValueError("s_hint must be >= 1")
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
-    rows = []
-    best = None
-    for c in c_grid:
-        for w in w_grid:
-            eps = stopping_threshold(c, s_hint, train_problem.p, n_avg)
-            report = fit(train_problem, GreedyConfig(epsilon=eps, w=w, nu=nu))
+    eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
+    scores = {}
+    for w in dict.fromkeys(w_grid):
+        path = None
+        for c in sorted(eps, reverse=True):
+            config = GreedyConfig(epsilon=eps[c], w=w, nu=nu)
+            if path is None:
+                path = FitPath(train_problem, config)
+            report = fit(train_problem, config, path)
             score = 0.0
             for j, t in enumerate(holdout_problem.tasks):
                 diff = t.y - t.X @ report.coefficients[:, j]
                 score += float(diff @ diff)
-            rows.append({"c": c, "w": w, "epsilon": eps, "holdout_score": score})
-            if best is None or score < best["holdout_score"]:
+            scores[c, w] = score
+    rows = []
+    best = None
+    for c in c_grid:
+        for w in w_grid:
+            rows.append({"c": c, "w": w, "epsilon": eps[c], "holdout_score": scores[c, w]})
+            if best is None or rows[-1]["holdout_score"] < best["holdout_score"]:
                 best = rows[-1]
     return best["epsilon"], best["w"], {"best_c": best["c"], "rows": rows}
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MultiTaskProblem, Task, design_array
+from .model import MultiTaskProblem, Task
 
 # (file suffix, column count), concatenated in this order.
 FEATURE_FILES = (
@@ -27,6 +27,8 @@ N_SAMPLES = 2000
 N_CLASSES = 10
 PER_CLASS = 200
 N_FEATURES = sum(c for _, c in FEATURE_FILES)
+# Columns per chunk of a row gather (``design_rows``).
+GATHER_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,27 @@ def build_tasks(dataset, n_per_class, seed):
     train_idx = np.asarray(train_idx)
     mask = np.zeros(dataset.features.shape[0], dtype=bool)
     mask[train_idx] = True
-    X = design_array(dataset.features[train_idx])
+    X = design_rows(dataset.features, train_idx)
     train_labels = dataset.labels[train_idx]
     tasks = tuple(
         Task(X, (train_labels == i).astype(float)) for i in range(N_CLASSES))
     problem = MultiTaskProblem(p=dataset.features.shape[1], r=N_CLASSES, tasks=tasks)
     test = EvalSplit(features=dataset.features[~mask], labels=dataset.labels[~mask])
     return problem, test
+
+
+def design_rows(X, rows):
+    """Rows ``rows`` of X as a float column-major design, in one copy.
+
+    ``X[rows]`` is row-major whatever the layout of X, so making it
+    column-major (``model.design_array``) would hold a second copy; the rows
+    are gathered GATHER_COLUMNS columns at a time instead, so only one small
+    chunk is held besides the result.
+    """
+    out = np.empty((len(rows), X.shape[1]), order="F")
+    for a in range(0, X.shape[1], GATHER_COLUMNS):
+        out[:, a:a + GATHER_COLUMNS] = X[rows, a:a + GATHER_COLUMNS]
+    return out
 
 
 def classify_and_report(fit_report, test):
@@ -155,10 +171,10 @@ def split_for_validation(problem):
     """Halve a digit training problem per class for holdout tuning.
 
     Tasks share the design, so the split is computed once on the indicator
-    responses and applied to every task, and X is sliced once per half into a
-    column-major array: every task of a half holds that half's one design
-    array, so a fit shares its orthogonalizations between them.  Returns
-    (train, holdout) problems.
+    responses and applied to every task, and X is gathered once per half
+    into a column-major array (``design_rows``): every task of a half holds
+    that half's one design array, so a fit shares its orthogonalizations
+    between them.  Returns (train, holdout) problems.
     """
     X = problem.tasks[0].X
     labels = np.full(X.shape[0], -1, dtype=int)
@@ -174,7 +190,7 @@ def split_for_validation(problem):
     second = np.asarray(second)
     halves = []
     for rows in (first, second):
-        X_half = design_array(X[rows])
+        X_half = design_rows(X, rows)
         tasks = tuple(Task(X_half, t.y[rows]) for t in problem.tasks)
         halves.append(MultiTaskProblem(p=problem.p, r=problem.r, tasks=tasks))
     return tuple(halves)

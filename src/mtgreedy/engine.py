@@ -41,6 +41,14 @@ identity only, never by value, so tasks with designs of their own (the
 synthetic sweeps, problems read from files) share nothing.  Each task still
 does the same floating-point operations as with a basis of its own.
 
+The two full products with a design, each append's X^T q and the fresh
+X^T r after a removal, go through ``linalg.design_product``.  A column-major
+design of at least 2^19 elements (4 MiB; the p = 2000, n = 800 fits) has
+its columns split across the process's cores, with the same bits as one
+``X.T @ v`` under one BLAS thread per call, so no step, pattern or
+coefficient depends on the split.  Sweep and digit designs are smaller and
+start no thread.
+
 A move is a few whole-array expressions over B and C, so the backward
 removal costs after a refit and the next forward gains read the same grids.
 The ``SupportState`` keeps a boolean mask of its singleton cells and one of

@@ -13,7 +13,8 @@ import numpy as np
 def design_array(X):
     """X as a float design in column-major (Fortran) order.
 
-    Every design the package builds goes through here once, so a basis step
+    Every design the package builds goes through here once, or is gathered
+    straight into this layout (``digits.design_rows``), so a basis step
     reads each held column as contiguous memory.  An array already in that
     order is returned as it is.
     """

@@ -1,6 +1,8 @@
 """Every design the package builds is column-major, and one design object
 stays one array, so tasks on it keep sharing their basis steps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mtgreedy.digits import (
     PER_CLASS,
     DigitDataset,
     build_tasks,
+    design_rows,
     split_for_validation,
 )
 from mtgreedy.fileio import problem_from_dict, problem_to_dict
@@ -52,6 +55,41 @@ def test_every_built_design_is_column_major():
     for sub in (problem, *halves):
         assert_column_major(sub)
         assert all(t.X is sub.tasks[0].X for t in sub.tasks)
+
+
+def traced_peak(call):
+    """(result, peak bytes traced while ``call`` runs)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_rows_are_gathered_in_one_copy(order):
+    """design_rows writes X[rows] straight into a column-major array, from a
+    row-major dataset (build_tasks) or a column-major design
+    (split_for_validation); a gather then a re-layout would hold two."""
+    rng = np.random.default_rng(2)
+    X = np.asarray(rng.standard_normal((400, 649)), order=order)
+    rows = np.sort(rng.choice(400, size=200, replace=False))
+    got, peak = traced_peak(lambda: design_rows(X, rows))
+    assert got.flags.f_contiguous and np.array_equal(got, X[rows])
+    assert peak < 1.25 * got.nbytes
+
+
+def test_validation_halves_hold_one_copy_each():
+    """Splitting a digit-sized problem holds its two halves and little more."""
+    rng = np.random.default_rng(3)
+    X = np.asfortranarray(rng.standard_normal((400, 649)))
+    labels = np.repeat(np.arange(N_CLASSES), 40)
+    problem = MultiTaskProblem.from_arrays(
+        [X] * N_CLASSES, [(labels == c).astype(float) for c in range(N_CLASSES)])
+    halves, peak = traced_peak(lambda: split_for_validation(problem))
+    assert peak < 1.25 * X.nbytes
+    assert sum(h.tasks[0].X.nbytes for h in halves) == X.nbytes
 
 
 @pytest.mark.parametrize("n", [30, 130])

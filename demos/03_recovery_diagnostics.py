@@ -8,20 +8,15 @@ restricted eigenvalue constants, and the closed-form threshold and error
 bounds they imply.
 """
 
-import numpy as np
-
 from mtgreedy import (
     SynthSpec,
-    TheoremInputs,
     beta_min,
-    epsilon_lower_bound,
     error_bound,
-    eta_lower_bound,
     gen_synthetic,
     gradient_bound_lambda,
     partition_supports,
-    rep_constants,
 )
+from mtgreedy.diagnostics import theorem_inputs
 
 spec = SynthSpec(p=10, n=40, r=2, s=2, kappa=0.5, noise_variance=0.01, seed=3)
 problem, beta_star = gen_synthetic(spec)
@@ -38,26 +33,12 @@ lam = gradient_bound_lambda(problem, beta_star)
 print(f"weakest guarded magnitude: {floor:.4f}")
 print(f"gradient bound at truth:   {lam:.4f}")
 
-s_rep = part.s_star_max
-c_min = np.inf
-sig_max = 0.0
-for t in problem.tasks:
-    c, r_ = rep_constants(t.X, s_rep)
-    c_min = min(c_min, c)
-    sig_max = max(sig_max, r_ * c)
-rho = sig_max / c_min
-print(f"restricted eigenvalue constants over size-{s_rep} subsets: "
-      f"C_min={c_min:.4f}, rho={rho:.4f}")
-
 w, nu = 1.5, 0.5
-eta = eta_lower_bound(problem.r, rho, w, nu)
-inputs = TheoremInputs(C_min=c_min, rho=rho, lam=lam, eta=eta, w=w, nu=nu,
-                       r=problem.r, s_star=part.s_star_max, epsilon=0.0)
-eps_floor = epsilon_lower_bound(inputs)
-inputs = TheoremInputs(C_min=c_min, rho=rho, lam=lam, eta=eta, w=w, nu=nu,
-                       r=problem.r, s_star=part.s_star_max, epsilon=eps_floor)
-print(f"support-inflation lower bound eta:   {eta:.1f}")
-print(f"stopping-threshold lower bound:      {eps_floor:.3g}")
+inputs = theorem_inputs(problem, part.s_star_max, lam, part.s_star_max, w, nu)
+print(f"restricted eigenvalue constants over size-{part.s_star_max} subsets: "
+      f"C_min={inputs.C_min:.4f}, rho={inputs.rho:.4f}")
+print(f"support-inflation lower bound eta:   {inputs.eta:.1f}")
+print(f"stopping-threshold lower bound:      {inputs.epsilon:.3g}")
 print(f"implied Frobenius error bound:       {error_bound(inputs):.3g}")
 print()
 print("The thresholds are worst-case constants; the sweeps in demo 02 show")

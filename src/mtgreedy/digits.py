@@ -33,14 +33,11 @@ GATHER_COLUMNS = 64
 
 @dataclass(frozen=True)
 class DigitDataset:
-    features: np.ndarray       # (2000, 649), standardized
-    labels: np.ndarray         # (2000,), ints 0..9
+    """Digit rows with their labels: the whole set, or the rows a training
+    split leaves for testing."""
 
-
-@dataclass(frozen=True)
-class EvalSplit:
-    features: np.ndarray
-    labels: np.ndarray
+    features: np.ndarray       # (rows, 649), standardized
+    labels: np.ndarray         # (rows,), ints 0..9
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def build_tasks(dataset, n_per_class, seed):
     tasks = tuple(
         Task(X, (train_labels == i).astype(float)) for i in range(N_CLASSES))
     problem = MultiTaskProblem(p=dataset.features.shape[1], r=N_CLASSES, tasks=tasks)
-    test = EvalSplit(features=dataset.features[~mask], labels=dataset.labels[~mask])
+    test = DigitDataset(features=dataset.features[~mask], labels=dataset.labels[~mask])
     return problem, test
 
 

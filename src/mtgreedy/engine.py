@@ -17,7 +17,7 @@ every entry's backward cost, and a row's value is the sum over its entries.
 The referees in ``oracle`` (``gain_oracle``, ``cost_oracle``) re-evaluate the
 loss instead.
 
-A fit keeps its estimate in two (p, r) grids made by ``start_factors``: B,
+A fit keeps its estimate in two (p, r) grids made by ``FitPath``: B,
 the coefficients, and C, whose column j is c_j = X_j^T r_j.  Column j of each
 is the only full-length copy of task j's values, and task j's
 ``LeastSquaresFactor`` owns it and writes it in place when, and only when,
@@ -42,12 +42,10 @@ synthetic sweeps, problems read from files) share nothing.  Each task still
 does the same floating-point operations as with a basis of its own.
 
 The two full products with a design, each append's X^T q and the fresh
-X^T r after a removal, go through ``linalg.design_product``.  A column-major
-design of at least 2^19 elements (4 MiB; the p = 2000, n = 800 fits) has
-its columns split across the process's cores, with the same bits as one
-``X.T @ v`` under one BLAS thread per call, so no step, pattern or
-coefficient depends on the split.  Sweep and digit designs are smaller and
-start no thread.
+X^T r after a removal, go through ``linalg.design_product``, which splits
+a large design's columns across the process's CPUs (its docstring gives the
+rule) with the same bits as one ``X.T @ v`` under one BLAS thread per call,
+so no step, pattern or coefficient depends on the split.
 
 A move is a few whole-array expressions over B and C, so the backward
 removal costs after a refit and the next forward gains read the same grids.
@@ -125,18 +123,11 @@ def refit(problem, pattern, factors=None):
 
 
 class Scales(NamedTuple):
-    """Per-fit constants of the (p, r) grid, made once by ``grid_scales``."""
+    """Per-fit constants of the (p, r) grid, made once by ``FitPath``."""
 
     colsq: np.ndarray    # (p, r): squared norm of column i of task j's design
     two_n: np.ndarray    # (r,): 2 n_j
     denom: np.ndarray    # (p, r): 2 n_j colsq, inf where the column is zero
-
-
-def grid_scales(problem, colsq):
-    """The ``Scales`` of a problem from each task's squared column norms."""
-    sq = np.column_stack(colsq)
-    two_n = np.array([2.0 * t.n for t in problem.tasks])
-    return Scales(sq, two_n, np.where(sq > 0.0, two_n * sq, np.inf))
 
 
 def gain_matrix(problem, correlations, scales):
@@ -295,36 +286,16 @@ class SupportState:
         return SupportPattern(singletons=frozenset(self.singles), rows=frozenset(self.rows))
 
 
-def start_factors(problem):
-    """(factors, colsq, beta, correlations) of a fit at beta = 0.
-
-    ``beta`` and ``correlations`` are the fit's (p, r) coefficient and X^T r
-    grids, and the empty ``LeastSquaresFactor`` of task j owns their column
-    j; ``colsq`` lists each task's squared column norms.  Tasks whose designs
-    are one array object share its empty basis and its column norms;
-    designs are told apart by identity, not compared by value.
-    """
-    designs = {}
-    for t in problem.tasks:
-        if id(t.X) not in designs:
-            designs[id(t.X)] = (Basis(t.X), np.einsum("ij,ij->j", t.X, t.X))
-    beta = np.zeros((problem.p, problem.r))
-    correlations = np.empty((problem.p, problem.r))
-    factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y, beta[:, j], correlations[:, j])
-               for j, t in enumerate(problem.tasks)]
-    colsq = [designs[id(t.X)][1] for t in problem.tasks]
-    return factors, colsq, beta, correlations
-
-
 class FitPath:
     """The live state of a greedy path, which ``fit`` continues.
 
     Made at beta = 0 for one problem object and one config; a ``fit`` given
     the path goes on from where the previous one stopped, for a config that
     differs from the path's only in a smaller or equal epsilon.  The path
-    holds the ``SupportState``, the factors with the fit's B and C grids,
-    the ``Scales``, the loss at beta = 0, the ledger, the steps and the
-    count of forward steps taken.
+    builds and holds the whole state of the fit: the ``SupportState``, the
+    B and C grids with the factor that owns each task's column of them, the
+    ``Scales``, the loss at beta = 0, the ledger, the steps and the count of
+    forward steps taken.
     """
 
     def __init__(self, problem, config):
@@ -333,8 +304,21 @@ class FitPath:
         self.problem = problem
         self.config = config
         self.state = SupportState(config, problem.p, problem.r)
-        self.factors, colsq, self.beta, self.correlations = start_factors(problem)
-        self.scales = grid_scales(problem, colsq)
+        # one empty basis and one set of column norms per design object;
+        # designs are told apart by identity, not compared by value
+        designs = {}
+        for t in problem.tasks:
+            if id(t.X) not in designs:
+                designs[id(t.X)] = (Basis(t.X), np.einsum("ij,ij->j", t.X, t.X))
+        self.beta = np.zeros((problem.p, problem.r))
+        self.correlations = np.empty((problem.p, problem.r))
+        self.factors = [
+            LeastSquaresFactor(designs[id(t.X)][0], t.y, self.beta[:, j],
+                               self.correlations[:, j])
+            for j, t in enumerate(problem.tasks)]
+        colsq = np.column_stack([designs[id(t.X)][1] for t in problem.tasks])
+        two_n = np.array([2.0 * t.n for t in problem.tasks])
+        self.scales = Scales(colsq, two_n, np.where(colsq > 0.0, two_n * colsq, np.inf))
         self.zero_loss = sum(f.loss for f in self.factors)
         # (reward, step index) of every forward step not yet matched by a removal
         self.ledger = []
@@ -490,13 +474,13 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
     """Replay a fit trace and verify the engine's state invariants.
 
     On top of ``check_step_records`` this re-applies every move through a
-    ``SupportState``, refits, and checks that each addition adds an object
-    the support does not hold and each removal one it holds, that each
-    replayed promotion equals the recorded one, that recorded losses match
-    to loss_tol, that the loss gradient vanishes on the support after every
-    refit, and that the replayed final pattern and coefficients agree with
-    the report.  A violation raises AssertionError naming the step, also
-    under ``python -O``.
+    ``SupportState``, refits it with the reference ``refit``, and checks that
+    each addition adds an object the support does not hold and each removal
+    one it holds, that each replayed promotion equals the recorded one, that
+    recorded losses match to loss_tol, that the loss gradient vanishes on
+    the support after every refit, and that the replayed final pattern and
+    coefficients agree with the report.  A violation raises AssertionError
+    naming the step, also under ``python -O``.
 
     The solve checks scale with the data.  The gradient x_i.r_j / n of a
     supported entry must stay within grad_tol * ||x_i|| ||y_j|| / n, the size
@@ -524,8 +508,7 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
                 state.remove(s.object_kind, s.index)
             except KeyError:
                 raise AssertionError(f"step {idx}: removing absent {s.object_kind}") from None
-        pattern = state.pattern()
-        beta = refit(problem, pattern)
+        beta = refit(problem, state)
         step_loss = loss(problem, beta)
         if not abs(step_loss - s.loss_after) <= loss_tol * (1.0 + abs(step_loss)):
             raise AssertionError(
@@ -533,7 +516,7 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
         res = compute_residuals(problem, beta)
         for j, t in enumerate(problem.tasks):
             grad = -(t.X.T @ res[j]) / t.n
-            for i in pattern.task_support(j):
+            for i in state.task_support(j):
                 bound = grad_tol * xnorm[j][i] * ynorm[j] / t.n
                 if not abs(grad[i]) <= bound:
                     raise AssertionError(

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .model import MultiTaskProblem, SupportPattern, Task, design_array
+from .model import MultiTaskProblem, Task, design_array
 
 
 def format_float(x):
@@ -106,13 +106,6 @@ def pattern_to_dict(pattern):
         "singletons": [[i, j] for (i, j) in sorted(pattern.singletons)],
         "rows": sorted(int(m) for m in pattern.rows),
     }
-
-
-def pattern_from_dict(doc):
-    return SupportPattern(
-        singletons=frozenset((int(i), int(j)) for i, j in doc.get("singletons", [])),
-        rows=frozenset(int(m) for m in doc.get("rows", [])),
-    )
 
 
 def report_to_dict(report, recovery=None):

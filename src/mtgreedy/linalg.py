@@ -28,8 +28,9 @@ bandwidth, so two cores finish it sooner than one.  Each entry is still one
 column's dot product with v from the same BLAS kernel, so with one BLAS
 thread per call the result equals ``X.T @ v`` bit for bit.  (A threaded BLAS
 splits ``X.T @ v`` itself at edges of its own, and the two then agree to
-round-off.)  Smaller designs, any other layout and a single usable CPU take
-``X.T @ v`` in the caller.
+round-off.)  Smaller designs, designs whose columns make fewer than two
+blocks, any other layout and a single usable CPU take ``X.T @ v`` in the
+caller.
 """
 
 import math
@@ -76,6 +77,8 @@ def design_product(X, v):
     # No block is a single column: numpy takes that product as a dot, whose
     # rounding differs from the matrix-vector kernel's.
     edges = [*range(0, p - 1, step), p]
+    if len(edges) < 3:
+        return X.T @ v
     out = np.empty(p, dtype=np.result_type(X, v))
     pending = [(X, a, b, v, out) for a, b in zip(edges, edges[1:])]
     done = queue.SimpleQueue()
@@ -301,13 +304,11 @@ class LeastSquaresFactor:
         else:
             self.correlation -= shift
 
-    def move_to(self, support, memo=None):
+    def move_to(self, support, memo):
         """Make the factor hold exactly the column indices in ``support``.
 
         Steps already in ``memo`` are reused and new ones are stored there.
         """
-        if memo is None:
-            memo = {}
         held = self._held
         if held == support:
             return

@@ -5,6 +5,7 @@ size p.  Estimates are dense p-by-r coefficient matrices whose support is
 described by a pattern of singleton entries plus whole shared rows.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,7 @@ class GreedyConfig:
     epsilon           stopping threshold on the weighted forward gain (>= 0);
                       the fit adds a slack relative to the loss at beta = 0
                       (engine.COMPARISON_TOLERANCE), so it is scale-free
-    w                 sharing weight dividing row gains/costs, 1 <= w <= r;
+    w                 sharing weight dividing row gains/costs, finite and in [1, r];
                       at w = 1 every forward step takes a whole row
     nu                backward factor in (0, 1): a removal must cost at most
                       nu times the recorded reward it is matched against
@@ -141,8 +142,8 @@ class GreedyConfig:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not (0 < self.nu < 1):
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
-        if self.rows_enabled and not self.w >= 1:
-            raise ValueError(f"w must be >= 1 when rows are enabled, got {self.w}")
+        if self.rows_enabled and not 1 <= self.w < math.inf:
+            raise ValueError(f"w must be finite and >= 1 when rows are enabled, got {self.w}")
         if self.max_forward_steps is not None and self.max_forward_steps < 0:
             raise ValueError("max_forward_steps must be >= 0")
 

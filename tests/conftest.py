@@ -3,7 +3,7 @@ import pytest
 
 from mtgreedy import (
     GreedyConfig, MultiTaskProblem, SupportPattern, gain_matrix, refit, residuals)
-from mtgreedy.engine import SupportState, grid_scales, removal_costs
+from mtgreedy.engine import Scales, SupportState, removal_costs
 
 
 def random_problem(rng, p, r, n_range=(15, 30)):
@@ -44,8 +44,11 @@ def correlations_at(problem, beta):
 
 
 def scales_of(problem):
-    """The engine's per-fit grid constants of a problem."""
-    return grid_scales(problem, [np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks])
+    """The engine's per-fit grid constants of a problem, from their definitions:
+    squared column norms, 2 n_j, and their product with inf at zero columns."""
+    colsq = np.column_stack([np.einsum("ij,ij->j", t.X, t.X) for t in problem.tasks])
+    two_n = np.array([2.0 * t.n for t in problem.tasks])
+    return Scales(colsq, two_n, np.where(colsq > 0.0, two_n * colsq, np.inf))
 
 
 def gains_at(problem, beta):

@@ -7,7 +7,6 @@ from mtgreedy import GreedyConfig, fit
 from mtgreedy.cli import main
 from mtgreedy.fileio import (
     format_float,
-    pattern_from_dict,
     problem_from_dict,
     to_json,
 )
@@ -78,7 +77,6 @@ class TestFit:
                     "--no-rows", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["pattern"]["rows"] == []
-        assert pattern_from_dict(doc["pattern"]).rows == frozenset()
 
     def test_trace_pairs_each_removal_with_its_addition(self, tmp_path):
         """Every backward step names the forward step it pops, as in the
@@ -100,6 +98,13 @@ class TestFit:
     def test_invalid_backward_factor_rejected(self, noiseless_file):
         assert run(["fit", "--in", str(noiseless_file), "--epsilon", "1e-9",
                     "--nu", "1.5"]) == 2
+
+    def test_infinite_weight_on_one_task_rejected(self, tmp_path):
+        """With r = 1 no w <= r check applies; an infinite w is still a usage error."""
+        prob = tmp_path / "prob.json"
+        assert run(["gen", "--p", "8", "--r", "1", "--kappa", "0.5", "--n", "12",
+                    "--seed", "1", "--out", str(prob)]) == 0
+        assert run(["fit", "--in", str(prob), "--epsilon", "1e-9", "--w", "inf"]) == 2
 
     def test_malformed_input_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ from mtgreedy import FitReport, GreedyConfig, SupportPattern, fit
 from mtgreedy.digits import (
     FEATURE_FILES,
     N_FEATURES,
-    EvalSplit,
+    DigitDataset,
     build_tasks,
     classify_and_report,
     expected_files,
@@ -137,8 +137,8 @@ class TestClassifyAndReport:
                          final_loss=0.0, steps=(), termination="gain-below-threshold")
 
     def test_zero_estimate_predicts_first_class(self):
-        test = EvalSplit(features=np.ones((20, 4)),
-                         labels=np.repeat(np.arange(10), 2))
+        test = DigitDataset(features=np.ones((20, 4)),
+                            labels=np.repeat(np.arange(10), 2))
         report = classify_and_report(self._zero_report(4, 10), test)
         assert report.avg_support == 0.0 and report.avg_row_support == 0.0
         # class 0 rows are right by tie-break, every other class is wrong
@@ -154,7 +154,7 @@ class TestClassifyAndReport:
         feats[:, 10:] = rng.standard_normal((50, 3)) * 0.01
         fr = FitReport(coefficients=beta, pattern=SupportPattern(),
                        final_loss=0.0, steps=(), termination="gain-below-threshold")
-        report = classify_and_report(fr, EvalSplit(features=feats, labels=labels))
+        report = classify_and_report(fr, DigitDataset(features=feats, labels=labels))
         assert report.avg_error == 0.0
         assert report.avg_row_support == 10.0 and report.avg_support == 10.0
 
@@ -164,7 +164,7 @@ class TestClassifyAndReport:
         fr = fit(problem, GreedyConfig(epsilon=0.05, w=1.5, nu=0.5))
         base = classify_and_report(fr, test)
         perm = np.random.default_rng(0).permutation(test.features.shape[0])
-        shuffled = EvalSplit(features=test.features[perm], labels=test.labels[perm])
+        shuffled = DigitDataset(features=test.features[perm], labels=test.labels[perm])
         again = classify_and_report(fr, shuffled)
         assert base == again
         assert base.avg_row_support <= base.avg_support <= problem.p * problem.r

@@ -39,8 +39,7 @@ from mtgreedy import (
 )
 from mtgreedy import engine
 from mtgreedy.engine import (
-    Candidate, SupportState, _best_forward, _worst_backward, gain_matrix, grid_scales,
-    removal_costs, start_factors)
+    Candidate, FitPath, _best_forward, _worst_backward, gain_matrix, removal_costs)
 from mtgreedy.linalg import Basis, LeastSquaresFactor
 
 from conftest import (
@@ -221,9 +220,9 @@ def run_moves(problem, moves):
     """Apply ``moves`` through a ``SupportState`` and check everything after
     each: the state, the factors against the reference, the sharing, and
     that a design none of whose tasks moved took no product."""
-    factors, _, beta, _ = start_factors(problem)
+    path = FitPath(problem, CONFIG)
+    factors, beta, state = path.factors, path.beta, path.state
     direct = [True] * problem.r
-    state = SupportState(CONFIG, problem.p, problem.r)
     for m in moves:
         before = [(f.basis, list(f.cols), task_arrays(f)) for f in factors]
         apply(state, m)
@@ -266,10 +265,10 @@ def test_shared_design_shares_its_steps():
     singleton of task 0 parts them, and removing it joins their columns
     again but not their bases: task 0's QR refactor gives another R^-1 than
     task 1's Gram-Schmidt steps, so sharing them would change a fit."""
-    factors, colsq, beta, _ = start_factors(SHARED)
+    path = FitPath(SHARED, CONFIG)
+    factors, beta = path.factors, path.beta
     direct = [True] * SHARED.r
     assert factors[0].basis is factors[1].basis is not factors[2].basis
-    assert colsq[0] is colsq[1]
     rows = SupportPattern(rows=frozenset({3, 5}))
     move_factors(SHARED, rows, factors, direct)
     assert factors[0].basis is factors[1].basis and factors[0].cols == [3, 5]
@@ -286,7 +285,8 @@ def test_shared_design_shares_its_steps():
 def test_fallback_and_recovery():
     """Task 1 turns inexact when the duplicate column joins and exact again
     once it leaves; re-appending a removed column restores the same fit."""
-    factors, _, beta, _ = start_factors(PROBLEM)
+    path = FitPath(PROBLEM, CONFIG)
+    factors, beta = path.factors, path.beta
     direct = [True] * PROBLEM.r
     f = factors[1]
     walk = [({1, 6}, True), ({1, 2, 6}, False), ({1, 2, 6, 7}, False),
@@ -305,7 +305,7 @@ def test_nearly_collinear_columns_keep_the_residual_orthogonal():
     X = rng.standard_normal((60, 1)) + 1e-4 * rng.standard_normal((60, 8))
     y = rng.standard_normal(60)
     f = LeastSquaresFactor(Basis(X), y, np.zeros(8), np.empty(8))
-    f.move_to(set(range(8)))
+    f.move_to(set(range(8)), {})
     assert f.exact
     scale = np.linalg.norm(X, axis=0).max() * np.linalg.norm(y)
     assert np.abs(X[:, f.cols].T @ f.residual).max() <= 1e-14 * scale
@@ -315,7 +315,7 @@ def test_unchanged_task_does_no_work():
     """Tasks 0 and 1 do not move: they keep their residual object and
     bit-equal coefficient and X^T r columns, and their designs take no
     product; task 2's columns change."""
-    factors, _, _, _ = start_factors(PROBLEM)
+    factors = FitPath(PROBLEM, CONFIG).factors
     direct = [True] * PROBLEM.r
     pattern = SupportPattern(singletons=frozenset({(3, 0), (4, 1)}))
     move_factors(PROBLEM, pattern, factors, direct)
@@ -405,9 +405,9 @@ def test_a_row_step_on_one_design_takes_one_product_with_it():
                               [rng.standard_normal(n) for _ in range(m)])
     X = problem.tasks[0].X
     assert all(t.X is X for t in problem.tasks)
-    factors, _, _, correlations = start_factors(problem)
-    assert len(X.products) == m and correlations.shape == (p, m)
-    state = SupportState(GreedyConfig(epsilon=0.0, w=2.0), p, m)
+    path = FitPath(problem, GreedyConfig(epsilon=0.0, w=2.0))
+    factors, state = path.factors, path.state
+    assert len(X.products) == m and path.correlations.shape == (p, m)
     direct = [True] * m
 
     def products_to_reach(state):
@@ -555,8 +555,8 @@ class TestMaskedSelectors:
         the per-task loops bit for bit, and both selectors pick what the set
         loops pick."""
         rng = np.random.default_rng(8)
-        colsq = [np.einsum("ij,ij->j", t.X, t.X) for t in PROBLEM.tasks]
-        scales = grid_scales(PROBLEM, colsq)
+        scales = scales_of(PROBLEM)
+        colsq = list(scales.colsq.T)
         for _ in range(40):
             pattern = random_pattern(rng, P, R, n_singles=int(rng.integers(0, 9)),
                                      n_rows=int(rng.integers(0, 3)))
@@ -634,7 +634,7 @@ class TestRemovalCosts:
         problem = MultiTaskProblem.from_arrays([X, X], [np.ones(2), np.ones(2)])
         beta = np.ones((2, 2))
         corr = correlations_at(problem, beta)
-        scales = grid_scales(problem, [np.ones(2), np.ones(2)])
+        scales = scales_of(problem)
         state = state_of(SupportPattern(singletons=frozenset({(1, 1), (1, 0)})), 2, 2)
         pick = _worst_backward(problem, beta, state.singles, state.rows,
                                GreedyConfig(epsilon=0.0, w=2.0), corr, scales)

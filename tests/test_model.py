@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,7 @@ def test_problem_validation():
     {"epsilon": 0.1, "nu": 1.0},
     {"epsilon": 0.1, "w": 0.5},
     {"epsilon": 0.1, "max_forward_steps": -1},
+    {"epsilon": 0.1, "w": math.inf},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):

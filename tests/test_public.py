@@ -1,5 +1,7 @@
-"""The public surface: every exported name resolves, and the demos run."""
+"""The public surface: every exported name resolves, every module-level
+definition is used or exported, and the demos run."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -16,6 +18,38 @@ def test_every_exported_name_resolves():
     missing = [name for name in mtgreedy.__all__ if not hasattr(mtgreedy, name)]
     assert missing == []
     assert len(set(mtgreedy.__all__)) == len(mtgreedy.__all__)
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    """A function or class at module level of the package must be referenced
+    by a line of ``src/`` outside its own definition, or be exported through
+    ``__all__``.  ALL_CAPS and dunder names are exempt."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "mtgreedy").glob("*.py"))}
+    uses = []                          # (file, line, name) of every name read or imported
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                uses.append((path, node.lineno, node.name))
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.isupper() or (name.startswith("__") and name.endswith("__")):
+                continue
+            if name in mtgreedy.__all__:
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if not any(used == name and not (where == path and first <= line <= node.end_lineno)
+                       for where, line, used in uses):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []
 
 
 @pytest.mark.parametrize("demo", ["01_greedy_fit_walkthrough.py", "03_recovery_diagnostics.py"])

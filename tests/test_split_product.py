@@ -71,6 +71,7 @@ def check_products_around_the_split_size():
         (2 ** 14, 34),               # a last block of two columns
         (2 ** 15 + 1, 33),           # a last block of one column is merged
         (LIMIT // 17 + 1, 17),       # too narrow for a second block
+        (2 ** 19, 1),                # one column: no block edges at all
     ]
     linalg._CPUS = 2
     for shape in shapes:

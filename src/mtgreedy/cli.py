@@ -7,6 +7,7 @@ success, 2 for usage or input errors, and 3 for internal numerical failures.
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -78,9 +79,8 @@ def build_parser():
     h.add_argument("--n-per-class", type=int, required=True)
     h.add_argument("--trials", type=int, default=1)
     h.add_argument("--seed", type=int, required=True)
-    h.add_argument("--epsilon-c-grid", type=_float_list,
-                   default=[1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
-    h.add_argument("--w-grid", type=_float_list, default=[1.0, 1.25, 1.5, 1.75, 2.0])
+    h.add_argument("--epsilon-c-grid", type=_float_list, default=digits_mod.C_GRID)
+    h.add_argument("--w-grid", type=_float_list, default=digits_mod.W_GRID)
     h.add_argument("--nu", type=float, default=0.5)
     h.add_argument("--out", default="-")
     return parser
@@ -197,29 +197,13 @@ def cmd_digits(args):
         raise ValueError(str(exc)) from exc
     if args.trials < 1:
         raise ValueError("need trials >= 1")
-    s_hint = max(1, round(dataset.features.shape[1] / 10))
     fields = ("avg_error", "error_variance", "avg_row_support", "avg_support")
     per_trial = []
     for trial in range(args.trials):
         seed = experiments.trial_seed(args.seed, 0.0, 0, trial)
-        problem, test = digits_mod.build_tasks(dataset, args.n_per_class, seed)
-        cv_train, cv_hold = digits_mod.split_for_validation(problem)
-        _, w_best, cv_report = experiments.cross_validate(
-            cv_train, cv_hold, args.epsilon_c_grid, args.w_grid, args.nu, s_hint)
-        eps = experiments.stopping_threshold(
-            cv_report["best_c"], s_hint, problem.p, problem.tasks[0].n)
-        report = engine_fit(problem, GreedyConfig(epsilon=eps, w=w_best, nu=args.nu))
-        scored = digits_mod.classify_and_report(report, test)
-        per_trial.append({
-            "seed": seed,
-            "epsilon": eps,
-            "w": w_best,
-            "avg_error": scored.avg_error,
-            "error_variance": scored.error_variance,
-            "avg_row_support": scored.avg_row_support,
-            "avg_support": scored.avg_support,
-            "per_digit_errors": list(scored.per_digit_errors),
-        })
+        scored, eps, w, _ = digits_mod.run_trial(
+            dataset, args.n_per_class, seed, args.epsilon_c_grid, args.w_grid, args.nu)
+        per_trial.append({"seed": seed, "epsilon": eps, "w": w, **asdict(scored)})
     doc = {
         "trials": args.trials,
         "n_per_class": args.n_per_class,

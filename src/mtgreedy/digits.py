@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MultiTaskProblem, Task
+from .engine import fit
+from .experiments import _default_sparsity, cross_validate, stopping_threshold
+from .model import GreedyConfig, MultiTaskProblem, Task
 
 # (file suffix, column count), concatenated in this order.
 FEATURE_FILES = (
@@ -29,6 +31,9 @@ PER_CLASS = 200
 N_FEATURES = sum(c for _, c in FEATURE_FILES)
 # Columns per chunk of a row gather (``design_rows``).
 GATHER_COLUMNS = 64
+# The default (c, w) grid of ``run_trial``'s holdout search.
+C_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+W_GRID = (1.0, 1.25, 1.5, 1.75, 2.0)
 
 
 @dataclass(frozen=True)
@@ -191,3 +196,17 @@ def split_for_validation(problem):
         tasks = tuple(Task(X_half, t.y[rows]) for t in problem.tasks)
         halves.append(MultiTaskProblem(p=problem.p, r=problem.r, tasks=tasks))
     return tuple(halves)
+
+
+def run_trial(dataset, n_per_class, seed, c_grid=C_GRID, w_grid=W_GRID, nu=0.5):
+    """One seeded trial: tune (c, w) on the training split's halves with the
+    sparsity hint s = p / 10, refit the whole split at epsilon =
+    c * s * log(p) / n, and score it on the test rows.  Returns the
+    ``ClassificationReport`` and the final fit's epsilon, w and c.
+    """
+    problem, test = build_tasks(dataset, n_per_class, seed)
+    s_hint = _default_sparsity(problem.p)
+    _, w, cv = cross_validate(*split_for_validation(problem), c_grid, w_grid, nu, s_hint)
+    eps = stopping_threshold(cv["best_c"], s_hint, problem.p, problem.tasks[0].n)
+    report = fit(problem, GreedyConfig(epsilon=eps, w=w, nu=nu))
+    return classify_and_report(report, test), eps, w, cv["best_c"]

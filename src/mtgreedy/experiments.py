@@ -26,12 +26,17 @@ def _round_half_up(x):
     return int(math.floor(x + 0.5))
 
 
+def _default_sparsity(p):
+    """The default support size for p features: p / 10, halves rounded up."""
+    return _round_half_up(p / 10)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for one random problem instance.
 
-    s defaults to round(p / 10); kappa is the fraction of each task's support
-    shared by all tasks.  Everything is determined by the seed.
+    s defaults to p / 10, halves up; kappa is the fraction of each task's
+    support shared by all tasks.  Everything is determined by the seed.
     """
 
     p: int
@@ -52,7 +57,7 @@ class SynthSpec:
 
     @property
     def support_size(self):
-        return self.s if self.s is not None else _round_half_up(self.p / 10)
+        return self.s if self.s is not None else _default_sparsity(self.p)
 
     @property
     def shared_count(self):
@@ -145,13 +150,12 @@ class SweepConfig:
     w: float = 1.5
     nu: float = 0.5
     noise_variance: float = 0.1
-    rows_enabled: bool = True
     single_task: bool = False
     check_traces: bool = True
 
     def greedy_config(self, s, p, n):
         eps = stopping_threshold(self.epsilon_c, s, p, n)
-        return GreedyConfig(epsilon=eps, w=self.w, nu=self.nu, rows_enabled=self.rows_enabled)
+        return GreedyConfig(epsilon=eps, w=self.w, nu=self.nu)
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ def run_sweep(kappa, p, theta_grid, trials, config, master_seed):
     """Success statistics along a theta grid, one seeded batch per point."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    s = _round_half_up(p / 10)
+    s = _default_sparsity(p)
     out = []
     for t_idx, theta_value in enumerate(theta_grid):
         n = n_for_theta(theta_value, s, p, kappa)
@@ -226,8 +230,10 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     c stopped, which gives the report of a fresh fit.  One path is alive at
     a time.  The rows list the grid in the caller's (c, w) order, and ties
     keep the first point in that order: the smallest c, then the smallest
-    w, on ascending grids.  Returns (epsilon, w, report) where the report
-    lists every grid point.
+    w, on ascending grids.  Returns (epsilon, w, report): the winner's
+    epsilon at the training problem's mean n (``digits.run_trial`` derives
+    the final fit's again on the full problem) and a report naming the
+    winning c "best_c" and listing every grid point.
     """
     if not c_grid or not w_grid:
         raise ValueError("grids must be non-empty")
@@ -261,8 +267,9 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
 def foba_single_task(problem, config):
     """Per-task greedy baseline: rows disabled, tasks fit independently.
 
-    Step records keep per-task losses and indices remapped to the original
-    task; the merged report's final_loss is the full multi-task loss.
+    Step records keep per-task losses, with indices and popped_step
+    remapped to the original task and the merged trace; the merged
+    report's final_loss is the full multi-task loss.
     """
     config = replace(config, rows_enabled=False)
     beta = np.zeros((problem.p, problem.r))
@@ -274,7 +281,10 @@ def foba_single_task(problem, config):
         report = fit(sub, config)
         beta[:, j] = report.coefficients[:, 0]
         singles |= {(i, j) for (i, _) in report.pattern.singletons}
-        steps.extend(replace(s, index=(s.index[0], j)) for s in report.steps)
+        offset = len(steps)
+        for s in report.steps:
+            popped = None if s.popped_step is None else s.popped_step + offset
+            steps.append(replace(s, index=(s.index[0], j), popped_step=popped))
         if report.termination == "max-steps":
             termination = "max-steps"
     return FitReport(

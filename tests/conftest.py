@@ -3,6 +3,7 @@ import pytest
 
 from mtgreedy import (
     GreedyConfig, MultiTaskProblem, SupportPattern, gain_matrix, refit, residuals)
+from mtgreedy.digits import FEATURE_FILES
 from mtgreedy.engine import Scales, SupportState, removal_costs
 
 
@@ -95,6 +96,26 @@ def planted_shared_problem(seed, p=6, r=2, n=24, balanced=False):
     designs = [rng.standard_normal((n, p)) for _ in range(r)]
     responses = [designs[j] @ beta[:, j] for j in range(r)]
     return MultiTaskProblem.from_arrays(designs, responses), beta, m, own
+
+
+@pytest.fixture(scope="session")
+def mfeat_dir(tmp_path_factory):
+    """Synthetic six-view dataset: class-dependent means on a few columns so
+    one-vs-all fits have signal; a constant last column in each view wider
+    than four columns exercises standardization."""
+    rng = np.random.default_rng(99)
+    root = tmp_path_factory.mktemp("mfeat")
+    labels = np.repeat(np.arange(10), 200)
+    for name, ncols in FEATURE_FILES:
+        block = rng.integers(0, 12, size=(2000, ncols)).astype(float)
+        if name == "fac":  # one marker column per class
+            for k in range(10):
+                block[:, k] += 30.0 * (labels == k)
+        if ncols > 4:
+            block[:, ncols - 1] = 7.0  # constant column
+        lines = [" ".join(format(v, "g") for v in row) for row in block]
+        (root / f"mfeat-{name}").write_text("\n".join(lines) + "\n")
+    return root
 
 
 @pytest.fixture

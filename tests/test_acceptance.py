@@ -37,6 +37,7 @@ from mtgreedy import (
     TheoremInputs,
 )
 from mtgreedy.cli import main as cli_main
+from mtgreedy.experiments import stopping_threshold
 
 from conftest import gains_at, planted_shared_problem, random_pattern, random_problem
 
@@ -217,7 +218,7 @@ def test_criterion_4_trace_invariants(recovery_runs, planted_runs):
                          kappa=float(rng.choice([0.3, 0.5, 0.8])),
                          noise_variance=1e-3, seed=int(rng.integers(0, 2**32)))
         problem, _ = gen_synthetic(spec)
-        eps = 2e-5 * 6 * math.log(64) / problem.tasks[0].n
+        eps = stopping_threshold(2e-5, 6, 64, problem.tasks[0].n)
         config = GreedyConfig(epsilon=eps, w=1.5, nu=0.5)
         report = fit(problem, config)
         verify_trace(problem, config, report)
@@ -329,8 +330,7 @@ def _dataset_dir():
 @pytest.mark.skipif(_dataset_dir() is None,
                     reason="digit dataset not present (set MTGREEDY_MFEAT_DIR)")
 def test_criterion_8_digit_classification():
-    from mtgreedy.digits import build_tasks, classify_and_report, load_mfeat, split_for_validation
-    from mtgreedy import cross_validate
+    from mtgreedy.digits import load_mfeat, run_trial
 
     dataset = load_mfeat(_dataset_dir())
     bands = {10: 0.10, 40: 0.05}
@@ -339,15 +339,8 @@ def test_criterion_8_digit_classification():
         errors = []
         for trial in range(5):
             seed = trial_seed(606, 0.0, n_per_class, trial)
-            problem, test = build_tasks(dataset, n_per_class, seed)
-            cv_train, cv_hold = split_for_validation(problem)
-            s_hint = max(1, round(problem.p / 10))
-            _, w_best, rep = cross_validate(
-                cv_train, cv_hold, [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0],
-                [1.0, 1.25, 1.5, 1.75, 2.0], 0.5, s_hint)
-            eps = rep["best_c"] * s_hint * math.log(problem.p) / problem.tasks[0].n
-            report = fit(problem, GreedyConfig(epsilon=eps, w=w_best, nu=0.5))
-            errors.append(classify_and_report(report, test).avg_error)
+            scored, _, _, _ = run_trial(dataset, n_per_class, seed)
+            errors.append(scored.avg_error)
         results[n_per_class] = float(np.mean(errors))
     ok = results[10] <= 0.10 and results[40] <= 0.05
     report_line(8, "digit classification", ok,

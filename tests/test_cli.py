@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,11 @@ from mtgreedy.fileio import (
     problem_from_dict,
     to_json,
 )
+
+
+# sha256 of what `mtgreedy digits --n-per-class 10 --trials 2 --seed 1` prints
+# on the conftest mfeat_dir data: it pins the digit protocol byte for byte.
+DIGITS_SEED1_SHA256 = "ab7652c75e9b1eeb0d24ccc8f5593ac0a129feb24a932d1dfbb7ebb741c10f2c"
 
 
 def run(args):
@@ -204,23 +210,9 @@ class TestDigitsCommand:
                     "--seed", "1"]) == 2
         assert "mfeat-fac" in capsys.readouterr().err
 
-    def test_single_trial_report(self, tmp_path):
-        import numpy as np
-        from mtgreedy.digits import FEATURE_FILES
-
-        rng = np.random.default_rng(99)
-        root = tmp_path / "mfeat"
-        root.mkdir()
-        labels = np.repeat(np.arange(10), 200)
-        for name, ncols in FEATURE_FILES:
-            block = rng.integers(0, 12, size=(2000, ncols)).astype(float)
-            if name == "fac":
-                for k in range(10):
-                    block[:, k] += 30.0 * (labels == k)
-            lines = [" ".join(format(v, "g") for v in row) for row in block]
-            (root / f"mfeat-{name}").write_text("\n".join(lines) + "\n")
+    def test_single_trial_report(self, mfeat_dir, tmp_path, capsys):
         out = tmp_path / "digits.json"
-        assert run(["digits", "--data-dir", str(root), "--n-per-class", "10",
+        assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
                     "--trials", "1", "--seed", "5", "--epsilon-c-grid", "0.005",
                     "--w-grid", "1.5", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -229,6 +221,11 @@ class TestDigitsCommand:
                                     "avg_row_support", "avg_support"}
         assert len(doc["per_trial"]) == 1
         assert doc["per_trial"][0]["avg_error"] <= 0.5  # planted marker columns
+        # two trials on the default grids
+        assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
+                    "--trials", "2", "--seed", "1"]) == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == DIGITS_SEED1_SHA256
 
 
 class TestRoundTrip:

@@ -14,25 +14,6 @@ from mtgreedy.digits import (
 )
 
 
-@pytest.fixture(scope="session")
-def mfeat_dir(tmp_path_factory):
-    """Synthetic six-view dataset: class-dependent means on a few columns so
-    one-vs-all fits have signal; one constant column exercises standardization."""
-    rng = np.random.default_rng(99)
-    root = tmp_path_factory.mktemp("mfeat")
-    labels = np.repeat(np.arange(10), 200)
-    for name, ncols in FEATURE_FILES:
-        block = rng.integers(0, 12, size=(2000, ncols)).astype(float)
-        if name == "fac":  # one marker column per class
-            for k in range(10):
-                block[:, k] += 30.0 * (labels == k)
-        if ncols > 4:
-            block[:, ncols - 1] = 7.0  # constant column
-        lines = [" ".join(format(v, "g") for v in row) for row in block]
-        (root / f"mfeat-{name}").write_text("\n".join(lines) + "\n")
-    return root
-
-
 class TestLoader:
     def test_shapes_labels_and_standardization(self, mfeat_dir):
         ds = load_mfeat(mfeat_dir)

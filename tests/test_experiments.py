@@ -211,6 +211,18 @@ class TestSingleTaskBaseline:
         assert direct.pattern == merged.pattern
         assert np.array_equal(direct.coefficients, merged.coefficients)
 
+    def test_backward_steps_pop_their_own_tasks_forward_step(self):
+        spec = SynthSpec(p=60, n=25, r=2, kappa=0.5, noise_variance=1.0, seed=2)
+        problem, _ = gen_synthetic(spec)
+        merged = foba_single_task(problem, GreedyConfig(epsilon=1e-3, rows_enabled=False))
+        backward = [s for s in merged.steps if s.kind == "backward"]
+        assert {s.index[1] for s in backward} == {0, 1}  # both tasks remove a step
+        for s in backward:
+            popped = merged.steps[s.popped_step]
+            assert popped.kind == "forward"
+            assert popped.index[1] == s.index[1]
+            assert popped.reward_or_cost == s.popped_reward
+
     def test_rows_always_empty(self):
         spec = SynthSpec(p=12, n=30, r=2, s=2, kappa=1.0, noise_variance=0.0, seed=6)
         problem, _ = gen_synthetic(spec)

@@ -52,11 +52,14 @@ def test_every_module_level_definition_is_used_or_exported():
     assert unused == []
 
 
-@pytest.mark.parametrize("demo", ["01_greedy_fit_walkthrough.py", "03_recovery_diagnostics.py"])
-def test_demo_runs(demo):
+@pytest.mark.parametrize("demo", ["01_greedy_fit_walkthrough.py", "03_recovery_diagnostics.py",
+                                  "04_digit_classification.py"])
+def test_demo_runs(demo, request):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    # the digit demo reads its dataset directory from argv[1]
+    argv = [str(request.getfixturevalue("mfeat_dir"))] if demo.startswith("04") else []
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo), *argv], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

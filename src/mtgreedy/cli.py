@@ -148,7 +148,8 @@ def cmd_sweep(args):
     if crossing is None:
         print("50% crossing: none in range", file=sys.stdout)
     else:
-        print(f"50% crossing: theta = {fileio.format_float(crossing)}", file=sys.stdout)
+        print(f"50% crossing: theta = {fileio.format_float(crossing)}, "
+              f"standard error {experiments.crossing_se(rows):.3g}", file=sys.stdout)
     return 0
 
 

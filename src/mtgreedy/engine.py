@@ -58,8 +58,9 @@ Epsilon enters a fit only at its forward gate, so for one problem and one
 config up to epsilon, the fit at a larger epsilon is a step-by-step prefix
 of the fit at a smaller one.  A ``FitPath`` holds a fit's live state, and
 ``fit`` given one continues it at a smaller or equal epsilon, with the same
-report as a fresh fit.  ``experiments.cross_validate`` runs each sharing
-weight's grid of thresholds as one such path, from the largest down.
+report as a fresh fit.  ``experiments._path_fits`` alone continues paths,
+one per sharing weight from the largest threshold down, for both
+``cross_validate`` and the sweeps' (c, w) grids (``sweep_grid``).
 """
 
 import math
@@ -325,6 +326,23 @@ class FitPath:
         self.steps = []
         self.forward_taken = 0
 
+    def move(self, kind, cand):
+        """Add ``cand`` and push its reward on the ledger ("forward"), or remove
+        it and pop the ledger ("backward"); then refit and record the step."""
+        promoted, popped = None, (None, None)
+        if kind == "forward":
+            self.forward_taken += 1
+            self.ledger.append((cand.value, len(self.steps)))
+            promoted = self.state.add(cand.kind, cand.index)
+        else:
+            popped = self.ledger.pop()
+            self.state.remove(cand.kind, cand.index)
+        refit(self.problem, self.state, self.factors)
+        self.steps.append(StepRecord(
+            kind=kind, object_kind=cand.kind, index=cand.index, reward_or_cost=cand.value,
+            loss_after=sum(f.loss for f in self.factors), ledger_depth=len(self.ledger),
+            popped_reward=popped[0], popped_step=popped[1], promoted_row=promoted))
+
 
 def fit(problem, config, path=None):
     """Run the full greedy procedure and return a FitReport with its trace.
@@ -359,7 +377,7 @@ def fit(problem, config, path=None):
             f"epsilon={config.epsilon} exceeds the path's last epsilon {path.config.epsilon}")
     path.config = config
 
-    state, factors, ledger, steps = path.state, path.factors, path.ledger, path.steps
+    state, factors, ledger = path.state, path.factors, path.ledger
     beta, correlations, scales = path.beta, path.correlations, path.scales
     gate = config.epsilon + COMPARISON_TOLERANCE * path.zero_loss
     cap = config.step_cap(problem.p, problem.r)
@@ -374,47 +392,22 @@ def fit(problem, config, path=None):
         if cand is None or cand.value <= gate:
             break
 
-        path.forward_taken += 1
-        promoted = state.add(cand.kind, cand.index)
-        ledger.append((cand.value, len(steps)))
-        refit(problem, state, factors)
-        steps.append(StepRecord(
-            kind="forward",
-            object_kind=cand.kind,
-            index=cand.index,
-            reward_or_cost=cand.value,
-            loss_after=sum(f.loss for f in factors),
-            ledger_depth=len(ledger),
-            promoted_row=promoted,
-        ))
+        path.move("forward", cand)
 
         # Backward passes: keep removing while the cheapest removal costs at
         # most nu times the most recent recorded reward.
         while ledger and (state.singles or state.rows):
             back = _worst_backward(problem, beta, state.singles, state.rows, config,
                                    correlations, scales)
-            top_reward, top_step = ledger[-1]
-            if back.value > config.nu * top_reward:
+            if back.value > config.nu * ledger[-1][0]:
                 break
-            ledger.pop()
-            state.remove(back.kind, back.index)
-            refit(problem, state, factors)
-            steps.append(StepRecord(
-                kind="backward",
-                object_kind=back.kind,
-                index=back.index,
-                reward_or_cost=back.value,
-                loss_after=sum(f.loss for f in factors),
-                ledger_depth=len(ledger),
-                popped_reward=top_reward,
-                popped_step=top_step,
-            ))
+            path.move("backward", back)
 
     return FitReport(
         coefficients=beta.copy(),
         pattern=state.pattern(),
         final_loss=sum(f.loss for f in factors),
-        steps=tuple(steps),
+        steps=tuple(path.steps),
         termination=termination,
     )
 

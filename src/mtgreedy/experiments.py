@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import FitPath, check_step_records, fit
-from .model import FitReport, GreedyConfig, MultiTaskProblem, SupportPattern, loss
+from .model import FitReport, GreedyConfig, MultiTaskProblem, SupportPattern, loss, residuals
 
 
 # gen_synthetic draws a design this many rows at a time into its column-major
@@ -169,71 +169,108 @@ class SweepRow:
     mean_frob_error: float
 
 
-def run_sweep(kappa, p, theta_grid, trials, config, master_seed):
-    """Success statistics along a theta grid, one seeded batch per point."""
+def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed):
+    """``run_sweep`` at each (c, w) of a grid, the rest of ``config`` kept:
+    {(c, w): [SweepRow, ...]}, c-major.  Each trial's problem is drawn once
+    and fit along ``_path_fits``'s paths."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     s = _default_sparsity(p)
-    out = []
+    out = {(c, w): [] for c in c_grid for w in w_grid}
     for t_idx, theta_value in enumerate(theta_grid):
         n = n_for_theta(theta_value, s, p, kappa)
-        successes = 0
-        frob_sum = 0.0
+        eps = {c: stopping_threshold(c, s, p, n) for c in c_grid}
+        hits, frob = dict.fromkeys(out, 0), dict.fromkeys(out, 0.0)
         for trial in range(trials):
-            seed = trial_seed(master_seed, kappa, t_idx, trial)
-            spec = SynthSpec(p=p, n=n, r=2, s=s, kappa=kappa,
-                             noise_variance=config.noise_variance, seed=seed)
-            problem, beta_star = gen_synthetic(spec)
-            gconf = config.greedy_config(s, p, n)
-            if config.single_task:
-                report = foba_single_task(problem, gconf)
-            else:
-                report = fit(problem, gconf)
-                if config.check_traces:
-                    check_step_records(report, gconf,
-                                       loss(problem, np.zeros((problem.p, problem.r))))
-            if sign_support_success(report.coefficients, beta_star):
-                successes += 1
-            frob_sum += float(np.linalg.norm(report.coefficients - beta_star))
-        out.append(SweepRow(
-            kappa=kappa,
-            theta=theta_value,
-            n=n,
-            trials=trials,
-            successes=successes,
-            success_rate=successes / trials,
-            mean_frob_error=frob_sum / trials,
-        ))
+            problem, beta_star = gen_synthetic(SynthSpec(
+                p=p, n=n, r=2, s=s, kappa=kappa, noise_variance=config.noise_variance,
+                seed=trial_seed(master_seed, kappa, t_idx, trial)))
+            for c, w, gconf, report in _path_fits(problem, eps, w_grid, config.nu,
+                                                  config.single_task):
+                if config.check_traces and not config.single_task:
+                    check_step_records(report, gconf, loss(problem, np.zeros(beta_star.shape)))
+                hits[c, w] += sign_support_success(report.coefficients, beta_star)
+                frob[c, w] += float(np.linalg.norm(report.coefficients - beta_star))
+        for point, rows in out.items():
+            rows.append(SweepRow(kappa, theta_value, n, trials, hits[point],
+                                 hits[point] / trials, frob[point] / trials))
     return out
+
+
+def run_sweep(kappa, p, theta_grid, trials, config, master_seed):
+    """Success statistics along a theta grid, one seeded batch per point: the
+    one-point ``sweep_grid``, where each of ``_path_fits``'s paths is one fit."""
+    return sweep_grid(kappa, p, theta_grid, trials, (config.epsilon_c,), (config.w,),
+                      config, master_seed)[config.epsilon_c, config.w]
+
+
+def _bracket(rows):
+    """The first adjacent rows, by theta, whose success rates meet 1/2; else None."""
+    pts = sorted(rows, key=lambda row: row.theta)
+    for a, b in zip(pts, pts[1:]):
+        lo, hi = a.success_rate - 0.5, b.success_rate - 0.5
+        if lo == 0.0 or lo * hi < 0.0 or hi == 0.0:
+            return a, b
+    return None
 
 
 def transition_threshold(rows):
     """Linear interpolation of the 50% success crossing; None when absent."""
-    pts = sorted(rows, key=lambda row: row.theta)
-    for a, b in zip(pts, pts[1:]):
-        lo, hi = a.success_rate - 0.5, b.success_rate - 0.5
-        if lo == 0.0:
-            return a.theta
-        if lo * hi < 0.0 or hi == 0.0:
-            return a.theta + (0.5 - a.success_rate) * (b.theta - a.theta) / (
-                b.success_rate - a.success_rate)
-    return None
+    if (pair := _bracket(rows)) is None:
+        return None
+    a, b = pair
+    if a.success_rate == 0.5:
+        return a.theta
+    return a.theta + (0.5 - a.success_rate) * (b.theta - a.theta) / (
+        b.success_rate - a.success_rate)
+
+
+def crossing_se(rows):
+    """Delta-method standard error of the crossing ``transition_threshold``
+    reports: the binomial variance of the bracketing success rates p_a, p_b
+    through theta_a + (1/2 - p_a) * (theta_b - theta_a) / (p_b - p_a).  None
+    without a crossing; inf when both rates are 1/2, which locate nothing.
+    """
+    if (pair := _bracket(rows)) is None:
+        return None
+    a, b = pair
+    pa, pb = a.success_rate, b.success_rate
+    if pa == pb:
+        return math.inf
+    scale = (b.theta - a.theta) / (pb - pa) ** 2
+    var = ((pb - 0.5) ** 2 * pa * (1.0 - pa) / a.trials
+           + (0.5 - pa) ** 2 * pb * (1.0 - pb) / b.trials)
+    return scale * math.sqrt(var)
+
+
+def _path_fits(problem, eps, w_grid, nu, single_task=False):
+    """Yield (c, w, config, report) at each distinct point, ``eps`` mapping c
+    to epsilon.  The one place a path is continued: each w is one greedy path
+    (one per task for the per-task baseline) from the largest c down, with
+    the reports of fresh fits and one path alive at a time."""
+    for w in dict.fromkeys(w_grid):
+        path = [] if single_task else None
+        for c in sorted(eps, reverse=True):
+            config = GreedyConfig(epsilon=eps[c], w=w, nu=nu)
+            if single_task:
+                report = foba_single_task(problem, config, path)
+            else:
+                path = path or FitPath(problem, config)
+                report = fit(problem, config, path)
+            yield c, w, config, report
 
 
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     """Grid search over (c, w) pairs scored by holdout squared error.
 
     The stopping threshold is c * s_hint * log(p) / n with n the average
-    training sample count.  Each distinct w's fits run as one greedy path
-    (``engine.FitPath``): the distinct c values are taken from largest to
-    smallest, and each fit continues where the fit at the previous, larger
-    c stopped, which gives the report of a fresh fit.  One path is alive at
-    a time.  The rows list the grid in the caller's (c, w) order, and ties
-    keep the first point in that order: the smallest c, then the smallest
-    w, on ascending grids.  Returns (epsilon, w, report): the winner's
-    epsilon at the training problem's mean n (``digits.run_trial`` derives
-    the final fit's again on the full problem) and a report naming the
-    winning c "best_c" and listing every grid point.
+    training sample count.  ``_path_fits`` continues the greedy paths, one
+    per distinct w from the largest c down.  The rows list the grid in the
+    caller's (c, w) order, and ties keep the first point in that order: the
+    smallest c, then the smallest w, on ascending grids.  Returns (epsilon,
+    w, report): the winner's epsilon at the training problem's mean n
+    (``digits.run_trial`` derives the final fit's again on the full problem)
+    and a report naming the winning c "best_c" and listing every grid point.
     """
     if not c_grid or not w_grid:
         raise ValueError("grids must be non-empty")
@@ -242,43 +279,37 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}
-    for w in dict.fromkeys(w_grid):
-        path = None
-        for c in sorted(eps, reverse=True):
-            config = GreedyConfig(epsilon=eps[c], w=w, nu=nu)
-            if path is None:
-                path = FitPath(train_problem, config)
-            report = fit(train_problem, config, path)
-            score = 0.0
-            for j, t in enumerate(holdout_problem.tasks):
-                diff = t.y - t.X @ report.coefficients[:, j]
-                score += float(diff @ diff)
-            scores[c, w] = score
-    rows = []
-    best = None
-    for c in c_grid:
-        for w in w_grid:
-            rows.append({"c": c, "w": w, "epsilon": eps[c], "holdout_score": scores[c, w]})
-            if best is None or rows[-1]["holdout_score"] < best["holdout_score"]:
-                best = rows[-1]
+    for c, w, _, report in _path_fits(train_problem, eps, w_grid, nu):
+        score = 0.0
+        for res in residuals(holdout_problem, report.coefficients):
+            score += float(res @ res)
+        scores[c, w] = score
+    rows = [{"c": c, "w": w, "epsilon": eps[c], "holdout_score": scores[c, w]}
+            for c in c_grid for w in w_grid]
+    best = min(rows, key=lambda row: row["holdout_score"])      # the first of equals
     return best["epsilon"], best["w"], {"best_c": best["c"], "rows": rows}
 
 
-def foba_single_task(problem, config):
+def foba_single_task(problem, config, path=None):
     """Per-task greedy baseline: rows disabled, tasks fit independently.
 
     Step records keep per-task losses, with indices and popped_step
     remapped to the original task and the merged trace; the merged
-    report's final_loss is the full multi-task loss.
+    report's final_loss is the full multi-task loss.  ``path``, like
+    ``fit``'s, carries state from call to call: a list that the first call
+    fills with one ``engine.FitPath`` per task and later calls, at a smaller
+    or equal epsilon, continue.
     """
     config = replace(config, rows_enabled=False)
+    path = [] if path is None else path
+    if not path:
+        path.extend(FitPath(problem.single_task(j), config) for j in range(problem.r))
     beta = np.zeros((problem.p, problem.r))
     singles = set()
     steps = []
     termination = "gain-below-threshold"
-    for j in range(problem.r):
-        sub = problem.single_task(j)
-        report = fit(sub, config)
+    for j, task_path in enumerate(path):
+        report = fit(task_path.problem, config, task_path)
         beta[:, j] = report.coefficients[:, 0]
         singles |= {(i, j) for (i, _) in report.pattern.singletons}
         offset = len(steps)

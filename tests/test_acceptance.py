@@ -8,6 +8,7 @@ when no dataset directory is available.
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from mtgreedy import (
     TheoremInputs,
 )
 from mtgreedy.cli import main as cli_main
-from mtgreedy.experiments import stopping_threshold
+from mtgreedy.experiments import crossing_se, stopping_threshold, sweep_grid
 
 from conftest import gains_at, planted_shared_problem, random_pattern, random_problem
 
@@ -88,19 +89,13 @@ SINGLE_GRID = tuple(round(0.2 * k, 1) for k in range(1, 16))
 
 
 def select_config(kappa, single_task):
-    """Pick (c, w) once per kappa from a coarse grid on probe sweeps."""
-    best = None
-    for c in C_GRID:
-        for w in (W_GRID if not single_task else (1.5,)):
-            cfg = SweepConfig(epsilon_c=c, w=w, nu=0.5, noise_variance=SWEEP_NOISE,
-                              single_task=single_task, check_traces=False)
-            rows = run_sweep(kappa, 128, (0.8, 1.6), 12, cfg, SELECT_SEED)
-            score = sum(r.successes for r in rows)
-            if best is None or score > best[0]:
-                best = (score, c, w)
-    _, c, w = best
-    return SweepConfig(epsilon_c=c, w=w, nu=0.5, noise_variance=SWEEP_NOISE,
-                       single_task=single_task)
+    """Pick (c, w) per kappa on probe sweeps; max keeps the first best in grid order."""
+    cfg = SweepConfig(epsilon_c=C_GRID[0], nu=0.5, noise_variance=SWEEP_NOISE,
+                      single_task=single_task, check_traces=False)
+    grid = sweep_grid(kappa, 128, (0.8, 1.6), 12, C_GRID, (1.5,) if single_task else W_GRID,
+                      cfg, SELECT_SEED)
+    c, w = max(grid, key=lambda point: sum(row.successes for row in grid[point]))
+    return replace(cfg, epsilon_c=c, w=w, check_traces=True)
 
 
 def selected_sweep(kappa, single_task):
@@ -113,27 +108,6 @@ def selected_sweep(kappa, single_task):
 @pytest.fixture(scope="module")
 def joint_sweeps():
     return {kappa: selected_sweep(kappa, single_task=False) for kappa in SWEEP_KAPPAS}
-
-
-def crossing_se(rows):
-    """Delta-method standard error of the crossing transition_threshold reports.
-
-    Takes the bracketing pair (theta_a, p_a), (theta_b, p_b) that
-    transition_threshold interpolates between and propagates the binomial
-    variance of both success rates through the interpolation
-    theta_a + (1/2 - p_a) * (theta_b - theta_a) / (p_b - p_a).
-    None when there is no crossing.
-    """
-    pts = sorted(rows, key=lambda row: row.theta)
-    for a, b in zip(pts, pts[1:]):
-        lo, hi = a.success_rate - 0.5, b.success_rate - 0.5
-        if lo == 0.0 or lo * hi < 0.0 or hi == 0.0:
-            pa, pb = a.success_rate, b.success_rate
-            scale = (b.theta - a.theta) / (pb - pa) ** 2
-            var = ((pb - 0.5) ** 2 * pa * (1.0 - pa) / a.trials
-                   + (0.5 - pa) ** 2 * pb * (1.0 - pb) / b.trials)
-            return scale * math.sqrt(var)
-    return None
 
 
 # ------------------------------------------------------------------ criteria

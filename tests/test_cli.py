@@ -156,6 +156,25 @@ class TestSweep:
                     "--theta-max", "1", "--theta-step", "0.5", "--trials", "1",
                     "--seed", "1", "--epsilon-c", "1e-5"]) == 2
 
+    @pytest.mark.parametrize("extra, digest", [
+        ([], "1f42cd8ae85ab51e89d8a247fb8d79d6e23a15a3bfcc2fa9a88d2be9b7dd312b"),
+        (["--single-task"], "33486a5662aced024ad86add418bad46ade8a3d6dded40e45ada0c102c5ffc99"),
+    ])
+    def test_printed_sweep_is_pinned(self, capsys, extra, digest):
+        """sha256 of the printed CSV and crossing line: it pins the sweep
+        protocol byte for byte, per-task baseline included."""
+        assert run(["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "0.4",
+                    "--theta-max", "1.2", "--theta-step", "0.4", "--trials", "4",
+                    "--seed", "3", "--epsilon-c", "1e-5", *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_crossing_line_carries_its_standard_error(self, capsys):
+        assert run(["sweep", "--p", "64", "--kappa", "1", "--theta-min", "0.5",
+                    "--theta-max", "2.5", "--theta-step", "1", "--trials", "4",
+                    "--seed", "1", "--epsilon-c", "1e-4", "--noise-variance", "1e-4"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "50% crossing: theta = 1, standard error 0\n")
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "1",
                 "--theta-max", "2", "--theta-step", "0.5", "--trials", "3",

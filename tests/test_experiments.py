@@ -20,6 +20,7 @@ from mtgreedy import (
     transition_threshold,
     trial_seed,
 )
+from mtgreedy.experiments import crossing_se
 
 
 class TestTheta:
@@ -121,6 +122,14 @@ class TestTransition:
 
     def test_unsorted_input_is_sorted_first(self):
         assert transition_threshold(_rows([1.0, 0.0], [2.0, 1.0])) == pytest.approx(1.5)
+
+    def test_crossing_se_is_the_delta_method_on_the_same_pair(self):
+        # rates 0.2 and 0.8 over 10 trials each: both terms are 0.3^2 * 0.16 / 10
+        se = crossing_se(_rows([0.0, 0.2, 0.8, 1.0], [0.5, 1.0, 2.0, 3.0]))
+        assert se == pytest.approx(math.sqrt(2 * 0.09 * 0.016) / 0.6 ** 2, rel=1e-12)
+        assert crossing_se(_rows([0.0, 0.2, 0.4], [1, 2, 3])) is None
+        flat = _rows([0.5, 0.5], [1.0, 2.0])      # locates nothing between the two
+        assert transition_threshold(flat) == 1.0 and crossing_se(flat) == math.inf
 
 
 class TestRunSweep:

@@ -4,9 +4,9 @@ Epsilon enters ``fit`` only at its forward gate, so the fit at a larger
 epsilon is a prefix of the fit at a smaller one.  ``fit(problem, config,
 path)`` continues an ``engine.FitPath`` from where its previous fit stopped;
 every continued report must equal a fresh fit bit for bit, and the reports
-a path hands out must not move when it goes on.  ``cross_validate`` runs
-each w's grid as one path and must give the rows, scores and winner of the
-loop that fits every (c, w) point afresh, with one path alive at a time.
+a path hands out must not move when it goes on.  ``cross_validate`` and
+``sweep_grid`` run each w's grid as one path and must give the results of
+the loop that fits every (c, w) point afresh, with one path alive at a time.
 """
 
 import tracemalloc
@@ -27,7 +27,7 @@ from mtgreedy import (
 )
 from mtgreedy.digits import DigitDataset, build_tasks, split_for_validation
 from mtgreedy.engine import FitPath
-from mtgreedy.experiments import stopping_threshold
+from mtgreedy.experiments import SweepConfig, run_sweep, stopping_threshold, sweep_grid
 
 C_GRID = (10.0, 1.0, 1e-1, 1e-2, 1e-3, 1e-4, 0.0)
 
@@ -211,6 +211,20 @@ def test_cross_validate_matches_the_per_point_loop(c_grid, w_grid):
     assert got == per_point_cross_validate(train, holdout, *args)
     assert [(row["c"], row["w"]) for row in got[2]["rows"]] == [
         (c, w) for c in c_grid for w in w_grid]
+
+
+@pytest.mark.parametrize("single_task", [False, True])
+def test_sweep_grid_matches_the_per_point_runs(single_task):
+    """Every point of an unsorted grid with a repeated c and a repeated w gets
+    the rows of its own ``run_sweep``, whose paths are single fits."""
+    c_grid, w_grid = [1e-2, 1e-6, 1e-2, 1e-4], [1.75, 1.25, 1.75]
+    config = SweepConfig(epsilon_c=1.0, noise_variance=1e-2, single_task=single_task)
+    args = (0.5, 64, (1.6, 0.8), 3)
+    got = sweep_grid(*args, c_grid, w_grid, config, 5)
+    assert list(got) == list(dict.fromkeys((c, w) for c in c_grid for w in w_grid))
+    for (c, w), rows in got.items():
+        assert rows == run_sweep(*args, replace(config, epsilon_c=c, w=w), 5)
+    assert len({tuple(rows) for rows in got.values()}) >= 3
 
 
 def test_cross_validate_keeps_one_path_alive():

@@ -144,17 +144,18 @@ def gain_matrix(problem, correlations, scales):
     return correlations * correlations / scales.denom
 
 
-def _best_forward(problem, singles, rows, config, gains):
+def _best_forward(singles, rows, config, gains):
     """Pick the best admissible candidate; None when the support is saturated.
 
-    ``singles`` and ``rows`` are the ``MaskedSet``s of a ``SupportState``.
+    ``singles`` and ``rows`` are the ``MaskedSet``s of a ``SupportState`` and
+    ``gains`` the (p, r) matrix of ``gain_matrix``.
     Singleton candidates exclude supported cells and features already held as
     rows; row candidates exclude current rows.  The first cell in (i, j)
     order and the first row win ties within a class, and the row wins a tie
     between classes.
     """
     masked = np.where(singles.mask | rows.mask[:, None], -1.0, gains)
-    i, j = divmod(int(np.argmax(masked)), problem.r)
+    i, j = divmod(int(np.argmax(masked)), gains.shape[1])
     best_single = masked[i, j]
 
     best_row = -1.0
@@ -234,7 +235,7 @@ class SupportState:
     Every move is applied here, so a fit and the replay of its trace move
     identically.  Adding a row drops that feature's singletons.  Adding a
     singleton promotes its feature to a row once the feature holds
-    coalesce_threshold(w) singletons, when rows and coalescing are both on.
+    coalesce_threshold(w) singletons, whenever rows are enabled.
     Removing an object the support does not hold raises KeyError.
 
     ``singles`` (cells over the (p, r) grid) and ``rows`` (features over p)
@@ -247,8 +248,7 @@ class SupportState:
         self.singles = MaskedSet((p, r))
         self.rows = MaskedSet(p)
         self._columns = [set() for _ in range(r)]
-        self.promote_at = (coalesce_threshold(config.w)
-                           if config.rows_enabled and config.coalesce_rows else None)
+        self.promote_at = coalesce_threshold(config.w) if config.rows_enabled else None
 
     def add(self, kind, index):
         """Add a "row" (m,) or a "singleton" (i, j); return the promoted feature or None."""
@@ -349,8 +349,8 @@ def fit(problem, config, path=None):
 
     Forward steps stop once the best weighted gain falls to epsilon plus
     COMPARISON_TOLERANCE times the loss at beta = 0, or the step cap is hit.
-    When row coalescing is on, a feature accumulating floor(w) + 1 singletons
-    is reclassified as a shared row, mirroring how true supports are
+    When rows are enabled, a feature accumulating floor(w) + 1 singletons is
+    reclassified as a shared row, mirroring how true supports are
     partitioned by per-row entry counts.
 
     Epsilon enters only at that forward gate, and the step cap and every
@@ -388,7 +388,7 @@ def fit(problem, config, path=None):
             termination = "max-steps"
             break
         gains = gain_matrix(problem, correlations, scales)
-        cand = _best_forward(problem, state.singles, state.rows, config, gains)
+        cand = _best_forward(state.singles, state.rows, config, gains)
         if cand is None or cand.value <= gate:
             break
 
@@ -419,8 +419,8 @@ def check_step_records(report, config, initial_loss):
     popped the latest unmatched addition, by step index and by reward, and
     cost at most nu times that reward; each matched add/remove pair
     strictly decreased the loss; and the final pattern keeps fewer than
-    floor(w) + 1 singletons on any non-shared feature row when rows are in
-    play with a non-integer weight.  Raises AssertionError on violation,
+    floor(w) + 1 singletons on any non-shared feature row when rows are
+    enabled with a non-integer weight.  Raises AssertionError on violation,
     also under ``python -O``.
     """
     loss_before = [initial_loss]
@@ -453,7 +453,7 @@ def check_step_records(report, config, initial_loss):
             if not drop - rise > 0.0:
                 raise AssertionError(
                     f"steps {fidx}/{idx}: paired add/remove did not decrease the loss")
-    if config.rows_enabled and config.coalesce_rows and config.w != math.floor(config.w):
+    if config.rows_enabled and config.w != math.floor(config.w):
         d = coalesce_threshold(config.w)
         counts: dict = {}
         for (i, _) in report.pattern.singletons:

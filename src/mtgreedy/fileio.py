@@ -18,7 +18,7 @@ def format_float(x):
 
 
 def to_json(obj, indent=0):
-    """Deterministic JSON text with fixed float formatting."""
+    """Deterministic JSON text with fixed float formatting; arrays go in as ``.tolist()``."""
     pad = " " * indent
     if obj is None:
         return "null"
@@ -46,8 +46,6 @@ def to_json(obj, indent=0):
             return "[" + ", ".join(to_json(v) for v in obj) + "]"
         inner = ",\n".join(f"{pad}  {to_json(v, indent + 2)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist(), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -16,21 +16,21 @@ of a basis step, and each single column X[:, c], read contiguous memory.
 
 ``design_product`` takes the two full products with a design: the X^T q of
 ``Basis.append`` and the fresh X^T r a factor takes after a clear, refactor
-or solve.  A product with a column-major design of at least 2 *
-SPLIT_ELEMENTS elements (4 MiB) cuts its columns into min(cpus,
-X.size // SPLIT_ELEMENTS) blocks, cpus being the CPUs the process may run
-on, with edges on multiples of SPLIT_ALIGN columns.  The caller and daemon
-worker threads, at most cpus - 1 and started at the first split, take the
-blocks from one list, so a block whose worker wakes late is computed by the
-caller instead (on a 2-core VM, one wake in ten took over 0.4 ms, about the
-time of half an 800 x 2000 product).  Such a product is bound by memory
-bandwidth, so two cores finish it sooner than one.  Each entry is still one
-column's dot product with v from the same BLAS kernel, so with one BLAS
-thread per call the result equals ``X.T @ v`` bit for bit.  (A threaded BLAS
-splits ``X.T @ v`` itself at edges of its own, and the two then agree to
-round-off.)  Smaller designs, designs whose columns make fewer than two
-blocks, any other layout and a single usable CPU take ``X.T @ v`` in the
-caller.
+or solve.  When BLAS is pinned to one thread at import, a product with a
+column-major design of at least 2 * SPLIT_ELEMENTS elements (4 MiB) cuts its
+columns into min(cpus, X.size // SPLIT_ELEMENTS) blocks, cpus being the CPUs
+the process may run on, with edges on multiples of SPLIT_ALIGN columns.  The
+caller and daemon worker threads, at most cpus - 1 and started at the first
+split, take the blocks from one list, so a block whose worker wakes late is
+computed by the caller instead (on a 2-core VM, one wake in ten took over
+0.4 ms, about the time of half an 800 x 2000 product).  Such a product is
+bound by memory bandwidth, so two cores finish it sooner than one.  Each
+entry is still one column's dot product with v from the same BLAS kernel, so
+the result equals ``X.T @ v`` bit for bit.  Smaller designs, designs whose
+columns make fewer than two blocks, any other layout and a single usable CPU
+take ``X.T @ v`` in the caller.  So does every product when BLAS is not
+pinned (``_CPUS`` is then 1): a threaded BLAS splits ``X.T @ v`` over its
+own threads, and blocks on top of them made a fit slower.
 """
 
 import math
@@ -56,18 +56,26 @@ SPLIT_ELEMENTS = 2 ** 18
 # Block edges fall on multiples of this many columns, so every block meets
 # the BLAS kernel's column groups where the whole product does.
 SPLIT_ALIGN = 16
-# The CPUs this process may run on, read once.
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
+# The CPUs a split may use, read once: those the process may run on when
+# BLAS is pinned to one thread, else 1.  BLAS counts as pinned when at least
+# one of these variables is set and every one set reads 1.  A threaded BLAS
+# splits X^T v by itself, and blocks on top of its threads lose: the
+# p = 2000, n = 800, r = 4 fit took 0.53-0.62 s split against 0.48-0.51 s
+# unsplit on a 2-core VM.
+_BLAS_THREADS = {os.environ.get(var) for var in
+                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} - {None}
+_CPUS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+         if _BLAS_THREADS == {"1"} else 1)
 
 
 def design_product(X, v):
     """X^T v for an (n, p) design X and a length-n vector v.
 
-    A large column-major X is split by columns across the process's CPUs;
-    under one BLAS thread per call the result equals ``X.T @ v`` bit for bit
-    (see the module docstring).  An exception raised by any block is raised
-    here.
+    A large column-major X is split by columns across the process's CPUs
+    when BLAS is pinned to one thread, and the result equals ``X.T @ v`` bit
+    for bit (see the module docstring).  An exception raised by any block is
+    raised here.
     """
     if X.size < 2 * SPLIT_ELEMENTS or _CPUS < 2 or not X.flags.f_contiguous:
         return X.T @ v

@@ -124,10 +124,10 @@ class GreedyConfig:
                       at w = 1 every forward step takes a whole row
     nu                backward factor in (0, 1): a removal must cost at most
                       nu times the recorded reward it is matched against
-    rows_enabled      when False the row object class is never considered
+    rows_enabled      when False the row object class is never considered; when
+                      True a feature holding floor(w) + 1 singletons is also
+                      reclassified as a shared row
     max_forward_steps cap guarding pathological configurations (None: 16 + 4*p*r)
-    coalesce_rows     reclassify a feature as a shared row once it holds
-                      enough singletons to out-earn the row weighting
     """
 
     epsilon: float
@@ -135,7 +135,6 @@ class GreedyConfig:
     nu: float = 0.5
     rows_enabled: bool = True
     max_forward_steps: int | None = None
-    coalesce_rows: bool = True
 
     def __post_init__(self):
         if not self.epsilon >= 0:

@@ -65,10 +65,11 @@ def costs_at(problem, beta):
 def state_of(pattern, p, r):
     """A SupportState holding exactly ``pattern``, for calling the selectors.
 
-    It is built with coalescing off, so a feature holding many singletons
-    stays as it is; the selectors read the weight from their own config.
+    It is built with rows disabled, so it never promotes and a feature
+    holding many singletons stays as it is; its rows are added directly, and
+    the selectors read the weight from their own config.
     """
-    state = SupportState(GreedyConfig(epsilon=0.0, coalesce_rows=False), p, r)
+    state = SupportState(GreedyConfig(epsilon=0.0, rows_enabled=False), p, r)
     for m in sorted(pattern.rows):
         state.add("row", (m,))
     for cell in sorted(pattern.singletons):

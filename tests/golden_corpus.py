@@ -165,7 +165,6 @@ def cases():
             epsilon=1e-4, w=1.5, nu=nu)
     # Object-class switches.
     add("rows_disabled", planted(300, 30, 3, 25, 3, 1), epsilon=1e-3, rows_enabled=False)
-    add("no_coalescing", planted(301, 30, 3, 25, 3, 1), epsilon=1e-3, coalesce_rows=False)
     add("step_cap", planted(302, 30, 2, 25, 3, 2), epsilon=1e-6, max_forward_steps=4)
     # r = 1, integer w, w = r.
     add("single_task", planted(400, 30, 1, 20, 0, 4), epsilon=1e-3)

@@ -273,6 +273,10 @@ class TestSerialization:
         parsed = json.loads(to_json(doc))
         assert parsed == {"a": [1.5, 2, None], "b": {"c": True, "d": "x"}}
 
+    def test_rejects_an_array(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            to_json({"beta": np.zeros(2)})
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             format_float(float("nan"))

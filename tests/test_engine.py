@@ -50,7 +50,7 @@ def forward_candidate(problem, pattern, config):
     """The forward selector's choice at the restricted optimum of a pattern."""
     gains = gains_at(problem, refit(problem, pattern))
     state = state_of(pattern, problem.p, problem.r)
-    return _best_forward(problem, state.singles, state.rows, config, gains)
+    return _best_forward(state.singles, state.rows, config, gains)
 
 
 def coalescing_problem():
@@ -368,9 +368,8 @@ class TestSupportState:
         assert np.array_equal(state.rows.mask, np.arange(5) == 4)
         assert all(state.task_support(j) == {4} for j in range(3))
 
-    @pytest.mark.parametrize("off", [{"coalesce_rows": False}, {"rows_enabled": False}])
-    def test_no_promotion_when_rows_or_coalescing_off(self, off):
-        state = SupportState(GreedyConfig(epsilon=0.0, w=1.5, **off), 1, 3)
+    def test_no_promotion_when_rows_off(self):
+        state = SupportState(GreedyConfig(epsilon=0.0, w=1.5, rows_enabled=False), 1, 3)
         for j in range(3):
             assert state.add("singleton", (0, j)) is None
         assert state.singles == {(0, 0), (0, 1), (0, 2)} and state.rows == set()
@@ -384,6 +383,42 @@ class TestSupportState:
             state.remove("row", (0,))
         state.remove("singleton", (0, 1))
         assert state.pattern() == SupportPattern()
+
+
+def retouched(report, k, **change):
+    """``report`` with step k's record changed."""
+    steps = list(report.steps)
+    steps[k] = replace(steps[k], **change)
+    return replace(report, steps=tuple(steps))
+
+
+# One tampered report per failure branch of check_step_records and
+# verify_trace: (id, tamper(report, k, u, zero loss), the branch's message),
+# where step k removes a singleton against step f and no step touches
+# feature u.
+TAMPERS = [
+    ("negative-cost", lambda rep, k, u, zero: retouched(rep, k, reward_or_cost=-1.0),
+     "step {k}: negative removal cost"),
+    ("empty-ledger", lambda rep, k, u, zero: replace(rep, steps=rep.steps[k:]),
+     "step 0: removal with empty ledger"),
+    ("popped-reward", lambda rep, k, u, zero: retouched(
+        rep, k, popped_reward=2.0 * rep.steps[k].popped_reward),
+     "step {k}: popped reward mismatch with step {f}"),
+    ("cost-over-nu", lambda rep, k, u, zero: retouched(
+        rep, k, reward_or_cost=rep.steps[k].popped_reward),
+     "step {k}: cost .* exceeds nu"),
+    ("loss-rise", lambda rep, k, u, zero: retouched(rep, k, loss_after=2.0 * zero + 1.0),
+     "steps {f}/{k}: paired add/remove did not decrease the loss"),
+    ("row-bound", lambda rep, k, u, zero: replace(
+        rep, pattern=SupportPattern(singletons=frozenset({(u, 0), (u, 1)}))),
+     "a non-shared row holds 2 singletons; limit is 1"),
+    ("absent", lambda rep, k, u, zero: retouched(rep, k, index=(u, 0)),
+     "step {k}: removing absent singleton"),
+    ("pattern", lambda rep, k, u, zero: replace(rep, pattern=SupportPattern()),
+     "replayed pattern differs"),
+    ("final-loss", lambda rep, k, u, zero: replace(rep, final_loss=rep.final_loss + 0.5),
+     "replayed final loss"),
+]
 
 
 class TestVerifyTrace:
@@ -516,3 +551,19 @@ class TestVerifyTrace:
         bad = report.coefficients * (1.0 + 1e-6)
         with pytest.raises(AssertionError, match="replayed coefficients differ"):
             verify_trace(problem, config, replace(report, coefficients=bad))
+
+    @pytest.mark.parametrize("tamper, message", [t[1:] for t in TAMPERS],
+                             ids=[t[0] for t in TAMPERS])
+    def test_each_failure_branch_names_its_fault(self, tamper, message):
+        spec = SynthSpec(p=20, n=30, r=2, kappa=0.5, noise_variance=0.5, seed=4)
+        problem, _ = gen_synthetic(spec)
+        config = GreedyConfig(epsilon=1e-3)
+        report = fit(problem, config)
+        verify_trace(problem, config, report)
+        k = next(k for k, s in enumerate(report.steps)
+                 if s.kind == "backward" and s.object_kind == "singleton")
+        u = min(set(range(problem.p)) - {s.index[0] for s in report.steps})
+        zero = loss(problem, np.zeros((problem.p, problem.r)))
+        message = message.format(k=k, f=report.steps[k].popped_step)
+        with pytest.raises(AssertionError, match=message):
+            verify_trace(problem, config, tamper(report, k, u, zero))

@@ -232,6 +232,13 @@ class TestSingleTaskBaseline:
             assert popped.index[1] == s.index[1]
             assert popped.reward_or_cost == s.popped_reward
 
+    def test_a_task_at_the_step_cap_stops_the_merged_fit_at_max_steps(self):
+        spec = SynthSpec(p=12, n=30, r=2, s=2, kappa=0.5, noise_variance=0.0, seed=6)
+        problem, _ = gen_synthetic(spec)
+        merged = foba_single_task(problem, GreedyConfig(epsilon=1e-9, max_forward_steps=1))
+        assert merged.termination == "max-steps"
+        assert [s.index[1] for s in merged.steps if s.kind == "forward"] == [0, 1]
+
     def test_rows_always_empty(self):
         spec = SynthSpec(p=12, n=30, r=2, s=2, kappa=1.0, noise_variance=0.0, seed=6)
         problem, _ = gen_synthetic(spec)

@@ -298,6 +298,25 @@ def test_fallback_and_recovery():
         assert f.exact is exact and set(f.cols) == support
 
 
+def test_a_removal_that_leaves_more_columns_than_samples_takes_the_min_norm_solve():
+    """Six singletons on a 4 x 8 task, then one removed: the refactor of the
+    five left declines, since they outnumber the samples, and the factor
+    takes the minimum-norm solve of the reference ``refit``."""
+    rng = np.random.default_rng(9)
+    problem = MultiTaskProblem.from_arrays([rng.standard_normal((4, 8))],
+                                           [rng.standard_normal(4)])
+    path = FitPath(problem, GreedyConfig(epsilon=0.0, rows_enabled=False))
+    state, f = path.state, path.factors[0]
+    for i in range(6):
+        state.add("singleton", (i, 0))
+        refit(problem, state, path.factors)
+    state.remove("singleton", (2, 0))
+    assert f.basis.refactor([0, 1, 3, 4, 5]) is None
+    refit(problem, state, path.factors)
+    assert not f.exact and f.cols == [0, 1, 3, 4, 5]
+    assert np.array_equal(path.beta, refit(problem, state))
+
+
 def test_nearly_collinear_columns_keep_the_residual_orthogonal():
     """Columns 1e-4 apart: the reorthogonalization pass keeps X_S^T r at
     round-off (one Gram-Schmidt pass alone leaves about 4e-13 here)."""
@@ -489,7 +508,7 @@ def loop_costs(problem, beta, correlations, colsq):
     return costs
 
 
-def set_best_forward(problem, singles, rows, config, gains):
+def set_best_forward(singles, rows, config, gains):
     """The set-loop forward selector the masked one replaced."""
     masked = gains.copy()
     for (i, j) in singles:
@@ -497,7 +516,7 @@ def set_best_forward(problem, singles, rows, config, gains):
     row_list = sorted(rows)
     if row_list:
         masked[row_list, :] = -1.0
-    i, j = divmod(int(np.argmax(masked)), problem.r)
+    i, j = divmod(int(np.argmax(masked)), gains.shape[1])
     best_single = masked[i, j]
     best_row = -1.0
     best_m = -1
@@ -570,8 +589,8 @@ class TestMaskedSelectors:
             singles, rows = set(pattern.singletons), set(pattern.rows)
             for config in self.CONFIGS:
                 assert_same_candidate(
-                    _best_forward(PROBLEM, state.singles, state.rows, config, gains),
-                    set_best_forward(PROBLEM, singles, rows, config, gains))
+                    _best_forward(state.singles, state.rows, config, gains),
+                    set_best_forward(singles, rows, config, gains))
                 if singles or rows:
                     assert_same_candidate(
                         _worst_backward(PROBLEM, beta, state.singles, state.rows, config,
@@ -589,9 +608,9 @@ class TestMaskedSelectors:
 
         def pick(pattern, config):
             state = state_of(pattern, 3, 2)
-            got = _best_forward(problem, state.singles, state.rows, config, gains)
+            got = _best_forward(state.singles, state.rows, config, gains)
             assert_same_candidate(got, set_best_forward(
-                problem, set(pattern.singletons), set(pattern.rows), config, gains))
+                set(pattern.singletons), set(pattern.rows), config, gains))
             return got
 
         no_rows = GreedyConfig(epsilon=0.0, rows_enabled=False)

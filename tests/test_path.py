@@ -135,8 +135,7 @@ class TestGuards:
             fit(twin, config, path)
 
     @pytest.mark.parametrize("change", [
-        {"w": 2.0}, {"nu": 0.25}, {"rows_enabled": False}, {"max_forward_steps": 3},
-        {"coalesce_rows": False}])
+        {"w": 2.0}, {"nu": 0.25}, {"rows_enabled": False}, {"max_forward_steps": 3}])
     def test_rejects_a_config_that_differs_in_more_than_epsilon(self, change):
         problem = synthetic_problem()
         config = GreedyConfig(epsilon=1e-2)

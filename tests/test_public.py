@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, every module-level
-definition is used or exported, and the demos run."""
+definition is used or exported, every config field is set outside the tests,
+and the demos run."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -50,6 +52,29 @@ def test_every_module_level_definition_is_used_or_exported():
                        for where, line, used in uses):
                 unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+def test_every_config_field_is_set_outside_the_tests():
+    """Each field of ``GreedyConfig``, ``SweepConfig`` and ``SynthSpec`` is
+    passed by keyword to that class, or to ``replace``, in some call in
+    ``src/``, ``demos/`` or ``perfbench/`` (``test_*`` files excluded): a
+    knob that only the tests turn has one legal value."""
+    passed = {}                        # callee name -> keywords passed to it
+    for where in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / where).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    callee = func.attr if isinstance(func, ast.Attribute) else getattr(
+                        func, "id", None)
+                    passed.setdefault(callee, set()).update(k.arg for k in node.keywords)
+    unset = [f"{cls.__name__}.{field.name}"
+             for cls in (mtgreedy.GreedyConfig, mtgreedy.SweepConfig, mtgreedy.SynthSpec)
+             for field in dataclasses.fields(cls)
+             if field.name not in passed.get(cls.__name__, set()) | passed.get("replace", set())]
+    assert unset == []
 
 
 @pytest.mark.parametrize("demo", ["01_greedy_fit_walkthrough.py", "03_recovery_diagnostics.py",

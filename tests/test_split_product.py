@@ -1,11 +1,13 @@
 """``linalg.design_product``: a large product X^T v split over worker threads
-must equal ``X.T @ v`` bit for bit, start threads only for large designs,
-keep no design alive and survive errors, interrupts and forks.
+must equal ``X.T @ v`` bit for bit, start threads only for large designs and
+only with BLAS pinned to one thread, keep no design alive and survive
+errors, interrupts and forks.
 
 Bit identity holds with one BLAS thread per call, as the benchmark runs.  A
 threaded BLAS splits ``X.T @ v`` itself at its own edges, so the checks of
 identity run in a fresh interpreter with BLAS pinned to one thread
-(``pinned``); the rest run here.
+(``fresh``), as do the checks of what the thread variables select; the rest
+run here, with ``_CPUS`` patched.
 """
 
 import os
@@ -27,6 +29,8 @@ HERE = Path(__file__).resolve().parent
 LIMIT = 2 * linalg.SPLIT_ELEMENTS      # the smallest design that splits
 ONE_BLAS_THREAD = {var: "1" for var in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 def design(rng, n, p):
@@ -37,9 +41,11 @@ def product_threads():
     return [t for t in threading.enumerate() if t.name.startswith("mtgreedy-product")]
 
 
-def pinned(check):
-    """Run ``check`` of this module in a fresh interpreter with one BLAS thread."""
-    env = dict(os.environ, **ONE_BLAS_THREAD)
+def fresh(check, blas=ONE_BLAS_THREAD):
+    """Run ``check`` of this module in a fresh interpreter with the BLAS
+    thread variables set as in ``blas``, and unset where it has none."""
+    env = {k: v for k, v in os.environ.items() if k not in ONE_BLAS_THREAD}
+    env.update(blas)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(HERE.parent / "src"), str(HERE)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -139,17 +145,33 @@ def check_forked_child_computes_a_split_product():
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+def check_a_large_product_starts_a_worker_only_under_pinned_blas():
+    X = design(np.random.default_rng(2), 512, 1024)
+    linalg.design_product(X, np.ones(512))
+    pinned = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+    assert len(product_threads()) == (1 if pinned else 0)
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
+def test_a_pinned_blas_splits_a_large_product():
+    fresh(check_a_large_product_starts_a_worker_only_under_pinned_blas)
+
+
+def test_an_unpinned_blas_takes_a_large_product_whole():
+    fresh(check_a_large_product_starts_a_worker_only_under_pinned_blas, blas={})
+
+
 def test_products_equal_the_whole_product_around_the_split_size():
-    pinned(check_products_around_the_split_size)
+    fresh(check_products_around_the_split_size)
 
 
 def test_a_split_fit_reports_what_a_serial_fit_reports():
-    pinned(check_split_fit_reports_what_a_serial_fit_reports)
+    fresh(check_split_fit_reports_what_a_serial_fit_reports)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_computes_a_split_product():
-    pinned(check_forked_child_computes_a_split_product)
+    fresh(check_forked_child_computes_a_split_product)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ success, 2 for usage or input errors, and 3 for internal numerical failures.
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -132,17 +132,11 @@ def cmd_sweep(args):
         epsilon_c=args.epsilon_c, w=args.w, nu=args.nu,
         noise_variance=args.noise_variance, single_task=args.single_task)
     rows = experiments.run_sweep(args.kappa, args.p, grid, args.trials, config, args.seed)
-    lines = ["kappa,theta,n,trials,successes,success_rate,mean_frob_error"]
+    columns = fields(experiments.SweepRow)
+    lines = [",".join(column.name for column in columns)]
     for row in rows:
-        lines.append(",".join([
-            fileio.format_float(row.kappa),
-            fileio.format_float(row.theta),
-            str(row.n),
-            str(row.trials),
-            str(row.successes),
-            fileio.format_float(row.success_rate),
-            fileio.format_float(row.mean_frob_error),
-        ]))
+        lines.append(",".join(fileio.format_float(v) if column.type is float else str(v)
+                              for column, v in zip(columns, astuple(row))))
     fileio.write_text(args.out, "\n".join(lines))
     crossing = experiments.transition_threshold(rows)
     if crossing is None:
@@ -198,7 +192,7 @@ def cmd_digits(args):
         raise ValueError(str(exc)) from exc
     if args.trials < 1:
         raise ValueError("need trials >= 1")
-    fields = ("avg_error", "error_variance", "avg_row_support", "avg_support")
+    keys = ("avg_error", "error_variance", "avg_row_support", "avg_support")
     per_trial = []
     for trial in range(args.trials):
         seed = experiments.trial_seed(args.seed, 0.0, 0, trial)
@@ -208,8 +202,8 @@ def cmd_digits(args):
     doc = {
         "trials": args.trials,
         "n_per_class": args.n_per_class,
-        "mean": {k: float(np.mean([t[k] for t in per_trial])) for k in fields},
-        "stddev": {k: float(np.std([t[k] for t in per_trial])) for k in fields},
+        "mean": {k: float(np.mean([t[k] for t in per_trial])) for k in keys},
+        "stddev": {k: float(np.std([t[k] for t in per_trial])) for k in keys},
         "per_trial": per_trial,
     }
     fileio.write_text(args.out, fileio.to_json(doc))

@@ -59,8 +59,8 @@ config up to epsilon, the fit at a larger epsilon is a step-by-step prefix
 of the fit at a smaller one.  A ``FitPath`` holds a fit's live state, and
 ``fit`` given one continues it at a smaller or equal epsilon, with the same
 report as a fresh fit.  ``experiments._path_fits`` alone continues paths,
-one per sharing weight from the largest threshold down, for both
-``cross_validate`` and the sweeps' (c, w) grids (``sweep_grid``).
+one per sharing weight (and task, for the per-task baseline) from the
+largest threshold down, for ``cross_validate`` and ``sweep_grid``.
 """
 
 import math
@@ -84,6 +84,8 @@ from .model import (
 # y by s scales every gain and that loss by s^2, so a fit with epsilon scaled
 # by s^2 takes the same steps.
 COMPARISON_TOLERANCE = 1e-12
+# Round-off allowed in a supported entry's gradient, relative to ||x_i|| ||y_j|| / n.
+GRADIENT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -417,7 +419,8 @@ def check_step_records(report, config, initial_loss):
 
     Checks, for every step: rewards cleared the stopping gate; each removal
     popped the latest unmatched addition, by step index and by reward, and
-    cost at most nu times that reward; each matched add/remove pair
+    cost at most nu times that reward and at least -1e-10 times
+    ``initial_loss``, the loss at beta = 0; each matched add/remove pair
     strictly decreased the loss; and the final pattern keeps fewer than
     floor(w) + 1 singletons on any non-shared feature row when rows are
     enabled with a non-integer weight.  Raises AssertionError on violation,
@@ -434,7 +437,7 @@ def check_step_records(report, config, initial_loss):
                     f"step {idx}: recorded reward {s.reward_or_cost} under threshold")
             stack.append(idx)
         else:
-            if not s.reward_or_cost >= -1e-10:
+            if not s.reward_or_cost >= -1e-10 * initial_loss:
                 raise AssertionError(f"step {idx}: negative removal cost")
             if not stack:
                 raise AssertionError(f"step {idx}: removal with empty ledger")
@@ -463,27 +466,28 @@ def check_step_records(report, config, initial_loss):
             raise AssertionError(f"a non-shared row holds {worst} singletons; limit is {d - 1}")
 
 
-def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
+def verify_trace(problem, config, report, loss_tol=1e-10):
     """Replay a fit trace and verify the engine's state invariants.
 
     On top of ``check_step_records`` this re-applies every move through a
     ``SupportState``, refits it with the reference ``refit``, and checks that
     each addition adds an object the support does not hold and each removal
     one it holds, that each replayed promotion equals the recorded one, that
-    recorded losses match to loss_tol, that the loss gradient vanishes on
-    the support after every refit, and that the replayed final pattern and
-    coefficients agree with the report.  A violation raises AssertionError
-    naming the step, also under ``python -O``.
+    recorded losses match to loss_tol times the loss at beta = 0, that the
+    loss gradient vanishes on the support after every refit, and that the
+    replayed final pattern and coefficients agree with the report.  A
+    violation raises AssertionError naming the step, also under ``python -O``.
 
-    The solve checks scale with the data.  The gradient x_i.r_j / n of a
-    supported entry must stay within grad_tol * ||x_i|| ||y_j|| / n, the size
-    at which round-off enters it (||r_j|| is no scale: it vanishes when a
-    support interpolates).  Task j's coefficients must match the reference
+    Every check scales with the data.  The gradient x_i.r_j / n of a
+    supported entry must stay within GRADIENT_TOLERANCE * ||x_i|| ||y_j|| / n,
+    the size at which round-off enters it (||r_j|| is no scale: it vanishes
+    when a support interpolates).  Task j's coefficients must match the reference
     solve within 1e-12 * kappa * (||b_j|| + kappa ||r_j|| / s_max), the
     first-order least-squares perturbation bound, with s_max and kappa the
     largest singular value and the condition number of its supported columns.
     """
-    check_step_records(report, config, loss(problem, np.zeros((problem.p, problem.r))))
+    zero_loss = loss(problem, np.zeros((problem.p, problem.r)))
+    check_step_records(report, config, zero_loss)
     xnorm = [np.linalg.norm(t.X, axis=0) for t in problem.tasks]
     ynorm = [np.linalg.norm(t.y) for t in problem.tasks]
     state = SupportState(config, problem.p, problem.r)
@@ -503,14 +507,14 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
                 raise AssertionError(f"step {idx}: removing absent {s.object_kind}") from None
         beta = refit(problem, state)
         step_loss = loss(problem, beta)
-        if not abs(step_loss - s.loss_after) <= loss_tol * (1.0 + abs(step_loss)):
+        if not abs(step_loss - s.loss_after) <= loss_tol * zero_loss:
             raise AssertionError(
                 f"step {idx}: replayed loss {step_loss} vs recorded {s.loss_after}")
         res = compute_residuals(problem, beta)
         for j, t in enumerate(problem.tasks):
             grad = -(t.X.T @ res[j]) / t.n
             for i in state.task_support(j):
-                bound = grad_tol * xnorm[j][i] * ynorm[j] / t.n
+                bound = GRADIENT_TOLERANCE * xnorm[j][i] * ynorm[j] / t.n
                 if not abs(grad[i]) <= bound:
                     raise AssertionError(
                         f"step {idx}: gradient {grad[i]} on supported ({i},{j}) "
@@ -529,6 +533,6 @@ def verify_trace(problem, config, report, grad_tol=1e-8, loss_tol=1e-10):
             raise AssertionError(
                 f"task {j}: replayed coefficients differ by {diff:.3g}, tolerance {tol:.3g}")
     final_loss = loss(problem, beta)
-    if not abs(final_loss - report.final_loss) <= loss_tol * (1.0 + report.final_loss):
+    if not abs(final_loss - report.final_loss) <= loss_tol * zero_loss:
         raise AssertionError(
             f"replayed final loss {final_loss} vs recorded {report.final_loss}")

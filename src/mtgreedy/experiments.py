@@ -185,12 +185,15 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
             problem, beta_star = gen_synthetic(SynthSpec(
                 p=p, n=n, r=2, s=s, kappa=kappa, noise_variance=config.noise_variance,
                 seed=trial_seed(master_seed, kappa, t_idx, trial)))
-            for c, w, gconf, report in _path_fits(problem, eps, w_grid, config.nu,
-                                                  config.single_task):
-                if config.check_traces and not config.single_task:
-                    check_step_records(report, gconf, loss(problem, np.zeros(beta_star.shape)))
-                hits[c, w] += sign_support_success(report.coefficients, beta_star)
-                frob[c, w] += float(np.linalg.norm(report.coefficients - beta_star))
+            for c, w, gconf, reports, zero_losses in _path_fits(problem, eps, w_grid, config.nu,
+                                                                config.single_task):
+                if config.check_traces:
+                    for report, zero_loss in zip(reports, zero_losses):
+                        check_step_records(report, gconf, zero_loss)
+                beta = (reports[0].coefficients if len(reports) == 1
+                        else np.hstack([report.coefficients for report in reports]))
+                hits[c, w] += sign_support_success(beta, beta_star)
+                frob[c, w] += float(np.linalg.norm(beta - beta_star))
         for point, rows in out.items():
             rows.append(SweepRow(kappa, theta_value, n, trials, hits[point],
                                  hits[point] / trials, frob[point] / trials))
@@ -228,8 +231,10 @@ def transition_threshold(rows):
 def crossing_se(rows):
     """Delta-method standard error of the crossing ``transition_threshold``
     reports: the binomial variance of the bracketing success rates p_a, p_b
-    through theta_a + (1/2 - p_a) * (theta_b - theta_a) / (p_b - p_a).  None
-    without a crossing; inf when both rates are 1/2, which locate nothing.
+    through theta_a + (1/2 - p_a) * (theta_b - theta_a) / (p_b - p_a), each
+    variance taken at the Jeffreys-type rate (k + 1/2) / (n + 1) of k
+    successes in n trials, so rates 0 and 1 keep a variance.  None without a
+    crossing; inf when both rates are 1/2, which locate nothing.
     """
     if (pair := _bracket(rows)) is None:
         return None
@@ -238,26 +243,27 @@ def crossing_se(rows):
     if pa == pb:
         return math.inf
     scale = (b.theta - a.theta) / (pb - pa) ** 2
-    var = ((pb - 0.5) ** 2 * pa * (1.0 - pa) / a.trials
-           + (0.5 - pa) ** 2 * pb * (1.0 - pb) / b.trials)
+    var = 0.0
+    for row, weight in ((a, pb - 0.5), (b, 0.5 - pa)):
+        rate = (row.successes + 0.5) / (row.trials + 1)
+        var += weight ** 2 * rate * (1.0 - rate) / row.trials
     return scale * math.sqrt(var)
 
 
 def _path_fits(problem, eps, w_grid, nu, single_task=False):
-    """Yield (c, w, config, report) at each distinct point, ``eps`` mapping c
-    to epsilon.  The one place a path is continued: each w is one greedy path
-    (one per task for the per-task baseline) from the largest c down, with
-    the reports of fresh fits and one path alive at a time."""
+    """Yield (c, w, config, reports, zero_losses) at each distinct point, with
+    ``eps`` mapping c to epsilon.  The one place a path is continued: each w
+    is one ``FitPath`` on ``problem`` (rows off, one per task alone, for the
+    per-task baseline) from the largest c down, with the reports of fresh
+    fits, each path's loss at beta = 0 and one w alive at a time."""
+    tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
     for w in dict.fromkeys(w_grid):
-        path = [] if single_task else None
+        paths = None
         for c in sorted(eps, reverse=True):
-            config = GreedyConfig(epsilon=eps[c], w=w, nu=nu)
-            if single_task:
-                report = foba_single_task(problem, config, path)
-            else:
-                path = path or FitPath(problem, config)
-                report = fit(problem, config, path)
-            yield c, w, config, report
+            config = GreedyConfig(epsilon=eps[c], w=w, nu=nu, rows_enabled=not single_task)
+            paths = paths or [FitPath(task, config) for task in tasks]
+            yield (c, w, config, [fit(path.problem, config, path) for path in paths],
+                   [path.zero_loss for path in paths])
 
 
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
@@ -279,7 +285,7 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}
-    for c, w, _, report in _path_fits(train_problem, eps, w_grid, nu):
+    for c, w, _, (report,), _ in _path_fits(train_problem, eps, w_grid, nu):
         score = 0.0
         for res in residuals(holdout_problem, report.coefficients):
             score += float(res @ res)
@@ -290,26 +296,20 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     return best["epsilon"], best["w"], {"best_c": best["c"], "rows": rows}
 
 
-def foba_single_task(problem, config, path=None):
+def foba_single_task(problem, config):
     """Per-task greedy baseline: rows disabled, tasks fit independently.
 
     Step records keep per-task losses, with indices and popped_step
     remapped to the original task and the merged trace; the merged
-    report's final_loss is the full multi-task loss.  ``path``, like
-    ``fit``'s, carries state from call to call: a list that the first call
-    fills with one ``engine.FitPath`` per task and later calls, at a smaller
-    or equal epsilon, continue.
+    report's final_loss is the full multi-task loss.
     """
     config = replace(config, rows_enabled=False)
-    path = [] if path is None else path
-    if not path:
-        path.extend(FitPath(problem.single_task(j), config) for j in range(problem.r))
     beta = np.zeros((problem.p, problem.r))
     singles = set()
     steps = []
     termination = "gain-below-threshold"
-    for j, task_path in enumerate(path):
-        report = fit(task_path.problem, config, task_path)
+    for j in range(problem.r):
+        report = fit(problem.single_task(j), config)
         beta[:, j] = report.coefficients[:, 0]
         singles |= {(i, j) for (i, _) in report.pattern.singletons}
         offset = len(steps)

@@ -16,16 +16,17 @@ from .linalg import solve_least_squares
 from .model import SupportPattern, loss
 
 ENUMERATION_LIMIT = 1_000_000
+GOLDEN_SECTION_STEPS = 120      # each shrinks the bracket by a factor 0.618
 
 
-def _golden_section(f, lo, hi, iters=120):
+def _golden_section(f, lo, hi):
     """Minimize a unimodal scalar function on [lo, hi]."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_SECTION_STEPS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -172,8 +172,10 @@ class TestSweep:
         assert run(["sweep", "--p", "64", "--kappa", "1", "--theta-min", "0.5",
                     "--theta-max", "2.5", "--theta-step", "1", "--trials", "4",
                     "--seed", "1", "--epsilon-c", "1e-4", "--noise-variance", "1e-4"]) == 0
+        # rates 0 and 1 over 4 trials: the variances are taken at the rates
+        # 0.5/5 and 4.5/5, so the error is sqrt(2 * 0.5^2 * 0.1 * 0.9 / 4), not 0
         assert capsys.readouterr().out.endswith(
-            "50% crossing: theta = 1, standard error 0\n")
+            "50% crossing: theta = 1, standard error 0.106\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "1",

@@ -496,7 +496,8 @@ class TestVerifyTrace:
 
     def test_checks_hold_at_any_data_scale(self, monkeypatch):
         """X and y scaled by s, epsilon by s^2: the same moves, a clean replay,
-        and both a tampered loss and a nudged replay solve still fail."""
+        and a tampered step loss, a tampered final loss and a nudged replay
+        solve still fail, below scale 1 too."""
         spec = SynthSpec(p=128, n=74, r=2, kappa=0.5, noise_variance=1e-4, seed=1)
         base, _ = gen_synthetic(spec)
         config = SweepConfig(epsilon_c=1e-5).greedy_config(spec.support_size, spec.p, spec.n)
@@ -506,7 +507,7 @@ class TestVerifyTrace:
             return reference(problem, pattern, factors) * (1.0 + 1e-6)
 
         moves = None
-        for s in (1.0, 1e3, 1e6):
+        for s in (1.0, 1e3, 1e6, 1e-3, 1e-6):
             problem = MultiTaskProblem.from_arrays(
                 [t.X * s for t in base.tasks], [t.y * s for t in base.tasks])
             scaled = replace(config, epsilon=config.epsilon * s * s)
@@ -519,11 +520,32 @@ class TestVerifyTrace:
             bad[0] = replace(bad[0], loss_after=bad[0].loss_after * (1.0 + 1e-6))
             with pytest.raises(AssertionError, match="step 0: replayed loss"):
                 verify_trace(problem, scaled, replace(report, steps=tuple(bad)))
+            with pytest.raises(AssertionError, match="replayed final loss"):
+                verify_trace(problem, scaled,
+                             replace(report, final_loss=report.final_loss * (1.0 + 1e-3)))
             with monkeypatch.context() as m:
                 m.setattr(engine, "refit", nudged)
                 with pytest.raises(AssertionError, match="step 0: gradient"):
                     verify_trace(problem, scaled, report, loss_tol=math.inf)
         assert len(moves) == 25
+
+    def test_removal_cost_floor_scales_with_the_loss_at_zero(self):
+        """A removal cost may fall below 0 by 1e-10 of the loss at beta = 0,
+        the size of its round-off, at every data scale, and by no more."""
+        spec = SynthSpec(p=20, n=30, r=2, kappa=0.5, noise_variance=0.5, seed=4)
+        base, _ = gen_synthetic(spec)
+        for s in (1e-3, 1.0, 1e3):
+            problem = MultiTaskProblem.from_arrays(
+                [t.X * s for t in base.tasks], [t.y * s for t in base.tasks])
+            config = GreedyConfig(epsilon=1e-3 * s * s)
+            report = fit(problem, config)
+            k = next(k for k, st in enumerate(report.steps) if st.kind == "backward")
+            zero = loss(problem, np.zeros((problem.p, problem.r)))
+            check_step_records(retouched(report, k, reward_or_cost=-0.5e-10 * zero),
+                               config, zero)
+            with pytest.raises(AssertionError, match=f"step {k}: negative removal cost"):
+                check_step_records(retouched(report, k, reward_or_cost=-2e-10 * zero),
+                                   config, zero)
 
     def test_coefficient_check_follows_the_support_condition(self):
         """A support holding two columns 1e-5 apart: the incremental and the

@@ -124,9 +124,12 @@ class TestTransition:
         assert transition_threshold(_rows([1.0, 0.0], [2.0, 1.0])) == pytest.approx(1.5)
 
     def test_crossing_se_is_the_delta_method_on_the_same_pair(self):
-        # rates 0.2 and 0.8 over 10 trials each: both terms are 0.3^2 * 0.16 / 10
+        # rates 0.2 and 0.8 over 10 trials each: both variances are taken at
+        # the Jeffreys-type rates 2.5/11 and 8.5/11, so both terms are
+        # 0.3^2 * (2.5/11) * (8.5/11) / 10
         se = crossing_se(_rows([0.0, 0.2, 0.8, 1.0], [0.5, 1.0, 2.0, 3.0]))
-        assert se == pytest.approx(math.sqrt(2 * 0.09 * 0.016) / 0.6 ** 2, rel=1e-12)
+        var = 2.5 / 11 * 8.5 / 11 / 10
+        assert se == pytest.approx(math.sqrt(2 * 0.09 * var) / 0.6 ** 2, rel=1e-12)
         assert crossing_se(_rows([0.0, 0.2, 0.4], [1, 2, 3])) is None
         flat = _rows([0.5, 0.5], [1.0, 2.0])      # locates nothing between the two
         assert transition_threshold(flat) == 1.0 and crossing_se(flat) == math.inf

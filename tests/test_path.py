@@ -5,8 +5,10 @@ epsilon is a prefix of the fit at a smaller one.  ``fit(problem, config,
 path)`` continues an ``engine.FitPath`` from where its previous fit stopped;
 every continued report must equal a fresh fit bit for bit, and the reports
 a path hands out must not move when it goes on.  ``cross_validate`` and
-``sweep_grid`` run each w's grid as one path and must give the results of
-the loop that fits every (c, w) point afresh, with one path alive at a time.
+``sweep_grid`` run each w's grid as one path (one per task for the per-task
+baseline) and must give the results of the loop that fits every (c, w)
+point afresh, with one path alive at a time; ``sweep_grid`` checks the
+trace of every path.
 """
 
 import tracemalloc
@@ -22,12 +24,16 @@ from mtgreedy import (
     SynthSpec,
     cross_validate,
     fit,
+    foba_single_task,
     gen_synthetic,
+    loss,
     verify_trace,
 )
+from mtgreedy import experiments
 from mtgreedy.digits import DigitDataset, build_tasks, split_for_validation
 from mtgreedy.engine import FitPath
-from mtgreedy.experiments import SweepConfig, run_sweep, stopping_threshold, sweep_grid
+from mtgreedy.experiments import (
+    SweepConfig, _path_fits, run_sweep, stopping_threshold, sweep_grid)
 
 C_GRID = (10.0, 1.0, 1e-1, 1e-2, 1e-3, 1e-4, 0.0)
 
@@ -224,6 +230,44 @@ def test_sweep_grid_matches_the_per_point_runs(single_task):
     for (c, w), rows in got.items():
         assert rows == run_sweep(*args, replace(config, epsilon_c=c, w=w), 5)
     assert len({tuple(rows) for rows in got.values()}) >= 3
+
+
+def test_per_task_paths_equal_fresh_per_task_fits():
+    """The per-task baseline's paths over a descending c grid: each task's
+    report equals a fresh rows-off fit of that task bit for bit, with the
+    task's own loss at beta = 0, and the stacked columns equal
+    ``foba_single_task``'s coefficients."""
+    problem = synthetic_problem()
+    eps = dict(zip(C_GRID, epsilons(problem)))
+    points = list(_path_fits(problem, eps, (1.5,), 0.5, single_task=True))
+    assert [c for c, *_ in points] == sorted(C_GRID, reverse=True)
+    for c, _, _, reports, zero_losses in points:
+        config = GreedyConfig(epsilon=eps[c], w=1.5, nu=0.5, rows_enabled=False)
+        assert len(reports) == len(zero_losses) == problem.r
+        for j, (report, zero_loss) in enumerate(zip(reports, zero_losses)):
+            task = problem.single_task(j)
+            assert_same_report(report, fit(task, config))
+            assert zero_loss == loss(task, np.zeros((problem.p, 1)))
+        merged = foba_single_task(problem, config)
+        assert np.array_equal(np.hstack([r.coefficients for r in reports]), merged.coefficients)
+
+
+@pytest.mark.parametrize("single_task, traces", [(False, 1), (True, 2)])
+def test_sweep_grid_checks_every_trace(monkeypatch, single_task, traces):
+    """``check_step_records`` runs on every report of every point and trial:
+    one per point for the joint fit, one per task for the baseline."""
+    check = experiments.check_step_records
+    widths = []
+
+    def counted(report, config, initial_loss):
+        widths.append(report.coefficients.shape[1])
+        check(report, config, initial_loss)
+
+    monkeypatch.setattr(experiments, "check_step_records", counted)
+    config = SweepConfig(epsilon_c=1.0, noise_variance=1e-2, single_task=single_task)
+    sweep_grid(0.5, 64, (1.6, 0.8), 3, [1e-2, 1e-6, 1e-4], [1.75, 1.25], config, 5)
+    assert len(widths) == traces * 3 * 2 * 3 * 2      # paths, c, w, trials, theta
+    assert set(widths) == {2 // traces}
 
 
 def test_cross_validate_keeps_one_path_alive():

@@ -42,7 +42,6 @@ from .experiments import (
     SweepRow,
     SynthSpec,
     cross_validate,
-    foba_single_task,
     gen_synthetic,
     n_for_theta,
     run_sweep,
@@ -58,7 +57,7 @@ __all__ = [
     "TruthPartition",
     "beta_min", "check_step_records", "coalesce_threshold", "cost_oracle",
     "cross_validate", "epsilon_lower_bound", "error_bound", "eta_lower_bound",
-    "exhaustive_best_fit", "fit", "foba_single_task", "gain_matrix", "gain_oracle",
+    "exhaustive_best_fit", "fit", "gain_matrix", "gain_oracle",
     "gen_synthetic", "gradient_bound_lambda", "loss", "n_for_theta",
     "partition_supports", "refit", "rep_constants", "residuals",
     "run_sweep", "sign_support_success", "solve_least_squares",

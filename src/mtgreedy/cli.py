@@ -60,7 +60,9 @@ def build_parser():
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--epsilon-c", type=float, required=True)
-    s.add_argument("--w", type=float, default=1.5)
+    s.add_argument("--w", type=float, default=1.5,
+                   help="sharing weight of the joint fit; the per-task baseline "
+                        "(--single-task) has rows disabled and does not read it")
     s.add_argument("--nu", type=float, default=0.5)
     s.add_argument("--noise-variance", type=float, default=0.1)
     s.add_argument("--single-task", action="store_true")

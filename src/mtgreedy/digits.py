@@ -176,7 +176,8 @@ def split_for_validation(problem):
     responses and applied to every task, and X is gathered once per half
     into a column-major array (``design_rows``): every task of a half holds
     that half's one design array, so a fit shares its orthogonalizations
-    between them.  Returns (train, holdout) problems.
+    between them.  Returns (train, holdout) problems.  A class with fewer
+    than two rows cannot be halved, so it raises ValueError.
     """
     X = problem.tasks[0].X
     labels = np.full(X.shape[0], -1, dtype=int)
@@ -185,9 +186,11 @@ def split_for_validation(problem):
     first, second = [], []
     for c in range(problem.r):
         block = np.flatnonzero(labels == c)
-        half = max(1, block.size // 2)
+        if block.size < 2:
+            raise ValueError(f"class {c} has {block.size} training row(s); halving needs 2")
+        half = block.size // 2
         first.extend(block[:half])
-        second.extend(block[half:] if block.size > half else block[:half])
+        second.extend(block[half:])
     first = np.asarray(first)
     second = np.asarray(second)
     halves = []

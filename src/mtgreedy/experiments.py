@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import FitPath, check_step_records, fit
-from .model import FitReport, GreedyConfig, MultiTaskProblem, SupportPattern, loss, residuals
+from .model import GreedyConfig, MultiTaskProblem, residuals
 
 
 # gen_synthetic draws a design this many rows at a time into its column-major
@@ -252,18 +252,25 @@ def crossing_se(rows):
 
 def _path_fits(problem, eps, w_grid, nu, single_task=False):
     """Yield (c, w, config, reports, zero_losses) at each distinct point, with
-    ``eps`` mapping c to epsilon.  The one place a path is continued: each w
-    is one ``FitPath`` on ``problem`` (rows off, one per task alone, for the
-    per-task baseline) from the largest c down, with the reports of fresh
-    fits, each path's loss at beta = 0 and one w alive at a time."""
-    tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
-    for w in dict.fromkeys(w_grid):
+    ``eps`` mapping c to epsilon.  The one place a path is continued from the
+    largest c down, with the reports of fresh fits and each path's loss at
+    beta = 0: each w is one ``FitPath`` on ``problem``, with one w alive at a
+    time.  The per-task baseline is one rows-off path per task alone, made
+    once for every w: a rows-off fit never reads w, so each w of a c reads
+    the same reports."""
+    distinct = list(dict.fromkeys(w_grid))
+    if single_task:
+        tasks, runs = [problem.single_task(j) for j in range(problem.r)], [distinct]
+    else:
+        tasks, runs = [problem], [[w] for w in distinct]
+    for ws in runs:
         paths = None
         for c in sorted(eps, reverse=True):
-            config = GreedyConfig(epsilon=eps[c], w=w, nu=nu, rows_enabled=not single_task)
+            config = GreedyConfig(epsilon=eps[c], w=ws[0], nu=nu, rows_enabled=not single_task)
             paths = paths or [FitPath(task, config) for task in tasks]
-            yield (c, w, config, [fit(path.problem, config, path) for path in paths],
-                   [path.zero_loss for path in paths])
+            reports = [fit(path.problem, config, path) for path in paths]
+            for w in ws:
+                yield c, w, replace(config, w=w), reports, [path.zero_loss for path in paths]
 
 
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
@@ -295,33 +302,3 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     best = min(rows, key=lambda row: row["holdout_score"])      # the first of equals
     return best["epsilon"], best["w"], {"best_c": best["c"], "rows": rows}
 
-
-def foba_single_task(problem, config):
-    """Per-task greedy baseline: rows disabled, tasks fit independently.
-
-    Step records keep per-task losses, with indices and popped_step
-    remapped to the original task and the merged trace; the merged
-    report's final_loss is the full multi-task loss.
-    """
-    config = replace(config, rows_enabled=False)
-    beta = np.zeros((problem.p, problem.r))
-    singles = set()
-    steps = []
-    termination = "gain-below-threshold"
-    for j in range(problem.r):
-        report = fit(problem.single_task(j), config)
-        beta[:, j] = report.coefficients[:, 0]
-        singles |= {(i, j) for (i, _) in report.pattern.singletons}
-        offset = len(steps)
-        for s in report.steps:
-            popped = None if s.popped_step is None else s.popped_step + offset
-            steps.append(replace(s, index=(s.index[0], j), popped_step=popped))
-        if report.termination == "max-steps":
-            termination = "max-steps"
-    return FitReport(
-        coefficients=beta,
-        pattern=SupportPattern(singletons=frozenset(singles), rows=frozenset()),
-        final_loss=loss(problem, beta),
-        steps=tuple(steps),
-        termination=termination,
-    )

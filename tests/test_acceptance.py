@@ -206,6 +206,7 @@ def test_criterion_4_trace_invariants(recovery_runs, planted_runs):
     assert backward_seen > 0, "invariant run never exercised a backward step"
 
 
+@pytest.mark.slow
 def test_criterion_5_phase_transition(joint_sweeps):
     all_ok = True
     details = []
@@ -232,6 +233,7 @@ def test_criterion_5_phase_transition(joint_sweeps):
         assert rows[-1].success_rate - rows[0].success_rate >= 0.5
 
 
+@pytest.mark.slow
 def test_criterion_6_joint_beats_single_task(joint_sweeps):
     # kappa=1: every true feature is a shared row, so pooling evidence across
     # tasks must save samples beyond the crossings' own noise.  kappa=0.8: the

@@ -231,6 +231,11 @@ class TestDigitsCommand:
                     "--seed", "1"]) == 2
         assert "mfeat-fac" in capsys.readouterr().err
 
+    def test_one_row_per_class_exits_2(self, mfeat_dir, capsys):
+        assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "1",
+                    "--seed", "1"]) == 2
+        assert "class 0 has 1 training row" in capsys.readouterr().err
+
     def test_single_trial_report(self, mfeat_dir, tmp_path, capsys):
         out = tmp_path / "digits.json"
         assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",

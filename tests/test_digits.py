@@ -97,6 +97,21 @@ class TestBuildTasks:
             stacked = np.column_stack([t.y for t in sub.tasks])
             assert np.array_equal(stacked.sum(axis=0), np.full(10, 5.0))
 
+    def test_validation_split_refuses_a_one_row_class(self, mfeat_dir):
+        """A class's only row would sit in both halves, so the holdout would
+        score a row the fit trained on."""
+        problem, _ = build_tasks(load_mfeat(mfeat_dir), n_per_class=1, seed=3)
+        with pytest.raises(ValueError, match="class 0 has 1 training row"):
+            split_for_validation(problem)
+
+    @pytest.mark.parametrize("n_per_class", [2, 3])
+    def test_validation_halves_share_no_row(self, mfeat_dir, n_per_class):
+        problem, _ = build_tasks(load_mfeat(mfeat_dir), n_per_class=n_per_class, seed=3)
+        train, hold = split_for_validation(problem)
+        rows = [{tuple(x) for x in half.tasks[0].X} for half in (train, hold)]
+        assert not rows[0] & rows[1]
+        assert train.tasks[0].n + hold.tasks[0].n == 10 * n_per_class
+
     def test_validation_halves_share_one_design(self, mfeat_dir):
         """Each half slices X once: its tasks hold one design array, equal to
         the rows the per-class halving picks."""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtgreedy import (
     GreedyConfig,
@@ -20,7 +21,6 @@ from mtgreedy import (
     cost_oracle,
     exhaustive_best_fit,
     fit,
-    foba_single_task,
     gen_synthetic,
     loss,
     refit,
@@ -282,9 +282,10 @@ class TestFit:
             problem, beta_star, _, _ = planted_shared_problem(seed=seed, p=10, n=30)
             config = GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5, rows_enabled=False)
             joint = fit(problem, config)
-            merged = foba_single_task(problem, config)
-            assert joint.pattern == merged.pattern
-            assert np.array_equal(joint.coefficients, merged.coefficients)
+            for j in range(problem.r):
+                alone = fit(problem.single_task(j), config)
+                assert joint.pattern.task_support(j) == alone.pattern.task_support(0)
+                assert np.array_equal(joint.coefficients[:, j], alone.coefficients[:, 0])
             assert joint.pattern.rows == frozenset()
 
     def test_max_steps_termination(self):
@@ -589,3 +590,62 @@ class TestVerifyTrace:
         message = message.format(k=k, f=report.steps[k].popped_step)
         with pytest.raises(AssertionError, match=message):
             verify_trace(problem, config, tamper(report, k, u, zero))
+
+
+@st.composite
+def degenerate_multitask_problems(draw):
+    """r in {2, 3} tasks with n in [3, 12], so n falls below the support size
+    at times, on one design shared by every task or one design per task.
+    Each design has a zero column and a duplicated one, and every response
+    loads on the duplicated feature, so that feature is a row candidate."""
+    r = draw(st.sampled_from([2, 3]))
+    p = draw(st.integers(3, 8))
+    n = draw(st.integers(3, 12))
+    zero, dup, twin = draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3, unique=True))
+    shared = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def design():
+        X = rng.standard_normal((n, p))
+        X[:, zero] = 0.0
+        X[:, dup] = X[:, twin]
+        return X
+
+    designs = [design()] * r if shared else [design() for _ in range(r)]
+    responses = []
+    for X in designs:
+        b = rng.standard_normal(p) * (rng.random(p) < 0.3)
+        b[dup] = rng.choice([-1.0, 1.0]) * (1.0 + rng.random())
+        responses.append(X @ b + 0.1 * rng.standard_normal(n))
+    return MultiTaskProblem.from_arrays(designs, responses)
+
+
+def scaled_problem(problem, factor):
+    """``problem`` with every design and response times ``factor``; tasks
+    that share a design still share one."""
+    made = {}
+    designs = [made.setdefault(id(t.X), t.X * factor) for t in problem.tasks]
+    return MultiTaskProblem.from_arrays(designs, [t.y * factor for t in problem.tasks])
+
+
+def moves(report):
+    return [(s.kind, s.object_kind, s.index, s.promoted_row) for s in report.steps]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(degenerate_multitask_problems(),
+       st.sampled_from([1.0, 1.5, 2.0, "r"]),
+       st.sampled_from([0.0, 1e-3, 1e-1]))
+def test_multitask_fits_hold_their_invariants_at_any_scale(problem, w, epsilon):
+    """Every fit replays under ``verify_trace`` within its step cap, and
+    scaling X and y by 2^k and epsilon by 4^k scales every product exactly,
+    so the fit makes the same moves and stops for the same reason."""
+    config = GreedyConfig(epsilon=epsilon, w=problem.r if w == "r" else w, nu=0.5)
+    report = fit(problem, config)
+    verify_trace(problem, config, report)
+    forward = sum(s.kind == "forward" for s in report.steps)
+    assert forward <= config.step_cap(problem.p, problem.r)
+    for k in (-10, 10):
+        big = fit(scaled_problem(problem, 2.0 ** k), replace(config, epsilon=epsilon * 4.0 ** k))
+        assert moves(big) == moves(report)
+        assert big.termination == report.termination

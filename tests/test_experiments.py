@@ -11,7 +11,6 @@ from mtgreedy import (
     SynthSpec,
     cross_validate,
     fit,
-    foba_single_task,
     gen_synthetic,
     n_for_theta,
     run_sweep,
@@ -20,7 +19,7 @@ from mtgreedy import (
     transition_threshold,
     trial_seed,
 )
-from mtgreedy.experiments import crossing_se
+from mtgreedy.experiments import _path_fits, crossing_se
 
 
 class TestTheta:
@@ -214,39 +213,18 @@ class TestCrossValidate:
 
 
 class TestSingleTaskBaseline:
-    def test_single_task_problem_identical_to_fit(self):
-        spec = SynthSpec(p=12, n=30, r=1, s=2, kappa=0.0, noise_variance=0.0, seed=5)
-        problem, beta = gen_synthetic(spec)
-        config = GreedyConfig(epsilon=1e-9, rows_enabled=False)
-        direct = fit(problem, config)
-        merged = foba_single_task(problem, config)
-        assert direct.pattern == merged.pattern
-        assert np.array_equal(direct.coefficients, merged.coefficients)
-
-    def test_backward_steps_pop_their_own_tasks_forward_step(self):
-        spec = SynthSpec(p=60, n=25, r=2, kappa=0.5, noise_variance=1.0, seed=2)
-        problem, _ = gen_synthetic(spec)
-        merged = foba_single_task(problem, GreedyConfig(epsilon=1e-3, rows_enabled=False))
-        backward = [s for s in merged.steps if s.kind == "backward"]
-        assert {s.index[1] for s in backward} == {0, 1}  # both tasks remove a step
-        for s in backward:
-            popped = merged.steps[s.popped_step]
-            assert popped.kind == "forward"
-            assert popped.index[1] == s.index[1]
-            assert popped.reward_or_cost == s.popped_reward
-
-    def test_a_task_at_the_step_cap_stops_the_merged_fit_at_max_steps(self):
-        spec = SynthSpec(p=12, n=30, r=2, s=2, kappa=0.5, noise_variance=0.0, seed=6)
-        problem, _ = gen_synthetic(spec)
-        merged = foba_single_task(problem, GreedyConfig(epsilon=1e-9, max_forward_steps=1))
-        assert merged.termination == "max-steps"
-        assert [s.index[1] for s in merged.steps if s.kind == "forward"] == [0, 1]
-
     def test_rows_always_empty(self):
+        """At full overlap the joint fit takes rows; the baseline's paths
+        run with rows off and hold none at any point."""
         spec = SynthSpec(p=12, n=30, r=2, s=2, kappa=1.0, noise_variance=0.0, seed=6)
         problem, _ = gen_synthetic(spec)
-        merged = foba_single_task(problem, GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5))
-        assert merged.pattern.rows == frozenset()
+        assert fit(problem, GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5)).pattern.rows
+        points = list(_path_fits(problem, {1.0: 1e-2, 0.0: 1e-9}, (1.5, 2.0), 0.5,
+                                 single_task=True))
+        assert len(points) == 4
+        for _, _, config, reports, _ in points:
+            assert not config.rows_enabled
+            assert all(report.pattern.rows == frozenset() for report in reports)
 
     def test_full_sharing_needs_more_samples_than_joint(self):
         # statistical: at full overlap and a sample size between the two

@@ -5,10 +5,10 @@ epsilon is a prefix of the fit at a smaller one.  ``fit(problem, config,
 path)`` continues an ``engine.FitPath`` from where its previous fit stopped;
 every continued report must equal a fresh fit bit for bit, and the reports
 a path hands out must not move when it goes on.  ``cross_validate`` and
-``sweep_grid`` run each w's grid as one path (one per task for the per-task
-baseline) and must give the results of the loop that fits every (c, w)
-point afresh, with one path alive at a time; ``sweep_grid`` checks the
-trace of every path.
+``sweep_grid`` run each w's grid as one path (the per-task baseline runs
+one path per task for the whole w grid) and must give the results of the
+loop that fits every (c, w) point afresh, with one path alive at a time;
+``sweep_grid`` checks the trace of every path.
 """
 
 import tracemalloc
@@ -24,7 +24,6 @@ from mtgreedy import (
     SynthSpec,
     cross_validate,
     fit,
-    foba_single_task,
     gen_synthetic,
     loss,
     verify_trace,
@@ -233,23 +232,42 @@ def test_sweep_grid_matches_the_per_point_runs(single_task):
 
 
 def test_per_task_paths_equal_fresh_per_task_fits():
-    """The per-task baseline's paths over a descending c grid: each task's
-    report equals a fresh rows-off fit of that task bit for bit, with the
-    task's own loss at beta = 0, and the stacked columns equal
-    ``foba_single_task``'s coefficients."""
+    """The per-task baseline's paths over a descending c grid and a w grid:
+    at each c every w reads the same reports, and each task's report equals
+    a fresh rows-off fit of that task at that w bit for bit, with the task's
+    own loss at beta = 0."""
     problem = synthetic_problem()
     eps = dict(zip(C_GRID, epsilons(problem)))
-    points = list(_path_fits(problem, eps, (1.5,), 0.5, single_task=True))
-    assert [c for c, *_ in points] == sorted(C_GRID, reverse=True)
-    for c, _, _, reports, zero_losses in points:
-        config = GreedyConfig(epsilon=eps[c], w=1.5, nu=0.5, rows_enabled=False)
+    w_grid = (1.5, 1.0, 3.0, 1.5)
+    points = list(_path_fits(problem, eps, w_grid, 0.5, single_task=True))
+    assert [(c, w) for c, w, *_ in points] == [
+        (c, w) for c in sorted(C_GRID, reverse=True) for w in (1.5, 1.0, 3.0)]
+    for c, w, config, reports, zero_losses in points:
+        assert config == GreedyConfig(epsilon=eps[c], w=w, nu=0.5, rows_enabled=False)
+        assert reports is points[3 * C_GRID.index(c)][3]
         assert len(reports) == len(zero_losses) == problem.r
         for j, (report, zero_loss) in enumerate(zip(reports, zero_losses)):
             task = problem.single_task(j)
             assert_same_report(report, fit(task, config))
             assert zero_loss == loss(task, np.zeros((problem.p, 1)))
-        merged = foba_single_task(problem, config)
-        assert np.array_equal(np.hstack([r.coefficients for r in reports]), merged.coefficients)
+
+
+@pytest.mark.parametrize("single_task", [False, True])
+def test_sweep_grid_fits_each_task_once_per_c(monkeypatch, single_task):
+    """A sweep fits one path per (problem, w) jointly, but the baseline's
+    per-task paths once for the whole w grid: one fit per task, c, trial
+    and theta either way here (r = 2 tasks, 2 w)."""
+    calls = []
+
+    def counted(problem, config, path=None):
+        calls.append(problem.r)
+        return fit(problem, config, path)
+
+    monkeypatch.setattr(experiments, "fit", counted)
+    config = SweepConfig(epsilon_c=1.0, noise_variance=1e-2, single_task=single_task)
+    sweep_grid(0.5, 64, (1.6, 0.8), 3, [1e-2, 1e-6, 1e-4], [1.75, 1.25], config, 5)
+    assert len(calls) == 2 * 3 * 3 * 2          # tasks or w, c, trials, theta
+    assert set(calls) == {1 if single_task else 2}
 
 
 @pytest.mark.parametrize("single_task, traces", [(False, 1), (True, 2)])

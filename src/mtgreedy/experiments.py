@@ -9,7 +9,7 @@ different overlap levels kappa on a common axis.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+        if self.n < 1 or self.r < 1 or (self.s is not None and self.s < 0):
+            raise ValueError(
+                f"need n >= 1, r >= 1 and s >= 0, got n={self.n}, r={self.r}, s={self.s}")
         if not (0.0 <= self.kappa <= 1.0):
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
         if self.noise_variance < 0:
@@ -102,6 +103,8 @@ def gen_synthetic(spec):
 
 def _theta_log(s, p, kappa):
     """log(p - (2 - kappa) * s), the log in the rescaled sample size."""
+    if s < 1:
+        raise ValueError(f"need support size s >= 1, got s={s}")
     inner = p - (2.0 - kappa) * s
     if inner <= 1.0:
         raise ValueError(f"log argument {inner} must exceed 1")
@@ -143,8 +146,15 @@ def trial_seed(master_seed, kappa, theta_index, trial_index):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Per-sweep fitting policy: the stopping threshold is re-derived for
-    every sample size as epsilon_c * s * log(p) / n."""
+    """Per-sweep fitting policy.
+
+    epsilon_c       a sample size n fits at epsilon_c * s * log(p) / n
+    w               sharing weight of the joint fit; the baseline ignores it
+    nu              backward factor in (0, 1)
+    noise_variance  variance of the Gaussian noise in each drawn response
+    single_task     fit the per-task baseline: each task alone, rows off
+    check_traces    run ``check_step_records`` once on every fit's trace
+    """
 
     epsilon_c: float
     w: float = 1.5
@@ -185,13 +195,9 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
             problem, beta_star = gen_synthetic(SynthSpec(
                 p=p, n=n, r=2, s=s, kappa=kappa, noise_variance=config.noise_variance,
                 seed=trial_seed(master_seed, kappa, t_idx, trial)))
-            for c, w, gconf, reports, zero_losses in _path_fits(problem, eps, w_grid, config.nu,
-                                                                config.single_task):
-                if config.check_traces:
-                    for report, zero_loss in zip(reports, zero_losses):
-                        check_step_records(report, gconf, zero_loss)
-                beta = (reports[0].coefficients if len(reports) == 1
-                        else np.hstack([report.coefficients for report in reports]))
+            for c, w, reports in _path_fits(problem, eps, w_grid, config.nu,
+                                            config.single_task, config.check_traces):
+                beta = np.hstack([report.coefficients for report in reports])
                 hits[c, w] += sign_support_success(beta, beta_star)
                 frob[c, w] += float(np.linalg.norm(beta - beta_star))
         for point, rows in out.items():
@@ -250,14 +256,13 @@ def crossing_se(rows):
     return scale * math.sqrt(var)
 
 
-def _path_fits(problem, eps, w_grid, nu, single_task=False):
-    """Yield (c, w, config, reports, zero_losses) at each distinct point, with
-    ``eps`` mapping c to epsilon.  The one place a path is continued from the
-    largest c down, with the reports of fresh fits and each path's loss at
-    beta = 0: each w is one ``FitPath`` on ``problem``, with one w alive at a
-    time.  The per-task baseline is one rows-off path per task alone, made
-    once for every w: a rows-off fit never reads w, so each w of a c reads
-    the same reports."""
+def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
+    """Yield (c, w, reports) at each distinct point, with ``eps`` mapping c
+    to epsilon.  The one place a path is continued from the largest c down,
+    with the reports of fresh fits, each checked once if ``check``: each w is
+    one ``FitPath`` on ``problem``, with one w alive at a time.  The per-task
+    baseline is one rows-off path per task alone, made once for every w: a
+    rows-off fit never reads w, so each w of a c reads the same reports."""
     distinct = list(dict.fromkeys(w_grid))
     if single_task:
         tasks, runs = [problem.single_task(j) for j in range(problem.r)], [distinct]
@@ -269,15 +274,18 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False):
             config = GreedyConfig(epsilon=eps[c], w=ws[0], nu=nu, rows_enabled=not single_task)
             paths = paths or [FitPath(task, config) for task in tasks]
             reports = [fit(path.problem, config, path) for path in paths]
+            if check:
+                for report, path in zip(reports, paths):
+                    check_step_records(report, config, path.zero_loss)
             for w in ws:
-                yield c, w, replace(config, w=w), reports, [path.zero_loss for path in paths]
+                yield c, w, reports
 
 
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     """Grid search over (c, w) pairs scored by holdout squared error.
 
     The stopping threshold is c * s_hint * log(p) / n with n the average
-    training sample count.  ``_path_fits`` continues the greedy paths, one
+    training sample count.  ``_path_fits`` continues and checks the paths, one
     per distinct w from the largest c down.  The rows list the grid in the
     caller's (c, w) order, and ties keep the first point in that order: the
     smallest c, then the smallest w, on ascending grids.  Returns (epsilon,
@@ -292,11 +300,9 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}
-    for c, w, _, (report,), _ in _path_fits(train_problem, eps, w_grid, nu):
-        score = 0.0
-        for res in residuals(holdout_problem, report.coefficients):
-            score += float(res @ res)
-        scores[c, w] = score
+    for c, w, (report,) in _path_fits(train_problem, eps, w_grid, nu, check=True):
+        scores[c, w] = sum(float(res @ res)
+                           for res in residuals(holdout_problem, report.coefficients))
     rows = [{"c": c, "w": w, "epsilon": eps[c], "holdout_score": scores[c, w]}
             for c in c_grid for w in w_grid]
     best = min(rows, key=lambda row: row["holdout_score"])      # the first of equals

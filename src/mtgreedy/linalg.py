@@ -5,11 +5,12 @@
 it, for the replay's coefficient check.  ``Basis`` holds some columns of
 one design as X_S = QR and is never changed once made, so every task on
 that design can hold the same one.  ``LeastSquaresFactor`` is one task's
-least squares on a basis: its own z = Q^T y, residual and loss, with its
-coefficients and X^T r written in place into two length-p views the caller
-owns.  An append with unit vector q moves the residual to r - zeta q, so the
-factor updates its X^T r as X^T r - zeta X^T q, and every task that takes
-the same step shares the one X^T q that ``Basis.append`` returns.
+least squares on a basis, the one record of its columns: its own z = Q^T y,
+residual and loss, with its coefficients and X^T r written in place into
+two length-p views the caller owns.  An append with unit vector q moves the
+residual to r - zeta q, so the factor updates its X^T r as
+X^T r - zeta X^T q, and every task that takes the same step shares the one
+X^T q that ``Basis.append`` returns.
 
 Designs are column-major (``model.design_array``), so the gather X[:, cols]
 of a basis step, and each single column X[:, c], read contiguous memory.
@@ -185,20 +186,21 @@ class Basis:
     """Some columns of one design held as X_S = QR; never changed once made.
 
     ``X`` is the design, ``cols`` the held column indices in insertion order
-    and ``rinv`` R^-1 (k x k, upper triangular); Q is applied as X_S R^-1, so
-    no n x k basis is kept.  An inexact basis (``exact`` False, ``rinv``
-    None) holds sorted columns that are dependent or outnumber the samples;
-    the factors on it take the minimum-norm solve.  Every task on one design
-    may hold the same basis, since nothing in it depends on a response.
+    (``col_set`` as a frozenset) and ``rinv`` R^-1 (k x k, upper triangular);
+    Q is applied as X_S R^-1, so no n x k basis is kept.  ``Basis(X)`` holds
+    no columns.  A basis is exact when it holds R^-1; an inexact one
+    (``rinv`` None) holds sorted columns that are dependent or outnumber the
+    samples, and its factors take the minimum-norm solve.  Every task on one
+    design may hold the same basis: nothing in it depends on a response.
     """
 
-    __slots__ = ("X", "cols", "exact", "rinv")
+    __slots__ = ("X", "cols", "col_set", "rinv")
 
-    def __init__(self, X, cols=None, exact=True, rinv=None):
+    def __init__(self, X, cols=None, rinv=None):
         self.X = X
         self.cols = [] if cols is None else cols
-        self.exact = exact
-        self.rinv = np.zeros((0, 0)) if rinv is None and exact else rinv
+        self.col_set = frozenset(self.cols)
+        self.rinv = np.zeros((0, 0)) if cols is None else rinv
 
     def append(self, c):
         """(basis with column c appended, its unit vector q, X^T q), or None
@@ -227,7 +229,7 @@ class Basis:
         rinv[:k, :k] = self.rinv
         rinv[:k, k] = self.rinv @ d / -rho
         rinv[k, k] = 1.0 / rho
-        return Basis(X, self.cols + [c], True, rinv), q, design_product(X, q)
+        return Basis(X, self.cols + [c], rinv), q, design_product(X, q)
 
     def refactor(self, cols):
         """(basis of ``cols`` factored afresh by a QR, its Q), or None when
@@ -239,7 +241,7 @@ class Basis:
         Q, R = np.linalg.qr(A)
         if np.any(np.abs(np.diag(R)) <= ORTH_RTOL * np.linalg.norm(A, axis=0)):
             return None
-        return Basis(X, cols, True, np.linalg.solve(R, np.eye(len(cols)))), Q
+        return Basis(X, cols, np.linalg.solve(R, np.eye(len(cols)))), Q
 
 
 _UNSEEN = object()
@@ -248,9 +250,9 @@ _UNSEEN = object()
 class LeastSquaresFactor:
     """Least squares of y on a changing set of X's columns, updated per move.
 
-    The factor holds a ``Basis`` of its supported columns and z = Q^T y,
-    with ``residual`` y - X_S b and ``loss`` ||residual||^2 / 2n following
-    every move; ``cols`` and ``exact`` are the basis's.  ``beta`` and
+    The factor holds a ``Basis`` of its supported columns, the one place
+    its columns are kept, and z = Q^T y, with ``residual`` y - X_S b and
+    ``loss`` ||residual||^2 / 2n following every move.  ``beta`` and
     ``correlation`` are length-p views the caller owns (a column of the
     fit's coefficient and correlation grids): the factor writes b at its
     columns and zeros elsewhere into ``beta``, and X^T residual into
@@ -267,9 +269,8 @@ class LeastSquaresFactor:
     the factor solves with solve_least_squares on the sorted columns (the
     minimum-norm answer) until a removal leaves a support that factors
     again.  A refactor, a solve or a clear zeroes the columns it drops and
-    takes the product X^T r afresh.  The held columns are also kept as a
-    set, added to on each append and rebuilt on each refactor or solve, so a
-    move that removes nothing builds no set or list of them.
+    takes the product X^T r afresh.  A move diffs the support against the
+    basis's column set.
 
     ``move_to`` takes a memo, a dict from (basis, step) to the step's result.
     Factors that hold the same basis and pass the same memo compute each
@@ -279,13 +280,11 @@ class LeastSquaresFactor:
     """
 
     def __init__(self, empty, y, beta, correlation):
-        self.X = empty.X
         self.y = np.asarray(y, dtype=float)
-        self.n = self.X.shape[0]
+        self.n = empty.X.shape[0]
         self.beta = beta
         self.correlation = correlation
-        self._empty = empty
-        self.cols = []
+        self._empty = self.basis = empty
         self._clear()
 
     def _clear(self):
@@ -296,11 +295,8 @@ class LeastSquaresFactor:
     def _take(self, basis):
         """Hold ``basis``, zeroing the old columns in ``beta``; the caller
         writes the new coefficients."""
-        self.beta[self.cols] = 0.0
+        self.beta[self.basis.cols] = 0.0
         self.basis = basis
-        self.cols = basis.cols
-        self.exact = basis.exact
-        self._held = set(basis.cols)
 
     def _set_residual(self, residual, shift=None):
         """Take ``residual``; X^T r is updated as X^T r - shift after an
@@ -308,7 +304,7 @@ class LeastSquaresFactor:
         self.residual = residual
         self.loss = float(residual @ residual) / (2.0 * self.n)
         if shift is None:
-            self.correlation[:] = design_product(self.X, residual)
+            self.correlation[:] = design_product(self.basis.X, residual)
         else:
             self.correlation -= shift
 
@@ -317,16 +313,15 @@ class LeastSquaresFactor:
 
         Steps already in ``memo`` are reused and new ones are stored there.
         """
-        held = self._held
+        cols, held = self.basis.cols, self.basis.col_set
         if held == support:
             return
         added = sorted(support - held)
         if len(held) + len(added) > len(support):
-            self._refactor([c for c in self.cols if c in support] + added, memo)
-        elif not self.exact:
-            self._solve(self.cols + added, memo)
+            self._refactor([c for c in cols if c in support] + added, memo)
+        elif self.basis.rinv is None:
+            self._solve(cols + added, memo)
         else:
-            cols = self.cols
             for c in added:
                 key = (self.basis, c)
                 step = memo.get(key, _UNSEEN)
@@ -337,10 +332,7 @@ class LeastSquaresFactor:
                     return
                 basis, q, g = step
                 zeta = float(q @ self.residual)
-                # an append leaves the basis exact; set only what changed
                 self.basis = basis
-                self.cols = basis.cols
-                held.add(c)
                 self._z = np.concatenate((self._z, (zeta,)))
                 self.beta[basis.cols] = basis.rinv @ self._z
                 self._set_residual(self.residual - zeta * q, zeta * g)
@@ -360,7 +352,7 @@ class LeastSquaresFactor:
         basis, Q = step
         self._take(basis)
         self._z = Q.T @ self.y
-        self.beta[self.cols] = basis.rinv @ self._z
+        self.beta[basis.cols] = basis.rinv @ self._z
         self._set_residual(self.y - Q @ self._z)
 
     def _solve(self, cols, memo):
@@ -368,11 +360,10 @@ class LeastSquaresFactor:
         key = (self.basis, "min-norm", tuple(cols))
         basis = memo.get(key)
         if basis is None:
-            basis = memo[key] = Basis(self.X, sorted(cols), False)
+            basis = memo[key] = Basis(self.basis.X, sorted(cols))
         self._take(basis)
-        A = self.X[:, self.cols]
-        coef = solve_least_squares(A, self.y)
-        self.beta[self.cols] = coef
+        A = basis.X[:, basis.cols]
+        self.beta[basis.cols] = coef = solve_least_squares(A, self.y)
         self._set_residual(self.y - A @ coef)
 
 

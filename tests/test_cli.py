@@ -48,6 +48,14 @@ class TestGen:
             run(["gen", "--r", "2", "--kappa", "0.5", "--n", "4", "--seed", "1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("extra, field", [(["--r", "0"], "r=0"), (["--s", "-2"], "s=-2")])
+    def test_count_out_of_range_is_input_error(self, capsys, extra, field):
+        """A task count below 1 or a negative support size exits 2 naming its
+        field, not 3 with an index or numpy error."""
+        assert run(["gen", "--p", "10", "--kappa", "0.5", "--n", "5", "--seed", "1",
+                    *extra]) == 2
+        assert field in capsys.readouterr().err
+
     def test_float_round_trip_is_exact(self, tmp_path):
         out = tmp_path / "prob.json"
         run(["gen", "--p", "6", "--r", "2", "--s", "1", "--kappa", "0.0",
@@ -155,6 +163,14 @@ class TestSweep:
         assert run(["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "2",
                     "--theta-max", "1", "--theta-step", "0.5", "--trials", "1",
                     "--seed", "1", "--epsilon-c", "1e-5"]) == 2
+
+    def test_empty_default_support_is_input_error(self, capsys):
+        """At p = 4 the default support size p / 10 rounds to 0: exit 2
+        naming s, not 3 with a division by zero."""
+        assert run(["sweep", "--p", "4", "--kappa", "0.5", "--theta-min", "1",
+                    "--theta-max", "1", "--theta-step", "1", "--trials", "1",
+                    "--seed", "1", "--epsilon-c", "1e-3"]) == 2
+        assert "s=0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, digest", [
         ([], "1f42cd8ae85ab51e89d8a247fb8d79d6e23a15a3bfcc2fa9a88d2be9b7dd312b"),

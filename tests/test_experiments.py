@@ -43,6 +43,14 @@ class TestTheta:
         with pytest.raises(ValueError):
             n_for_theta(1.0, 5, 8, 0.5)
 
+    def test_empty_support_rejected(self):
+        """s = 0, the default sparsity of p < 5, names s instead of dividing
+        by zero."""
+        with pytest.raises(ValueError, match="s >= 1"):
+            theta(10, 0, 64, 0.5)
+        with pytest.raises(ValueError, match="s >= 1"):
+            n_for_theta(1.0, 0, 64, 0.5)
+
 
 class TestGenSynthetic:
     def test_full_overlap_shares_all_features(self):
@@ -72,6 +80,12 @@ class TestGenSynthetic:
     def test_rejects_oversized_supports(self):
         with pytest.raises(ValueError):
             gen_synthetic(SynthSpec(p=5, n=4, s=3, kappa=0.0, seed=0))
+
+    @pytest.mark.parametrize("field, value", [("r", 0), ("s", -2)])
+    def test_rejects_a_count_out_of_range_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}={value}"):
+            SynthSpec(p=10, n=5, **{field: value})
+        assert SynthSpec(p=10, n=5, r=1, s=0).support_size == 0
 
     def test_noise_variance_scale(self):
         spec = SynthSpec(p=10, n=4000, s=1, kappa=1.0, noise_variance=0.25, seed=3)
@@ -222,8 +236,7 @@ class TestSingleTaskBaseline:
         points = list(_path_fits(problem, {1.0: 1e-2, 0.0: 1e-9}, (1.5, 2.0), 0.5,
                                  single_task=True))
         assert len(points) == 4
-        for _, _, config, reports, _ in points:
-            assert not config.rows_enabled
+        for _, _, reports in points:
             assert all(report.pattern.rows == frozenset() for report in reports)
 
     def test_full_sharing_needs_more_samples_than_joint(self):

@@ -131,11 +131,11 @@ def assert_correlation(f, direct):
     """The factor's X^T r equals the product when it was computed afresh
     (``direct``), and agrees with it to 1e-13 ||x_i|| ||y|| when an append
     updated it."""
-    want = f.X.T @ f.residual
+    want = f.basis.X.T @ f.residual
     if direct:
         assert np.array_equal(f.correlation, want)
     else:
-        bound = 1e-13 * np.linalg.norm(f.X, axis=0) * np.linalg.norm(f.y)
+        bound = 1e-13 * np.linalg.norm(f.basis.X, axis=0) * np.linalg.norm(f.y)
         assert np.all(np.abs(f.correlation - want) <= bound)
 
 
@@ -148,11 +148,11 @@ def move_factors(problem, pattern, factors, direct):
     designs = {id(t.X): t.X for t in problem.tasks}
     for X in designs.values():
         X.products.clear()
-    held = [set(f.cols) for f in factors]
+    held = [f.basis.col_set for f in factors]
     refit(problem, pattern, factors)
     for j, f in enumerate(factors):
-        if set(f.cols) != held[j]:
-            direct[j] = not held[j] <= set(f.cols) or not f.exact
+        if f.basis.col_set != held[j]:
+            direct[j] = not held[j] <= f.basis.col_set or f.basis.rinv is None
     return {k: len(X.products) for k, X in designs.items()}
 
 
@@ -165,7 +165,8 @@ def assert_matches_reference(problem, pattern, factors, beta, direct):
         assert np.allclose(f.residual, res, rtol=0.0, atol=1e-9)
         cols = sorted(pattern.task_support(j))
         X = problem.tasks[j].X[:, cols]
-        assert f.exact == (not cols or np.linalg.matrix_rank(X) == len(cols))
+        assert (f.basis.rinv is not None) == (not cols or np.linalg.matrix_rank(X) == len(cols))
+        assert f.basis.col_set == set(cols) == set(f.basis.cols)
         assert_correlation(f, direct[j])
     assert sum(f.loss for f in factors) == pytest.approx(loss(problem, want), rel=1e-9, abs=1e-15)
 
@@ -189,11 +190,11 @@ def assert_sharing(factors, before):
     memory."""
     groups = {}
     for f, (basis, _, _) in zip(factors, before):
-        groups.setdefault((id(f.X), id(basis), tuple(f.cols)), set()).add(id(f.basis))
+        groups.setdefault((id(f.basis.X), id(basis), tuple(f.basis.cols)), set()).add(id(f.basis))
     assert all(len(held) == 1 for held in groups.values())
     for f, (basis, cols, arrays) in zip(factors, before):
         assert_arrays_equal([basis.rinv], arrays[:1])
-        if f.cols == cols:
+        if f.basis.cols == cols:
             assert f.basis is basis
             assert_arrays_equal(task_arrays(f), arrays)
     for a, f in enumerate(factors):
@@ -224,14 +225,14 @@ def run_moves(problem, moves):
     factors, beta, state = path.factors, path.beta, path.state
     direct = [True] * problem.r
     for m in moves:
-        before = [(f.basis, list(f.cols), task_arrays(f)) for f in factors]
+        before = [(f.basis, list(f.basis.cols), task_arrays(f)) for f in factors]
         apply(state, m)
         assert_bookkeeping(state, problem.p, problem.r)
         products = move_factors(problem, state, factors, direct)
         assert_matches_reference(problem, state.pattern(), factors, beta, direct)
         assert_sharing(factors, before)
         moved = {id(t.X) for t, f, (_, cols, _) in zip(problem.tasks, factors, before)
-                 if f.cols != cols}
+                 if f.basis.cols != cols}
         assert all(k in moved or not count for k, count in products.items())
     return state
 
@@ -271,12 +272,12 @@ def test_shared_design_shares_its_steps():
     assert factors[0].basis is factors[1].basis is not factors[2].basis
     rows = SupportPattern(rows=frozenset({3, 5}))
     move_factors(SHARED, rows, factors, direct)
-    assert factors[0].basis is factors[1].basis and factors[0].cols == [3, 5]
+    assert factors[0].basis is factors[1].basis and factors[0].basis.cols == [3, 5]
     move_factors(SHARED, SupportPattern(singletons=frozenset({(6, 0)}), rows=rows.rows),
                  factors, direct)
-    assert factors[0].cols == [3, 5, 6] and factors[1].basis.cols == [3, 5]
+    assert factors[0].basis.cols == [3, 5, 6] and factors[1].basis.cols == [3, 5]
     move_factors(SHARED, rows, factors, direct)
-    assert factors[0].cols == factors[1].cols == [3, 5]
+    assert factors[0].basis.cols == factors[1].basis.cols == [3, 5]
     assert not np.array_equal(factors[0].basis.rinv, factors[1].basis.rinv)
     assert direct == [True, False, False]
     assert_matches_reference(SHARED, rows, factors, beta, direct)
@@ -295,7 +296,7 @@ def test_fallback_and_recovery():
         pattern = SupportPattern(singletons=frozenset((i, 1) for i in support))
         move_factors(PROBLEM, pattern, factors, direct)
         assert_matches_reference(PROBLEM, pattern, factors, beta, direct)
-        assert f.exact is exact and set(f.cols) == support
+        assert (f.basis.rinv is not None) is exact and f.basis.col_set == support
 
 
 def test_a_removal_that_leaves_more_columns_than_samples_takes_the_min_norm_solve():
@@ -313,7 +314,7 @@ def test_a_removal_that_leaves_more_columns_than_samples_takes_the_min_norm_solv
     state.remove("singleton", (2, 0))
     assert f.basis.refactor([0, 1, 3, 4, 5]) is None
     refit(problem, state, path.factors)
-    assert not f.exact and f.cols == [0, 1, 3, 4, 5]
+    assert f.basis.rinv is None and f.basis.cols == [0, 1, 3, 4, 5]
     assert np.array_equal(path.beta, refit(problem, state))
 
 
@@ -325,9 +326,9 @@ def test_nearly_collinear_columns_keep_the_residual_orthogonal():
     y = rng.standard_normal(60)
     f = LeastSquaresFactor(Basis(X), y, np.zeros(8), np.empty(8))
     f.move_to(set(range(8)), {})
-    assert f.exact
+    assert f.basis.rinv is not None
     scale = np.linalg.norm(X, axis=0).max() * np.linalg.norm(y)
-    assert np.abs(X[:, f.cols].T @ f.residual).max() <= 1e-14 * scale
+    assert np.abs(X[:, f.basis.cols].T @ f.residual).max() <= 1e-14 * scale
 
 
 def test_unchanged_task_does_no_work():
@@ -345,7 +346,7 @@ def test_unchanged_task_does_no_work():
     for (res, coef, corr), f in list(zip(held, factors))[:2]:
         assert f.residual is res
         assert np.array_equal(f.beta, coef) and np.array_equal(f.correlation, corr)
-        assert products[id(f.X)] == 0
+        assert products[id(f.basis.X)] == 0
     assert not np.array_equal(factors[2].beta, held[2][1])
     assert not np.array_equal(factors[2].correlation, held[2][2])
 
@@ -377,7 +378,7 @@ def test_fit_takes_one_correlation_per_residual_change(monkeypatch):
     assert {("backward", "singleton"), ("forward", "row")} <= kinds
     assert len(made) == problem.r
     for f in made:
-        assert 1 <= len(f.X.products) <= f.changes
+        assert 1 <= len(f.basis.X.products) <= f.changes
     forward = sum(1 for s in report.steps if s.kind == "forward")
     assert sum(len(t.X.products) for t in problem.tasks) < problem.r * forward
 

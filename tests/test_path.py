@@ -8,7 +8,7 @@ a path hands out must not move when it goes on.  ``cross_validate`` and
 ``sweep_grid`` run each w's grid as one path (the per-task baseline runs
 one path per task for the whole w grid) and must give the results of the
 loop that fits every (c, w) point afresh, with one path alive at a time;
-``sweep_grid`` checks the trace of every path.
+both check each report's trace once, when it is made.
 """
 
 import tracemalloc
@@ -231,25 +231,45 @@ def test_sweep_grid_matches_the_per_point_runs(single_task):
     assert len({tuple(rows) for rows in got.values()}) >= 3
 
 
-def test_per_task_paths_equal_fresh_per_task_fits():
+def counted_checks(monkeypatch):
+    """Route ``experiments.check_step_records`` through a recorder: the
+    returned list gets (report, config, initial_loss) of each check."""
+    check, checked = experiments.check_step_records, []
+
+    def counted(report, config, initial_loss):
+        checked.append((report, config, initial_loss))
+        check(report, config, initial_loss)
+
+    monkeypatch.setattr(experiments, "check_step_records", counted)
+    return checked
+
+
+def test_per_task_paths_equal_fresh_per_task_fits(monkeypatch):
     """The per-task baseline's paths over a descending c grid and a w grid:
     at each c every w reads the same reports, and each task's report equals
-    a fresh rows-off fit of that task at that w bit for bit, with the task's
-    own loss at beta = 0."""
+    a fresh rows-off fit of that task at that w bit for bit.  Each report is
+    checked once, when it is made, against the task's own loss at
+    beta = 0."""
+    checked = counted_checks(monkeypatch)
     problem = synthetic_problem()
     eps = dict(zip(C_GRID, epsilons(problem)))
     w_grid = (1.5, 1.0, 3.0, 1.5)
-    points = list(_path_fits(problem, eps, w_grid, 0.5, single_task=True))
-    assert [(c, w) for c, w, *_ in points] == [
+    points = list(_path_fits(problem, eps, w_grid, 0.5, single_task=True, check=True))
+    assert [(c, w) for c, w, _ in points] == [
         (c, w) for c in sorted(C_GRID, reverse=True) for w in (1.5, 1.0, 3.0)]
-    for c, w, config, reports, zero_losses in points:
-        assert config == GreedyConfig(epsilon=eps[c], w=w, nu=0.5, rows_enabled=False)
-        assert reports is points[3 * C_GRID.index(c)][3]
-        assert len(reports) == len(zero_losses) == problem.r
-        for j, (report, zero_loss) in enumerate(zip(reports, zero_losses)):
-            task = problem.single_task(j)
-            assert_same_report(report, fit(task, config))
-            assert zero_loss == loss(task, np.zeros((problem.p, 1)))
+    for c, w, reports in points:
+        assert reports is points[3 * C_GRID.index(c)][2]
+        assert len(reports) == problem.r
+        config = GreedyConfig(epsilon=eps[c], w=w, nu=0.5, rows_enabled=False)
+        for j, report in enumerate(reports):
+            assert_same_report(report, fit(problem.single_task(j), config))
+    made = [(report, eps[c], j) for c, w, reports in points[::3]
+            for j, report in enumerate(reports)]
+    assert len(checked) == len(made)
+    for (report, config, zero_loss), (want, epsilon, j) in zip(checked, made):
+        assert report is want
+        assert config == GreedyConfig(epsilon=epsilon, w=1.5, nu=0.5, rows_enabled=False)
+        assert zero_loss == loss(problem.single_task(j), np.zeros((problem.p, 1)))
 
 
 @pytest.mark.parametrize("single_task", [False, True])
@@ -272,20 +292,30 @@ def test_sweep_grid_fits_each_task_once_per_c(monkeypatch, single_task):
 
 @pytest.mark.parametrize("single_task, traces", [(False, 1), (True, 2)])
 def test_sweep_grid_checks_every_trace(monkeypatch, single_task, traces):
-    """``check_step_records`` runs on every report of every point and trial:
-    one per point for the joint fit, one per task for the baseline."""
-    check = experiments.check_step_records
-    widths = []
-
-    def counted(report, config, initial_loss):
-        widths.append(report.coefficients.shape[1])
-        check(report, config, initial_loss)
-
-    monkeypatch.setattr(experiments, "check_step_records", counted)
+    """``check_step_records`` runs once on every report made, in every trial:
+    one per point for the joint fit, and one per task and c for the
+    baseline, whose reports both w of a c share."""
+    checked = counted_checks(monkeypatch)
     config = SweepConfig(epsilon_c=1.0, noise_variance=1e-2, single_task=single_task)
     sweep_grid(0.5, 64, (1.6, 0.8), 3, [1e-2, 1e-6, 1e-4], [1.75, 1.25], config, 5)
-    assert len(widths) == traces * 3 * 2 * 3 * 2      # paths, c, w, trials, theta
-    assert set(widths) == {2 // traces}
+    runs = 1 if single_task else 2                    # path sets: one, or one per w
+    assert len(checked) == traces * runs * 3 * 3 * 2  # paths, w runs, c, trials, theta
+    assert len({id(report) for report, _, _ in checked}) == len(checked)
+    assert {report.coefficients.shape[1] for report, _, _ in checked} == {2 // traces}
+
+
+def test_cross_validate_checks_every_trace(monkeypatch):
+    """The grid search checks each fit's trace once, at its own (epsilon, w),
+    against the training problem's loss at beta = 0."""
+    checked = counted_checks(monkeypatch)
+    train, holdout = split_for_validation(digits_shaped_problem(seed=11))
+    c_grid, w_grid = [1e-2, 1e3, 1e-4, 1e-2], [1.75, 1.25, 1.75]
+    cross_validate(train, holdout, c_grid, w_grid, 0.5, 8)
+    eps = dict(zip(c_grid, epsilons(train, c_grid)))
+    assert sorted((config.epsilon, config.w) for _, config, _ in checked) == sorted(
+        (eps[c], w) for c in set(c_grid) for w in set(w_grid))
+    zero = loss(train, np.zeros((train.p, train.r)))
+    assert all(zero_loss == pytest.approx(zero, rel=1e-12) for _, _, zero_loss in checked)
 
 
 def test_cross_validate_keeps_one_path_alive():

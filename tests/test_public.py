@@ -1,10 +1,11 @@
 """The public surface: every exported name resolves, every module-level
 definition is used or exported, every config field is set outside the tests,
-and the demos run."""
+and the demos and README's python blocks run."""
 
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,17 @@ import pytest
 import mtgreedy
 
 ROOT = Path(__file__).resolve().parents[1]
+README_PYTHON = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           flags=re.S | re.M)
+
+
+def run_with_src(args, cwd=None):
+    """Run ``python args`` with the package's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_every_exported_name_resolves():
@@ -77,14 +89,23 @@ def test_every_config_field_is_set_outside_the_tests():
     assert unset == []
 
 
-@pytest.mark.parametrize("demo", ["01_greedy_fit_walkthrough.py", "03_recovery_diagnostics.py",
-                                  "04_digit_classification.py"])
+@pytest.mark.parametrize("demo", ["01_greedy_fit_walkthrough.py",
+                                  pytest.param("02_phase_transition.py", marks=pytest.mark.slow),
+                                  "03_recovery_diagnostics.py", "04_digit_classification.py"])
 def test_demo_runs(demo, request):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     # the digit demo reads its dataset directory from argv[1]
     argv = [str(request.getfixturevalue("mfeat_dir"))] if demo.startswith("04") else []
-    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo), *argv], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = run_with_src([str(ROOT / "demos" / demo), *argv])
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """Each python block of README.md runs as written, outside the repo; the
+    library quick start finds its planted row 3 and singleton (7, 0)."""
+    assert README_PYTHON
+    printed = []
+    for block in README_PYTHON:
+        out = run_with_src(["-c", block], cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        printed.append(out.stdout)
+    assert printed[0].startswith("frozenset({3}) frozenset({(7, 0)})\n")

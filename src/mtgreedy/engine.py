@@ -39,7 +39,9 @@ orthogonalized once and takes one product with the design, not ten; the
 memo is dropped when ``refit`` returns.  Designs are matched by object
 identity only, never by value, so tasks with designs of their own (the
 synthetic sweeps, problems read from files) share nothing.  Each task still
-does the same floating-point operations as with a basis of its own.
+does the same floating-point operations as with a basis of its own.  A
+copy of a fit's state (below) holds the same bases too, with grids,
+residuals and z's of its own, and shares no memo.
 
 The two full products with a design, each append's X^T q and the fresh
 X^T r after a removal, go through ``linalg.design_product``, which splits
@@ -56,15 +58,21 @@ sorted order, and a row beats a singleton of equal value.
 
 Epsilon enters a fit only at its forward gate, so for one problem and one
 config up to epsilon, the fit at a larger epsilon is a step-by-step prefix
-of the fit at a smaller one.  A ``FitPath`` holds a fit's live state, and
-``fit`` given one continues it at a smaller or equal epsilon, with the same
-report as a fresh fit.  ``experiments._path_fits`` alone continues paths,
-one per sharing weight (and task, for the per-task baseline) from the
-largest threshold down, for ``cross_validate`` and ``sweep_grid``.
+of the fit at a smaller one.  A ``FitPath`` holds the live state of the
+fits of one problem over a grid of (epsilon, w), and ``fit`` given one
+continues the fit at a w from where it stopped, at a smaller or equal
+epsilon, with the same report as a fresh fit.  Fits at different w often
+make the same moves (in the digit grid search, w = 1.25 retraces w = 1), so
+the w's ride shared branches of numeric state: a move every w on a branch
+picks is refit once, and a w whose own decision differs leaves on a copy
+of the branch taken at that state.  A fit of one config is the path of a
+single w.  ``experiments._path_fits`` alone continues paths, one per
+problem (and task, for the per-task baseline) from the largest threshold
+down, for ``cross_validate`` and ``sweep_grid``.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -88,8 +96,7 @@ COMPARISON_TOLERANCE = 1e-12
 GRADIENT_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """An object the selectors pick: value is its weighted reward (an
     addition) or its weighted cost (a removal)."""
 
@@ -146,11 +153,14 @@ def gain_matrix(problem, correlations, scales):
     return correlations * correlations / scales.denom
 
 
-def _best_forward(singles, rows, config, gains):
-    """Pick the best admissible candidate; None when the support is saturated.
+def _best_forward(singles, rows, configs, gains):
+    """Pick the best admissible candidate at each of ``configs``: a list with
+    one Candidate per config, or None where the support is saturated.
 
     ``singles`` and ``rows`` are the ``MaskedSet``s of a ``SupportState`` and
-    ``gains`` the (p, r) matrix of ``gain_matrix``.
+    ``gains`` the (p, r) matrix of ``gain_matrix``.  Only each config's w and
+    rows_enabled are read; the masked argmax and the row sums are taken once
+    for them all, and a config's w only divides the best row's sum.
     Singleton candidates exclude supported cells and features already held as
     rows; row candidates exclude current rows.  The first cell in (i, j)
     order and the first row win ties within a class, and the row wins a tie
@@ -160,19 +170,24 @@ def _best_forward(singles, rows, config, gains):
     i, j = divmod(int(np.argmax(masked)), gains.shape[1])
     best_single = masked[i, j]
 
-    best_row = -1.0
-    best_m = -1
-    if config.rows_enabled:
-        row_sums = np.where(rows.mask, -1.0, gains.sum(axis=1))
-        best_m = int(np.argmax(row_sums))
-        if row_sums[best_m] >= 0.0:
-            best_row = row_sums[best_m] / config.w
-
-    if best_single < 0.0 and best_row < 0.0:
-        return None
-    if best_row >= best_single:
-        return Candidate("row", (best_m,), float(best_row))
-    return Candidate("singleton", (i, j), float(best_single))
+    top = None
+    picks = []
+    for config in configs:
+        best_row = -1.0
+        if config.rows_enabled:
+            if top is None:
+                row_sums = np.where(rows.mask, -1.0, gains.sum(axis=1))
+                best_m = int(np.argmax(row_sums))
+                top = row_sums[best_m]
+            if top >= 0.0:
+                best_row = top / config.w
+        if best_single < 0.0 and best_row < 0.0:
+            picks.append(None)
+        elif best_row >= best_single:
+            picks.append(Candidate("row", (best_m,), float(best_row)))
+        else:
+            picks.append(Candidate("singleton", (i, j), float(best_single)))
+    return picks
 
 
 def removal_costs(beta, correlations, scales):
@@ -188,25 +203,30 @@ def removal_costs(beta, correlations, scales):
     return (beta * beta * scales.colsq + 2.0 * beta * correlations) / scales.two_n
 
 
-def _worst_backward(problem, beta, singles, rows, config, correlations, scales):
-    """Cheapest removal across both classes; rows are removed on ties.
+def _worst_backward(problem, beta, singles, rows, configs, correlations, scales):
+    """Cheapest removal across both classes at each of ``configs``, one
+    Candidate per config; rows are removed on ties.
 
-    ``singles`` and ``rows`` are the ``MaskedSet``s of a ``SupportState``.
-    Within a class, the first object in sorted order wins ties.
+    ``singles`` and ``rows`` are the ``MaskedSet``s of a non-empty
+    ``SupportState``.  The removal costs, the cheapest singleton and the row
+    sums are taken once; each config's w divides the row sums.  Within a
+    class, the first object in sorted order wins ties.
     """
     costs = removal_costs(beta, correlations, scales)
     best_s = None
     if singles:
         i, j = divmod(int(np.argmin(np.where(singles.mask, costs, np.inf))), problem.r)
         best_s = Candidate("singleton", (i, j), float(costs[i, j]))
-    best_r = None
-    if rows:
-        c = np.where(rows.mask, costs.sum(axis=1) / config.w, np.inf)
+    if not rows:
+        return [best_s] * len(configs)
+    held = np.where(rows.mask, costs.sum(axis=1), np.inf)
+    picks = []
+    for config in configs:
+        c = held / config.w
         m = int(np.argmin(c))
         best_r = Candidate("row", (m,), float(c[m]))
-    if best_r is not None and (best_s is None or best_r.value <= best_s.value):
-        return best_r
-    return best_s
+        picks.append(best_r if best_s is None or best_r.value <= best_s.value else best_s)
+    return picks
 
 
 def coalesce_threshold(w):
@@ -229,6 +249,12 @@ class MaskedSet(set):
     def remove(self, key):
         super().remove(key)
         self.mask[key] = False
+
+    def copy(self):
+        other = MaskedSet(self.mask.shape)
+        set.update(other, self)
+        other.mask[...] = self.mask
+        return other
 
 
 class SupportState:
@@ -288,62 +314,285 @@ class SupportState:
     def pattern(self):
         return SupportPattern(singletons=frozenset(self.singles), rows=frozenset(self.rows))
 
+    def copy(self):
+        other = SupportState.__new__(SupportState)
+        other.singles, other.rows = self.singles.copy(), self.rows.copy()
+        other._columns = [set(cols) for cols in self._columns]
+        other.promote_at = self.promote_at
+        return other
 
-class FitPath:
-    """The live state of a greedy path, which ``fit`` continues.
 
-    Made at beta = 0 for one problem object and one config; a ``fit`` given
-    the path goes on from where the previous one stopped, for a config that
-    differs from the path's only in a smaller or equal epsilon.  The path
-    builds and holds the whole state of the fit: the ``SupportState``, the
-    B and C grids with the factor that owns each task's column of them, the
-    ``Scales``, the loss at beta = 0, the ledger, the steps and the count of
-    forward steps taken.
+class _Rider:
+    """One sharing weight's own part of a ``FitPath``.
+
+    ``config`` is the path's config at this w; ``todo`` holds the epsilons
+    the rider has yet to stop at, in descending order, and ``made`` the
+    (epsilon, report) pairs it stopped at and ``fit`` has not handed out.
+    ``ledger`` holds the (reward, step index) of every forward step not yet
+    matched by a removal and ``steps`` the rider's step records; both are
+    emptied once its grid is done.  The rider of an open path (``open``)
+    takes each epsilon ``fit`` asks for onto ``todo``; ``last`` is the last
+    epsilon asked for.
     """
 
-    def __init__(self, problem, config):
-        if config.rows_enabled and problem.r > 1 and config.w > problem.r:
-            raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
-        self.problem = problem
+    __slots__ = ("config", "todo", "made", "last", "open", "ledger", "steps")
+
+    def __init__(self, config, epsilons, open_):
         self.config = config
-        self.state = SupportState(config, problem.p, problem.r)
+        self.todo = [] if open_ else sorted(epsilons, reverse=True)
+        self.made = []
+        self.last = config.epsilon if open_ else self.todo[0]
+        self.open = open_
+        self.ledger = []
+        self.steps = []
+
+    def take(self, epsilon):
+        """The report made at ``epsilon``, or None while it is not made yet;
+        reports made at larger epsilons are dropped, as no fit can ask for
+        them any more."""
+        while self.made and self.made[0][0] > epsilon:
+            del self.made[0]
+        if self.made and self.made[0][0] == epsilon:
+            return self.made.pop(0)[1]
+        return None
+
+
+class _Branch:
+    """The numeric state that riders of a ``FitPath`` share: the
+    ``SupportState``, the B and C grids with the factor that owns each task's
+    column of them, and the count of forward steps taken.  ``riders`` and
+    ``configs``, their configs, change together in ``seat``.  A branch
+    copied at a backward decision (``backward``) goes on with its backward
+    passes before it selects forward again."""
+
+    __slots__ = ("state", "beta", "correlations", "factors", "forward_taken", "riders",
+                 "configs", "backward")
+
+    def __init__(self, state, beta, correlations, factors, riders):
+        self.state = state
+        self.beta = beta
+        self.correlations = correlations
+        self.factors = factors
+        self.forward_taken = 0
+        self.backward = False
+        self.seat(riders)
+
+    def seat(self, riders):
+        self.riders = riders
+        self.configs = [rider.config for rider in riders]
+
+    def copy(self, riders, backward):
+        """A copy of the branch for ``riders``, which leave this one.  The
+        copy takes its own grids; the factors' bases, z's and residuals are
+        shared, since a move replaces them and never writes them in place."""
+        beta, correlations = self.beta.copy(), self.correlations.copy()
+        other = _Branch(self.state.copy(), beta, correlations,
+                        [f.copy(beta[:, j], correlations[:, j])
+                         for j, f in enumerate(self.factors)], riders)
+        other.forward_taken, other.backward = self.forward_taken, backward
+        return other
+
+
+class FitPath:
+    """The live state of greedy paths on one problem, which ``fit`` continues.
+
+    ``grid`` is one ``GreedyConfig``, or a sequence of them that differ only
+    in (epsilon, w).  A path made from one config is open: a ``fit`` given
+    it goes on from where the previous one stopped, at any smaller or equal
+    epsilon.  A path made from a sequence serves exactly its grid: one
+    ``fit`` per point, each w's in descending epsilon order.
+
+    Each distinct w is a ``_Rider`` with its own ledger, steps, rewards and
+    epsilon cursor.  The riders share ``_Branch``es of numeric state: the
+    ``SupportState``, the B and C grids with their factors, and the forward
+    count.  They start out grouped by promotion count floor(w) + 1, and a
+    group's branch is made at beta = 0 when one of its riders is first fit.
+    The fitted rider leads its branch; at each state the branch's selection
+    work is done once and every rider on it decides with its own w, gate
+    and ledger.  A move that every rider on the branch picks is refit once,
+    for all of them.  Riders whose decision differs from the lead's leave
+    together on a copy of the branch taken at that state, which waits there
+    until one of them is fit.  A rider passing one of its epsilons while it
+    rides keeps that point's report for its own ``fit``.  The path holds its ``riders`` by w, its live
+    ``branches`` (a branch is dropped once every rider on it is done), the
+    ``Scales`` and the loss at beta = 0.  No branch refers back to the path
+    or a rider to its branch, so a dropped path is freed at once.
+    """
+
+    def __init__(self, problem, grid):
+        configs = [grid] if isinstance(grid, GreedyConfig) else list(grid)
+        if not configs:
+            raise ValueError("the grid is empty")
+        base = configs[0]
+        for config in configs:
+            if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
+                raise ValueError("the grid's configs differ in more than epsilon and w")
+            if config.rows_enabled and problem.r > 1 and config.w > problem.r:
+                raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
+        self.problem = problem
+        self.nu = base.nu
+        self.cap = base.step_cap(problem.p, problem.r)
         # one empty basis and one set of column norms per design object;
         # designs are told apart by identity, not compared by value
         designs = {}
         for t in problem.tasks:
             if id(t.X) not in designs:
                 designs[id(t.X)] = (Basis(t.X), np.einsum("ij,ij->j", t.X, t.X))
-        self.beta = np.zeros((problem.p, problem.r))
-        self.correlations = np.empty((problem.p, problem.r))
-        self.factors = [
-            LeastSquaresFactor(designs[id(t.X)][0], t.y, self.beta[:, j],
-                               self.correlations[:, j])
-            for j, t in enumerate(problem.tasks)]
+        self._empty = [designs[id(t.X)][0] for t in problem.tasks]
         colsq = np.column_stack([designs[id(t.X)][1] for t in problem.tasks])
         two_n = np.array([2.0 * t.n for t in problem.tasks])
         self.scales = Scales(colsq, two_n, np.where(colsq > 0.0, two_n * colsq, np.inf))
-        self.zero_loss = sum(f.loss for f in self.factors)
-        # (reward, step index) of every forward step not yet matched by a removal
-        self.ledger = []
-        self.steps = []
-        self.forward_taken = 0
 
-    def move(self, kind, cand):
-        """Add ``cand`` and push its reward on the ledger ("forward"), or remove
-        it and pop the ledger ("backward"); then refit and record the step."""
-        promoted, popped = None, (None, None)
+        self.riders = {}
+        for config in configs:
+            if config.w not in self.riders:
+                self.riders[config.w] = _Rider(
+                    config, [c.epsilon for c in configs if c.w == config.w],
+                    isinstance(grid, GreedyConfig))
+        # the riders start out grouped by promotion count; each group's
+        # branch is made at beta = 0 when one of its riders is first fit
+        groups = {}
+        for rider in self.riders.values():
+            config = rider.config
+            groups.setdefault(config.rows_enabled and coalesce_threshold(config.w), []).append(rider)
+        self._unstarted = list(groups.values())
+        self.branches = []
+        first = self._start(self._unstarted[0])
+        self.zero_loss = sum(f.loss for f in first.factors)
+        self.slack = COMPARISON_TOLERANCE * self.zero_loss
+
+    def _start(self, riders):
+        """Put ``riders`` on a new branch at beta = 0 and return it."""
+        self._unstarted.remove(riders)
+        p, r = self.problem.p, self.problem.r
+        beta = np.zeros((p, r))
+        correlations = np.empty((p, r))
+        factors = [LeastSquaresFactor(empty, t.y, beta[:, j], correlations[:, j])
+                   for j, (empty, t) in enumerate(zip(self._empty, self.problem.tasks))]
+        branch = _Branch(SupportState(riders[0].config, p, r), beta, correlations, factors,
+                         riders)
+        self.branches.append(branch)
+        return branch
+
+    def _advance(self, lead, epsilon):
+        """Move ``lead``'s branch on until ``lead`` stops at ``epsilon``,
+        and return the report it makes there.
+
+        At each state the branch's forward candidate stops every rider
+        whose gate it does not clear; unless ``lead`` has stopped, the
+        riders that pick what it picks move, and each rider then removes
+        while the cheapest removal costs at most nu times its most recent
+        recorded reward.  ``lead`` never leaves its branch; a branch
+        copied at a backward decision takes its backward passes first.
+        """
+        branch = next((branch for branch in self.branches if lead in branch.riders), None)
+        if branch is None:
+            branch = self._start(next(group for group in self._unstarted if lead in group))
+        problem, scales, slack, nu = self.problem, self.scales, self.slack, self.nu
+        beta, correlations = branch.beta, branch.correlations
+        singles, rows = branch.state.singles, branch.state.rows
+        while lead.todo and lead.todo[0] >= epsilon:
+            if branch.backward:
+                branch.backward = False
+            else:
+                riders = branch.riders
+                if branch.forward_taken >= self.cap:       # every rider stops here
+                    termination, picks = "max-steps", [None] * len(riders)
+                else:
+                    termination = "gain-below-threshold"
+                    picks = _best_forward(singles, rows, branch.configs,
+                                          gain_matrix(problem, correlations, scales))
+                movers = []
+                for rider, pick in zip(riders, picks):
+                    if pick is None or pick.value <= rider.todo[0] + slack:
+                        self._stop(branch, rider, pick, termination)
+                    if rider.todo:
+                        movers.append((rider, pick))
+                if not lead.todo or lead.todo[0] < epsilon:
+                    break
+                if len(movers) > 1:
+                    movers = self._part(branch, lead, movers, False)
+                self._move(branch, "forward", movers)
+
+            while lead.ledger and (singles or rows):
+                backs = _worst_backward(problem, beta, singles, rows, branch.configs,
+                                        correlations, scales)
+                picks = [(rider, back if back.value <= nu * rider.ledger[-1][0] else None)
+                         for rider, back in zip(branch.riders, backs)]
+                if len(picks) > 1:
+                    picks = self._part(branch, lead, picks, True)
+                if picks[0][1] is None:
+                    break
+                self._move(branch, "backward", picks)
+        return lead.take(epsilon)
+
+    def _stop(self, branch, rider, pick, termination):
+        """Make ``rider``'s report at each epsilon of its todo whose gate
+        ``pick`` does not clear: every one when ``pick`` is None (the step
+        cap, or a saturated support).  A rider whose grid is then done
+        leaves the branch."""
+        report = None
+        while rider.todo and (pick is None or pick.value <= rider.todo[0] + self.slack):
+            if report is None:
+                report = FitReport(
+                    coefficients=branch.beta.copy(),
+                    pattern=branch.state.pattern(),
+                    final_loss=sum(f.loss for f in branch.factors),
+                    steps=tuple(rider.steps),
+                    termination=termination,
+                )
+            else:
+                report = replace(report, coefficients=report.coefficients.copy())
+            rider.made.append((rider.todo.pop(0), report))
+        if not rider.todo and not rider.open:
+            branch.seat([other for other in branch.riders if other is not rider])
+            if not branch.riders:
+                self.branches.remove(branch)
+            rider.steps.clear()                 # each report holds its own tuple
+            rider.ledger.clear()
+
+    def _part(self, branch, lead, picks, backward):
+        """Keep on ``branch`` the riders that pick what ``lead`` picks and
+        return their (rider, pick) pairs.  The riders of each other pick
+        leave together on a copy of the branch at this state; a copy made at
+        a removal goes on with its backward passes."""
+        groups = {}
+        for rider, pick in picks:
+            key = None if pick is None else (pick.kind, pick.index)
+            groups.setdefault(key, []).append((rider, pick))
+            if rider is lead:
+                mine = key
+        stay = groups.pop(mine)
+        for key, group in groups.items():
+            self.branches.append(
+                branch.copy([rider for rider, _ in group], backward and key is not None))
+        branch.seat([rider for rider, _ in stay])
+        return stay
+
+    def _move(self, branch, kind, picks):
+        """Add the picked object and push each rider's reward on its ledger
+        ("forward"), or remove it and pop each rider's ledger ("backward");
+        then refit once and record each rider's step."""
+        cand = picks[0][1]
+        promoted = None
         if kind == "forward":
-            self.forward_taken += 1
-            self.ledger.append((cand.value, len(self.steps)))
-            promoted = self.state.add(cand.kind, cand.index)
+            branch.forward_taken += 1
+            promoted = branch.state.add(cand.kind, cand.index)
         else:
-            popped = self.ledger.pop()
-            self.state.remove(cand.kind, cand.index)
-        refit(self.problem, self.state, self.factors)
-        self.steps.append(StepRecord(
-            kind=kind, object_kind=cand.kind, index=cand.index, reward_or_cost=cand.value,
-            loss_after=sum(f.loss for f in self.factors), ledger_depth=len(self.ledger),
-            popped_reward=popped[0], popped_step=popped[1], promoted_row=promoted))
+            branch.state.remove(cand.kind, cand.index)
+        refit(self.problem, branch.state, branch.factors)
+        loss_after = sum(f.loss for f in branch.factors)
+        for rider, pick in picks:
+            popped = (None, None)
+            if kind == "forward":
+                rider.ledger.append((pick.value, len(rider.steps)))
+            else:
+                popped = rider.ledger.pop()
+            rider.steps.append(StepRecord(
+                kind=kind, object_kind=cand.kind, index=cand.index,
+                reward_or_cost=pick.value, loss_after=loss_after,
+                ledger_depth=len(rider.ledger), popped_reward=popped[0],
+                popped_step=popped[1], promoted_row=promoted))
 
 
 def fit(problem, config, path=None):
@@ -359,12 +608,15 @@ def fit(problem, config, path=None):
     choice are independent of it.  So for one problem and a config fixed up
     to epsilon, the fit at a larger epsilon is exactly a prefix of the fit
     at a smaller one: it ends at the first forward candidate the larger
-    gate stops.  Given a ``FitPath``, the fit continues the path from where
-    its previous fit stopped, and the report equals that of a fresh fit bit
-    for bit.  ValueError is raised when the path belongs to another problem
-    object, when the config differs from the path's in more than epsilon,
-    or when epsilon exceeds the path's last one.  The report's coefficients
-    are a copy, since the path goes on writing its grid in place.
+    gate stops.  Given a ``FitPath``, the fit continues the path at the
+    config's w from where its previous fit stopped, and the report equals
+    that of a fresh fit bit for bit.  ValueError is raised when the path
+    belongs to another problem object, when the config differs from every
+    config of the path in more than epsilon (its w is then off the path's
+    grid), when epsilon exceeds the last one fit at that w, or, on a grid
+    path, when (epsilon, w) is not a point of the grid left to fit.  The
+    report's coefficients are a copy, since the path goes on writing its
+    grid in place.
     """
     if not isinstance(config, GreedyConfig):
         raise TypeError("config must be a GreedyConfig")
@@ -372,46 +624,22 @@ def fit(problem, config, path=None):
         path = FitPath(problem, config)
     elif problem is not path.problem:
         raise ValueError("the path belongs to another problem object")
-    elif replace(config, epsilon=path.config.epsilon) != path.config:
-        raise ValueError("the config differs from the path's in more than epsilon")
-    elif config.epsilon > path.config.epsilon:
-        raise ValueError(
-            f"epsilon={config.epsilon} exceeds the path's last epsilon {path.config.epsilon}")
-    path.config = config
+    rider = path.riders.get(config.w)
+    if rider is None or (config is not rider.config
+                         and replace(config, epsilon=rider.config.epsilon) != rider.config):
+        raise ValueError("the config differs from every config of the path in more than epsilon")
+    if config.epsilon > rider.last:
+        raise ValueError(f"epsilon={config.epsilon} exceeds the path's last epsilon "
+                         f"{rider.last} at w={config.w}")
+    if rider.open:
+        rider.todo.append(config.epsilon)
+    elif config.epsilon not in rider.todo and all(e != config.epsilon for e, _ in rider.made):
+        raise ValueError(f"(epsilon={config.epsilon}, w={config.w}) is not on the path's "
+                         "grid, or was fit on it already")
+    rider.last = config.epsilon
 
-    state, factors, ledger = path.state, path.factors, path.ledger
-    beta, correlations, scales = path.beta, path.correlations, path.scales
-    gate = config.epsilon + COMPARISON_TOLERANCE * path.zero_loss
-    cap = config.step_cap(problem.p, problem.r)
-    termination = "gain-below-threshold"
-
-    while True:
-        if path.forward_taken >= cap:
-            termination = "max-steps"
-            break
-        gains = gain_matrix(problem, correlations, scales)
-        cand = _best_forward(state.singles, state.rows, config, gains)
-        if cand is None or cand.value <= gate:
-            break
-
-        path.move("forward", cand)
-
-        # Backward passes: keep removing while the cheapest removal costs at
-        # most nu times the most recent recorded reward.
-        while ledger and (state.singles or state.rows):
-            back = _worst_backward(problem, beta, state.singles, state.rows, config,
-                                   correlations, scales)
-            if back.value > config.nu * ledger[-1][0]:
-                break
-            path.move("backward", back)
-
-    return FitReport(
-        coefficients=beta.copy(),
-        pattern=state.pattern(),
-        final_loss=sum(f.loss for f in factors),
-        steps=tuple(path.steps),
-        termination=termination,
-    )
+    report = rider.take(config.epsilon)
+    return report if report is not None else path._advance(rider, config.epsilon)
 
 
 def check_step_records(report, config, initial_loss):

@@ -53,8 +53,9 @@ class SynthSpec:
                 f"need n >= 1, r >= 1 and s >= 0, got n={self.n}, r={self.r}, s={self.s}")
         if not (0.0 <= self.kappa <= 1.0):
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        if not 0.0 <= self.noise_variance < math.inf:
+            raise ValueError(
+                f"noise_variance must be finite and >= 0, got {self.noise_variance}")
 
     @property
     def support_size(self):
@@ -258,35 +259,40 @@ def crossing_se(rows):
 
 def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
     """Yield (c, w, reports) at each distinct point, with ``eps`` mapping c
-    to epsilon.  The one place a path is continued from the largest c down,
-    with the reports of fresh fits, each checked once if ``check``: each w is
-    one ``FitPath`` on ``problem``, with one w alive at a time.  The per-task
-    baseline is one rows-off path per task alone, made once for every w: a
-    rows-off fit never reads w, so each w of a c reads the same reports."""
+    to epsilon.  The one place paths are continued, with the reports of
+    fresh fits, each checked once if ``check``.  The joint fit is one
+    ``FitPath`` on ``problem`` for the whole grid, fit w by w from the
+    largest c down, and a move that several w make alike is refit once.
+    The per-task baseline is one rows-off path
+    per task alone, made once for every w: a rows-off fit never reads w, so
+    each w of a c reads the same reports."""
     distinct = list(dict.fromkeys(w_grid))
+    cs = sorted(eps, reverse=True)
     if single_task:
-        tasks, runs = [problem.single_task(j) for j in range(problem.r)], [distinct]
+        tasks, fitted = [problem.single_task(j) for j in range(problem.r)], distinct[:1]
     else:
-        tasks, runs = [problem], [[w] for w in distinct]
-    for ws in runs:
-        paths = None
-        for c in sorted(eps, reverse=True):
-            config = GreedyConfig(epsilon=eps[c], w=ws[0], nu=nu, rows_enabled=not single_task)
-            paths = paths or [FitPath(task, config) for task in tasks]
-            reports = [fit(path.problem, config, path) for path in paths]
-            if check:
-                for report, path in zip(reports, paths):
-                    check_step_records(report, config, path.zero_loss)
-            for w in ws:
-                yield c, w, reports
+        tasks, fitted = [problem], distinct
+    grid = [GreedyConfig(epsilon=eps[c], w=w, nu=nu, rows_enabled=not single_task)
+            for w in fitted for c in cs]
+    if not grid:
+        return
+    paths = [FitPath(task, grid) for task in tasks]
+    for c, config in zip(cs * len(fitted), grid):
+        reports = [fit(path.problem, config, path) for path in paths]
+        if check:
+            for report, path in zip(reports, paths):
+                check_step_records(report, config, path.zero_loss)
+        for w in distinct if single_task else (config.w,):
+            yield c, w, reports
 
 
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     """Grid search over (c, w) pairs scored by holdout squared error.
 
     The stopping threshold is c * s_hint * log(p) / n with n the average
-    training sample count.  ``_path_fits`` continues and checks the paths, one
-    per distinct w from the largest c down.  The rows list the grid in the
+    training sample count.  ``_path_fits`` fits and checks the grid on one
+    ``FitPath``, w by w from the largest c down, and a move that several w
+    make alike is refit once.  The rows list the grid in the
     caller's (c, w) order, and ties keep the first point in that order: the
     smallest c, then the smallest w, on ascending grids.  Returns (epsilon,
     w, report): the winner's epsilon at the training problem's mean n

@@ -34,6 +34,7 @@ pinned (``_CPUS`` is then 1): a threaded BLAS splits ``X.T @ v`` over its
 own threads, and blocks on top of them made a fit slower.
 """
 
+import copy
 import math
 import os
 import queue
@@ -286,6 +287,14 @@ class LeastSquaresFactor:
         self.correlation = correlation
         self._empty = self.basis = empty
         self._clear()
+
+    def copy(self, beta, correlation):
+        """The factor on ``beta`` and ``correlation``, the caller's copies of
+        its two columns.  The copy shares the basis, z and residual, which a
+        move replaces and never writes in place."""
+        other = copy.copy(self)
+        other.beta, other.correlation = beta, correlation
+        return other
 
     def _clear(self):
         self._take(self._empty)

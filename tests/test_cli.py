@@ -56,6 +56,13 @@ class TestGen:
                     *extra]) == 2
         assert field in capsys.readouterr().err
 
+    def test_non_finite_noise_variance_is_input_error(self, capsys):
+        """A NaN variance exits 2 naming the field, not 2 with "non-finite
+        data" from the drawn responses."""
+        assert run(["gen", "--p", "10", "--kappa", "0.5", "--n", "5", "--seed", "1",
+                    "--noise-variance", "nan"]) == 2
+        assert "noise_variance must be finite" in capsys.readouterr().err
+
     def test_float_round_trip_is_exact(self, tmp_path):
         out = tmp_path / "prob.json"
         run(["gen", "--p", "6", "--r", "2", "--s", "1", "--kappa", "0.0",
@@ -163,6 +170,16 @@ class TestSweep:
         assert run(["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "2",
                     "--theta-max", "1", "--theta-step", "0.5", "--trials", "1",
                     "--seed", "1", "--epsilon-c", "1e-5"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta-step", "nan"), ("--theta-min", "nan"), ("--theta-min", "-1")])
+    def test_bad_theta_flag_is_input_error(self, capsys, flag, value):
+        """A NaN or negative theta flag exits 2 naming the flag, not with a
+        float-to-integer conversion error or a negative sample size."""
+        flags = {"--theta-min": "1", "--theta-max": "2", "--theta-step": "0.5", flag: value}
+        assert run(["sweep", "--p", "32", "--kappa", "0.5", "--trials", "1", "--seed", "1",
+                    "--epsilon-c", "1e-5", *(x for item in flags.items() for x in item)]) == 2
+        assert f"{flag} must be finite and > 0" in capsys.readouterr().err
 
     def test_empty_default_support_is_input_error(self, capsys):
         """At p = 4 the default support size p / 10 rounds to 0: exit 2

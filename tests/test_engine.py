@@ -50,7 +50,7 @@ def forward_candidate(problem, pattern, config):
     """The forward selector's choice at the restricted optimum of a pattern."""
     gains = gains_at(problem, refit(problem, pattern))
     state = state_of(pattern, problem.p, problem.r)
-    return _best_forward(state.singles, state.rows, config, gains)
+    return _best_forward(state.singles, state.rows, [config], gains)[0]
 
 
 def coalescing_problem():
@@ -160,9 +160,9 @@ class TestCosts:
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
         beta = np.ones((1, 2))  # exact fit in both tasks
         state = state_of(SupportPattern(rows=frozenset({0})), 1, 2)
-        pick = _worst_backward(problem, beta, state.singles, state.rows,
-                               GreedyConfig(epsilon=0.0, w=1.5),
-                               correlations_at(problem, beta), scales_of(problem))
+        (pick,) = _worst_backward(problem, beta, state.singles, state.rows,
+                                  [GreedyConfig(epsilon=0.0, w=1.5)],
+                                  correlations_at(problem, beta), scales_of(problem))
         assert (pick.kind, pick.index) == ("row", (0,))
         assert pick.value == pytest.approx((0.5 + 0.5) / 1.5, abs=1e-15)
 

@@ -217,12 +217,18 @@ def assert_bookkeeping(state, p, r):
         assert state.task_support(j) == pattern.task_support(j)
 
 
+def start(problem, config):
+    """The one branch of a fresh one-config ``FitPath``: its support state,
+    its B and C grids and the factors that own their columns."""
+    return FitPath(problem, config).branches[0]
+
+
 def run_moves(problem, moves):
     """Apply ``moves`` through a ``SupportState`` and check everything after
     each: the state, the factors against the reference, the sharing, and
     that a design none of whose tasks moved took no product."""
-    path = FitPath(problem, CONFIG)
-    factors, beta, state = path.factors, path.beta, path.state
+    branch = start(problem, CONFIG)
+    factors, beta, state = branch.factors, branch.beta, branch.state
     direct = [True] * problem.r
     for m in moves:
         before = [(f.basis, list(f.basis.cols), task_arrays(f)) for f in factors]
@@ -266,8 +272,8 @@ def test_shared_design_shares_its_steps():
     singleton of task 0 parts them, and removing it joins their columns
     again but not their bases: task 0's QR refactor gives another R^-1 than
     task 1's Gram-Schmidt steps, so sharing them would change a fit."""
-    path = FitPath(SHARED, CONFIG)
-    factors, beta = path.factors, path.beta
+    branch = start(SHARED, CONFIG)
+    factors, beta = branch.factors, branch.beta
     direct = [True] * SHARED.r
     assert factors[0].basis is factors[1].basis is not factors[2].basis
     rows = SupportPattern(rows=frozenset({3, 5}))
@@ -286,8 +292,8 @@ def test_shared_design_shares_its_steps():
 def test_fallback_and_recovery():
     """Task 1 turns inexact when the duplicate column joins and exact again
     once it leaves; re-appending a removed column restores the same fit."""
-    path = FitPath(PROBLEM, CONFIG)
-    factors, beta = path.factors, path.beta
+    branch = start(PROBLEM, CONFIG)
+    factors, beta = branch.factors, branch.beta
     direct = [True] * PROBLEM.r
     f = factors[1]
     walk = [({1, 6}, True), ({1, 2, 6}, False), ({1, 2, 6, 7}, False),
@@ -306,16 +312,17 @@ def test_a_removal_that_leaves_more_columns_than_samples_takes_the_min_norm_solv
     rng = np.random.default_rng(9)
     problem = MultiTaskProblem.from_arrays([rng.standard_normal((4, 8))],
                                            [rng.standard_normal(4)])
-    path = FitPath(problem, GreedyConfig(epsilon=0.0, rows_enabled=False))
-    state, f = path.state, path.factors[0]
+    branch = start(problem, GreedyConfig(epsilon=0.0, rows_enabled=False))
+    factors, beta, state = branch.factors, branch.beta, branch.state
+    f = factors[0]
     for i in range(6):
         state.add("singleton", (i, 0))
-        refit(problem, state, path.factors)
+        refit(problem, state, factors)
     state.remove("singleton", (2, 0))
     assert f.basis.refactor([0, 1, 3, 4, 5]) is None
-    refit(problem, state, path.factors)
+    refit(problem, state, factors)
     assert f.basis.rinv is None and f.basis.cols == [0, 1, 3, 4, 5]
-    assert np.array_equal(path.beta, refit(problem, state))
+    assert np.array_equal(beta, refit(problem, state))
 
 
 def test_nearly_collinear_columns_keep_the_residual_orthogonal():
@@ -335,7 +342,7 @@ def test_unchanged_task_does_no_work():
     """Tasks 0 and 1 do not move: they keep their residual object and
     bit-equal coefficient and X^T r columns, and their designs take no
     product; task 2's columns change."""
-    factors = FitPath(PROBLEM, CONFIG).factors
+    factors = start(PROBLEM, CONFIG).factors
     direct = [True] * PROBLEM.r
     pattern = SupportPattern(singletons=frozenset({(3, 0), (4, 1)}))
     move_factors(PROBLEM, pattern, factors, direct)
@@ -425,9 +432,9 @@ def test_a_row_step_on_one_design_takes_one_product_with_it():
                               [rng.standard_normal(n) for _ in range(m)])
     X = problem.tasks[0].X
     assert all(t.X is X for t in problem.tasks)
-    path = FitPath(problem, GreedyConfig(epsilon=0.0, w=2.0))
-    factors, state = path.factors, path.state
-    assert len(X.products) == m and path.correlations.shape == (p, m)
+    branch = start(problem, GreedyConfig(epsilon=0.0, w=2.0))
+    factors, state = branch.factors, branch.state
+    assert len(X.products) == m and branch.correlations.shape == (p, m)
     direct = [True] * m
 
     def products_to_reach(state):
@@ -573,7 +580,7 @@ class TestMaskedSelectors:
     def test_match_the_set_loops_on_degenerate_designs(self):
         """Zero, duplicate and combined columns: the stacked closed forms equal
         the per-task loops bit for bit, and both selectors pick what the set
-        loops pick."""
+        loops pick, one config at a time or all in one call."""
         rng = np.random.default_rng(8)
         scales = scales_of(PROBLEM)
         colsq = list(scales.colsq.T)
@@ -590,13 +597,24 @@ class TestMaskedSelectors:
             singles, rows = set(pattern.singletons), set(pattern.rows)
             for config in self.CONFIGS:
                 assert_same_candidate(
-                    _best_forward(state.singles, state.rows, config, gains),
+                    _best_forward(state.singles, state.rows, [config], gains)[0],
                     set_best_forward(singles, rows, config, gains))
                 if singles or rows:
                     assert_same_candidate(
-                        _worst_backward(PROBLEM, beta, state.singles, state.rows, config,
-                                        corr, scales),
+                        _worst_backward(PROBLEM, beta, state.singles, state.rows, [config],
+                                        corr, scales)[0],
                         set_worst_backward(PROBLEM, beta, singles, rows, config, corr, colsq))
+            # one call for several configs picks what one call per config picks
+            configs = list(self.CONFIGS)
+            for got, config in zip(_best_forward(state.singles, state.rows, configs, gains),
+                                   configs):
+                assert_same_candidate(got, set_best_forward(singles, rows, config, gains))
+            if singles or rows:
+                for got, config in zip(_worst_backward(PROBLEM, beta, state.singles,
+                                                       state.rows, configs, corr, scales),
+                                       configs):
+                    assert_same_candidate(got, set_worst_backward(
+                        PROBLEM, beta, singles, rows, config, corr, colsq))
 
     def test_forward_ties_and_saturation(self):
         """Columns 0 and 1 duplicate each other in both tasks and every gain
@@ -609,7 +627,7 @@ class TestMaskedSelectors:
 
         def pick(pattern, config):
             state = state_of(pattern, 3, 2)
-            got = _best_forward(state.singles, state.rows, config, gains)
+            (got,) = _best_forward(state.singles, state.rows, [config], gains)
             assert_same_candidate(got, set_best_forward(
                 set(pattern.singletons), set(pattern.rows), config, gains))
             return got
@@ -642,8 +660,8 @@ class TestRemovalCosts:
                     cost_oracle(problem, beta, ("row", m), 1.5), rel=1e-10, abs=1e-14)
             if pattern.singletons or pattern.rows:
                 state = state_of(pattern, problem.p, problem.r)
-                got = _worst_backward(problem, beta, state.singles, state.rows,
-                                      GreedyConfig(epsilon=0.0, w=1.5), corr, scales)
+                (got,) = _worst_backward(problem, beta, state.singles, state.rows,
+                                         [GreedyConfig(epsilon=0.0, w=1.5)], corr, scales)
                 want = scalar_worst_backward(problem, beta, pattern.singletons, pattern.rows, 1.5)
                 assert (got.kind, got.index) == want[:2]
                 assert got.value == pytest.approx(want[2], rel=1e-10, abs=1e-14)
@@ -656,12 +674,12 @@ class TestRemovalCosts:
         corr = correlations_at(problem, beta)
         scales = scales_of(problem)
         state = state_of(SupportPattern(singletons=frozenset({(1, 1), (1, 0)})), 2, 2)
-        pick = _worst_backward(problem, beta, state.singles, state.rows,
-                               GreedyConfig(epsilon=0.0, w=2.0), corr, scales)
+        (pick,) = _worst_backward(problem, beta, state.singles, state.rows,
+                                  [GreedyConfig(epsilon=0.0, w=2.0)], corr, scales)
         assert (pick.kind, pick.index, pick.value) == ("singleton", (1, 0), 0.25)
         state.add("row", (0,))
-        pick = _worst_backward(problem, beta, state.singles, state.rows,
-                               GreedyConfig(epsilon=0.0, w=2.0), corr, scales)
+        (pick,) = _worst_backward(problem, beta, state.singles, state.rows,
+                                  [GreedyConfig(epsilon=0.0, w=2.0)], corr, scales)
         assert (pick.kind, pick.index, pick.value) == ("row", (0,), 0.25)
 
 

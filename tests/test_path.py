@@ -4,11 +4,14 @@ Epsilon enters ``fit`` only at its forward gate, so the fit at a larger
 epsilon is a prefix of the fit at a smaller one.  ``fit(problem, config,
 path)`` continues an ``engine.FitPath`` from where its previous fit stopped;
 every continued report must equal a fresh fit bit for bit, and the reports
-a path hands out must not move when it goes on.  ``cross_validate`` and
-``sweep_grid`` run each w's grid as one path (the per-task baseline runs
-one path per task for the whole w grid) and must give the results of the
-loop that fits every (c, w) point afresh, with one path alive at a time;
-both check each report's trace once, when it is made.
+a path hands out must not move when it goes on.  A grid path carries every
+(epsilon, w) of one problem, its w's sharing the moves they make alike, and
+must give the same reports in any order of its w's.  ``cross_validate`` and
+``sweep_grid`` run their grid as one path per problem (the per-task
+baseline runs one path per task for the whole w grid) and must give the
+results of the loop that fits every (c, w) point afresh, without keeping
+more state alive than the largest single fit; both check each report's
+trace once, when it is made.
 """
 
 import tracemalloc
@@ -31,6 +34,7 @@ from mtgreedy import (
 from mtgreedy import experiments
 from mtgreedy.digits import DigitDataset, build_tasks, split_for_validation
 from mtgreedy.engine import FitPath
+from mtgreedy.linalg import Basis
 from mtgreedy.experiments import (
     SweepConfig, _path_fits, run_sweep, stopping_threshold, sweep_grid)
 
@@ -159,6 +163,43 @@ class TestGuards:
         with pytest.raises(ValueError, match="exceeds the path's last epsilon"):
             fit(problem, config, path)
 
+    @staticmethod
+    def grid_path(problem, nu=0.5):
+        return FitPath(problem, [GreedyConfig(epsilon=eps, w=w, nu=nu)
+                                 for w in (1.5, 2.0) for eps in (1e-2, 1e-3)])
+
+    def test_a_grid_path_refuses_another_problem_object(self):
+        problem = synthetic_problem()
+        twin = MultiTaskProblem(p=problem.p, r=problem.r, tasks=problem.tasks)
+        with pytest.raises(ValueError, match="another problem"):
+            fit(twin, GreedyConfig(epsilon=1e-2), self.grid_path(problem))
+
+    @pytest.mark.parametrize("change", [{"w": 1.25}, {"nu": 0.25}, {"max_forward_steps": 3}])
+    def test_a_grid_path_refuses_a_config_off_its_grid_up_to_epsilon(self, change):
+        problem = synthetic_problem()
+        path = self.grid_path(problem)
+        with pytest.raises(ValueError, match="more than epsilon"):
+            fit(problem, GreedyConfig(epsilon=1e-2, **change), path)
+
+    def test_a_grid_path_refuses_an_epsilon_off_its_grid_or_fit_already(self):
+        problem = synthetic_problem()
+        path = self.grid_path(problem)
+        fit(problem, GreedyConfig(epsilon=1e-2, w=1.5), path)
+        for eps in (5e-3, 1e-2):            # between two points; the point just fit
+            with pytest.raises(ValueError, match="not on the path's grid"):
+                fit(problem, GreedyConfig(epsilon=eps, w=1.5), path)
+        fit(problem, GreedyConfig(epsilon=1e-3, w=1.5), path)
+        with pytest.raises(ValueError, match="exceeds the path's last epsilon"):
+            fit(problem, GreedyConfig(epsilon=1e-2, w=1.5), path)
+        fit(problem, GreedyConfig(epsilon=1e-3, w=2.0), path)   # w = 2 skips 1e-2
+        with pytest.raises(ValueError, match="exceeds the path's last epsilon"):
+            fit(problem, GreedyConfig(epsilon=1e-2, w=2.0), path)
+
+    def test_a_grid_differs_only_in_epsilon_and_w(self):
+        with pytest.raises(ValueError, match="more than epsilon and w"):
+            FitPath(synthetic_problem(), [GreedyConfig(epsilon=1e-2),
+                                          GreedyConfig(epsilon=1e-3, nu=0.25)])
+
 
 @st.composite
 def degenerate_problems(draw):
@@ -183,6 +224,89 @@ def degenerate_problems(draw):
 def test_paths_on_degenerate_problems_equal_fresh_fits(problem, grid, w):
     continue_path(problem, GreedyConfig(epsilon=0.0, w=w),
                   sorted(grid, reverse=True) + [0.0])
+
+
+def fit_grid(problem, eps_grid, w_grid, order):
+    """Fit every (epsilon, w) of a grid on one grid ``FitPath``, the w's
+    interleaved as ``order`` lists them and each w's epsilons descending;
+    each report is checked against a fresh fit, also after the whole grid
+    is fit, so the path must not write into a report it handed out."""
+    eps_grid = sorted(eps_grid, reverse=True)
+    path = FitPath(problem, [GreedyConfig(epsilon=eps, w=w)
+                             for w in dict.fromkeys(w_grid) for eps in eps_grid])
+    done = dict.fromkeys(w_grid, 0)
+    pairs = []
+    for w in order:
+        config = GreedyConfig(epsilon=eps_grid[done[w]], w=w)
+        done[w] += 1
+        got = fit(problem, config, path)
+        want = fit(problem, config)
+        assert_same_report(got, want)
+        pairs.append((got, want))
+    assert all(count == len(eps_grid) for count in done.values())
+    for got, want in pairs:
+        assert np.array_equal(got.coefficients, want.coefficients)
+
+
+@st.composite
+def grid_orders(draw, weights, cs):
+    """(w grid, order): a w grid drawn from ``weights``, repeats and any
+    order allowed, and an interleaving of its distinct w's, each once per
+    epsilon of a ``cs``-point grid."""
+    w_grid = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=4))
+    distinct = list(dict.fromkeys(w_grid))
+    order = draw(st.permutations([w for w in distinct for _ in range(cs)]))
+    return w_grid, order
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(degenerate_problems(), st.lists(st.floats(1e-6, 1.0), max_size=2),
+       st.data())
+def test_grid_paths_on_degenerate_problems_equal_fresh_fits(problem, grid, data):
+    """One task (w = r = 1, integer w, and w above r, which one task allows)."""
+    eps_grid = grid + [0.0]
+    w_grid, order = data.draw(grid_orders([1.0, 1.5, 2.0, 3.0], len(eps_grid)))
+    fit_grid(problem, eps_grid, w_grid, order)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(C_GRID[1:]), min_size=1, max_size=3, unique=True),
+       st.data())
+def test_grid_paths_on_a_shared_design_equal_fresh_fits(cs, data):
+    """Ten tasks on one design: w = 1, w's that share their early moves,
+    integer w and w = r."""
+    problem = digits_shaped_problem()
+    w_grid, order = data.draw(grid_orders([1.0, 1.25, 1.5, 2.0, 3.0, 10.0], len(cs)))
+    fit_grid(problem, epsilons(problem, cs), w_grid, order)
+
+
+def test_a_grid_path_appends_once_for_the_moves_its_ws_share(monkeypatch):
+    """The grid search takes fewer basis steps than the per-w fresh fits
+    together, since w = 1.25 retraces w = 1 here, and a one-w grid takes
+    exactly those of its fresh fit at the smallest c."""
+    appends = []
+    append = Basis.append
+
+    def counted(basis, c):
+        appends.append(c)
+        return append(basis, c)
+
+    monkeypatch.setattr(Basis, "append", counted)
+    problem = digits_shaped_problem()
+    eps = dict(zip(C_GRID, epsilons(problem)))
+    w_grid = (1.0, 1.25, 1.5, 2.0)
+
+    def appends_of(run):
+        appends.clear()
+        run()
+        return len(appends)
+
+    grid = appends_of(lambda: list(_path_fits(problem, eps, w_grid, 0.5)))
+    apart = [appends_of(lambda: fit(problem, GreedyConfig(epsilon=0.0, w=w, nu=0.5)))
+             for w in w_grid]
+    assert grid < sum(apart)
+    for w, fresh in zip(w_grid, apart):
+        assert appends_of(lambda: list(_path_fits(problem, eps, (w,), 0.5))) == fresh
 
 
 def per_point_cross_validate(train, holdout, c_grid, w_grid, nu, s_hint):
@@ -274,9 +398,9 @@ def test_per_task_paths_equal_fresh_per_task_fits(monkeypatch):
 
 @pytest.mark.parametrize("single_task", [False, True])
 def test_sweep_grid_fits_each_task_once_per_c(monkeypatch, single_task):
-    """A sweep fits one path per (problem, w) jointly, but the baseline's
-    per-task paths once for the whole w grid: one fit per task, c, trial
-    and theta either way here (r = 2 tasks, 2 w)."""
+    """A sweep fits one grid path per problem jointly, one fit per (c, w),
+    but the baseline's per-task paths once for the whole w grid: one fit
+    per task, c, trial and theta either way here (r = 2 tasks, 2 w)."""
     calls = []
 
     def counted(problem, config, path=None):
@@ -298,8 +422,8 @@ def test_sweep_grid_checks_every_trace(monkeypatch, single_task, traces):
     checked = counted_checks(monkeypatch)
     config = SweepConfig(epsilon_c=1.0, noise_variance=1e-2, single_task=single_task)
     sweep_grid(0.5, 64, (1.6, 0.8), 3, [1e-2, 1e-6, 1e-4], [1.75, 1.25], config, 5)
-    runs = 1 if single_task else 2                    # path sets: one, or one per w
-    assert len(checked) == traces * runs * 3 * 3 * 2  # paths, w runs, c, trials, theta
+    runs = 1 if single_task else 2                    # fits per c: for every w, or per w
+    assert len(checked) == traces * runs * 3 * 3 * 2  # paths, fits, c, trials, theta
     assert len({id(report) for report, _, _ in checked}) == len(checked)
     assert {report.coefficients.shape[1] for report, _, _ in checked} == {2 // traces}
 

@@ -59,16 +59,17 @@ sorted order, and a row beats a singleton of equal value.
 Epsilon enters a fit only at its forward gate, so for one problem and one
 config up to epsilon, the fit at a larger epsilon is a step-by-step prefix
 of the fit at a smaller one.  A ``FitPath`` holds the live state of the
-fits of one problem over a grid of (epsilon, w), and ``fit`` given one
-continues the fit at a w from where it stopped, at a smaller or equal
-epsilon, with the same report as a fresh fit.  Fits at different w often
-make the same moves (in the digit grid search, w = 1.25 retraces w = 1), so
-the w's ride shared branches of numeric state: a move every w on a branch
-picks is refit once, and a w whose own decision differs leaves on a copy
-of the branch taken at that state.  A fit of one config is the path of a
-single w.  ``experiments._path_fits`` alone continues paths, one per
-problem (and task, for the per-task baseline) from the largest threshold
-down, for ``cross_validate`` and ``sweep_grid``.
+fits of one problem over a grid of (epsilon, w) points, each w's epsilons
+never rising, and serves the points in the order the grid gives: each
+``fit`` on it returns the next point's report, the same as a fresh fit's.
+Fits at different w often make the same moves (in the digit grid search,
+w = 1.25 retraces w = 1), so the w's ride shared branches of numeric
+state: a move every w on a branch picks is refit once, and a w whose own
+decision differs leaves on a copy of the branch taken at that state.  A
+fresh fit is the path of a one-point grid.  ``experiments._path_fits``
+alone fits longer grids, one path per problem (and task, for the per-task
+baseline), w by w from the largest threshold down, for ``cross_validate``
+and ``sweep_grid``.
 """
 
 import math
@@ -325,36 +326,22 @@ class SupportState:
 class _Rider:
     """One sharing weight's own part of a ``FitPath``.
 
-    ``config`` is the path's config at this w; ``todo`` holds the epsilons
-    the rider has yet to stop at, in descending order, and ``made`` the
-    (epsilon, report) pairs it stopped at and ``fit`` has not handed out.
-    ``ledger`` holds the (reward, step index) of every forward step not yet
-    matched by a removal and ``steps`` the rider's step records; both are
-    emptied once its grid is done.  The rider of an open path (``open``)
-    takes each epsilon ``fit`` asks for onto ``todo``; ``last`` is the last
-    epsilon asked for.
+    ``config`` is the path's first config at this w; ``todo`` holds the
+    epsilons the rider has yet to stop at, in grid order, and ``made`` the
+    reports it stopped at and ``fit`` has not handed out, first in, first
+    out.  ``ledger`` holds the (reward, step index) of every forward step
+    not yet matched by a removal and ``steps`` the rider's step records;
+    both are emptied once its grid is done.
     """
 
-    __slots__ = ("config", "todo", "made", "last", "open", "ledger", "steps")
+    __slots__ = ("config", "todo", "made", "ledger", "steps")
 
-    def __init__(self, config, epsilons, open_):
+    def __init__(self, config):
         self.config = config
-        self.todo = [] if open_ else sorted(epsilons, reverse=True)
+        self.todo = []
         self.made = []
-        self.last = config.epsilon if open_ else self.todo[0]
-        self.open = open_
         self.ledger = []
         self.steps = []
-
-    def take(self, epsilon):
-        """The report made at ``epsilon``, or None while it is not made yet;
-        reports made at larger epsilons are dropped, as no fit can ask for
-        them any more."""
-        while self.made and self.made[0][0] > epsilon:
-            del self.made[0]
-        if self.made and self.made[0][0] == epsilon:
-            return self.made.pop(0)[1]
-        return None
 
 
 class _Branch:
@@ -394,13 +381,12 @@ class _Branch:
 
 
 class FitPath:
-    """The live state of greedy paths on one problem, which ``fit`` continues.
+    """The live state of the greedy fits of one problem over a grid, which
+    ``fit`` serves one point at a time.
 
-    ``grid`` is one ``GreedyConfig``, or a sequence of them that differ only
-    in (epsilon, w).  A path made from one config is open: a ``fit`` given
-    it goes on from where the previous one stopped, at any smaller or equal
-    epsilon.  A path made from a sequence serves exactly its grid: one
-    ``fit`` per point, each w's in descending epsilon order.
+    ``grid`` is a non-empty sequence of ``GreedyConfig``s that differ only
+    in (epsilon, w), in which no w's epsilons rise.  The path serves its
+    points in that order, each to one ``fit``, which must name the point.
 
     Each distinct w is a ``_Rider`` with its own ledger, steps, rewards and
     epsilon cursor.  The riders share ``_Branch``es of numeric state: the
@@ -413,22 +399,32 @@ class FitPath:
     for all of them.  Riders whose decision differs from the lead's leave
     together on a copy of the branch taken at that state, which waits there
     until one of them is fit.  A rider passing one of its epsilons while it
-    rides keeps that point's report for its own ``fit``.  The path holds its ``riders`` by w, its live
-    ``branches`` (a branch is dropped once every rider on it is done), the
-    ``Scales`` and the loss at beta = 0.  No branch refers back to the path
-    or a rider to its branch, so a dropped path is freed at once.
+    rides keeps that point's report until ``fit`` reaches the point.  The
+    path holds its ``points``, the count ``served`` of those fit, its
+    ``riders`` by w, its live ``branches`` (a branch is dropped once every
+    rider on it is done), the ``Scales`` and the loss at beta = 0.  No
+    branch refers back to the path or a rider to its branch, so a dropped
+    path is freed at once.
     """
 
     def __init__(self, problem, grid):
-        configs = [grid] if isinstance(grid, GreedyConfig) else list(grid)
-        if not configs:
+        self.points = tuple(grid)
+        if not self.points:
             raise ValueError("the grid is empty")
-        base = configs[0]
-        for config in configs:
+        base = self.points[0]
+        self.riders = {}
+        for config in self.points:
             if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
                 raise ValueError("the grid's configs differ in more than epsilon and w")
             if config.rows_enabled and problem.r > 1 and config.w > problem.r:
                 raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
+            if config.w not in self.riders:
+                self.riders[config.w] = _Rider(config)
+            todo = self.riders[config.w].todo
+            if todo and config.epsilon > todo[-1]:
+                raise ValueError(f"the grid's epsilons rise at w={config.w}")
+            todo.append(config.epsilon)
+        self.served = 0
         self.problem = problem
         self.nu = base.nu
         self.cap = base.step_cap(problem.p, problem.r)
@@ -443,12 +439,6 @@ class FitPath:
         two_n = np.array([2.0 * t.n for t in problem.tasks])
         self.scales = Scales(colsq, two_n, np.where(colsq > 0.0, two_n * colsq, np.inf))
 
-        self.riders = {}
-        for config in configs:
-            if config.w not in self.riders:
-                self.riders[config.w] = _Rider(
-                    config, [c.epsilon for c in configs if c.w == config.w],
-                    isinstance(grid, GreedyConfig))
         # the riders start out grouped by promotion count; each group's
         # branch is made at beta = 0 when one of its riders is first fit
         groups = {}
@@ -474,9 +464,9 @@ class FitPath:
         self.branches.append(branch)
         return branch
 
-    def _advance(self, lead, epsilon):
-        """Move ``lead``'s branch on until ``lead`` stops at ``epsilon``,
-        and return the report it makes there.
+    def _advance(self, lead):
+        """Move ``lead``'s branch on until ``lead`` stops at its next
+        epsilon, and return the report it makes there.
 
         At each state the branch's forward candidate stops every rider
         whose gate it does not clear; unless ``lead`` has stopped, the
@@ -491,7 +481,7 @@ class FitPath:
         problem, scales, slack, nu = self.problem, self.scales, self.slack, self.nu
         beta, correlations = branch.beta, branch.correlations
         singles, rows = branch.state.singles, branch.state.rows
-        while lead.todo and lead.todo[0] >= epsilon:
+        while not lead.made:
             if branch.backward:
                 branch.backward = False
             else:
@@ -508,7 +498,7 @@ class FitPath:
                         self._stop(branch, rider, pick, termination)
                     if rider.todo:
                         movers.append((rider, pick))
-                if not lead.todo or lead.todo[0] < epsilon:
+                if lead.made:
                     break
                 if len(movers) > 1:
                     movers = self._part(branch, lead, movers, False)
@@ -524,7 +514,7 @@ class FitPath:
                 if picks[0][1] is None:
                     break
                 self._move(branch, "backward", picks)
-        return lead.take(epsilon)
+        return lead.made.pop(0)
 
     def _stop(self, branch, rider, pick, termination):
         """Make ``rider``'s report at each epsilon of its todo whose gate
@@ -543,8 +533,9 @@ class FitPath:
                 )
             else:
                 report = replace(report, coefficients=report.coefficients.copy())
-            rider.made.append((rider.todo.pop(0), report))
-        if not rider.todo and not rider.open:
+            rider.todo.pop(0)
+            rider.made.append(report)
+        if not rider.todo:
             branch.seat([other for other in branch.riders if other is not rider])
             if not branch.riders:
                 self.branches.remove(branch)
@@ -608,38 +599,25 @@ def fit(problem, config, path=None):
     choice are independent of it.  So for one problem and a config fixed up
     to epsilon, the fit at a larger epsilon is exactly a prefix of the fit
     at a smaller one: it ends at the first forward candidate the larger
-    gate stops.  Given a ``FitPath``, the fit continues the path at the
-    config's w from where its previous fit stopped, and the report equals
-    that of a fresh fit bit for bit.  ValueError is raised when the path
-    belongs to another problem object, when the config differs from every
-    config of the path in more than epsilon (its w is then off the path's
-    grid), when epsilon exceeds the last one fit at that w, or, on a grid
-    path, when (epsilon, w) is not a point of the grid left to fit.  The
-    report's coefficients are a copy, since the path goes on writing its
-    grid in place.
+    gate stops.  Without a path the fit is that of the one-point grid
+    ``FitPath(problem, [config])``.  Given a ``FitPath``, ``problem`` must
+    be the path's own problem object and ``config`` the path's next grid
+    point, or ValueError is raised; the fit then goes on at the config's w
+    from where the path's previous fit at that w stopped, and the report
+    equals that of a fresh fit bit for bit.  The report's coefficients are
+    a copy, since the path goes on writing its B grid in place.
     """
     if not isinstance(config, GreedyConfig):
         raise TypeError("config must be a GreedyConfig")
     if path is None:
-        path = FitPath(problem, config)
-    elif problem is not path.problem:
-        raise ValueError("the path belongs to another problem object")
-    rider = path.riders.get(config.w)
-    if rider is None or (config is not rider.config
-                         and replace(config, epsilon=rider.config.epsilon) != rider.config):
-        raise ValueError("the config differs from every config of the path in more than epsilon")
-    if config.epsilon > rider.last:
-        raise ValueError(f"epsilon={config.epsilon} exceeds the path's last epsilon "
-                         f"{rider.last} at w={config.w}")
-    if rider.open:
-        rider.todo.append(config.epsilon)
-    elif config.epsilon not in rider.todo and all(e != config.epsilon for e, _ in rider.made):
-        raise ValueError(f"(epsilon={config.epsilon}, w={config.w}) is not on the path's "
-                         "grid, or was fit on it already")
-    rider.last = config.epsilon
-
-    report = rider.take(config.epsilon)
-    return report if report is not None else path._advance(rider, config.epsilon)
+        path = FitPath(problem, [config])
+    points = path.points
+    if (problem is not path.problem or path.served == len(points)
+            or config != points[path.served]):
+        raise ValueError("a path fits its own problem object at its next grid point only")
+    path.served += 1
+    rider = path.riders[config.w]
+    return rider.made.pop(0) if rider.made else path._advance(rider)
 
 
 def check_step_records(report, config, initial_loss):

@@ -149,7 +149,7 @@ def trial_seed(master_seed, kappa, theta_index, trial_index):
 class SweepConfig:
     """Per-sweep fitting policy.
 
-    epsilon_c       a sample size n fits at epsilon_c * s * log(p) / n
+    epsilon_c       a sample size n fits at epsilon_c * s * log(p) / n; finite, >= 0
     w               sharing weight of the joint fit; the baseline ignores it
     nu              backward factor in (0, 1)
     noise_variance  variance of the Gaussian noise in each drawn response
@@ -163,6 +163,10 @@ class SweepConfig:
     noise_variance: float = 0.1
     single_task: bool = False
     check_traces: bool = True
+
+    def __post_init__(self):
+        if not 0.0 <= self.epsilon_c < math.inf:
+            raise ValueError(f"epsilon_c must be finite and >= 0, got {self.epsilon_c}")
 
     def greedy_config(self, s, p, n):
         eps = stopping_threshold(self.epsilon_c, s, p, n)
@@ -259,13 +263,14 @@ def crossing_se(rows):
 
 def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
     """Yield (c, w, reports) at each distinct point, with ``eps`` mapping c
-    to epsilon.  The one place paths are continued, with the reports of
-    fresh fits, each checked once if ``check``.  The joint fit is one
-    ``FitPath`` on ``problem`` for the whole grid, fit w by w from the
-    largest c down, and a move that several w make alike is refit once.
-    The per-task baseline is one rows-off path
-    per task alone, made once for every w: a rows-off fit never reads w, so
-    each w of a c reads the same reports."""
+    to epsilon: the reports of fresh fits, each checked once if ``check``.
+    The one place a grid of more than one point is fit.  The joint fit is
+    one ``FitPath`` on ``problem`` whose grid runs w by w, each w from the
+    largest c down; ``fit`` is called once per point in that order, with
+    the point's config, and a move that several w make alike is refit once.
+    The per-task baseline is one rows-off path per task alone over the c
+    grid, made once for every w: a rows-off fit never reads w, so each w of
+    a c reads the same reports."""
     distinct = list(dict.fromkeys(w_grid))
     cs = sorted(eps, reverse=True)
     if single_task:

@@ -117,7 +117,7 @@ class SupportPattern:
 class GreedyConfig:
     """Tuning knobs for the greedy fit.
 
-    epsilon           stopping threshold on the weighted forward gain (>= 0);
+    epsilon           stopping threshold on the weighted forward gain, finite and >= 0;
                       the fit adds a slack relative to the loss at beta = 0
                       (engine.COMPARISON_TOLERANCE), so it is scale-free
     w                 sharing weight dividing row gains/costs, finite and in [1, r];
@@ -137,8 +137,8 @@ class GreedyConfig:
     max_forward_steps: int | None = None
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not (0 < self.nu < 1):
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if self.rows_enabled and not 1 <= self.w < math.inf:

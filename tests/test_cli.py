@@ -120,6 +120,12 @@ class TestFit:
         assert run(["fit", "--in", str(noiseless_file), "--epsilon", "1e-9",
                     "--nu", "1.5"]) == 2
 
+    def test_infinite_epsilon_is_input_error(self, noiseless_file, capsys):
+        """An infinite threshold exits 2 naming the field, not 0 with an
+        empty fit."""
+        assert run(["fit", "--in", str(noiseless_file), "--epsilon", "inf"]) == 2
+        assert "epsilon must be finite" in capsys.readouterr().err
+
     def test_infinite_weight_on_one_task_rejected(self, tmp_path):
         """With r = 1 no w <= r check applies; an infinite w is still a usage error."""
         prob = tmp_path / "prob.json"
@@ -180,6 +186,15 @@ class TestSweep:
         assert run(["sweep", "--p", "32", "--kappa", "0.5", "--trials", "1", "--seed", "1",
                     "--epsilon-c", "1e-5", *(x for item in flags.items() for x in item)]) == 2
         assert f"{flag} must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-1"])
+    def test_bad_epsilon_c_is_input_error(self, capsys, value):
+        """An infinite or negative constant exits 2 naming the field, not 0
+        with every fit empty or 2 naming the threshold derived from it."""
+        assert run(["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "1",
+                    "--theta-max", "1", "--theta-step", "1", "--trials", "1",
+                    "--seed", "1", "--epsilon-c", value]) == 2
+        assert "epsilon_c must be finite and >= 0" in capsys.readouterr().err
 
     def test_empty_default_support_is_input_error(self, capsys):
         """At p = 4 the default support size p / 10 rounds to 0: exit 2

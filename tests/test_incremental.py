@@ -218,9 +218,9 @@ def assert_bookkeeping(state, p, r):
 
 
 def start(problem, config):
-    """The one branch of a fresh one-config ``FitPath``: its support state,
+    """The one branch of a fresh one-point ``FitPath``: its support state,
     its B and C grids and the factors that own their columns."""
-    return FitPath(problem, config).branches[0]
+    return FitPath(problem, [config]).branches[0]
 
 
 def run_moves(problem, moves):

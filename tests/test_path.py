@@ -1,17 +1,17 @@
-"""Greedy paths: a fit continued along a descending epsilon grid.
+"""Greedy paths: the fits of one problem over an (epsilon, w) grid.
 
 Epsilon enters ``fit`` only at its forward gate, so the fit at a larger
-epsilon is a prefix of the fit at a smaller one.  ``fit(problem, config,
-path)`` continues an ``engine.FitPath`` from where its previous fit stopped;
-every continued report must equal a fresh fit bit for bit, and the reports
-a path hands out must not move when it goes on.  A grid path carries every
-(epsilon, w) of one problem, its w's sharing the moves they make alike, and
-must give the same reports in any order of its w's.  ``cross_validate`` and
-``sweep_grid`` run their grid as one path per problem (the per-task
-baseline runs one path per task for the whole w grid) and must give the
-results of the loop that fits every (c, w) point afresh, without keeping
-more state alive than the largest single fit; both check each report's
-trace once, when it is made.
+epsilon is a prefix of the fit at a smaller one.  An ``engine.FitPath``
+serves its grid in the order given, no w's epsilons rising, and
+``fit(problem, config, path)`` takes the path's next point only; every
+report must equal a fresh fit bit for bit, and the reports a path hands
+out must not move when it goes on.  The w's of a grid share the moves they
+make alike, and the reports must be the same in any interleaving of the
+w's.  ``cross_validate`` and ``sweep_grid`` run their grid as one path per
+problem (the per-task baseline runs one path per task for the whole w
+grid), one ``fit`` per point, and must give the results of the loop that
+fits every (c, w) point afresh, without keeping more state alive than the
+largest single fit; both check each report's trace once, when it is made.
 """
 
 import tracemalloc
@@ -32,7 +32,9 @@ from mtgreedy import (
     verify_trace,
 )
 from mtgreedy import experiments
-from mtgreedy.digits import DigitDataset, build_tasks, split_for_validation
+from mtgreedy.digits import (
+    C_GRID as C_GRID_DIGITS, W_GRID as W_GRID_DIGITS, DigitDataset, build_tasks,
+    split_for_validation)
 from mtgreedy.engine import FitPath
 from mtgreedy.linalg import Basis
 from mtgreedy.experiments import (
@@ -81,7 +83,7 @@ def assert_same_report(got, want):
 def continue_path(problem, config, grid):
     """Fit ``grid`` (descending) along one path, each report against a fresh
     fit and replayed by ``verify_trace``; returns the continued reports."""
-    path = FitPath(problem, replace(config, epsilon=grid[0]))
+    path = FitPath(problem, [replace(config, epsilon=eps) for eps in grid])
     pairs = []
     for eps in grid:
         cfg = replace(config, epsilon=eps)
@@ -135,70 +137,87 @@ def test_a_continued_gate_keeps_the_slack_of_the_loss_at_beta_zero():
 
 
 class TestGuards:
+    """``fit`` takes a path's own problem object at its next grid point
+    only; a refused call leaves the path where it was.  The one-point path
+    is the one a fit without a path makes."""
+
+    GRID = [GreedyConfig(epsilon=eps, w=w) for w in (1.5, 2.0) for eps in (1e-2, 1e-3)]
+
     def test_rejects_another_problem_object(self):
         problem = synthetic_problem()
         twin = MultiTaskProblem(p=problem.p, r=problem.r, tasks=problem.tasks)
         config = GreedyConfig(epsilon=1e-3)
-        path = FitPath(problem, config)
-        with pytest.raises(ValueError, match="another problem"):
-            fit(twin, config, path)
+        with pytest.raises(ValueError, match="next grid point"):
+            fit(twin, config, FitPath(problem, [config]))
 
     @pytest.mark.parametrize("change", [
         {"w": 2.0}, {"nu": 0.25}, {"rows_enabled": False}, {"max_forward_steps": 3}])
     def test_rejects_a_config_that_differs_in_more_than_epsilon(self, change):
         problem = synthetic_problem()
         config = GreedyConfig(epsilon=1e-2)
-        path = FitPath(problem, config)
-        fit(problem, config, path)
-        with pytest.raises(ValueError, match="more than epsilon"):
-            fit(problem, replace(config, epsilon=1e-3, **change), path)
+        path = FitPath(problem, [config])
+        with pytest.raises(ValueError, match="next grid point"):
+            fit(problem, replace(config, **change), path)
+        assert_same_report(fit(problem, config, path), fit(problem, config))
 
     def test_rejects_a_larger_epsilon(self):
+        """A larger epsilon than the point's, and the point once fit."""
         problem = synthetic_problem()
-        config = GreedyConfig(epsilon=1e-2)
-        path = FitPath(problem, config)
+        config = GreedyConfig(epsilon=1e-3)
+        path = FitPath(problem, [config])
+        with pytest.raises(ValueError, match="next grid point"):
+            fit(problem, replace(config, epsilon=1e-2), path)
         fit(problem, config, path)
-        fit(problem, config, path)          # an equal epsilon continues
-        fit(problem, replace(config, epsilon=1e-3), path)
-        with pytest.raises(ValueError, match="exceeds the path's last epsilon"):
+        with pytest.raises(ValueError, match="next grid point"):
             fit(problem, config, path)
-
-    @staticmethod
-    def grid_path(problem, nu=0.5):
-        return FitPath(problem, [GreedyConfig(epsilon=eps, w=w, nu=nu)
-                                 for w in (1.5, 2.0) for eps in (1e-2, 1e-3)])
 
     def test_a_grid_path_refuses_another_problem_object(self):
         problem = synthetic_problem()
         twin = MultiTaskProblem(p=problem.p, r=problem.r, tasks=problem.tasks)
-        with pytest.raises(ValueError, match="another problem"):
-            fit(twin, GreedyConfig(epsilon=1e-2), self.grid_path(problem))
+        path = FitPath(problem, self.GRID)
+        with pytest.raises(ValueError, match="next grid point"):
+            fit(twin, self.GRID[0], path)
+        for config in self.GRID:
+            assert_same_report(fit(problem, config, path), fit(problem, config))
 
     @pytest.mark.parametrize("change", [{"w": 1.25}, {"nu": 0.25}, {"max_forward_steps": 3}])
     def test_a_grid_path_refuses_a_config_off_its_grid_up_to_epsilon(self, change):
         problem = synthetic_problem()
-        path = self.grid_path(problem)
-        with pytest.raises(ValueError, match="more than epsilon"):
+        path = FitPath(problem, self.GRID)
+        with pytest.raises(ValueError, match="next grid point"):
             fit(problem, GreedyConfig(epsilon=1e-2, **change), path)
 
     def test_a_grid_path_refuses_an_epsilon_off_its_grid_or_fit_already(self):
+        """Between two points, the point just fit, a point out of its turn,
+        and every point once the grid is served."""
         problem = synthetic_problem()
-        path = self.grid_path(problem)
-        fit(problem, GreedyConfig(epsilon=1e-2, w=1.5), path)
-        for eps in (5e-3, 1e-2):            # between two points; the point just fit
-            with pytest.raises(ValueError, match="not on the path's grid"):
-                fit(problem, GreedyConfig(epsilon=eps, w=1.5), path)
-        fit(problem, GreedyConfig(epsilon=1e-3, w=1.5), path)
-        with pytest.raises(ValueError, match="exceeds the path's last epsilon"):
-            fit(problem, GreedyConfig(epsilon=1e-2, w=1.5), path)
-        fit(problem, GreedyConfig(epsilon=1e-3, w=2.0), path)   # w = 2 skips 1e-2
-        with pytest.raises(ValueError, match="exceeds the path's last epsilon"):
-            fit(problem, GreedyConfig(epsilon=1e-2, w=2.0), path)
+        path = FitPath(problem, self.GRID)
+        fit(problem, self.GRID[0], path)
+        for config in (replace(self.GRID[0], epsilon=5e-3), self.GRID[0], self.GRID[3]):
+            with pytest.raises(ValueError, match="next grid point"):
+                fit(problem, config, path)
+        for config in self.GRID[1:]:
+            assert_same_report(fit(problem, config, path), fit(problem, config))
+        for config in self.GRID:
+            with pytest.raises(ValueError, match="next grid point"):
+                fit(problem, config, path)
 
     def test_a_grid_differs_only_in_epsilon_and_w(self):
         with pytest.raises(ValueError, match="more than epsilon and w"):
             FitPath(synthetic_problem(), [GreedyConfig(epsilon=1e-2),
                                           GreedyConfig(epsilon=1e-3, nu=0.25)])
+
+    def test_a_grid_is_not_empty_and_no_ws_epsilons_rise(self):
+        """Repeated epsilons and interleaved w's are a grid."""
+        problem = synthetic_problem()
+        with pytest.raises(ValueError, match="empty"):
+            FitPath(problem, [])
+        with pytest.raises(ValueError, match="epsilons rise at w=2.0"):
+            FitPath(problem, self.GRID[:3] + [replace(self.GRID[2], epsilon=2e-2)])
+        grid = [self.GRID[2], self.GRID[0], self.GRID[0], self.GRID[3], self.GRID[1]]
+        path = FitPath(problem, grid)
+        for config in grid:
+            assert_same_report(fit(problem, config, path), fit(problem, config))
 
 
 @st.composite
@@ -227,23 +246,25 @@ def test_paths_on_degenerate_problems_equal_fresh_fits(problem, grid, w):
 
 
 def fit_grid(problem, eps_grid, w_grid, order):
-    """Fit every (epsilon, w) of a grid on one grid ``FitPath``, the w's
-    interleaved as ``order`` lists them and each w's epsilons descending;
-    each report is checked against a fresh fit, also after the whole grid
-    is fit, so the path must not write into a report it handed out."""
+    """Fit every (epsilon, w) of a grid on one ``FitPath`` whose grid
+    interleaves the w's as ``order`` lists them, each w's epsilons
+    descending; each report is checked against a fresh fit, also after the
+    whole grid is fit, so the path must not write into a report it handed
+    out."""
     eps_grid = sorted(eps_grid, reverse=True)
-    path = FitPath(problem, [GreedyConfig(epsilon=eps, w=w)
-                             for w in dict.fromkeys(w_grid) for eps in eps_grid])
     done = dict.fromkeys(w_grid, 0)
-    pairs = []
+    grid = []
     for w in order:
-        config = GreedyConfig(epsilon=eps_grid[done[w]], w=w)
+        grid.append(GreedyConfig(epsilon=eps_grid[done[w]], w=w))
         done[w] += 1
+    assert all(count == len(eps_grid) for count in done.values())
+    path = FitPath(problem, grid)
+    pairs = []
+    for config in grid:
         got = fit(problem, config, path)
         want = fit(problem, config)
         assert_same_report(got, want)
         pairs.append((got, want))
-    assert all(count == len(eps_grid) for count in done.values())
     for got, want in pairs:
         assert np.array_equal(got.coefficients, want.coefficients)
 
@@ -307,6 +328,33 @@ def test_a_grid_path_appends_once_for_the_moves_its_ws_share(monkeypatch):
     assert grid < sum(apart)
     for w, fresh in zip(w_grid, apart):
         assert appends_of(lambda: list(_path_fits(problem, eps, (w,), 0.5))) == fresh
+
+
+def test_a_grid_path_forks_no_more_branches_than_ws_and_frees_them(monkeypatch):
+    """These w's have one promotion count, so they start on one branch and
+    fork: a fork waits at its fork point and a rider keeps the reports it
+    passes, but the path never holds more branches than w's, and once the
+    grid is fit it holds no branch and no rider a report or a step."""
+    peaks = {"branches": 0, "made": 0}
+    move = FitPath._move
+
+    def watched(path, branch, kind, picks):
+        move(path, branch, kind, picks)
+        peaks["branches"] = max(peaks["branches"], len(path.branches))
+        peaks["made"] = max(peaks["made"], sum(len(r.made) for r in path.riders.values()))
+
+    monkeypatch.setattr(FitPath, "_move", watched)
+    problem = digits_shaped_problem()
+    w_grid = (1.0, 1.25, 1.5, 1.75)
+    path = FitPath(problem, [GreedyConfig(epsilon=eps, w=w, nu=0.5)
+                             for w in w_grid for eps in epsilons(problem)])
+    for config in path.points:
+        fit(problem, config, path)
+    assert 2 <= peaks["branches"] <= len(w_grid)
+    assert peaks["made"] > 0
+    assert path.branches == []
+    for rider in path.riders.values():
+        assert rider.made == [] and rider.steps == [] and rider.ledger == []
 
 
 def per_point_cross_validate(train, holdout, c_grid, w_grid, nu, s_hint):
@@ -440,6 +488,26 @@ def test_cross_validate_checks_every_trace(monkeypatch):
         (eps[c], w) for c in set(c_grid) for w in set(w_grid))
     zero = loss(train, np.zeros((train.p, train.r)))
     assert all(zero_loss == pytest.approx(zero, rel=1e-12) for _, _, zero_loss in checked)
+
+
+def test_cross_validate_fits_each_point_once(monkeypatch):
+    """The digit grid search calls ``fit`` once per distinct (c, w), with
+    that point's config: 30 fits on the 6 x 5 grid."""
+    calls = []
+
+    def counted(problem, config, path=None):
+        calls.append((problem, config))
+        return fit(problem, config, path)
+
+    monkeypatch.setattr(experiments, "fit", counted)
+    train, holdout = split_for_validation(digits_shaped_problem(seed=11))
+    cross_validate(train, holdout, C_GRID_DIGITS, W_GRID_DIGITS, 0.5, 8)
+    n_avg = sum(t.n for t in train.tasks) / train.r
+    want = {GreedyConfig(epsilon=stopping_threshold(c, 8, train.p, n_avg), w=w, nu=0.5)
+            for c in C_GRID_DIGITS for w in W_GRID_DIGITS}
+    assert len(calls) == len(want) == 30
+    assert {config for _, config in calls} == want
+    assert all(problem is train for problem, _ in calls)
 
 
 def test_cross_validate_keeps_one_path_alive():

@@ -191,6 +191,9 @@ def cmd_diagnose(args):
 
 
 def cmd_digits(args):
+    for c in args.epsilon_c_grid:
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"--epsilon-c-grid values must be finite and >= 0, got {c}")
     try:
         dataset = digits_mod.load_mfeat(args.data_dir)
     except FileNotFoundError as exc:

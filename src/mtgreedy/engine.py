@@ -64,9 +64,10 @@ never rising, and serves the points in the order the grid gives: each
 ``fit`` on it returns the next point's report, the same as a fresh fit's.
 Fits at different w often make the same moves (in the digit grid search,
 w = 1.25 retraces w = 1), so the w's ride shared branches of numeric
-state: a move every w on a branch picks is refit once, and a w whose own
-decision differs leaves on a copy of the branch taken at that state.  A
-fresh fit is the path of a one-point grid.  ``experiments._path_fits``
+state, one made with the path at beta = 0 per promotion count: a move
+every w on a branch picks is refit once, and a w whose own decision
+differs leaves on a copy of the branch taken at that state.  A fresh fit
+is the path of a one-point grid.  ``experiments._path_fits``
 alone fits longer grids, one path per problem (and task, for the per-task
 baseline), w by w from the largest threshold down, for ``cross_validate``
 and ``sweep_grid``.
@@ -235,6 +236,12 @@ def coalesce_threshold(w):
     return math.floor(w) + 1
 
 
+def promotion_count(config):
+    """Singleton count at which a fit under ``config`` promotes a feature to
+    a row: coalesce_threshold(w) with rows enabled, None with rows off."""
+    return coalesce_threshold(config.w) if config.rows_enabled else None
+
+
 class MaskedSet(set):
     """A set of grid keys kept with a boolean mask: ``mask[key]`` is True
     exactly for the members.  Only ``add`` and ``remove`` keep the mask."""
@@ -277,7 +284,7 @@ class SupportState:
         self.singles = MaskedSet((p, r))
         self.rows = MaskedSet(p)
         self._columns = [set() for _ in range(r)]
-        self.promote_at = coalesce_threshold(config.w) if config.rows_enabled else None
+        self.promote_at = promotion_count(config)
 
     def add(self, kind, index):
         """Add a "row" (m,) or a "singleton" (i, j); return the promoted feature or None."""
@@ -391,8 +398,8 @@ class FitPath:
     Each distinct w is a ``_Rider`` with its own ledger, steps, rewards and
     epsilon cursor.  The riders share ``_Branch``es of numeric state: the
     ``SupportState``, the B and C grids with their factors, and the forward
-    count.  They start out grouped by promotion count floor(w) + 1, and a
-    group's branch is made at beta = 0 when one of its riders is first fit.
+    count.  The path makes one branch at beta = 0 per ``promotion_count``
+    among its w's (rows off is one count), for the riders of that count.
     The fitted rider leads its branch; at each state the branch's selection
     work is done once and every rider on it decides with its own w, gate
     and ledger.  A move that every rider on the branch picks is refit once,
@@ -412,7 +419,8 @@ class FitPath:
         if not self.points:
             raise ValueError("the grid is empty")
         base = self.points[0]
-        self.riders = {}
+        # each rider starts at beta = 0 on the branch of its promotion count
+        self.riders, groups = {}, {}
         for config in self.points:
             if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
                 raise ValueError("the grid's configs differ in more than epsilon and w")
@@ -420,6 +428,7 @@ class FitPath:
                 raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
             if config.w not in self.riders:
                 self.riders[config.w] = _Rider(config)
+                groups.setdefault(promotion_count(config), []).append(self.riders[config.w])
             todo = self.riders[config.w].todo
             if todo and config.epsilon > todo[-1]:
                 raise ValueError(f"the grid's epsilons rise at w={config.w}")
@@ -434,35 +443,20 @@ class FitPath:
         for t in problem.tasks:
             if id(t.X) not in designs:
                 designs[id(t.X)] = (Basis(t.X), np.einsum("ij,ij->j", t.X, t.X))
-        self._empty = [designs[id(t.X)][0] for t in problem.tasks]
         colsq = np.column_stack([designs[id(t.X)][1] for t in problem.tasks])
         two_n = np.array([2.0 * t.n for t in problem.tasks])
         self.scales = Scales(colsq, two_n, np.where(colsq > 0.0, two_n * colsq, np.inf))
 
-        # the riders start out grouped by promotion count; each group's
-        # branch is made at beta = 0 when one of its riders is first fit
-        groups = {}
-        for rider in self.riders.values():
-            config = rider.config
-            groups.setdefault(config.rows_enabled and coalesce_threshold(config.w), []).append(rider)
-        self._unstarted = list(groups.values())
+        p, r = problem.p, problem.r
         self.branches = []
-        first = self._start(self._unstarted[0])
-        self.zero_loss = sum(f.loss for f in first.factors)
+        for riders in groups.values():
+            beta, correlations = np.zeros((p, r)), np.empty((p, r))
+            factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y, beta[:, j], correlations[:, j])
+                       for j, t in enumerate(problem.tasks)]
+            self.branches.append(_Branch(SupportState(riders[0].config, p, r), beta,
+                                         correlations, factors, riders))
+        self.zero_loss = sum(f.loss for f in self.branches[0].factors)
         self.slack = COMPARISON_TOLERANCE * self.zero_loss
-
-    def _start(self, riders):
-        """Put ``riders`` on a new branch at beta = 0 and return it."""
-        self._unstarted.remove(riders)
-        p, r = self.problem.p, self.problem.r
-        beta = np.zeros((p, r))
-        correlations = np.empty((p, r))
-        factors = [LeastSquaresFactor(empty, t.y, beta[:, j], correlations[:, j])
-                   for j, (empty, t) in enumerate(zip(self._empty, self.problem.tasks))]
-        branch = _Branch(SupportState(riders[0].config, p, r), beta, correlations, factors,
-                         riders)
-        self.branches.append(branch)
-        return branch
 
     def _advance(self, lead):
         """Move ``lead``'s branch on until ``lead`` stops at its next
@@ -475,9 +469,7 @@ class FitPath:
         recorded reward.  ``lead`` never leaves its branch; a branch
         copied at a backward decision takes its backward passes first.
         """
-        branch = next((branch for branch in self.branches if lead in branch.riders), None)
-        if branch is None:
-            branch = self._start(next(group for group in self._unstarted if lead in group))
+        branch = next(branch for branch in self.branches if lead in branch.riders)
         problem, scales, slack, nu = self.problem, self.scales, self.slack, self.nu
         beta, correlations = branch.beta, branch.correlations
         singles, rows = branch.state.singles, branch.state.rows
@@ -662,8 +654,8 @@ def check_step_records(report, config, initial_loss):
             if not drop - rise > 0.0:
                 raise AssertionError(
                     f"steps {fidx}/{idx}: paired add/remove did not decrease the loss")
-    if config.rows_enabled and config.w != math.floor(config.w):
-        d = coalesce_threshold(config.w)
+    d = promotion_count(config)
+    if d is not None and config.w != math.floor(config.w):
         counts: dict = {}
         for (i, _) in report.pattern.singletons:
             counts[i] = counts.get(i, 0) + 1

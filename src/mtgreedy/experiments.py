@@ -294,13 +294,13 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     """Grid search over (c, w) pairs scored by holdout squared error.
 
-    The stopping threshold is c * s_hint * log(p) / n with n the average
-    training sample count.  ``_path_fits`` fits and checks the grid on one
-    ``FitPath``, w by w from the largest c down, and a move that several w
-    make alike is refit once.  The rows list the grid in the
-    caller's (c, w) order, and ties keep the first point in that order: the
-    smallest c, then the smallest w, on ascending grids.  Returns (epsilon,
-    w, report): the winner's epsilon at the training problem's mean n
+    The stopping threshold is c * s_hint * log(p) / n, each c finite and
+    >= 0, with n the average training sample count.  ``_path_fits`` fits
+    and checks the grid on one ``FitPath``, w by w from the largest c down,
+    and a move that several w make alike is refit once.  The rows list the
+    grid in the caller's (c, w) order, and ties keep the first point in that
+    order: the smallest c, then the smallest w, on ascending grids.  Returns
+    (epsilon, w, report): the winner's epsilon at the training problem's mean n
     (``digits.run_trial`` derives the final fit's again on the full problem)
     and a report naming the winning c "best_c" and listing every grid point.
     """
@@ -308,6 +308,9 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
         raise ValueError("grids must be non-empty")
     if s_hint < 1:
         raise ValueError("s_hint must be >= 1")
+    for c in c_grid:
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"c must be finite and >= 0, got {c}")
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}

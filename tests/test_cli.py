@@ -284,6 +284,14 @@ class TestDigitsCommand:
                     "--seed", "1"]) == 2
         assert "class 0 has 1 training row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "0.1,-1"])
+    def test_bad_epsilon_c_grid_is_input_error(self, mfeat_dir, capsys, value):
+        """A negative or non-finite constant exits 2 naming the flag, not
+        naming the threshold derived from it."""
+        assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
+                    "--seed", "1", "--epsilon-c-grid", value]) == 2
+        assert "--epsilon-c-grid values must be finite and >= 0" in capsys.readouterr().err
+
     def test_single_trial_report(self, mfeat_dir, tmp_path, capsys):
         out = tmp_path / "digits.json"
         assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",

@@ -19,6 +19,7 @@ from mtgreedy import (
     transition_threshold,
     trial_seed,
 )
+from mtgreedy import experiments
 from mtgreedy.experiments import _path_fits, crossing_se
 
 
@@ -224,6 +225,17 @@ class TestCrossValidate:
         train, hold, _ = self._split_instance(seed=4)
         with pytest.raises(ValueError):
             cross_validate(train, hold, [], [1.5], 0.5, s_hint=2)
+
+    @pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
+    def test_rejects_a_negative_or_non_finite_c_naming_it(self, monkeypatch, c):
+        """The refusal names c, before any epsilon is derived from it."""
+        derived = []
+        monkeypatch.setattr(experiments, "stopping_threshold",
+                            lambda *args: derived.append(args))
+        train, hold, _ = self._split_instance(seed=4)
+        with pytest.raises(ValueError, match=f"c must be finite and >= 0, got {c}"):
+            cross_validate(train, hold, [1e-2, c], [1.5], 0.5, s_hint=2)
+        assert derived == []
 
 
 class TestSingleTaskBaseline:

@@ -35,7 +35,7 @@ from mtgreedy import experiments
 from mtgreedy.digits import (
     C_GRID as C_GRID_DIGITS, W_GRID as W_GRID_DIGITS, DigitDataset, build_tasks,
     split_for_validation)
-from mtgreedy.engine import FitPath
+from mtgreedy.engine import FitPath, SupportState, promotion_count
 from mtgreedy.linalg import Basis
 from mtgreedy.experiments import (
     SweepConfig, _path_fits, run_sweep, stopping_threshold, sweep_grid)
@@ -355,6 +355,32 @@ def test_a_grid_path_forks_no_more_branches_than_ws_and_frees_them(monkeypatch):
     assert path.branches == []
     for rider in path.riders.values():
         assert rider.made == [] and rider.steps == [] and rider.ledger == []
+
+
+def test_a_path_makes_one_branch_per_promotion_count_when_it_is_made():
+    """w = 1.5 and 1.75 promote at two singletons and w = 2 at three, so the
+    path holds two branches at beta = 0 before any fit, each carrying the
+    riders of its count, and none once its grid is served."""
+    problem = synthetic_problem()
+    path = FitPath(problem, [GreedyConfig(epsilon=eps, w=w, nu=0.5)
+                             for w in (1.5, 2.0, 1.75) for eps in epsilons(problem)])
+    assert [[rider.config.w for rider in branch.riders] for branch in path.branches] == [
+        [1.5, 1.75], [2.0]]
+    for branch in path.branches:
+        assert {promotion_count(rider.config) for rider in branch.riders} == {
+            branch.state.promote_at}
+        assert not branch.state.singles and not branch.state.rows
+        assert not branch.beta.any() and branch.forward_taken == 0
+    for config in path.points:
+        fit(problem, config, path)
+    assert path.branches == []
+
+
+@pytest.mark.parametrize("rows_enabled", [True, False])
+@pytest.mark.parametrize("w", [1.5, 2.0])
+def test_the_grouping_key_is_the_count_a_support_promotes_at(w, rows_enabled):
+    config = GreedyConfig(epsilon=0.0, w=w, rows_enabled=rows_enabled)
+    assert promotion_count(config) == SupportState(config, 4, 3).promote_at
 
 
 def per_point_cross_validate(train, holdout, c_grid, w_grid, nu, s_hint):

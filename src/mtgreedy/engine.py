@@ -71,14 +71,26 @@ is the path of a one-point grid.  ``experiments._path_fits``
 alone fits longer grids, one path per problem (and task, for the per-task
 baseline), w by w from the largest threshold down, for ``cross_validate``
 and ``sweep_grid``.
+
+A grid path's w's that fork early are independent fits, so a path on a
+large problem shares them out over the process's CPUs (``FitPath`` gives
+the rule): its first run of w's stays in the caller, and each later run is
+fit on a path of its own in a forked child, which sends each report back
+as soon as it is made.  Each report equals a fresh fit's bit for bit, in
+whichever process it is made, so the split changes no output; ``fit`` is
+still called once per point in the caller, in grid order.
 """
 
 import math
+import queue
+import threading
+import weakref
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .linalg import Basis, LeastSquaresFactor, effective_condition, solve_least_squares
 from .model import (
     FitReport,
@@ -96,6 +108,14 @@ from .model import (
 COMPARISON_TOLERANCE = 1e-12
 # Round-off allowed in a supported entry's gradient, relative to ||x_i|| ||y_j|| / n.
 GRADIENT_TOLERANCE = 1e-8
+# A grid path splits its w's across processes only on a problem of at least
+# this many design elements, the sum of n_j * p over its tasks.  A fork, its
+# report transfers and the join took 6-15 ms in a process of 100-140 MB.  On
+# a 2-core Xeon VM with BLAS pinned, the split took 0.71-0.72 of the serial
+# time of the digit grid search (6 c x 5 w, medians of 7) at 10 x 200 x 649
+# elements (1.3e6), 0.75-0.83 at 6.5e5 but 1.20 in one run of 7, 0.94-1.08 at
+# 3.2e5, and 1.12-1.19 on a sweep-sized 2 x 100 x 128 problem (3 w's).
+FORK_ELEMENTS = 2 ** 20
 
 
 class Candidate(NamedTuple):
@@ -412,6 +432,24 @@ class FitPath:
     rider on it is done), the ``Scales`` and the loss at beta = 0.  No
     branch refers back to the path or a rider to its branch, so a dropped
     path is freed at once.
+
+    A path also splits its distinct w's across processes when all of these
+    hold: it has two or more; ``linalg._CPUS``, the CPUs ``design_product``
+    may use, is at least two (BLAS is pinned); the problem has at least
+    FORK_ELEMENTS design elements; the "fork" start method exists; no other
+    thread is alive (a forked child would hold copies of their locks); and
+    this process was not started by ``multiprocessing``, so a child never
+    splits again.  The w's, in grid order, are cut into min(CPUs, w's)
+    contiguous runs of near-equal count (``_chunks``).  The first run
+    rides the path's own branches; each other run is fit in a forked child
+    on an ordinary path over its part of the grid (``_Child``), which sends
+    each report as soon as it is made, while the caller fits its own run.
+    ``fit`` serves a child's w from that child's stream: the child's
+    exception is raised there, and a child that stopped before sending its
+    report raises RuntimeError.  A child is joined when its last report is
+    served; ``close`` stops and joins those still running, and so does a
+    finalizer when a path is dropped.  ``remote`` maps each w fit in a
+    child to that child, and ``riders`` holds the caller's w's only.
     """
 
     def __init__(self, problem, grid):
@@ -419,8 +457,7 @@ class FitPath:
         if not self.points:
             raise ValueError("the grid is empty")
         base = self.points[0]
-        # each rider starts at beta = 0 on the branch of its promotion count
-        self.riders, groups = {}, {}
+        self.riders = {}
         for config in self.points:
             if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
                 raise ValueError("the grid's configs differ in more than epsilon and w")
@@ -428,13 +465,27 @@ class FitPath:
                 raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
             if config.w not in self.riders:
                 self.riders[config.w] = _Rider(config)
-                groups.setdefault(promotion_count(config), []).append(self.riders[config.w])
             todo = self.riders[config.w].todo
             if todo and config.epsilon > todo[-1]:
                 raise ValueError(f"the grid's epsilons rise at w={config.w}")
             todo.append(config.epsilon)
         self.served = 0
         self.problem = problem
+        # the later runs of w's go to children first, so they start at once
+        self.remote, self._children = {}, []
+        runs = _fork_plan(problem, list(self.riders))
+        if len(runs) > 1:
+            weakref.finalize(self, _stop, self._children)
+        for ws in runs[1:]:
+            child = _Child(problem, [config for config in self.points if config.w in ws])
+            self._children.append(child)
+            for w in ws:
+                self.remote[w] = child
+                del self.riders[w]
+        # each rider starts at beta = 0 on the branch of its promotion count
+        groups = {}
+        for rider in self.riders.values():
+            groups.setdefault(promotion_count(rider.config), []).append(rider)
         self.nu = base.nu
         self.cap = base.step_cap(problem.p, problem.r)
         # one empty basis and one set of column norms per design object;
@@ -457,6 +508,11 @@ class FitPath:
                                          correlations, factors, riders))
         self.zero_loss = sum(f.loss for f in self.branches[0].factors)
         self.slack = COMPARISON_TOLERANCE * self.zero_loss
+
+    def close(self):
+        """Stop and join every child still fitting this path's w's; the
+        points they had yet to send can no longer be served."""
+        _stop(self._children)
 
     def _advance(self, lead):
         """Move ``lead``'s branch on until ``lead`` stops at its next
@@ -578,6 +634,106 @@ class FitPath:
                 popped_step=popped[1], promoted_row=promoted))
 
 
+def _chunks(ws):
+    """``ws`` cut, in order, into min(``linalg._CPUS``, len(ws)) contiguous
+    runs whose counts differ by at most one, the longer runs first."""
+    k = min(linalg._CPUS, len(ws))
+    size, extra = divmod(len(ws), k)
+    edges = [i * size + min(i, extra) for i in range(k + 1)]
+    return [ws[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _fork_plan(problem, ws):
+    """The runs of a grid's distinct w's ``ws`` that each process fits, the
+    caller's first: one run unless the path splits (see ``FitPath``)."""
+    if (len(ws) < 2 or linalg._CPUS < 2
+            or sum(t.n for t in problem.tasks) * problem.p < FORK_ELEMENTS):
+        return [ws]
+    import multiprocessing      # here: at the top it adds 7-13 ms to importing the package
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1 or multiprocessing.parent_process() is not None):
+        return [ws]
+    return _chunks(ws)
+
+
+class _Child:
+    """A forked process that fits part of a ``FitPath``'s grid and sends
+    each report, in grid order, through a pipe of which it holds the only
+    write end: once it stops, the caller reads the end of the stream instead
+    of waiting.  ``left`` counts the reports not yet received."""
+
+    __slots__ = ("process", "reader", "left")
+
+    def __init__(self, problem, grid):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self.reader, writer = context.Pipe(duplex=False)
+        self.process = context.Process(target=_serve, args=(problem, grid, writer),
+                                       name="mtgreedy-path", daemon=True)
+        self.process.start()
+        writer.close()
+        self.left = len(grid)
+
+    def receive(self):
+        """The child's next report.  An exception the child sent is raised
+        here, and a child that stopped first raises RuntimeError."""
+        try:
+            item = self.reader.recv()
+        except (EOFError, OSError):
+            code = self.stop()
+            raise RuntimeError(f"a grid path's child process stopped (exit code {code}) "
+                               f"with {self.left} reports unsent") from None
+        self.left -= 1
+        if isinstance(item, BaseException):
+            self.stop()
+            raise item
+        if not self.left:
+            self.stop(wait=True)
+        return item
+
+    def stop(self, wait=False):
+        """Terminate the child, unless ``wait``, join it and return its exit
+        code; a stopped child is left as it is."""
+        if not self.reader.closed:
+            if not wait:
+                self.process.terminate()
+            self.process.join()
+            self.reader.close()
+        return self.process.exitcode
+
+
+def _stop(children):
+    for child in children:
+        child.stop()
+
+
+def _serve(problem, grid, writer):
+    """A child's body: fit ``grid`` on a path of its own and hand each
+    report to a sender thread, or the exception that stopped the fits.  A
+    report outgrows the pipe's buffer, so the child fits on while the
+    sender waits for the caller to read."""
+    outbox = queue.SimpleQueue()
+    sender = threading.Thread(target=_send, args=(outbox, writer), name="mtgreedy-path-sender")
+    sender.start()
+    try:
+        path = FitPath(problem, grid)
+        for config in grid:
+            outbox.put(fit(problem, config, path))
+    except Exception as exc:        # the caller's fit raises it
+        outbox.put(exc)
+    finally:
+        outbox.put(None)
+        sender.join()
+
+
+def _send(outbox, writer):
+    while (item := outbox.get()) is not None:
+        writer.send(item)
+    writer.close()
+
+
 def fit(problem, config, path=None):
     """Run the full greedy procedure and return a FitReport with its trace.
 
@@ -596,8 +752,9 @@ def fit(problem, config, path=None):
     be the path's own problem object and ``config`` the path's next grid
     point, or ValueError is raised; the fit then goes on at the config's w
     from where the path's previous fit at that w stopped, and the report
-    equals that of a fresh fit bit for bit.  The report's coefficients are
-    a copy, since the path goes on writing its B grid in place.
+    equals that of a fresh fit bit for bit; a w that a split path fits in a
+    child is served from that child's reports.  The report's coefficients
+    are a copy, since the path goes on writing its B grid in place.
     """
     if not isinstance(config, GreedyConfig):
         raise TypeError("config must be a GreedyConfig")
@@ -608,6 +765,8 @@ def fit(problem, config, path=None):
             or config != points[path.served]):
         raise ValueError("a path fits its own problem object at its next grid point only")
     path.served += 1
+    if config.w in path.remote:
+        return path.remote[config.w].receive()
     rider = path.riders[config.w]
     return rider.made.pop(0) if rider.made else path._advance(rider)
 

@@ -270,7 +270,8 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
     the point's config, and a move that several w make alike is refit once.
     The per-task baseline is one rows-off path per task alone over the c
     grid, made once for every w: a rows-off fit never reads w, so each w of
-    a c reads the same reports."""
+    a c reads the same reports.  The paths are closed when the generator
+    ends or is closed, so no process a path forked outlives it."""
     distinct = list(dict.fromkeys(w_grid))
     cs = sorted(eps, reverse=True)
     if single_task:
@@ -282,13 +283,17 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
     if not grid:
         return
     paths = [FitPath(task, grid) for task in tasks]
-    for c, config in zip(cs * len(fitted), grid):
-        reports = [fit(path.problem, config, path) for path in paths]
-        if check:
-            for report, path in zip(reports, paths):
-                check_step_records(report, config, path.zero_loss)
-        for w in distinct if single_task else (config.w,):
-            yield c, w, reports
+    try:
+        for c, config in zip(cs * len(fitted), grid):
+            reports = [fit(path.problem, config, path) for path in paths]
+            if check:
+                for report, path in zip(reports, paths):
+                    check_step_records(report, config, path.zero_loss)
+            for w in distinct if single_task else (config.w,):
+                yield c, w, reports
+    finally:
+        for path in paths:
+            path.close()
 
 
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
@@ -303,11 +308,18 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     (epsilon, w, report): the winner's epsilon at the training problem's mean n
     (``digits.run_trial`` derives the final fit's again on the full problem)
     and a report naming the winning c "best_c" and listing every grid point.
+    A holdout problem whose p or r differs from the training problem's is
+    refused before any fit.
     """
     if not c_grid or not w_grid:
         raise ValueError("grids must be non-empty")
     if s_hint < 1:
         raise ValueError("s_hint must be >= 1")
+    train_shape = (train_problem.p, train_problem.r)
+    holdout_shape = (holdout_problem.p, holdout_problem.r)
+    if holdout_shape != train_shape:
+        raise ValueError(f"the holdout problem's (p, r) = {holdout_shape} differs from "
+                         f"the training problem's {train_shape}")
     for c in c_grid:
         if not 0.0 <= c < math.inf:
             raise ValueError(f"c must be finite and >= 0, got {c}")

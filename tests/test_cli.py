@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,31 @@ from mtgreedy.fileio import (
 # sha256 of what `mtgreedy digits --n-per-class 10 --trials 2 --seed 1` prints
 # on the conftest mfeat_dir data: it pins the digit protocol byte for byte.
 DIGITS_SEED1_SHA256 = "ab7652c75e9b1eeb0d24ccc8f5593ac0a129feb24a932d1dfbb7ebb741c10f2c"
+SRC = Path(__file__).resolve().parent.parent / "src"
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# Runs the CLI with its first argument, when not empty, as
+# engine.FORK_ELEMENTS, and reports on stderr how many children grid paths
+# started.
+COUNTING_MAIN = textwrap.dedent("""
+    import sys
+    from mtgreedy import cli, engine
+
+    limit = sys.argv.pop(1)
+    if limit:
+        engine.FORK_ELEMENTS = int(limit)
+    started = []
+    start = engine._Child.__init__
+
+    def counted(child, *args):
+        start(child, *args)
+        started.append(child)
+
+    engine._Child.__init__ = counted
+    code = cli.main(sys.argv[1:])
+    print("children started:", len(started), file=sys.stderr)
+    sys.exit(code)
+""")
 
 
 def run(args):
@@ -308,6 +338,27 @@ class TestDigitsCommand:
                     "--trials", "2", "--seed", "1"]) == 0
         printed = capsys.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == DIGITS_SEED1_SHA256
+
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
+    def test_a_split_grid_search_prints_the_same_bytes(self, mfeat_dir):
+        """The real CLI in fresh interpreters with BLAS pinned: with the
+        split size at 0 every grid search forks, unchanged the fixture's
+        problems are too small to split, and both print the pinned bytes."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        args = ["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
+                "--trials", "2", "--seed", "1"]
+        runs = [subprocess.run([sys.executable, "-c", COUNTING_MAIN, limit, *args], env=env,
+                               capture_output=True, timeout=300)
+                for limit in ("0", "")]
+        for run in runs:
+            assert run.returncode == 0, run.stderr.decode()
+        assert runs[0].stdout == runs[1].stdout
+        assert hashlib.sha256(runs[0].stdout).hexdigest() == DIGITS_SEED1_SHA256
+        started = [int(run.stderr.rsplit(b"children started:", 1)[1]) for run in runs]
+        assert started[0] >= 2 and started[1] == 0       # two trials, two grid searches
 
 
 class TestRoundTrip:

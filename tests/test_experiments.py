@@ -237,6 +237,24 @@ class TestCrossValidate:
             cross_validate(train, hold, [1e-2, c], [1.5], 0.5, s_hint=2)
         assert derived == []
 
+    @pytest.mark.parametrize("shape", ["one task", "one more feature"])
+    def test_rejects_a_holdout_of_another_shape_naming_both(self, monkeypatch, shape):
+        """An r = 1 holdout would be scored on task 0 alone, and a wider one
+        would fail in numpy after the whole grid was fit: both are refused
+        before any path is made."""
+        made = []
+        monkeypatch.setattr(experiments, "FitPath", lambda *args: made.append(args))
+        train, hold, _ = self._split_instance(seed=4)
+        if shape == "one task":
+            hold, want = hold.single_task(0), r"\(16, 1\) differs .* \(16, 2\)"
+        else:
+            hold, want = MultiTaskProblem.from_arrays(
+                [np.hstack([t.X, t.X[:, :1]]) for t in hold.tasks],
+                [t.y for t in hold.tasks]), r"\(17, 2\) differs .* \(16, 2\)"
+        with pytest.raises(ValueError, match=want):
+            cross_validate(train, hold, [1e-2], [1.5], 0.5, s_hint=2)
+        assert made == []
+
 
 class TestSingleTaskBaseline:
     def test_rows_always_empty(self):

@@ -12,7 +12,7 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import diagnostics, digits as digits_mod, experiments, fileio
-from .engine import fit as engine_fit
+from .engine import _check_weight, fit as engine_fit
 from .model import GreedyConfig
 
 
@@ -133,6 +133,12 @@ def _theta_grid(lo, hi, step):
 
 def cmd_sweep(args):
     grid = _theta_grid(args.theta_min, args.theta_max, args.theta_step)
+    if not args.single_task:
+        # the joint fit of a sweep's two tasks refuses this w; say so by the flag
+        try:
+            _check_weight(GreedyConfig(epsilon=0.0, w=args.w), 2)
+        except ValueError as exc:
+            raise ValueError(f"--w: {exc}") from None
     config = experiments.SweepConfig(
         epsilon_c=args.epsilon_c, w=args.w, nu=args.nu,
         noise_variance=args.noise_variance, single_task=args.single_task)

@@ -76,9 +76,15 @@ A grid path's w's that fork early are independent fits, so a path on a
 large problem shares them out over the process's CPUs (``FitPath`` gives
 the rule): its first run of w's stays in the caller, and each later run is
 fit on a path of its own in a forked child, which sends each report back
-as soon as it is made.  Each report equals a fresh fit's bit for bit, in
-whichever process it is made, so the split changes no output; ``fit`` is
-still called once per point in the caller, in grid order.
+as soon as it is made.  A sweep shares out its trials the same way
+(``experiments.sweep_grid``): a child draws and fits a later run of
+trials, and the caller serves each of their points from the child's
+stream on a path made with that child, which fits nothing itself.  One
+mechanism does both: ``_split`` plans the runs under one set of guards,
+and a ``_Child`` runs any stream of reports the caller has not started.
+Each report equals a fresh fit's bit for bit, in whichever process it is
+made, so the split changes no output; ``fit`` is still called once per
+point in the caller, in grid order.
 """
 
 import math
@@ -249,6 +255,12 @@ def _worst_backward(problem, beta, singles, rows, configs, correlations, scales)
         best_r = Candidate("row", (m,), float(c[m]))
         picks.append(best_r if best_s is None or best_r.value <= best_s.value else best_s)
     return picks
+
+
+def _check_weight(config, r):
+    """Refuse a rows-enabled ``config`` whose w exceeds the task count r > 1."""
+    if config.rows_enabled and r > 1 and config.w > r:
+        raise ValueError(f"w={config.w} exceeds the task count r={r}")
 
 
 def coalesce_threshold(w):
@@ -433,26 +445,30 @@ class FitPath:
     branch refers back to the path or a rider to its branch, so a dropped
     path is freed at once.
 
-    A path also splits its distinct w's across processes when all of these
-    hold: it has two or more; ``linalg._CPUS``, the CPUs ``design_product``
-    may use, is at least two (BLAS is pinned); the problem has at least
-    FORK_ELEMENTS design elements; the "fork" start method exists; no other
-    thread is alive (a forked child would hold copies of their locks); and
-    this process was not started by ``multiprocessing``, so a child never
-    splits again.  The w's, in grid order, are cut into min(CPUs, w's)
-    contiguous runs of near-equal count (``_chunks``).  The first run
-    rides the path's own branches; each other run is fit in a forked child
-    on an ordinary path over its part of the grid (``_Child``), which sends
-    each report as soon as it is made, while the caller fits its own run.
+    A path also splits its distinct w's across processes when it has two
+    or more, the problem has at least FORK_ELEMENTS design elements and
+    this process may fork (``_split`` gives the guards: among them, BLAS
+    pinned on two or more CPUs, no child of this process alive and a child
+    never splitting again).  The w's, in grid order, are cut into
+    min(CPUs, w's) contiguous runs of near-equal count (``_chunks``).  The
+    first run rides the path's own branches; each other run is fit in a
+    forked child on an ordinary path over its part of the grid
+    (``_grid_reports`` in a ``_Child``), which sends each report as soon as
+    it is made, while the caller fits its own run.
     ``fit`` serves a child's w from that child's stream: the child's
     exception is raised there, and a child that stopped before sending its
     report raises RuntimeError.  A child is joined when its last report is
     served; ``close`` stops and joins those still running, and so does a
     finalizer when a path is dropped.  ``remote`` maps each w fit in a
     child to that child, and ``riders`` holds the caller's w's only.
+
+    Given ``child``, a sweep's ``_Child`` whose stream holds this path's
+    reports next, in grid order, the path fits nothing itself and makes no
+    branch: every w is remote to that child, which is the sweep's to stop,
+    not the path's.
     """
 
-    def __init__(self, problem, grid):
+    def __init__(self, problem, grid, child=None):
         self.points = tuple(grid)
         if not self.points:
             raise ValueError("the grid is empty")
@@ -461,8 +477,7 @@ class FitPath:
         for config in self.points:
             if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
                 raise ValueError("the grid's configs differ in more than epsilon and w")
-            if config.rows_enabled and problem.r > 1 and config.w > problem.r:
-                raise ValueError(f"w={config.w} exceeds the task count r={problem.r}")
+            _check_weight(config, problem.r)
             if config.w not in self.riders:
                 self.riders[config.w] = _Rider(config)
             todo = self.riders[config.w].todo
@@ -471,13 +486,18 @@ class FitPath:
             todo.append(config.epsilon)
         self.served = 0
         self.problem = problem
-        # the later runs of w's go to children first, so they start at once
+        self.zero_loss = sum(float(t.y @ t.y) / (2.0 * t.n) for t in problem.tasks)
         self.remote, self._children = {}, []
+        if child is not None:           # a sweep's child fits every point
+            self.remote, self.riders = dict.fromkeys(self.riders, child), {}
+            return
+        # the later runs of w's go to children first, so they start at once
         runs = _fork_plan(problem, list(self.riders))
         if len(runs) > 1:
             weakref.finalize(self, _stop, self._children)
         for ws in runs[1:]:
-            child = _Child(problem, [config for config in self.points if config.w in ws])
+            subgrid = [config for config in self.points if config.w in ws]
+            child = _Child(_grid_reports(problem, subgrid), len(subgrid))
             self._children.append(child)
             for w in ws:
                 self.remote[w] = child
@@ -506,7 +526,6 @@ class FitPath:
                        for j, t in enumerate(problem.tasks)]
             self.branches.append(_Branch(SupportState(riders[0].config, p, r), beta,
                                          correlations, factors, riders))
-        self.zero_loss = sum(f.loss for f in self.branches[0].factors)
         self.slack = COMPARISON_TOLERANCE * self.zero_loss
 
     def close(self):
@@ -634,47 +653,64 @@ class FitPath:
                 popped_step=popped[1], promoted_row=promoted))
 
 
-def _chunks(ws):
-    """``ws`` cut, in order, into min(``linalg._CPUS``, len(ws)) contiguous
-    runs whose counts differ by at most one, the longer runs first."""
-    k = min(linalg._CPUS, len(ws))
-    size, extra = divmod(len(ws), k)
+def _chunks(items):
+    """``items`` cut, in order, into min(``linalg._CPUS``, len(items))
+    contiguous runs whose counts differ by at most one, the longer runs
+    first."""
+    k = min(linalg._CPUS, len(items))
+    size, extra = divmod(len(items), k)
     edges = [i * size + min(i, extra) for i in range(k + 1)]
-    return [ws[a:b] for a, b in zip(edges, edges[1:])]
+    return [items[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _split(items, large):
+    """The runs of ``items`` that each process takes, the caller's first:
+    ``_chunks(items)`` when there are two or more items, ``large`` (the
+    caller's size rule) holds and this process may fork, else one run.
+
+    A process may fork when ``linalg._CPUS``, the CPUs ``design_product``
+    may use, is at least two (BLAS is pinned); the "fork" start method
+    exists; no other thread is alive (a forked child would hold copies of
+    their locks); no child of its own is alive, so the processes never
+    outnumber the CPUs; and it was not started by ``multiprocessing``, so a
+    child never splits again.
+    """
+    if len(items) < 2 or not large or linalg._CPUS < 2:
+        return [items]
+    import multiprocessing      # here: at the top it adds 7-13 ms to importing the package
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1 or multiprocessing.parent_process() is not None
+            or multiprocessing.active_children()):
+        return [items]
+    return _chunks(items)
 
 
 def _fork_plan(problem, ws):
     """The runs of a grid's distinct w's ``ws`` that each process fits, the
     caller's first: one run unless the path splits (see ``FitPath``)."""
-    if (len(ws) < 2 or linalg._CPUS < 2
-            or sum(t.n for t in problem.tasks) * problem.p < FORK_ELEMENTS):
-        return [ws]
-    import multiprocessing      # here: at the top it adds 7-13 ms to importing the package
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1 or multiprocessing.parent_process() is not None):
-        return [ws]
-    return _chunks(ws)
+    return _split(ws, sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS)
 
 
 class _Child:
-    """A forked process that fits part of a ``FitPath``'s grid and sends
-    each report, in grid order, through a pipe of which it holds the only
-    write end: once it stops, the caller reads the end of the stream instead
-    of waiting.  ``left`` counts the reports not yet received."""
+    """A forked process that makes the ``count`` reports of ``reports``, an
+    iterable the caller has not started, and sends each, in order, through
+    a pipe of which it holds the only write end: once it stops, the caller
+    reads the end of the stream instead of waiting.  ``left`` counts the
+    reports not yet received."""
 
     __slots__ = ("process", "reader", "left")
 
-    def __init__(self, problem, grid):
+    def __init__(self, reports, count):
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
         self.reader, writer = context.Pipe(duplex=False)
-        self.process = context.Process(target=_serve, args=(problem, grid, writer),
-                                       name="mtgreedy-path", daemon=True)
+        self.process = context.Process(target=_serve, args=(reports, writer),
+                                       name="mtgreedy-child", daemon=True)
         self.process.start()
         writer.close()
-        self.left = len(grid)
+        self.left = count
 
     def receive(self):
         """The child's next report.  An exception the child sent is raised
@@ -683,7 +719,7 @@ class _Child:
             item = self.reader.recv()
         except (EOFError, OSError):
             code = self.stop()
-            raise RuntimeError(f"a grid path's child process stopped (exit code {code}) "
+            raise RuntimeError(f"a child process stopped (exit code {code}) "
                                f"with {self.left} reports unsent") from None
         self.left -= 1
         if isinstance(item, BaseException):
@@ -709,18 +745,24 @@ def _stop(children):
         child.stop()
 
 
-def _serve(problem, grid, writer):
-    """A child's body: fit ``grid`` on a path of its own and hand each
-    report to a sender thread, or the exception that stopped the fits.  A
-    report outgrows the pipe's buffer, so the child fits on while the
-    sender waits for the caller to read."""
+def _grid_reports(problem, grid):
+    """Each report of ``grid`` in grid order, fit on a path of its own."""
+    path = FitPath(problem, grid)
+    for config in grid:
+        yield fit(problem, config, path)
+
+
+def _serve(reports, writer):
+    """A child's body: hand each report of ``reports`` to a sender thread,
+    or the exception that stopped them.  A report can outgrow the pipe's
+    buffer, so the child goes on while the sender waits for the caller to
+    read."""
     outbox = queue.SimpleQueue()
-    sender = threading.Thread(target=_send, args=(outbox, writer), name="mtgreedy-path-sender")
+    sender = threading.Thread(target=_send, args=(outbox, writer), name="mtgreedy-sender")
     sender.start()
     try:
-        path = FitPath(problem, grid)
-        for config in grid:
-            outbox.put(fit(problem, config, path))
+        for report in reports:
+            outbox.put(report)
     except Exception as exc:        # the caller's fit raises it
         outbox.put(exc)
     finally:

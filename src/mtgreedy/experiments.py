@@ -13,10 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FitPath, check_step_records, fit
+from .engine import FitPath, _check_weight, _Child, _split, _stop, check_step_records, fit
 from .model import GreedyConfig, MultiTaskProblem, residuals
 
 
+# A sweep splits its trials across processes (``sweep_grid``) only when its
+# count of fits times p is at least this: a fit's cost follows p and theta,
+# not the design's size.  On a 2-core Xeon VM with BLAS pinned, split over
+# serial time of in-process joint sweeps (theta in [0.2, 2], medians of 8-12
+# alternating runs): p = 128 read 1.13 at 5 trials, 0.93 at 10, 0.76-0.80
+# at 15-20 and 0.82 at 50; p = 32 read 1.05 at 10 trials, 0.82-0.89 at
+# 20-30 and 0.72-0.98 at 50-100; p = 64 read 1.19 at 10, 0.98 at 20 and
+# 0.79 at 30; p = 256 read 0.83-0.84 at 5-8.  The noise of that shared host
+# is about 0.1 in each of these.
+FORK_FIT_FEATURES = 2 ** 11
 # gen_synthetic draws a design this many rows at a time into its column-major
 # array: the values equal one C-order draw, without holding a second copy.
 _DRAW_ROWS = 64
@@ -187,28 +197,76 @@ class SweepRow:
 def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed):
     """``run_sweep`` at each (c, w) of a grid, the rest of ``config`` kept:
     {(c, w): [SweepRow, ...]}, c-major.  Each trial's problem is drawn once
-    and fit along ``_path_fits``'s paths."""
+    and fit along ``_path_fits``'s paths.  A w or nu that the fits of the
+    two tasks refuse is refused before any problem is drawn or child forked.
+
+    A large sweep shares its trials out over the process's CPUs: when its
+    count of fits times p reaches FORK_FIT_FEATURES, ``engine._split`` cuts
+    its (theta, trial) list, in order, into runs, under the guards it keeps
+    for ``FitPath``'s split of w's too.  The caller draws and fits the
+    first run.  Each later run goes to a forked child, which draws its
+    trials from their own ``trial_seed``s, fits them along the same paths
+    and sends each report back as soon as it is made.  The caller draws each
+    remote trial again, for its true coefficients and its problem object,
+    and serves every point of it from the child's stream, one ``fit`` per
+    point in the same order, each report checked as a fresh one is.  Each
+    report equals the serial sweep's bit for bit, so the rows do too.
+    """
     if trials < 1:
         raise ValueError("need trials >= 1")
+    for w in w_grid:
+        _check_weight(GreedyConfig(epsilon=0.0, w=w, nu=config.nu,
+                                   rows_enabled=not config.single_task), 2)
     s = _default_sparsity(p)
+    ns = [n_for_theta(theta_value, s, p, kappa) for theta_value in theta_grid]
+    eps = [{c: stopping_threshold(c, s, p, n) for c in c_grid} for n in ns]
+
+    def draw(t_idx, trial):
+        return gen_synthetic(SynthSpec(
+            p=p, n=ns[t_idx], r=2, s=s, kappa=kappa, noise_variance=config.noise_variance,
+            seed=trial_seed(master_seed, kappa, t_idx, trial)))
+
+    # the fits of one trial: each c at each w jointly, or at one w per task
+    fits = len(set(c_grid)) * (2 if config.single_task else len(set(w_grid)))
+    items = [(t_idx, trial) for t_idx in range(len(theta_grid)) for trial in range(trials)]
     out = {(c, w): [] for c in c_grid for w in w_grid}
-    for t_idx, theta_value in enumerate(theta_grid):
-        n = n_for_theta(theta_value, s, p, kappa)
-        eps = {c: stopping_threshold(c, s, p, n) for c in c_grid}
-        hits, frob = dict.fromkeys(out, 0), dict.fromkeys(out, 0.0)
-        for trial in range(trials):
-            problem, beta_star = gen_synthetic(SynthSpec(
-                p=p, n=n, r=2, s=s, kappa=kappa, noise_variance=config.noise_variance,
-                seed=trial_seed(master_seed, kappa, t_idx, trial)))
-            for c, w, reports in _path_fits(problem, eps, w_grid, config.nu,
-                                            config.single_task, config.check_traces):
-                beta = np.hstack([report.coefficients for report in reports])
-                hits[c, w] += sign_support_success(beta, beta_star)
-                frob[c, w] += float(np.linalg.norm(beta - beta_star))
-        for point, rows in out.items():
-            rows.append(SweepRow(kappa, theta_value, n, trials, hits[point],
-                                 hits[point] / trials, frob[point] / trials))
+    remote, children = {}, []
+    try:
+        # the later runs go to children first, so they start at once
+        for run in _split(items, len(items) * fits * p >= FORK_FIT_FEATURES)[1:]:
+            children.append(_Child(_trial_reports(run, draw, eps, w_grid, config),
+                                   len(run) * fits))
+            remote.update(dict.fromkeys(run, children[-1]))
+        for t_idx, theta_value in enumerate(theta_grid):
+            hits, frob = dict.fromkeys(out, 0), dict.fromkeys(out, 0.0)
+            for trial in range(trials):
+                problem, beta_star = draw(t_idx, trial)
+                for c, w, reports in _path_fits(problem, eps[t_idx], w_grid, config.nu,
+                                                config.single_task, config.check_traces,
+                                                remote.get((t_idx, trial))):
+                    beta = np.hstack([report.coefficients for report in reports])
+                    hits[c, w] += sign_support_success(beta, beta_star)
+                    frob[c, w] += float(np.linalg.norm(beta - beta_star))
+            for point, rows in out.items():
+                rows.append(SweepRow(kappa, theta_value, ns[t_idx], trials, hits[point],
+                                     hits[point] / trials, frob[point] / trials))
+    finally:
+        _stop(children)
     return out
+
+
+def _trial_reports(run, draw, eps, w_grid, config):
+    """A sweep child's reports: each trial of ``run`` drawn by ``draw`` and
+    fit along ``_path_fits``'s paths, in the order the caller's ``fit``
+    serves them, point by point and each point task by task.  The
+    per-task baseline's reports are the same at every w, so they are sent
+    once, for the first."""
+    fitted = list(dict.fromkeys(w_grid))[:1] if config.single_task else w_grid
+    for t_idx, trial in run:
+        problem, _ = draw(t_idx, trial)
+        for _, _, reports in _path_fits(problem, eps[t_idx], fitted, config.nu,
+                                        config.single_task):
+            yield from reports
 
 
 def run_sweep(kappa, p, theta_grid, trials, config, master_seed):
@@ -261,7 +319,7 @@ def crossing_se(rows):
     return scale * math.sqrt(var)
 
 
-def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
+def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=None):
     """Yield (c, w, reports) at each distinct point, with ``eps`` mapping c
     to epsilon: the reports of fresh fits, each checked once if ``check``.
     The one place a grid of more than one point is fit.  The joint fit is
@@ -270,8 +328,11 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
     the point's config, and a move that several w make alike is refit once.
     The per-task baseline is one rows-off path per task alone over the c
     grid, made once for every w: a rows-off fit never reads w, so each w of
-    a c reads the same reports.  The paths are closed when the generator
-    ends or is closed, so no process a path forked outlives it."""
+    a c reads the same reports.  Given ``child``, a sweep's ``_Child``
+    whose stream holds this problem's reports next, in this order, every
+    path serves its points from that stream and fits nothing itself.  The
+    paths are closed when the generator ends or is closed, so no process a
+    path forked outlives it; a sweep's child is the sweep's to stop."""
     distinct = list(dict.fromkeys(w_grid))
     cs = sorted(eps, reverse=True)
     if single_task:
@@ -282,7 +343,7 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False):
             for w in fitted for c in cs]
     if not grid:
         return
-    paths = [FitPath(task, grid) for task in tasks]
+    paths = [FitPath(task, grid, child) for task in tasks]
     try:
         for c, config in zip(cs * len(fitted), grid):
             reports = [fit(path.problem, config, path) for path in paths]

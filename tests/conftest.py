@@ -1,10 +1,15 @@
+import multiprocessing
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from mtgreedy import (
-    GreedyConfig, MultiTaskProblem, SupportPattern, gain_matrix, refit, residuals)
+    GreedyConfig, MultiTaskProblem, SupportPattern, engine, experiments, gain_matrix, linalg,
+    refit, residuals)
 from mtgreedy.digits import FEATURE_FILES
-from mtgreedy.engine import Scales, SupportState, removal_costs
+from mtgreedy.engine import FitPath, Scales, SupportState, removal_costs
 
 
 def random_problem(rng, p, r, n_range=(15, 30)):
@@ -122,3 +127,42 @@ def mfeat_dir(tmp_path_factory):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every grid path of two or more w's and every sweep of two or more
+    trials splits: the fixture patches BLAS pinned on two CPUs and both size
+    rules to 0.  ``design_product``'s idle worker threads, left by earlier
+    tests, would otherwise turn the split off, so it also reports one live
+    thread; a forked child starts none of their work and drops them at the
+    fork.  Yields the children started, and checks at the end that none is
+    left running."""
+    monkeypatch.setattr(linalg, "_CPUS", 2)
+    monkeypatch.setattr(engine, "FORK_ELEMENTS", 0)
+    monkeypatch.setattr(experiments, "FORK_FIT_FEATURES", 0)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    started = []
+    start = engine._Child.__init__
+
+    def counted(child, reports, count):
+        start(child, reports, count)
+        started.append(child)
+
+    monkeypatch.setattr(engine._Child, "__init__", counted)
+    yield started
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def stalled_children(monkeypatch):
+    """A child sleeps before its first move, so it is still running, with
+    nothing sent, whenever the test acts on it."""
+    advance = FitPath._advance
+
+    def stalled(path, lead):
+        if multiprocessing.parent_process() is not None:
+            time.sleep(60)
+        return advance(path, lead)
+
+    monkeypatch.setattr(FitPath, "_advance", stalled)

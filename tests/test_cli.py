@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtgreedy import GreedyConfig, fit
+from mtgreedy import GreedyConfig, experiments, fit
 from mtgreedy.cli import main
 from mtgreedy.fileio import (
     format_float,
@@ -24,16 +24,25 @@ DIGITS_SEED1_SHA256 = "ab7652c75e9b1eeb0d24ccc8f5593ac0a129feb24a932d1dfbb7ebb74
 SRC = Path(__file__).resolve().parent.parent / "src"
 USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-# Runs the CLI with its first argument, when not empty, as
-# engine.FORK_ELEMENTS, and reports on stderr how many children grid paths
-# started.
+# The sweep whose printed CSV and crossing line are pinned, and the sha256
+# of what it prints jointly and per task.
+PINNED_SWEEP = ["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "0.4",
+                "--theta-max", "1.2", "--theta-step", "0.4", "--trials", "4",
+                "--seed", "3", "--epsilon-c", "1e-5"]
+PINNED_SWEEP_DIGESTS = [
+    ([], "1f42cd8ae85ab51e89d8a247fb8d79d6e23a15a3bfcc2fa9a88d2be9b7dd312b"),
+    (["--single-task"], "33486a5662aced024ad86add418bad46ade8a3d6dded40e45ada0c102c5ffc99"),
+]
+# Runs the CLI with its first argument, when not empty, as both size rules
+# (engine.FORK_ELEMENTS and experiments.FORK_FIT_FEATURES), and reports on
+# stderr how many children grid paths and sweeps started.
 COUNTING_MAIN = textwrap.dedent("""
     import sys
-    from mtgreedy import cli, engine
+    from mtgreedy import cli, engine, experiments
 
     limit = sys.argv.pop(1)
     if limit:
-        engine.FORK_ELEMENTS = int(limit)
+        engine.FORK_ELEMENTS = experiments.FORK_FIT_FEATURES = int(limit)
     started = []
     start = engine._Child.__init__
 
@@ -50,6 +59,16 @@ COUNTING_MAIN = textwrap.dedent("""
 
 def run(args):
     return main(args)
+
+
+def pinned_env():
+    """This environment with BLAS pinned to one thread and ``src`` first on
+    PYTHONPATH, for the CLI in a fresh interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 class TestGen:
@@ -234,17 +253,41 @@ class TestSweep:
                     "--seed", "1", "--epsilon-c", "1e-3"]) == 2
         assert "s=0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra, digest", [
-        ([], "1f42cd8ae85ab51e89d8a247fb8d79d6e23a15a3bfcc2fa9a88d2be9b7dd312b"),
-        (["--single-task"], "33486a5662aced024ad86add418bad46ade8a3d6dded40e45ada0c102c5ffc99"),
-    ])
+    @pytest.mark.parametrize("extra, digest", PINNED_SWEEP_DIGESTS)
     def test_printed_sweep_is_pinned(self, capsys, extra, digest):
         """sha256 of the printed CSV and crossing line: it pins the sweep
         protocol byte for byte, per-task baseline included."""
-        assert run(["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "0.4",
-                    "--theta-max", "1.2", "--theta-step", "0.4", "--trials", "4",
-                    "--seed", "3", "--epsilon-c", "1e-5", *extra]) == 0
+        assert run([*PINNED_SWEEP, *extra]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
+    @pytest.mark.parametrize("extra, digest", PINNED_SWEEP_DIGESTS)
+    def test_a_split_sweep_prints_the_pinned_bytes(self, extra, digest):
+        """The real CLI in fresh interpreters with BLAS pinned: with the
+        size rules at 0 the sweep forks, unchanged this sweep is too small
+        to split, and both print the pinned bytes."""
+        runs = [subprocess.run([sys.executable, "-c", COUNTING_MAIN, limit, *PINNED_SWEEP,
+                                *extra], env=pinned_env(), capture_output=True, timeout=300)
+                for limit in ("0", "")]
+        for run in runs:
+            assert run.returncode == 0, run.stderr.decode()
+            assert hashlib.sha256(run.stdout).hexdigest() == digest
+        started = [int(run.stderr.rsplit(b"children started:", 1)[1]) for run in runs]
+        assert started[0] >= 1 and started[1] == 0
+
+    def test_a_w_above_the_task_count_is_refused_by_its_flag(self, capsys, monkeypatch):
+        """Exit 2 naming --w before any problem is drawn; the per-task
+        baseline reads no w."""
+        drawn = []
+        monkeypatch.setattr(experiments, "gen_synthetic", lambda spec: drawn.append(spec))
+        for w in ("3", "0.5"):
+            assert run([*PINNED_SWEEP, "--w", w]) == 2
+            assert capsys.readouterr().err.startswith("error: --w: w")
+        assert drawn == []
+        monkeypatch.undo()
+        assert run([*PINNED_SWEEP, "--w", "3", "--single-task"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            PINNED_SWEEP_DIGESTS[1][1])
 
     def test_crossing_line_carries_its_standard_error(self, capsys):
         assert run(["sweep", "--p", "64", "--kappa", "1", "--theta-min", "0.5",
@@ -344,14 +387,10 @@ class TestDigitsCommand:
         """The real CLI in fresh interpreters with BLAS pinned: with the
         split size at 0 every grid search forks, unchanged the fixture's
         problems are too small to split, and both print the pinned bytes."""
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         args = ["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
                 "--trials", "2", "--seed", "1"]
-        runs = [subprocess.run([sys.executable, "-c", COUNTING_MAIN, limit, *args], env=env,
-                               capture_output=True, timeout=300)
+        runs = [subprocess.run([sys.executable, "-c", COUNTING_MAIN, limit, *args],
+                               env=pinned_env(), capture_output=True, timeout=300)
                 for limit in ("0", "")]
         for run in runs:
             assert run.returncode == 0, run.stderr.decode()

@@ -6,12 +6,9 @@ instead of wait, and no child may outlive ``close``, an early-closed
 ``_path_fits`` or a dropped path.
 
 The split needs BLAS pinned, two CPUs and a large problem; the ``split``
-fixture patches those conditions so the small problems here split, and
-every test asserts that a child was started.  ``design_product``'s idle
-worker threads, left by earlier tests, would otherwise turn the split off,
-so the fixture also reports one live thread; a forked child starts none of
-their work and drops them at the fork.  The CLI test in ``test_cli`` runs
-the split with the real guard, in a fresh interpreter.
+fixture of ``conftest`` patches those conditions so the small problems here
+split, and every test asserts that a child was started.  The CLI test in
+``test_cli`` runs the split with the real guard, in a fresh interpreter.
 """
 
 import math
@@ -28,39 +25,6 @@ from mtgreedy.digits import C_GRID, W_GRID, split_for_validation
 from mtgreedy.engine import FitPath
 
 from test_path import assert_same_report, digits_shaped_problem, epsilons
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """Every grid path of two or more w's splits; yields the children
-    started, and checks at the end that none is left running."""
-    monkeypatch.setattr(linalg, "_CPUS", 2)
-    monkeypatch.setattr(engine, "FORK_ELEMENTS", 0)
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
-    started = []
-    start = engine._Child.__init__
-
-    def counted(child, problem, grid):
-        start(child, problem, grid)
-        started.append(child)
-
-    monkeypatch.setattr(engine._Child, "__init__", counted)
-    yield started
-    assert multiprocessing.active_children() == []
-
-
-@pytest.fixture
-def stalled_children(monkeypatch):
-    """A child sleeps before its first move, so it is still running, with
-    nothing sent, whenever the test acts on it."""
-    advance = FitPath._advance
-
-    def stalled(path, lead):
-        if multiprocessing.parent_process() is not None:
-            time.sleep(60)
-        return advance(path, lead)
-
-    monkeypatch.setattr(FitPath, "_advance", stalled)
 
 
 def grid_of(problem, w_grid=W_GRID):

@@ -39,9 +39,7 @@ orthogonalized once and takes one product with the design, not ten; the
 memo is dropped when ``refit`` returns.  Designs are matched by object
 identity only, never by value, so tasks with designs of their own (the
 synthetic sweeps, problems read from files) share nothing.  Each task still
-does the same floating-point operations as with a basis of its own.  A
-copy of a fit's state (below) holds the same bases too, with grids,
-residuals and z's of its own, and shares no memo.
+does the same floating-point operations as with a basis of its own.
 
 The two full products with a design, each append's X^T q and the fresh
 X^T r after a removal, go through ``linalg.design_product``, which splits
@@ -62,21 +60,29 @@ of the fit at a smaller one.  A ``FitPath`` holds the live state of the
 fits of one problem over a grid of (epsilon, w) points, each w's epsilons
 never rising, and serves the points in the order the grid gives: each
 ``fit`` on it returns the next point's report, the same as a fresh fit's.
-Fits at different w often make the same moves (in the digit grid search,
-w = 1.25 retraces w = 1), so the w's ride shared branches of numeric
-state, one made with the path at beta = 0 per promotion count: a move
-every w on a branch picks is refit once, and a w whose own decision
-differs leaves on a copy of the branch taken at that state.  A fresh fit
-is the path of a one-point grid.  ``experiments._path_fits``
-alone fits longer grids, one path per problem (and task, for the per-task
-baseline), w by w from the largest threshold down, for ``cross_validate``
-and ``sweep_grid``.
+A grid path is one epsilon-continued fit per w: each w has numeric state
+of its own, made at beta = 0, which goes on down that w's epsilons and is
+dropped after its last point.  The w's share nothing, though fits at
+different w often make the same moves for a while (in the digit grid
+search, w = 1.25 retraces w = 1), so each such move is refit once per w.
+Sharing such moves would refit each once, but it needs a copy of the state
+wherever the w's part and per-w bookkeeping on every move, one-w fits
+included.  Without it the grid search of the benchmark's
+``cv_shared_p649_r10`` (6 c x 5 w on a digit-shaped problem) refits 25-53%
+more often (seeds 0-2).  In-process on a 2-core VM, an operation of that
+workload (the grid search and the final fit) took 1.2 times as long fit
+serially and 1.15 times as long with the w's split over two processes
+(below): medians of 6 alternating process pairs of 6 operations each,
+seeds 0-5.  A fresh fit is the path of a one-point grid.
+``experiments._path_fits`` alone fits longer grids, one path per problem
+(and task, for the per-task baseline), w by w from the largest threshold
+down, for ``cross_validate`` and ``sweep_grid``.
 
-A grid path's w's that fork early are independent fits, so a path on a
-large problem shares them out over the process's CPUs (``FitPath`` gives
-the rule): its first run of w's stays in the caller, and each later run is
-fit on a path of its own in a forked child, which sends each report back
-as soon as it is made.  A sweep shares out its trials the same way
+A grid path's w's are independent fits, so a path on a large problem
+shares them out over the process's CPUs (``FitPath`` gives the rule): its
+first run of w's stays in the caller, and each later run is fit on a path
+of its own in a forked child, which sends each report back as soon as it
+is made.  A sweep shares out its trials the same way
 (``experiments.sweep_grid``): a child draws and fits a later run of
 trials, and the caller serves each of their points from the child's
 stream on a path made with that child, which fits nothing itself.  One
@@ -181,41 +187,32 @@ def gain_matrix(problem, correlations, scales):
     return correlations * correlations / scales.denom
 
 
-def _best_forward(singles, rows, configs, gains):
-    """Pick the best admissible candidate at each of ``configs``: a list with
-    one Candidate per config, or None where the support is saturated.
+def _best_forward(singles, rows, config, gains):
+    """Pick the best admissible candidate under ``config``, or None when the
+    support is saturated.
 
     ``singles`` and ``rows`` are the ``MaskedSet``s of a ``SupportState`` and
-    ``gains`` the (p, r) matrix of ``gain_matrix``.  Only each config's w and
-    rows_enabled are read; the masked argmax and the row sums are taken once
-    for them all, and a config's w only divides the best row's sum.
-    Singleton candidates exclude supported cells and features already held as
-    rows; row candidates exclude current rows.  The first cell in (i, j)
-    order and the first row win ties within a class, and the row wins a tie
-    between classes.
+    ``gains`` the (p, r) matrix of ``gain_matrix``.  Only the config's w and
+    rows_enabled are read; w only divides the best row's sum.  Singleton
+    candidates exclude supported cells and features already held as rows;
+    row candidates exclude current rows.  The first cell in (i, j) order and
+    the first row win ties within a class, and the row wins a tie between
+    classes.
     """
     masked = np.where(singles.mask | rows.mask[:, None], -1.0, gains)
     i, j = divmod(int(np.argmax(masked)), gains.shape[1])
     best_single = masked[i, j]
-
-    top = None
-    picks = []
-    for config in configs:
-        best_row = -1.0
-        if config.rows_enabled:
-            if top is None:
-                row_sums = np.where(rows.mask, -1.0, gains.sum(axis=1))
-                best_m = int(np.argmax(row_sums))
-                top = row_sums[best_m]
-            if top >= 0.0:
-                best_row = top / config.w
-        if best_single < 0.0 and best_row < 0.0:
-            picks.append(None)
-        elif best_row >= best_single:
-            picks.append(Candidate("row", (best_m,), float(best_row)))
-        else:
-            picks.append(Candidate("singleton", (i, j), float(best_single)))
-    return picks
+    best_row = -1.0
+    if config.rows_enabled:
+        row_sums = np.where(rows.mask, -1.0, gains.sum(axis=1))
+        m = int(np.argmax(row_sums))
+        if row_sums[m] >= 0.0:
+            best_row = row_sums[m] / config.w
+    if best_single < 0.0 and best_row < 0.0:
+        return None
+    if best_row >= best_single:
+        return Candidate("row", (m,), float(best_row))
+    return Candidate("singleton", (i, j), float(best_single))
 
 
 def removal_costs(beta, correlations, scales):
@@ -231,30 +228,25 @@ def removal_costs(beta, correlations, scales):
     return (beta * beta * scales.colsq + 2.0 * beta * correlations) / scales.two_n
 
 
-def _worst_backward(problem, beta, singles, rows, configs, correlations, scales):
-    """Cheapest removal across both classes at each of ``configs``, one
-    Candidate per config; rows are removed on ties.
+def _worst_backward(problem, beta, singles, rows, config, correlations, scales):
+    """Cheapest removal across both classes under ``config``; rows are
+    removed on ties.
 
     ``singles`` and ``rows`` are the ``MaskedSet``s of a non-empty
-    ``SupportState``.  The removal costs, the cheapest singleton and the row
-    sums are taken once; each config's w divides the row sums.  Within a
-    class, the first object in sorted order wins ties.
+    ``SupportState``; the config's w divides the row sums.  Within a class,
+    the first object in sorted order wins ties.
     """
     costs = removal_costs(beta, correlations, scales)
-    best_s = None
+    best = None
     if singles:
         i, j = divmod(int(np.argmin(np.where(singles.mask, costs, np.inf))), problem.r)
-        best_s = Candidate("singleton", (i, j), float(costs[i, j]))
-    if not rows:
-        return [best_s] * len(configs)
-    held = np.where(rows.mask, costs.sum(axis=1), np.inf)
-    picks = []
-    for config in configs:
-        c = held / config.w
-        m = int(np.argmin(c))
-        best_r = Candidate("row", (m,), float(c[m]))
-        picks.append(best_r if best_s is None or best_r.value <= best_s.value else best_s)
-    return picks
+        best = Candidate("singleton", (i, j), float(costs[i, j]))
+    if rows:
+        held = np.where(rows.mask, costs.sum(axis=1), np.inf) / config.w
+        m = int(np.argmin(held))
+        if best is None or held[m] <= best.value:
+            best = Candidate("row", (m,), float(held[m]))
+    return best
 
 
 def _check_weight(config, r):
@@ -289,12 +281,6 @@ class MaskedSet(set):
     def remove(self, key):
         super().remove(key)
         self.mask[key] = False
-
-    def copy(self):
-        other = MaskedSet(self.mask.shape)
-        set.update(other, self)
-        other.mask[...] = self.mask
-        return other
 
 
 class SupportState:
@@ -354,69 +340,31 @@ class SupportState:
     def pattern(self):
         return SupportPattern(singletons=frozenset(self.singles), rows=frozenset(self.rows))
 
-    def copy(self):
-        other = SupportState.__new__(SupportState)
-        other.singles, other.rows = self.singles.copy(), self.rows.copy()
-        other._columns = [set(cols) for cols in self._columns]
-        other.promote_at = self.promote_at
-        return other
 
+class _WFit:
+    """One w's fit on a ``FitPath``, a fresh fit continued down its epsilons.
 
-class _Rider:
-    """One sharing weight's own part of a ``FitPath``.
-
-    ``config`` is the path's first config at this w; ``todo`` holds the
-    epsilons the rider has yet to stop at, in grid order, and ``made`` the
-    reports it stopped at and ``fit`` has not handed out, first in, first
-    out.  ``ledger`` holds the (reward, step index) of every forward step
-    not yet matched by a removal and ``steps`` the rider's step records;
-    both are emptied once its grid is done.
+    ``todo`` holds the w's grid points not yet served, in grid order.  The
+    fit's numeric state is the ``SupportState``, the B and C grids ``beta``
+    and ``correlations`` with the ``factors`` that own each task's column of
+    them, and ``forward_taken``, the count of forward steps taken.
+    ``ledger`` holds the (reward, step index) of every forward step not yet
+    matched by a removal and ``steps`` the step records.
     """
 
-    __slots__ = ("config", "todo", "made", "ledger", "steps")
+    __slots__ = ("todo", "state", "beta", "correlations", "factors", "forward_taken",
+                 "ledger", "steps")
 
-    def __init__(self, config):
-        self.config = config
-        self.todo = []
-        self.made = []
-        self.ledger = []
-        self.steps = []
-
-
-class _Branch:
-    """The numeric state that riders of a ``FitPath`` share: the
-    ``SupportState``, the B and C grids with the factor that owns each task's
-    column of them, and the count of forward steps taken.  ``riders`` and
-    ``configs``, their configs, change together in ``seat``.  A branch
-    copied at a backward decision (``backward``) goes on with its backward
-    passes before it selects forward again."""
-
-    __slots__ = ("state", "beta", "correlations", "factors", "forward_taken", "riders",
-                 "configs", "backward")
-
-    def __init__(self, state, beta, correlations, factors, riders):
-        self.state = state
-        self.beta = beta
-        self.correlations = correlations
-        self.factors = factors
+    def __init__(self, problem, todo, designs):
+        p, r = problem.p, problem.r
+        self.todo = todo
+        self.state = SupportState(todo[0], p, r)
+        self.beta, self.correlations = np.zeros((p, r)), np.empty((p, r))
+        self.factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y, self.beta[:, j],
+                                           self.correlations[:, j])
+                        for j, t in enumerate(problem.tasks)]
         self.forward_taken = 0
-        self.backward = False
-        self.seat(riders)
-
-    def seat(self, riders):
-        self.riders = riders
-        self.configs = [rider.config for rider in riders]
-
-    def copy(self, riders, backward):
-        """A copy of the branch for ``riders``, which leave this one.  The
-        copy takes its own grids; the factors' bases, z's and residuals are
-        shared, since a move replaces them and never writes them in place."""
-        beta, correlations = self.beta.copy(), self.correlations.copy()
-        other = _Branch(self.state.copy(), beta, correlations,
-                        [f.copy(beta[:, j], correlations[:, j])
-                         for j, f in enumerate(self.factors)], riders)
-        other.forward_taken, other.backward = self.forward_taken, backward
-        return other
+        self.ledger, self.steps = [], []
 
 
 class FitPath:
@@ -427,23 +375,16 @@ class FitPath:
     in (epsilon, w), in which no w's epsilons rise.  The path serves its
     points in that order, each to one ``fit``, which must name the point.
 
-    Each distinct w is a ``_Rider`` with its own ledger, steps, rewards and
-    epsilon cursor.  The riders share ``_Branch``es of numeric state: the
-    ``SupportState``, the B and C grids with their factors, and the forward
-    count.  The path makes one branch at beta = 0 per ``promotion_count``
-    among its w's (rows off is one count), for the riders of that count.
-    The fitted rider leads its branch; at each state the branch's selection
-    work is done once and every rider on it decides with its own w, gate
-    and ledger.  A move that every rider on the branch picks is refit once,
-    for all of them.  Riders whose decision differs from the lead's leave
-    together on a copy of the branch taken at that state, which waits there
-    until one of them is fit.  A rider passing one of its epsilons while it
-    rides keeps that point's report until ``fit`` reaches the point.  The
-    path holds its ``points``, the count ``served`` of those fit, its
-    ``riders`` by w, its live ``branches`` (a branch is dropped once every
-    rider on it is done), the ``Scales`` and the loss at beta = 0.  No
-    branch refers back to the path or a rider to its branch, so a dropped
-    path is freed at once.
+    A grid path is one epsilon-continued fit per distinct w.  Each w fit in
+    this process is a ``_WFit`` of its own, made at beta = 0 with the path;
+    its ``fit``s go on from where its previous point stopped, exactly as a
+    fresh fit at the smaller epsilon would, and the path drops it once its
+    last point is served.  No state is shared between w's, so a move that
+    several w's make alike is refit once per w; the module docstring gives
+    what that costs a digit-shaped grid search.  The path holds its
+    ``points``, the count ``served`` of those fit, its live ``fits`` by w,
+    the ``Scales`` and the loss at beta = 0.  No ``_WFit`` refers back to
+    the path, so a dropped path is freed at once.
 
     A path also splits its distinct w's across processes when it has two
     or more, the problem has at least FORK_ELEMENTS design elements and
@@ -451,21 +392,21 @@ class FitPath:
     pinned on two or more CPUs, no child of this process alive and a child
     never splitting again).  The w's, in grid order, are cut into
     min(CPUs, w's) contiguous runs of near-equal count (``_chunks``).  The
-    first run rides the path's own branches; each other run is fit in a
-    forked child on an ordinary path over its part of the grid
-    (``_grid_reports`` in a ``_Child``), which sends each report as soon as
-    it is made, while the caller fits its own run.
-    ``fit`` serves a child's w from that child's stream: the child's
-    exception is raised there, and a child that stopped before sending its
-    report raises RuntimeError.  A child is joined when its last report is
-    served; ``close`` stops and joins those still running, and so does a
-    finalizer when a path is dropped.  ``remote`` maps each w fit in a
-    child to that child, and ``riders`` holds the caller's w's only.
+    path fits the first run itself; each other run is fit in a forked child
+    on an ordinary path over its part of the grid (``_grid_reports`` in a
+    ``_Child``), which sends each report as soon as it is made, while the
+    caller fits its own run.  ``fit`` serves a child's w from that child's
+    stream: the child's exception is raised there, and a child that stopped
+    before sending its report raises RuntimeError.  A child is joined when
+    its last report is served; ``close`` stops and joins those still
+    running, and so does a finalizer when a path is dropped.  ``remote``
+    maps each w fit in a child to that child, and ``fits`` holds the
+    caller's w's only.
 
     Given ``child``, a sweep's ``_Child`` whose stream holds this path's
     reports next, in grid order, the path fits nothing itself and makes no
-    branch: every w is remote to that child, which is the sweep's to stop,
-    not the path's.
+    ``_WFit``: every w is remote to that child, which is the sweep's to
+    stop, not the path's.
     """
 
     def __init__(self, problem, grid, child=None):
@@ -473,39 +414,31 @@ class FitPath:
         if not self.points:
             raise ValueError("the grid is empty")
         base = self.points[0]
-        self.riders = {}
+        todo = {}                       # each w's points, in grid order
         for config in self.points:
             if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
                 raise ValueError("the grid's configs differ in more than epsilon and w")
             _check_weight(config, problem.r)
-            if config.w not in self.riders:
-                self.riders[config.w] = _Rider(config)
-            todo = self.riders[config.w].todo
-            if todo and config.epsilon > todo[-1]:
+            mine = todo.setdefault(config.w, [])
+            if mine and config.epsilon > mine[-1].epsilon:
                 raise ValueError(f"the grid's epsilons rise at w={config.w}")
-            todo.append(config.epsilon)
+            mine.append(config)
         self.served = 0
         self.problem = problem
         self.zero_loss = sum(float(t.y @ t.y) / (2.0 * t.n) for t in problem.tasks)
-        self.remote, self._children = {}, []
+        self.remote, self._children, self.fits = {}, [], {}
         if child is not None:           # a sweep's child fits every point
-            self.remote, self.riders = dict.fromkeys(self.riders, child), {}
+            self.remote = dict.fromkeys(todo, child)
             return
         # the later runs of w's go to children first, so they start at once
-        runs = _fork_plan(problem, list(self.riders))
+        runs = _fork_plan(problem, list(todo))
         if len(runs) > 1:
             weakref.finalize(self, _stop, self._children)
         for ws in runs[1:]:
             subgrid = [config for config in self.points if config.w in ws]
             child = _Child(_grid_reports(problem, subgrid), len(subgrid))
             self._children.append(child)
-            for w in ws:
-                self.remote[w] = child
-                del self.riders[w]
-        # each rider starts at beta = 0 on the branch of its promotion count
-        groups = {}
-        for rider in self.riders.values():
-            groups.setdefault(promotion_count(rider.config), []).append(rider)
+            self.remote.update(dict.fromkeys(ws, child))
         self.nu = base.nu
         self.cap = base.step_cap(problem.p, problem.r)
         # one empty basis and one set of column norms per design object;
@@ -517,140 +450,72 @@ class FitPath:
         colsq = np.column_stack([designs[id(t.X)][1] for t in problem.tasks])
         two_n = np.array([2.0 * t.n for t in problem.tasks])
         self.scales = Scales(colsq, two_n, np.where(colsq > 0.0, two_n * colsq, np.inf))
-
-        p, r = problem.p, problem.r
-        self.branches = []
-        for riders in groups.values():
-            beta, correlations = np.zeros((p, r)), np.empty((p, r))
-            factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y, beta[:, j], correlations[:, j])
-                       for j, t in enumerate(problem.tasks)]
-            self.branches.append(_Branch(SupportState(riders[0].config, p, r), beta,
-                                         correlations, factors, riders))
         self.slack = COMPARISON_TOLERANCE * self.zero_loss
+        self.fits = {w: _WFit(problem, todo[w], designs) for w in runs[0]}
 
     def close(self):
         """Stop and join every child still fitting this path's w's; the
         points they had yet to send can no longer be served."""
         _stop(self._children)
 
-    def _advance(self, lead):
-        """Move ``lead``'s branch on until ``lead`` stops at its next
-        epsilon, and return the report it makes there.
+    def _advance(self, w):
+        """Go on with ``w``'s fit until its next point's forward gate stops
+        it, and return the report made there; the w's fit is dropped once
+        its last point is served.
 
-        At each state the branch's forward candidate stops every rider
-        whose gate it does not clear; unless ``lead`` has stopped, the
-        riders that pick what it picks move, and each rider then removes
-        while the cheapest removal costs at most nu times its most recent
-        recorded reward.  ``lead`` never leaves its branch; a branch
-        copied at a backward decision takes its backward passes first.
+        Each forward step adds the best candidate and then removes while the
+        cheapest removal costs at most nu times the most recent recorded
+        reward.
         """
-        branch = next(branch for branch in self.branches if lead in branch.riders)
-        problem, scales, slack, nu = self.problem, self.scales, self.slack, self.nu
-        beta, correlations = branch.beta, branch.correlations
-        singles, rows = branch.state.singles, branch.state.rows
-        while not lead.made:
-            if branch.backward:
-                branch.backward = False
+        wfit = self.fits[w]
+        config = wfit.todo.pop(0)
+        problem, scales, gate = self.problem, self.scales, config.epsilon + self.slack
+        beta, correlations = wfit.beta, wfit.correlations
+        singles, rows = wfit.state.singles, wfit.state.rows
+        while True:
+            if wfit.forward_taken >= self.cap:
+                termination, pick = "max-steps", None
             else:
-                riders = branch.riders
-                if branch.forward_taken >= self.cap:       # every rider stops here
-                    termination, picks = "max-steps", [None] * len(riders)
-                else:
-                    termination = "gain-below-threshold"
-                    picks = _best_forward(singles, rows, branch.configs,
-                                          gain_matrix(problem, correlations, scales))
-                movers = []
-                for rider, pick in zip(riders, picks):
-                    if pick is None or pick.value <= rider.todo[0] + slack:
-                        self._stop(branch, rider, pick, termination)
-                    if rider.todo:
-                        movers.append((rider, pick))
-                if lead.made:
+                termination = "gain-below-threshold"
+                pick = _best_forward(singles, rows, config,
+                                     gain_matrix(problem, correlations, scales))
+            if pick is None or pick.value <= gate:
+                break
+            self._move(wfit, "forward", pick)
+            while wfit.ledger and (singles or rows):
+                back = _worst_backward(problem, beta, singles, rows, config,
+                                       correlations, scales)
+                if not back.value <= self.nu * wfit.ledger[-1][0]:
                     break
-                if len(movers) > 1:
-                    movers = self._part(branch, lead, movers, False)
-                self._move(branch, "forward", movers)
+                self._move(wfit, "backward", back)
+        if not wfit.todo:
+            del self.fits[w]
+        return FitReport(
+            coefficients=beta.copy(),
+            pattern=wfit.state.pattern(),
+            final_loss=sum(f.loss for f in wfit.factors),
+            steps=tuple(wfit.steps),
+            termination=termination,
+        )
 
-            while lead.ledger and (singles or rows):
-                backs = _worst_backward(problem, beta, singles, rows, branch.configs,
-                                        correlations, scales)
-                picks = [(rider, back if back.value <= nu * rider.ledger[-1][0] else None)
-                         for rider, back in zip(branch.riders, backs)]
-                if len(picks) > 1:
-                    picks = self._part(branch, lead, picks, True)
-                if picks[0][1] is None:
-                    break
-                self._move(branch, "backward", picks)
-        return lead.made.pop(0)
-
-    def _stop(self, branch, rider, pick, termination):
-        """Make ``rider``'s report at each epsilon of its todo whose gate
-        ``pick`` does not clear: every one when ``pick`` is None (the step
-        cap, or a saturated support).  A rider whose grid is then done
-        leaves the branch."""
-        report = None
-        while rider.todo and (pick is None or pick.value <= rider.todo[0] + self.slack):
-            if report is None:
-                report = FitReport(
-                    coefficients=branch.beta.copy(),
-                    pattern=branch.state.pattern(),
-                    final_loss=sum(f.loss for f in branch.factors),
-                    steps=tuple(rider.steps),
-                    termination=termination,
-                )
-            else:
-                report = replace(report, coefficients=report.coefficients.copy())
-            rider.todo.pop(0)
-            rider.made.append(report)
-        if not rider.todo:
-            branch.seat([other for other in branch.riders if other is not rider])
-            if not branch.riders:
-                self.branches.remove(branch)
-            rider.steps.clear()                 # each report holds its own tuple
-            rider.ledger.clear()
-
-    def _part(self, branch, lead, picks, backward):
-        """Keep on ``branch`` the riders that pick what ``lead`` picks and
-        return their (rider, pick) pairs.  The riders of each other pick
-        leave together on a copy of the branch at this state; a copy made at
-        a removal goes on with its backward passes."""
-        groups = {}
-        for rider, pick in picks:
-            key = None if pick is None else (pick.kind, pick.index)
-            groups.setdefault(key, []).append((rider, pick))
-            if rider is lead:
-                mine = key
-        stay = groups.pop(mine)
-        for key, group in groups.items():
-            self.branches.append(
-                branch.copy([rider for rider, _ in group], backward and key is not None))
-        branch.seat([rider for rider, _ in stay])
-        return stay
-
-    def _move(self, branch, kind, picks):
-        """Add the picked object and push each rider's reward on its ledger
-        ("forward"), or remove it and pop each rider's ledger ("backward");
-        then refit once and record each rider's step."""
-        cand = picks[0][1]
-        promoted = None
+    def _move(self, wfit, kind, pick):
+        """Add the picked object and push its reward on the ledger
+        ("forward"), or remove it and pop the ledger ("backward"); then
+        refit and record the step."""
+        promoted, popped = None, (None, None)
         if kind == "forward":
-            branch.forward_taken += 1
-            promoted = branch.state.add(cand.kind, cand.index)
+            wfit.forward_taken += 1
+            promoted = wfit.state.add(pick.kind, pick.index)
+            wfit.ledger.append((pick.value, len(wfit.steps)))
         else:
-            branch.state.remove(cand.kind, cand.index)
-        refit(self.problem, branch.state, branch.factors)
-        loss_after = sum(f.loss for f in branch.factors)
-        for rider, pick in picks:
-            popped = (None, None)
-            if kind == "forward":
-                rider.ledger.append((pick.value, len(rider.steps)))
-            else:
-                popped = rider.ledger.pop()
-            rider.steps.append(StepRecord(
-                kind=kind, object_kind=cand.kind, index=cand.index,
-                reward_or_cost=pick.value, loss_after=loss_after,
-                ledger_depth=len(rider.ledger), popped_reward=popped[0],
-                popped_step=popped[1], promoted_row=promoted))
+            wfit.state.remove(pick.kind, pick.index)
+            popped = wfit.ledger.pop()
+        refit(self.problem, wfit.state, wfit.factors)
+        wfit.steps.append(StepRecord(
+            kind=kind, object_kind=pick.kind, index=pick.index,
+            reward_or_cost=pick.value, loss_after=sum(f.loss for f in wfit.factors),
+            ledger_depth=len(wfit.ledger), popped_reward=popped[0],
+            popped_step=popped[1], promoted_row=promoted))
 
 
 def _chunks(items):
@@ -809,8 +674,7 @@ def fit(problem, config, path=None):
     path.served += 1
     if config.w in path.remote:
         return path.remote[config.w].receive()
-    rider = path.riders[config.w]
-    return rider.made.pop(0) if rider.made else path._advance(rider)
+    return path._advance(config.w)
 
 
 def check_step_records(report, config, initial_loss):

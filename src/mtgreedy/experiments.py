@@ -325,10 +325,11 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=N
     The one place a grid of more than one point is fit.  The joint fit is
     one ``FitPath`` on ``problem`` whose grid runs w by w, each w from the
     largest c down; ``fit`` is called once per point in that order, with
-    the point's config, and a move that several w make alike is refit once.
-    The per-task baseline is one rows-off path per task alone over the c
-    grid, made once for every w: a rows-off fit never reads w, so each w of
-    a c reads the same reports.  Given ``child``, a sweep's ``_Child``
+    the point's config.  The path is one epsilon-continued fit per w, so a
+    move that several w make alike is refit once per w (the ``engine``
+    docstring gives what that costs).  The per-task baseline is one rows-off
+    path per task alone over the c grid, made once for every w: a rows-off
+    fit never reads w, so each w of a c reads the same reports.  Given ``child``, a sweep's ``_Child``
     whose stream holds this problem's reports next, in this order, every
     path serves its points from that stream and fits nothing itself.  The
     paths are closed when the generator ends or is closed, so no process a
@@ -362,10 +363,12 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
 
     The stopping threshold is c * s_hint * log(p) / n, each c finite and
     >= 0, with n the average training sample count.  ``_path_fits`` fits
-    and checks the grid on one ``FitPath``, w by w from the largest c down,
-    and a move that several w make alike is refit once.  The rows list the
-    grid in the caller's (c, w) order, and ties keep the first point in that
-    order: the smallest c, then the smallest w, on ascending grids.  Returns
+    and checks the grid on one ``FitPath``, one epsilon-continued fit per w,
+    w by w from the largest c down; a move that several w make alike is
+    refit once per w (the ``engine`` docstring gives what that costs).  The
+    rows list the grid in the caller's (c, w) order, and ties keep the first
+    point in that order: the smallest c, then the smallest w, on ascending
+    grids.  Returns
     (epsilon, w, report): the winner's epsilon at the training problem's mean n
     (``digits.run_trial`` derives the final fit's again on the full problem)
     and a report naming the winning c "best_c" and listing every grid point.

@@ -160,9 +160,9 @@ def stalled_children(monkeypatch):
     nothing sent, whenever the test acts on it."""
     advance = FitPath._advance
 
-    def stalled(path, lead):
+    def stalled(path, w):
         if multiprocessing.parent_process() is not None:
             time.sleep(60)
-        return advance(path, lead)
+        return advance(path, w)
 
     monkeypatch.setattr(FitPath, "_advance", stalled)

@@ -218,17 +218,17 @@ def assert_bookkeeping(state, p, r):
 
 
 def start(problem, config):
-    """The one branch of a fresh one-point ``FitPath``: its support state,
+    """The one w's fit of a fresh one-point ``FitPath``: its support state,
     its B and C grids and the factors that own their columns."""
-    return FitPath(problem, [config]).branches[0]
+    return FitPath(problem, [config]).fits[config.w]
 
 
 def run_moves(problem, moves):
     """Apply ``moves`` through a ``SupportState`` and check everything after
     each: the state, the factors against the reference, the sharing, and
     that a design none of whose tasks moved took no product."""
-    branch = start(problem, CONFIG)
-    factors, beta, state = branch.factors, branch.beta, branch.state
+    run = start(problem, CONFIG)
+    factors, beta, state = run.factors, run.beta, run.state
     direct = [True] * problem.r
     for m in moves:
         before = [(f.basis, list(f.basis.cols), task_arrays(f)) for f in factors]
@@ -272,8 +272,8 @@ def test_shared_design_shares_its_steps():
     singleton of task 0 parts them, and removing it joins their columns
     again but not their bases: task 0's QR refactor gives another R^-1 than
     task 1's Gram-Schmidt steps, so sharing them would change a fit."""
-    branch = start(SHARED, CONFIG)
-    factors, beta = branch.factors, branch.beta
+    run = start(SHARED, CONFIG)
+    factors, beta = run.factors, run.beta
     direct = [True] * SHARED.r
     assert factors[0].basis is factors[1].basis is not factors[2].basis
     rows = SupportPattern(rows=frozenset({3, 5}))
@@ -292,8 +292,8 @@ def test_shared_design_shares_its_steps():
 def test_fallback_and_recovery():
     """Task 1 turns inexact when the duplicate column joins and exact again
     once it leaves; re-appending a removed column restores the same fit."""
-    branch = start(PROBLEM, CONFIG)
-    factors, beta = branch.factors, branch.beta
+    run = start(PROBLEM, CONFIG)
+    factors, beta = run.factors, run.beta
     direct = [True] * PROBLEM.r
     f = factors[1]
     walk = [({1, 6}, True), ({1, 2, 6}, False), ({1, 2, 6, 7}, False),
@@ -312,8 +312,8 @@ def test_a_removal_that_leaves_more_columns_than_samples_takes_the_min_norm_solv
     rng = np.random.default_rng(9)
     problem = MultiTaskProblem.from_arrays([rng.standard_normal((4, 8))],
                                            [rng.standard_normal(4)])
-    branch = start(problem, GreedyConfig(epsilon=0.0, rows_enabled=False))
-    factors, beta, state = branch.factors, branch.beta, branch.state
+    run = start(problem, GreedyConfig(epsilon=0.0, rows_enabled=False))
+    factors, beta, state = run.factors, run.beta, run.state
     f = factors[0]
     for i in range(6):
         state.add("singleton", (i, 0))
@@ -432,9 +432,9 @@ def test_a_row_step_on_one_design_takes_one_product_with_it():
                               [rng.standard_normal(n) for _ in range(m)])
     X = problem.tasks[0].X
     assert all(t.X is X for t in problem.tasks)
-    branch = start(problem, GreedyConfig(epsilon=0.0, w=2.0))
-    factors, state = branch.factors, branch.state
-    assert len(X.products) == m and branch.correlations.shape == (p, m)
+    run = start(problem, GreedyConfig(epsilon=0.0, w=2.0))
+    factors, state = run.factors, run.state
+    assert len(X.products) == m and run.correlations.shape == (p, m)
     direct = [True] * m
 
     def products_to_reach(state):
@@ -580,7 +580,7 @@ class TestMaskedSelectors:
     def test_match_the_set_loops_on_degenerate_designs(self):
         """Zero, duplicate and combined columns: the stacked closed forms equal
         the per-task loops bit for bit, and both selectors pick what the set
-        loops pick, one config at a time or all in one call."""
+        loops pick at each config."""
         rng = np.random.default_rng(8)
         scales = scales_of(PROBLEM)
         colsq = list(scales.colsq.T)
@@ -597,24 +597,13 @@ class TestMaskedSelectors:
             singles, rows = set(pattern.singletons), set(pattern.rows)
             for config in self.CONFIGS:
                 assert_same_candidate(
-                    _best_forward(state.singles, state.rows, [config], gains)[0],
+                    _best_forward(state.singles, state.rows, config, gains),
                     set_best_forward(singles, rows, config, gains))
                 if singles or rows:
                     assert_same_candidate(
-                        _worst_backward(PROBLEM, beta, state.singles, state.rows, [config],
-                                        corr, scales)[0],
+                        _worst_backward(PROBLEM, beta, state.singles, state.rows, config,
+                                        corr, scales),
                         set_worst_backward(PROBLEM, beta, singles, rows, config, corr, colsq))
-            # one call for several configs picks what one call per config picks
-            configs = list(self.CONFIGS)
-            for got, config in zip(_best_forward(state.singles, state.rows, configs, gains),
-                                   configs):
-                assert_same_candidate(got, set_best_forward(singles, rows, config, gains))
-            if singles or rows:
-                for got, config in zip(_worst_backward(PROBLEM, beta, state.singles,
-                                                       state.rows, configs, corr, scales),
-                                       configs):
-                    assert_same_candidate(got, set_worst_backward(
-                        PROBLEM, beta, singles, rows, config, corr, colsq))
 
     def test_forward_ties_and_saturation(self):
         """Columns 0 and 1 duplicate each other in both tasks and every gain
@@ -627,7 +616,7 @@ class TestMaskedSelectors:
 
         def pick(pattern, config):
             state = state_of(pattern, 3, 2)
-            (got,) = _best_forward(state.singles, state.rows, [config], gains)
+            got = _best_forward(state.singles, state.rows, config, gains)
             assert_same_candidate(got, set_best_forward(
                 set(pattern.singletons), set(pattern.rows), config, gains))
             return got
@@ -660,8 +649,8 @@ class TestRemovalCosts:
                     cost_oracle(problem, beta, ("row", m), 1.5), rel=1e-10, abs=1e-14)
             if pattern.singletons or pattern.rows:
                 state = state_of(pattern, problem.p, problem.r)
-                (got,) = _worst_backward(problem, beta, state.singles, state.rows,
-                                         [GreedyConfig(epsilon=0.0, w=1.5)], corr, scales)
+                got = _worst_backward(problem, beta, state.singles, state.rows,
+                                      GreedyConfig(epsilon=0.0, w=1.5), corr, scales)
                 want = scalar_worst_backward(problem, beta, pattern.singletons, pattern.rows, 1.5)
                 assert (got.kind, got.index) == want[:2]
                 assert got.value == pytest.approx(want[2], rel=1e-10, abs=1e-14)
@@ -674,12 +663,12 @@ class TestRemovalCosts:
         corr = correlations_at(problem, beta)
         scales = scales_of(problem)
         state = state_of(SupportPattern(singletons=frozenset({(1, 1), (1, 0)})), 2, 2)
-        (pick,) = _worst_backward(problem, beta, state.singles, state.rows,
-                                  [GreedyConfig(epsilon=0.0, w=2.0)], corr, scales)
+        pick = _worst_backward(problem, beta, state.singles, state.rows,
+                               GreedyConfig(epsilon=0.0, w=2.0), corr, scales)
         assert (pick.kind, pick.index, pick.value) == ("singleton", (1, 0), 0.25)
         state.add("row", (0,))
-        (pick,) = _worst_backward(problem, beta, state.singles, state.rows,
-                                  [GreedyConfig(epsilon=0.0, w=2.0)], corr, scales)
+        pick = _worst_backward(problem, beta, state.singles, state.rows,
+                               GreedyConfig(epsilon=0.0, w=2.0), corr, scales)
         assert (pick.kind, pick.index, pick.value) == ("row", (0,), 0.25)
 
 

@@ -5,9 +5,9 @@ epsilon is a prefix of the fit at a smaller one.  An ``engine.FitPath``
 serves its grid in the order given, no w's epsilons rising, and
 ``fit(problem, config, path)`` takes the path's next point only; every
 report must equal a fresh fit bit for bit, and the reports a path hands
-out must not move when it goes on.  The w's of a grid share the moves they
-make alike, and the reports must be the same in any interleaving of the
-w's.  ``cross_validate`` and ``sweep_grid`` run their grid as one path per
+out must not move when it goes on.  Each w of a grid is a fit of its
+own, continued down that w's epsilons, and the reports must be the same in
+any interleaving of the w's.  ``cross_validate`` and ``sweep_grid`` run their grid as one path per
 problem (the per-task baseline runs one path per task for the whole w
 grid), one ``fit`` per point, and must give the results of the loop that
 fits every (c, w) point afresh, without keeping more state alive than the
@@ -31,11 +31,12 @@ from mtgreedy import (
     loss,
     verify_trace,
 )
+from mtgreedy.model import FitReport, StepRecord
 from mtgreedy import experiments
 from mtgreedy.digits import (
     C_GRID as C_GRID_DIGITS, W_GRID as W_GRID_DIGITS, DigitDataset, build_tasks,
     split_for_validation)
-from mtgreedy.engine import FitPath, SupportState, promotion_count
+from mtgreedy.engine import FitPath, SupportState, _WFit, promotion_count
 from mtgreedy.linalg import Basis
 from mtgreedy.experiments import (
     SweepConfig, _path_fits, run_sweep, stopping_threshold, sweep_grid)
@@ -301,10 +302,10 @@ def test_grid_paths_on_a_shared_design_equal_fresh_fits(cs, data):
     fit_grid(problem, epsilons(problem, cs), w_grid, order)
 
 
-def test_a_grid_path_appends_once_for_the_moves_its_ws_share(monkeypatch):
-    """The grid search takes fewer basis steps than the per-w fresh fits
-    together, since w = 1.25 retraces w = 1 here, and a one-w grid takes
-    exactly those of its fresh fit at the smallest c."""
+def test_a_grid_path_appends_what_its_ws_fresh_fits_append(monkeypatch):
+    """No w's moves are shared: the grid search takes exactly the basis
+    steps of the per-w fresh fits at the smallest c together, and a one-w
+    grid exactly those of its own fresh fit."""
     appends = []
     append = Basis.append
 
@@ -325,60 +326,33 @@ def test_a_grid_path_appends_once_for_the_moves_its_ws_share(monkeypatch):
     grid = appends_of(lambda: list(_path_fits(problem, eps, w_grid, 0.5)))
     apart = [appends_of(lambda: fit(problem, GreedyConfig(epsilon=0.0, w=w, nu=0.5)))
              for w in w_grid]
-    assert grid < sum(apart)
+    assert grid == sum(apart)
     for w, fresh in zip(w_grid, apart):
         assert appends_of(lambda: list(_path_fits(problem, eps, (w,), 0.5))) == fresh
 
 
-def test_a_grid_path_forks_no_more_branches_than_ws_and_frees_them(monkeypatch):
-    """These w's have one promotion count, so they start on one branch and
-    fork: a fork waits at its fork point and a rider keeps the reports it
-    passes, but the path never holds more branches than w's, and once the
-    grid is fit it holds no branch and no rider a report or a step."""
-    peaks = {"branches": 0, "made": 0}
-    move = FitPath._move
-
-    def watched(path, branch, kind, picks):
-        move(path, branch, kind, picks)
-        peaks["branches"] = max(peaks["branches"], len(path.branches))
-        peaks["made"] = max(peaks["made"], sum(len(r.made) for r in path.riders.values()))
-
-    monkeypatch.setattr(FitPath, "_move", watched)
+def test_a_served_grid_path_holds_no_state_of_its_ws():
+    """Each w's fit is dropped when its last point is served, so a served
+    grid leaves the path no w's state, report, step or ledger entry."""
     problem = digits_shaped_problem()
     w_grid = (1.0, 1.25, 1.5, 1.75)
     path = FitPath(problem, [GreedyConfig(epsilon=eps, w=w, nu=0.5)
                              for w in w_grid for eps in epsilons(problem)])
-    for config in path.points:
+    assert list(path.fits) == list(w_grid)
+    for k, config in enumerate(path.points, 1):
         fit(problem, config, path)
-    assert 2 <= peaks["branches"] <= len(w_grid)
-    assert peaks["made"] > 0
-    assert path.branches == []
-    for rider in path.riders.values():
-        assert rider.made == [] and rider.steps == [] and rider.ledger == []
-
-
-def test_a_path_makes_one_branch_per_promotion_count_when_it_is_made():
-    """w = 1.5 and 1.75 promote at two singletons and w = 2 at three, so the
-    path holds two branches at beta = 0 before any fit, each carrying the
-    riders of its count, and none once its grid is served."""
-    problem = synthetic_problem()
-    path = FitPath(problem, [GreedyConfig(epsilon=eps, w=w, nu=0.5)
-                             for w in (1.5, 2.0, 1.75) for eps in epsilons(problem)])
-    assert [[rider.config.w for rider in branch.riders] for branch in path.branches] == [
-        [1.5, 1.75], [2.0]]
-    for branch in path.branches:
-        assert {promotion_count(rider.config) for rider in branch.riders} == {
-            branch.state.promote_at}
-        assert not branch.state.singles and not branch.state.rows
-        assert not branch.beta.any() and branch.forward_taken == 0
-    for config in path.points:
-        fit(problem, config, path)
-    assert path.branches == []
+        assert list(path.fits) == list(dict.fromkeys(c.w for c in path.points[k:]))
+    held = [v for value in vars(path).values()
+            for v in (value.values() if isinstance(value, dict) else
+                      value if isinstance(value, (list, tuple)) else (value,))]
+    assert not any(isinstance(v, (_WFit, FitReport, StepRecord, list)) for v in held)
 
 
 @pytest.mark.parametrize("rows_enabled", [True, False])
 @pytest.mark.parametrize("w", [1.5, 2.0])
-def test_the_grouping_key_is_the_count_a_support_promotes_at(w, rows_enabled):
+def test_a_fit_promotes_at_its_promotion_count(w, rows_enabled):
+    """``check_step_records`` bounds a non-shared row by ``promotion_count``,
+    the count at which a fit's ``SupportState`` promotes."""
     config = GreedyConfig(epsilon=0.0, w=w, rows_enabled=rows_enabled)
     assert promotion_count(config) == SupportState(config, 4, 3).promote_at
 

@@ -33,29 +33,19 @@ def grid_of(problem, w_grid=W_GRID):
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_split_path_serves_the_serial_reports(split, monkeypatch, cpus):
-    """W_GRID's w's promote at two counts, and w = 1.25, 1.5 and 1.75 leave
-    w = 1's branch; the children fit the later runs of w's."""
+    """The children fit the later runs of W_GRID's w's."""
     problem = digits_shaped_problem()
     grid = grid_of(problem)
-    copies = []
-    copy = engine._Branch.copy
-
-    def counted(branch, riders, backward):
-        copies.append([rider.config.w for rider in riders])
-        return copy(branch, riders, backward)
-
-    monkeypatch.setattr(engine._Branch, "copy", counted)
     monkeypatch.setattr(engine, "FORK_ELEMENTS", math.inf)
     serial_path = FitPath(problem, grid)
     serial = [fit(problem, config, serial_path) for config in grid]
-    assert copies and not split
-    assert {engine.promotion_count(config) for config in grid} == {2, 3}
+    assert not split
 
     monkeypatch.setattr(engine, "FORK_ELEMENTS", 0)
     monkeypatch.setattr(linalg, "_CPUS", cpus)
     path = FitPath(problem, grid)
     assert len(split) == cpus - 1
-    assert list(path.riders) + list(path.remote) == list(W_GRID)
+    assert list(path.fits) + list(path.remote) == list(W_GRID)
     for config, want in zip(grid, serial):
         assert_same_report(fit(problem, config, path), want)
     assert multiprocessing.active_children() == []
@@ -126,10 +116,10 @@ def test_a_path_splits_only_when_every_condition_holds(monkeypatch):
 def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):
     advance = FitPath._advance
 
-    def failing(path, lead):
-        if lead.config.w == 2.0:
+    def failing(path, w):
+        if w == 2.0:
             raise ValueError("no fit at w = 2")
-        return advance(path, lead)
+        return advance(path, w)
 
     monkeypatch.setattr(FitPath, "_advance", failing)
     problem = digits_shaped_problem()

@@ -174,10 +174,10 @@ def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, w, nu
 def test_a_sweep_childs_exception_is_raised_by_the_caller(split, monkeypatch):
     advance = FitPath._advance
 
-    def failing(path, lead):
+    def failing(path, w):
         if multiprocessing.parent_process() is not None:
             raise ValueError("no fit in a sweep's child")
-        return advance(path, lead)
+        return advance(path, w)
 
     monkeypatch.setattr(FitPath, "_advance", failing)
     with pytest.raises(ValueError, match="no fit in a sweep's child"):

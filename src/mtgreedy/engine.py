@@ -72,37 +72,20 @@ included.  Without it the grid search of the benchmark's
 more often (seeds 0-2).  In-process on a 2-core VM, an operation of that
 workload (the grid search and the final fit) took 1.2 times as long fit
 serially and 1.15 times as long with the w's split over two processes
-(below): medians of 6 alternating process pairs of 6 operations each,
-seeds 0-5.  A fresh fit is the path of a one-point grid.
+(``processes``): medians of 6 alternating process pairs of 6 operations
+each, seeds 0-5.  A fresh fit is the path of a one-point grid.
 ``experiments._path_fits`` alone fits longer grids, one path per problem
 (and task, for the per-task baseline), w by w from the largest threshold
-down, for ``cross_validate`` and ``sweep_grid``.
-
-A grid path's w's are independent fits, so a path on a large problem
-shares them out over the process's CPUs (``FitPath`` gives the rule): its
-first run of w's stays in the caller, and each later run is fit on a path
-of its own in a forked child, which sends each report back as soon as it
-is made.  A sweep shares out its trials the same way
-(``experiments.sweep_grid``): a child draws and fits a later run of
-trials, and the caller serves each of their points from the child's
-stream on a path made with that child, which fits nothing itself.  One
-mechanism does both: ``_split`` plans the runs under one set of guards,
-and a ``_Child`` runs any stream of reports the caller has not started.
-Each report equals a fresh fit's bit for bit, in whichever process it is
-made, so the split changes no output; ``fit`` is still called once per
-point in the caller, in grid order.
+down, for ``cross_validate`` and ``sweep_grid``, and shares a large grid's
+w's out over forked children.
 """
 
 import math
-import queue
-import threading
-import weakref
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .linalg import Basis, LeastSquaresFactor, effective_condition, solve_least_squares
 from .model import (
     FitReport,
@@ -120,14 +103,6 @@ from .model import (
 COMPARISON_TOLERANCE = 1e-12
 # Round-off allowed in a supported entry's gradient, relative to ||x_i|| ||y_j|| / n.
 GRADIENT_TOLERANCE = 1e-8
-# A grid path splits its w's across processes only on a problem of at least
-# this many design elements, the sum of n_j * p over its tasks.  A fork, its
-# report transfers and the join took 6-15 ms in a process of 100-140 MB.  On
-# a 2-core Xeon VM with BLAS pinned, the split took 0.71-0.72 of the serial
-# time of the digit grid search (6 c x 5 w, medians of 7) at 10 x 200 x 649
-# elements (1.3e6), 0.75-0.83 at 6.5e5 but 1.20 in one run of 7, 0.94-1.08 at
-# 3.2e5, and 1.12-1.19 on a sweep-sized 2 x 100 x 128 problem (3 w's).
-FORK_ELEMENTS = 2 ** 20
 
 
 class Candidate(NamedTuple):
@@ -367,17 +342,38 @@ class _WFit:
         self.ledger, self.steps = [], []
 
 
+def grid_by_w(grid, r):
+    """Each distinct w's points of ``grid``, in grid order, for a problem
+    of ``r`` tasks.  ValueError refuses an empty grid, configs that differ
+    in more than (epsilon, w), a w that ``_check_weight`` refuses and a w
+    whose epsilons rise."""
+    if not grid:
+        raise ValueError("the grid is empty")
+    base = grid[0]
+    todo = {}
+    for config in grid:
+        if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
+            raise ValueError("the grid's configs differ in more than epsilon and w")
+        _check_weight(config, r)
+        mine = todo.setdefault(config.w, [])
+        if mine and config.epsilon > mine[-1].epsilon:
+            raise ValueError(f"the grid's epsilons rise at w={config.w}")
+        mine.append(config)
+    return todo
+
+
 class FitPath:
     """The live state of the greedy fits of one problem over a grid, which
     ``fit`` serves one point at a time.
 
     ``grid`` is a non-empty sequence of ``GreedyConfig``s that differ only
-    in (epsilon, w), in which no w's epsilons rise.  The path serves its
-    points in that order, each to one ``fit``, which must name the point.
+    in (epsilon, w), in which no w's epsilons rise (``grid_by_w``).  The
+    path serves its points in that order, each to one ``fit``, which must
+    name the point.
 
-    A grid path is one epsilon-continued fit per distinct w.  Each w fit in
-    this process is a ``_WFit`` of its own, made at beta = 0 with the path;
-    its ``fit``s go on from where its previous point stopped, exactly as a
+    A grid path is one epsilon-continued fit per distinct w.  Each w it
+    fits is a ``_WFit`` of its own, made at beta = 0 with the path; its
+    ``fit``s go on from where its previous point stopped, exactly as a
     fresh fit at the smaller epsilon would, and the path drops it once its
     last point is served.  No state is shared between w's, so a move that
     several w's make alike is refit once per w; the module docstring gives
@@ -386,61 +382,21 @@ class FitPath:
     the ``Scales`` and the loss at beta = 0.  No ``_WFit`` refers back to
     the path, so a dropped path is freed at once.
 
-    A path also splits its distinct w's across processes when it has two
-    or more, the problem has at least FORK_ELEMENTS design elements and
-    this process may fork (``_split`` gives the guards: among them, BLAS
-    pinned on two or more CPUs, no child of this process alive and a child
-    never splitting again).  The w's, in grid order, are cut into
-    min(CPUs, w's) contiguous runs of near-equal count (``_chunks``).  The
-    path fits the first run itself; each other run is fit in a forked child
-    on an ordinary path over its part of the grid (``_grid_reports`` in a
-    ``_Child``), which sends each report as soon as it is made, while the
-    caller fits its own run.  ``fit`` serves a child's w from that child's
-    stream: the child's exception is raised there, and a child that stopped
-    before sending its report raises RuntimeError.  A child is joined when
-    its last report is served; ``close`` stops and joins those still
-    running, and so does a finalizer when a path is dropped.  ``remote``
-    maps each w fit in a child to that child, and ``fits`` holds the
-    caller's w's only.
-
-    Given ``child``, a sweep's ``_Child`` whose stream holds this path's
-    reports next, in grid order, the path fits nothing itself and makes no
-    ``_WFit``: every w is remote to that child, which is the sweep's to
-    stop, not the path's.
+    ``remote`` maps some w's to a stream, an object whose ``receive()``
+    returns its next report, that holds those w's reports next in grid
+    order; ``fit`` serves each of their points from it, and the path makes
+    no ``_WFit`` for them.
     """
 
-    def __init__(self, problem, grid, child=None):
+    def __init__(self, problem, grid, remote=None):
         self.points = tuple(grid)
-        if not self.points:
-            raise ValueError("the grid is empty")
-        base = self.points[0]
-        todo = {}                       # each w's points, in grid order
-        for config in self.points:
-            if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
-                raise ValueError("the grid's configs differ in more than epsilon and w")
-            _check_weight(config, problem.r)
-            mine = todo.setdefault(config.w, [])
-            if mine and config.epsilon > mine[-1].epsilon:
-                raise ValueError(f"the grid's epsilons rise at w={config.w}")
-            mine.append(config)
+        todo = grid_by_w(self.points, problem.r)
         self.served = 0
         self.problem = problem
         self.zero_loss = sum(float(t.y @ t.y) / (2.0 * t.n) for t in problem.tasks)
-        self.remote, self._children, self.fits = {}, [], {}
-        if child is not None:           # a sweep's child fits every point
-            self.remote = dict.fromkeys(todo, child)
-            return
-        # the later runs of w's go to children first, so they start at once
-        runs = _fork_plan(problem, list(todo))
-        if len(runs) > 1:
-            weakref.finalize(self, _stop, self._children)
-        for ws in runs[1:]:
-            subgrid = [config for config in self.points if config.w in ws]
-            child = _Child(_grid_reports(problem, subgrid), len(subgrid))
-            self._children.append(child)
-            self.remote.update(dict.fromkeys(ws, child))
-        self.nu = base.nu
-        self.cap = base.step_cap(problem.p, problem.r)
+        self.remote = remote or {}
+        self.nu = self.points[0].nu
+        self.cap = self.points[0].step_cap(problem.p, problem.r)
         # one empty basis and one set of column norms per design object;
         # designs are told apart by identity, not compared by value
         designs = {}
@@ -451,12 +407,8 @@ class FitPath:
         two_n = np.array([2.0 * t.n for t in problem.tasks])
         self.scales = Scales(colsq, two_n, np.where(colsq > 0.0, two_n * colsq, np.inf))
         self.slack = COMPARISON_TOLERANCE * self.zero_loss
-        self.fits = {w: _WFit(problem, todo[w], designs) for w in runs[0]}
-
-    def close(self):
-        """Stop and join every child still fitting this path's w's; the
-        points they had yet to send can no longer be served."""
-        _stop(self._children)
+        self.fits = {w: _WFit(problem, points, designs)
+                     for w, points in todo.items() if w not in self.remote}
 
     def _advance(self, w):
         """Go on with ``w``'s fit until its next point's forward gate stops
@@ -518,129 +470,6 @@ class FitPath:
             popped_step=popped[1], promoted_row=promoted))
 
 
-def _chunks(items):
-    """``items`` cut, in order, into min(``linalg._CPUS``, len(items))
-    contiguous runs whose counts differ by at most one, the longer runs
-    first."""
-    k = min(linalg._CPUS, len(items))
-    size, extra = divmod(len(items), k)
-    edges = [i * size + min(i, extra) for i in range(k + 1)]
-    return [items[a:b] for a, b in zip(edges, edges[1:])]
-
-
-def _split(items, large):
-    """The runs of ``items`` that each process takes, the caller's first:
-    ``_chunks(items)`` when there are two or more items, ``large`` (the
-    caller's size rule) holds and this process may fork, else one run.
-
-    A process may fork when ``linalg._CPUS``, the CPUs ``design_product``
-    may use, is at least two (BLAS is pinned); the "fork" start method
-    exists; no other thread is alive (a forked child would hold copies of
-    their locks); no child of its own is alive, so the processes never
-    outnumber the CPUs; and it was not started by ``multiprocessing``, so a
-    child never splits again.
-    """
-    if len(items) < 2 or not large or linalg._CPUS < 2:
-        return [items]
-    import multiprocessing      # here: at the top it adds 7-13 ms to importing the package
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1 or multiprocessing.parent_process() is not None
-            or multiprocessing.active_children()):
-        return [items]
-    return _chunks(items)
-
-
-def _fork_plan(problem, ws):
-    """The runs of a grid's distinct w's ``ws`` that each process fits, the
-    caller's first: one run unless the path splits (see ``FitPath``)."""
-    return _split(ws, sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS)
-
-
-class _Child:
-    """A forked process that makes the ``count`` reports of ``reports``, an
-    iterable the caller has not started, and sends each, in order, through
-    a pipe of which it holds the only write end: once it stops, the caller
-    reads the end of the stream instead of waiting.  ``left`` counts the
-    reports not yet received."""
-
-    __slots__ = ("process", "reader", "left")
-
-    def __init__(self, reports, count):
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        self.reader, writer = context.Pipe(duplex=False)
-        self.process = context.Process(target=_serve, args=(reports, writer),
-                                       name="mtgreedy-child", daemon=True)
-        self.process.start()
-        writer.close()
-        self.left = count
-
-    def receive(self):
-        """The child's next report.  An exception the child sent is raised
-        here, and a child that stopped first raises RuntimeError."""
-        try:
-            item = self.reader.recv()
-        except (EOFError, OSError):
-            code = self.stop()
-            raise RuntimeError(f"a child process stopped (exit code {code}) "
-                               f"with {self.left} reports unsent") from None
-        self.left -= 1
-        if isinstance(item, BaseException):
-            self.stop()
-            raise item
-        if not self.left:
-            self.stop(wait=True)
-        return item
-
-    def stop(self, wait=False):
-        """Terminate the child, unless ``wait``, join it and return its exit
-        code; a stopped child is left as it is."""
-        if not self.reader.closed:
-            if not wait:
-                self.process.terminate()
-            self.process.join()
-            self.reader.close()
-        return self.process.exitcode
-
-
-def _stop(children):
-    for child in children:
-        child.stop()
-
-
-def _grid_reports(problem, grid):
-    """Each report of ``grid`` in grid order, fit on a path of its own."""
-    path = FitPath(problem, grid)
-    for config in grid:
-        yield fit(problem, config, path)
-
-
-def _serve(reports, writer):
-    """A child's body: hand each report of ``reports`` to a sender thread,
-    or the exception that stopped them.  A report can outgrow the pipe's
-    buffer, so the child goes on while the sender waits for the caller to
-    read."""
-    outbox = queue.SimpleQueue()
-    sender = threading.Thread(target=_send, args=(outbox, writer), name="mtgreedy-sender")
-    sender.start()
-    try:
-        for report in reports:
-            outbox.put(report)
-    except Exception as exc:        # the caller's fit raises it
-        outbox.put(exc)
-    finally:
-        outbox.put(None)
-        sender.join()
-
-
-def _send(outbox, writer):
-    while (item := outbox.get()) is not None:
-        writer.send(item)
-    writer.close()
-
-
 def fit(problem, config, path=None):
     """Run the full greedy procedure and return a FitReport with its trace.
 
@@ -659,9 +488,10 @@ def fit(problem, config, path=None):
     be the path's own problem object and ``config`` the path's next grid
     point, or ValueError is raised; the fit then goes on at the config's w
     from where the path's previous fit at that w stopped, and the report
-    equals that of a fresh fit bit for bit; a w that a split path fits in a
-    child is served from that child's reports.  The report's coefficients
-    are a copy, since the path goes on writing its B grid in place.
+    equals that of a fresh fit bit for bit; a point of a w the path holds
+    as remote is served from that w's stream instead.  The report's
+    coefficients are a copy, since the path goes on writing its B grid in
+    place.
     """
     if not isinstance(config, GreedyConfig):
         raise TypeError("config must be a GreedyConfig")

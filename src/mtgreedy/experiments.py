@@ -13,10 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FitPath, _check_weight, _Child, _split, _stop, check_step_records, fit
+from .engine import FitPath, _check_weight, check_step_records, fit, grid_by_w
 from .model import GreedyConfig, MultiTaskProblem, residuals
+from .processes import fork_runs, stop
 
 
+# A grid search splits its w's across processes (``_path_fits``) only on a
+# problem of at least this many design elements, the sum of n_j * p over its
+# tasks.  A fork, its report transfers and the join took 6-15 ms in a process
+# of 100-140 MB.  On a 2-core Xeon VM with BLAS pinned, the split took
+# 0.71-0.72 of the serial time of the digit grid search (6 c x 5 w, medians
+# of 7) at 10 x 200 x 649 elements (1.3e6), 0.75-0.83 at 6.5e5 but 1.20 in
+# one run of 7, 0.94-1.08 at 3.2e5, and 1.12-1.19 on a sweep-sized 2 x 100 x
+# 128 problem (3 w's).
+FORK_ELEMENTS = 2 ** 20
 # A sweep splits its trials across processes (``sweep_grid``) only when its
 # count of fits times p is at least this: a fit's cost follows p and theta,
 # not the design's size.  On a 2-core Xeon VM with BLAS pinned, split over
@@ -201,10 +211,10 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     two tasks refuse is refused before any problem is drawn or child forked.
 
     A large sweep shares its trials out over the process's CPUs: when its
-    count of fits times p reaches FORK_FIT_FEATURES, ``engine._split`` cuts
-    its (theta, trial) list, in order, into runs, under the guards it keeps
-    for ``FitPath``'s split of w's too.  The caller draws and fits the
-    first run.  Each later run goes to a forked child, which draws its
+    count of fits times p reaches FORK_FIT_FEATURES, ``processes.fork_runs``
+    cuts its (theta, trial) list, in order, into runs, under the guards it
+    keeps for ``_path_fits``' split of w's too.  The caller draws and fits
+    the first run.  Each later run goes to a forked child, which draws its
     trials from their own ``trial_seed``s, fits them along the same paths
     and sends each report back as soon as it is made.  The caller draws each
     remote trial again, for its true coefficients and its problem object,
@@ -214,29 +224,32 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
+    r = 2
     for w in w_grid:
         _check_weight(GreedyConfig(epsilon=0.0, w=w, nu=config.nu,
-                                   rows_enabled=not config.single_task), 2)
+                                   rows_enabled=not config.single_task), r)
     s = _default_sparsity(p)
     ns = [n_for_theta(theta_value, s, p, kappa) for theta_value in theta_grid]
     eps = [{c: stopping_threshold(c, s, p, n) for c in c_grid} for n in ns]
 
     def draw(t_idx, trial):
         return gen_synthetic(SynthSpec(
-            p=p, n=ns[t_idx], r=2, s=s, kappa=kappa, noise_variance=config.noise_variance,
+            p=p, n=ns[t_idx], r=r, s=s, kappa=kappa, noise_variance=config.noise_variance,
             seed=trial_seed(master_seed, kappa, t_idx, trial)))
 
-    # the fits of one trial: each c at each w jointly, or at one w per task
-    fits = len(set(c_grid)) * (2 if config.single_task else len(set(w_grid)))
+    # the reports of one trial: a point of ``_path_grid`` on each of its paths
+    grid = _path_grid(dict.fromkeys(c_grid, 0.0), w_grid, config.nu, config.single_task)
+    fits = len(grid) * (r if config.single_task else 1)
     items = [(t_idx, trial) for t_idx in range(len(theta_grid)) for trial in range(trials)]
     out = {(c, w): [] for c in c_grid for w in w_grid}
-    remote, children = {}, []
+    # the later runs go to children first, so they start at once
+    remote, children = fork_runs(
+        items, len(items) * fits * p >= FORK_FIT_FEATURES,
+        lambda run: _child_reports(
+            _path_fits(draw(t_idx, trial)[0], eps[t_idx], w_grid, config.nu,
+                       config.single_task) for t_idx, trial in run),
+        lambda run: len(run) * fits)
     try:
-        # the later runs go to children first, so they start at once
-        for run in _split(items, len(items) * fits * p >= FORK_FIT_FEATURES)[1:]:
-            children.append(_Child(_trial_reports(run, draw, eps, w_grid, config),
-                                   len(run) * fits))
-            remote.update(dict.fromkeys(run, children[-1]))
         for t_idx, theta_value in enumerate(theta_grid):
             hits, frob = dict.fromkeys(out, 0), dict.fromkeys(out, 0.0)
             for trial in range(trials):
@@ -251,22 +264,8 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
                 rows.append(SweepRow(kappa, theta_value, ns[t_idx], trials, hits[point],
                                      hits[point] / trials, frob[point] / trials))
     finally:
-        _stop(children)
+        stop(children)
     return out
-
-
-def _trial_reports(run, draw, eps, w_grid, config):
-    """A sweep child's reports: each trial of ``run`` drawn by ``draw`` and
-    fit along ``_path_fits``'s paths, in the order the caller's ``fit``
-    serves them, point by point and each point task by task.  The
-    per-task baseline's reports are the same at every w, so they are sent
-    once, for the first."""
-    fitted = list(dict.fromkeys(w_grid))[:1] if config.single_task else w_grid
-    for t_idx, trial in run:
-        problem, _ = draw(t_idx, trial)
-        for _, _, reports in _path_fits(problem, eps[t_idx], fitted, config.nu,
-                                        config.single_task):
-            yield from reports
 
 
 def run_sweep(kappa, p, theta_grid, trials, config, master_seed):
@@ -319,43 +318,65 @@ def crossing_se(rows):
     return scale * math.sqrt(var)
 
 
+def _path_grid(eps, w_grid, nu, single_task):
+    """(c, config) at each point ``_path_fits`` fits, with ``eps`` mapping c
+    to epsilon: w by w, each w from the largest c down; the per-task
+    baseline fits its first w only, since a rows-off fit never reads w."""
+    ws = list(dict.fromkeys(w_grid))
+    return [(c, GreedyConfig(epsilon=eps[c], w=w, nu=nu, rows_enabled=not single_task))
+            for w in (ws[:1] if single_task else ws) for c in sorted(eps, reverse=True)]
+
+
 def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=None):
     """Yield (c, w, reports) at each distinct point, with ``eps`` mapping c
     to epsilon: the reports of fresh fits, each checked once if ``check``.
     The one place a grid of more than one point is fit.  The joint fit is
-    one ``FitPath`` on ``problem`` whose grid runs w by w, each w from the
-    largest c down; ``fit`` is called once per point in that order, with
-    the point's config.  The path is one epsilon-continued fit per w, so a
-    move that several w make alike is refit once per w (the ``engine``
-    docstring gives what that costs).  The per-task baseline is one rows-off
-    path per task alone over the c grid, made once for every w: a rows-off
-    fit never reads w, so each w of a c reads the same reports.  Given ``child``, a sweep's ``_Child``
-    whose stream holds this problem's reports next, in this order, every
-    path serves its points from that stream and fits nothing itself.  The
-    paths are closed when the generator ends or is closed, so no process a
-    path forked outlives it; a sweep's child is the sweep's to stop."""
-    distinct = list(dict.fromkeys(w_grid))
-    cs = sorted(eps, reverse=True)
-    if single_task:
-        tasks, fitted = [problem.single_task(j) for j in range(problem.r)], distinct[:1]
-    else:
-        tasks, fitted = [problem], distinct
-    grid = [GreedyConfig(epsilon=eps[c], w=w, nu=nu, rows_enabled=not single_task)
-            for w in fitted for c in cs]
-    if not grid:
+    one ``FitPath`` on ``problem`` over ``_path_grid``, one epsilon-continued
+    fit per w (the ``engine`` docstring gives what that costs); ``fit`` is
+    called once per point in that order.  The per-task baseline is one
+    rows-off path per task alone, made once for every w: each w of a c
+    reads the same reports.  A grid the paths refuse is refused before any
+    fork.  On a problem of at least FORK_ELEMENTS design elements
+    ``processes.fork_runs`` may then fit later runs of the w's in children,
+    stopped when the generator ends or is closed or dropped; the caller's
+    paths, made after the fork, serve those w's from the children's
+    streams.  Given ``child``, a sweep's child whose stream holds this
+    problem's reports next, every point is served from it."""
+    points = _path_grid(eps, w_grid, nu, single_task)
+    if not points:
         return
-    paths = [FitPath(task, grid, child) for task in tasks]
+    grid = [config for _, config in points]
+    ws = list(grid_by_w(grid, problem.r))
+    tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
+    if child is not None:
+        remote, children = dict.fromkeys(ws, child), []
+    else:
+        remote, children = fork_runs(
+            ws, sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS,
+            lambda run: _child_reports([_path_fits(problem, eps, run, nu, single_task)]),
+            lambda run: len(_path_grid(eps, run, nu, single_task)) * len(tasks))
     try:
-        for c, config in zip(cs * len(fitted), grid):
+        paths = [FitPath(task, grid, remote) for task in tasks]
+        for c, config in points:
             reports = [fit(path.problem, config, path) for path in paths]
             if check:
                 for report, path in zip(reports, paths):
                     check_step_records(report, config, path.zero_loss)
-            for w in distinct if single_task else (config.w,):
+            for w in dict.fromkeys(w_grid) if single_task else (config.w,):
                 yield c, w, reports
     finally:
-        for path in paths:
-            path.close()
+        stop(children)
+
+
+def _child_reports(path_fits):
+    """A child's body: the reports of the ``_path_fits`` generators
+    ``path_fits`` in the order the caller serves them, each point's once
+    (the per-task baseline yields one point's reports at every w)."""
+    for points in path_fits:
+        last = None
+        for _, _, reports in points:
+            if reports is not last:
+                yield from (last := reports)
 
 
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):

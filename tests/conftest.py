@@ -1,12 +1,11 @@
 import multiprocessing
-import threading
 import time
 
 import numpy as np
 import pytest
 
 from mtgreedy import (
-    GreedyConfig, MultiTaskProblem, SupportPattern, engine, experiments, gain_matrix, linalg,
+    GreedyConfig, MultiTaskProblem, SupportPattern, experiments, gain_matrix, linalg, processes,
     refit, residuals)
 from mtgreedy.digits import FEATURE_FILES
 from mtgreedy.engine import FitPath, Scales, SupportState, removal_costs
@@ -131,25 +130,21 @@ def rng():
 
 @pytest.fixture
 def split(monkeypatch):
-    """Every grid path of two or more w's and every sweep of two or more
+    """Every grid search of two or more w's and every sweep of two or more
     trials splits: the fixture patches BLAS pinned on two CPUs and both size
-    rules to 0.  ``design_product``'s idle worker threads, left by earlier
-    tests, would otherwise turn the split off, so it also reports one live
-    thread; a forked child starts none of their work and drops them at the
-    fork.  Yields the children started, and checks at the end that none is
-    left running."""
+    rules to 0.  Yields the children started, and checks at the end that
+    none is left running."""
     monkeypatch.setattr(linalg, "_CPUS", 2)
-    monkeypatch.setattr(engine, "FORK_ELEMENTS", 0)
+    monkeypatch.setattr(experiments, "FORK_ELEMENTS", 0)
     monkeypatch.setattr(experiments, "FORK_FIT_FEATURES", 0)
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
     started = []
-    start = engine._Child.__init__
+    start = processes._Child.__init__
 
     def counted(child, reports, count):
         start(child, reports, count)
         started.append(child)
 
-    monkeypatch.setattr(engine._Child, "__init__", counted)
+    monkeypatch.setattr(processes._Child, "__init__", counted)
     yield started
     assert multiprocessing.active_children() == []
 

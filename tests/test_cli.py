@@ -34,23 +34,23 @@ PINNED_SWEEP_DIGESTS = [
     (["--single-task"], "33486a5662aced024ad86add418bad46ade8a3d6dded40e45ada0c102c5ffc99"),
 ]
 # Runs the CLI with its first argument, when not empty, as both size rules
-# (engine.FORK_ELEMENTS and experiments.FORK_FIT_FEATURES), and reports on
-# stderr how many children grid paths and sweeps started.
+# (experiments.FORK_ELEMENTS and experiments.FORK_FIT_FEATURES), and reports
+# on stderr how many children grid searches and sweeps started.
 COUNTING_MAIN = textwrap.dedent("""
     import sys
-    from mtgreedy import cli, engine, experiments
+    from mtgreedy import cli, experiments, processes
 
     limit = sys.argv.pop(1)
     if limit:
-        engine.FORK_ELEMENTS = experiments.FORK_FIT_FEATURES = int(limit)
+        experiments.FORK_ELEMENTS = experiments.FORK_FIT_FEATURES = int(limit)
     started = []
-    start = engine._Child.__init__
+    start = processes._Child.__init__
 
     def counted(child, *args):
         start(child, *args)
         started.append(child)
 
-    engine._Child.__init__ = counted
+    processes._Child.__init__ = counted
     code = cli.main(sys.argv[1:])
     print("children started:", len(started), file=sys.stderr)
     sys.exit(code)

@@ -66,6 +66,22 @@ def test_every_module_level_definition_is_used_or_exported():
     assert unused == []
 
 
+def test_the_engine_imports_nothing_that_forks_or_starts_threads():
+    """``engine`` is the estimator: sharing work out over processes stays in
+    ``processes``, so ``engine`` imports neither it nor the standard modules
+    that fork, start threads or finalize objects."""
+    tree = ast.parse((ROOT / "src" / "mtgreedy" / "engine.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+            if node.level:                 # from . import processes
+                imported.update(alias.name for alias in node.names)
+    assert imported & {"multiprocessing", "threading", "queue", "weakref", "processes"} == set()
+
+
 def test_every_config_field_is_set_outside_the_tests():
     """Each field of ``GreedyConfig``, ``SweepConfig`` and ``SynthSpec`` is
     passed by keyword to that class, or to ``replace``, in some call in

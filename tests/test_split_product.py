@@ -181,9 +181,13 @@ def two_cpus(monkeypatch):
 
 
 @pytest.fixture
-def no_workers(monkeypatch):
-    """A fresh, empty worker list, restored after the test."""
-    monkeypatch.setattr(linalg, "_workers", [])
+def no_workers():
+    """A fresh, empty worker list for the test.  The old list comes back
+    after it, joined by the workers the test started, so that it still
+    names every live product thread (``processes.split`` counts them)."""
+    old, linalg._workers = linalg._workers, []
+    yield
+    linalg._workers = old + linalg._workers
 
 
 def test_a_sweep_sized_fit_starts_no_thread(two_cpus, no_workers):

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from mtgreedy import GreedyConfig, SweepConfig, engine, experiments, fit, linalg
+from mtgreedy import GreedyConfig, SweepConfig, engine, experiments, fit, linalg, processes
 from mtgreedy.engine import FitPath
 from mtgreedy.experiments import run_sweep, stopping_threshold, sweep_grid
 
@@ -45,7 +45,7 @@ def test_a_split_sweep_grid_equals_the_serial_one(split, monkeypatch, cpus):
     """2 c x 2 w, the runs cut between trials of one theta at 3 CPUs; the
     trials' paths of two w's stay whole."""
     monkeypatch.setattr(linalg, "_CPUS", cpus)
-    monkeypatch.setattr(engine, "FORK_ELEMENTS", math.inf)
+    monkeypatch.setattr(experiments, "FORK_ELEMENTS", math.inf)
     args = (0.5, 48, THETAS, 3, [1e-2, 1e-5], [1.75, 1.25], sweep_config(), 5)
     got = sweep_grid(*args)
     assert len(split) == cpus - 1
@@ -60,7 +60,7 @@ def test_a_split_sweep_fits_and_checks_each_point_in_the_caller(split, monkeypat
     """``fit`` and ``check_step_records`` run in the caller, once per point
     and task, in the serial sweep's order: the calls made in a child go to
     its own copy of these lists.  The trials' paths of two w's stay whole."""
-    monkeypatch.setattr(engine, "FORK_ELEMENTS", math.inf)
+    monkeypatch.setattr(experiments, "FORK_ELEMENTS", math.inf)
     calls, checked = [], []
 
     def counted(problem, config, path=None):
@@ -101,13 +101,14 @@ def plans(monkeypatch):
     """Each sweep's (items, runs) plan, taken with BLAS pinned and one live
     thread; the sweep then raises ``Planned``."""
     taken = []
+    split = processes.split
 
     def planned(items, large):
-        taken.append((items, engine._split(items, large)))
+        taken.append((items, split(items, large)))
         raise Planned
 
     monkeypatch.setattr(threading, "active_count", lambda: 1)
-    monkeypatch.setattr(experiments, "_split", planned)
+    monkeypatch.setattr(processes, "split", planned)
     return taken
 
 
@@ -145,15 +146,15 @@ def test_no_process_splits_while_its_child_runs(monkeypatch):
     monkeypatch.setattr(linalg, "_CPUS", 64)
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     items = list(range(5))
-    assert engine._split(items, True) == [[0], [1], [2], [3], [4]]
+    assert processes.split(items, True) == [[0], [1], [2], [3], [4]]
     child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(30,))
     child.start()
     try:
-        assert engine._split(items, True) == [items]
+        assert processes.split(items, True) == [items]
     finally:
         child.terminate()
         child.join()
-    assert engine._split(items, True) == [[0], [1], [2], [3], [4]]
+    assert processes.split(items, True) == [[0], [1], [2], [3], [4]]
 
 
 @pytest.mark.parametrize("w, nu, message", [
@@ -186,13 +187,13 @@ def test_a_sweep_childs_exception_is_raised_by_the_caller(split, monkeypatch):
 
 
 def test_a_killed_sweep_child_makes_the_sweep_raise(split, stalled_children, monkeypatch):
-    start = engine._Child.__init__
+    start = processes._Child.__init__
 
     def killed(child, reports, count):
         start(child, reports, count)
         os.kill(child.process.pid, signal.SIGKILL)
 
-    monkeypatch.setattr(engine._Child, "__init__", killed)
+    monkeypatch.setattr(processes._Child, "__init__", killed)
     # a wait that never ends is cut by the alarm
     previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the sweep waited"))
     signal.alarm(30)

@@ -9,7 +9,7 @@ different overlap levels kappa on a common axis.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -208,7 +208,8 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     """``run_sweep`` at each (c, w) of a grid, the rest of ``config`` kept:
     {(c, w): [SweepRow, ...]}, c-major.  Each trial's problem is drawn once
     and fit along ``_path_fits``'s paths.  A w or nu that the fits of the
-    two tasks refuse is refused before any problem is drawn or child forked.
+    two tasks refuse, and a kappa or noise variance that ``SynthSpec``
+    refuses, are refused before any problem is drawn or child forked.
 
     A large sweep shares its trials out over the process's CPUs: when its
     count of fits times p reaches FORK_FIT_FEATURES, ``processes.fork_runs``
@@ -231,11 +232,12 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     s = _default_sparsity(p)
     ns = [n_for_theta(theta_value, s, p, kappa) for theta_value in theta_grid]
     eps = [{c: stopping_threshold(c, s, p, n) for c in c_grid} for n in ns]
+    specs = [SynthSpec(p=p, n=n, r=r, s=s, kappa=kappa, noise_variance=config.noise_variance)
+             for n in ns]
 
     def draw(t_idx, trial):
-        return gen_synthetic(SynthSpec(
-            p=p, n=ns[t_idx], r=r, s=s, kappa=kappa, noise_variance=config.noise_variance,
-            seed=trial_seed(master_seed, kappa, t_idx, trial)))
+        return gen_synthetic(replace(specs[t_idx],
+                                     seed=trial_seed(master_seed, kappa, t_idx, trial)))
 
     # the reports of one trial: a point of ``_path_grid`` on each of its paths
     grid = _path_grid(dict.fromkeys(c_grid, 0.0), w_grid, config.nu, config.single_task)
@@ -247,19 +249,21 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
         items, len(items) * fits * p >= FORK_FIT_FEATURES,
         lambda run: _child_reports(
             _path_fits(draw(t_idx, trial)[0], eps[t_idx], w_grid, config.nu,
-                       config.single_task) for t_idx, trial in run),
-        lambda run: len(run) * fits)
+                       config.single_task) for t_idx, trial in run))
     try:
         for t_idx, theta_value in enumerate(theta_grid):
             hits, frob = dict.fromkeys(out, 0), dict.fromkeys(out, 0.0)
             for trial in range(trials):
                 problem, beta_star = draw(t_idx, trial)
-                for c, w, reports in _path_fits(problem, eps[t_idx], w_grid, config.nu,
-                                                config.single_task, config.check_traces,
-                                                remote.get((t_idx, trial))):
+                for c, ws, reports in _path_fits(problem, eps[t_idx], w_grid, config.nu,
+                                                 config.single_task, config.check_traces,
+                                                 remote.get((t_idx, trial))):
                     beta = np.hstack([report.coefficients for report in reports])
-                    hits[c, w] += sign_support_success(beta, beta_star)
-                    frob[c, w] += float(np.linalg.norm(beta - beta_star))
+                    hit = sign_support_success(beta, beta_star)
+                    error = float(np.linalg.norm(beta - beta_star))
+                    for w in ws:
+                        hits[c, w] += hit
+                        frob[c, w] += error
             for point, rows in out.items():
                 rows.append(SweepRow(kappa, theta_value, ns[t_idx], trials, hits[point],
                                      hits[point] / trials, frob[point] / trials))
@@ -328,20 +332,21 @@ def _path_grid(eps, w_grid, nu, single_task):
 
 
 def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=None):
-    """Yield (c, w, reports) at each distinct point, with ``eps`` mapping c
-    to epsilon: the reports of fresh fits, each checked once if ``check``.
-    The one place a grid of more than one point is fit.  The joint fit is
-    one ``FitPath`` on ``problem`` over ``_path_grid``, one epsilon-continued
-    fit per w (the ``engine`` docstring gives what that costs); ``fit`` is
-    called once per point in that order.  The per-task baseline is one
-    rows-off path per task alone, made once for every w: each w of a c
-    reads the same reports.  A grid the paths refuse is refused before any
-    fork.  On a problem of at least FORK_ELEMENTS design elements
-    ``processes.fork_runs`` may then fit later runs of the w's in children,
-    stopped when the generator ends or is closed or dropped; the caller's
-    paths, made after the fork, serve those w's from the children's
-    streams.  Given ``child``, a sweep's child whose stream holds this
-    problem's reports next, every point is served from it."""
+    """Yield (c, ws, reports) once per fitted point, with ``eps`` mapping c
+    to epsilon and ``ws`` the distinct w's the point stands for: the
+    reports of fresh fits, each checked once if ``check``.  The one place a
+    grid of more than one point is fit.  The joint fit is one ``FitPath``
+    on ``problem`` over ``_path_grid``, one epsilon-continued fit per w (the
+    ``engine`` docstring gives what that costs); ``fit`` is called once per
+    point in that order, and each point stands for its own w.  The per-task
+    baseline is one rows-off path per task alone, made once for every w:
+    each of its points stands for every w.  A grid the paths refuse is
+    refused before any fork.  On a problem of at least FORK_ELEMENTS design
+    elements ``processes.fork_runs`` may then fit later runs of the w's in
+    children, stopped when the generator ends or is closed or dropped; the
+    caller's paths, made after the fork, serve those w's from the
+    children's streams.  Given ``child``, a sweep's child whose stream
+    holds this problem's reports next, every point is served from it."""
     points = _path_grid(eps, w_grid, nu, single_task)
     if not points:
         return
@@ -353,8 +358,8 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=N
     else:
         remote, children = fork_runs(
             ws, sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS,
-            lambda run: _child_reports([_path_fits(problem, eps, run, nu, single_task)]),
-            lambda run: len(_path_grid(eps, run, nu, single_task)) * len(tasks))
+            lambda run: _child_reports([_path_fits(problem, eps, run, nu, single_task)]))
+    every_w = tuple(dict.fromkeys(w_grid))
     try:
         paths = [FitPath(task, grid, remote) for task in tasks]
         for c, config in points:
@@ -362,21 +367,17 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=N
             if check:
                 for report, path in zip(reports, paths):
                     check_step_records(report, config, path.zero_loss)
-            for w in dict.fromkeys(w_grid) if single_task else (config.w,):
-                yield c, w, reports
+            yield c, every_w if single_task else (config.w,), reports
     finally:
         stop(children)
 
 
 def _child_reports(path_fits):
     """A child's body: the reports of the ``_path_fits`` generators
-    ``path_fits`` in the order the caller serves them, each point's once
-    (the per-task baseline yields one point's reports at every w)."""
+    ``path_fits`` in the order the caller serves them."""
     for points in path_fits:
-        last = None
         for _, _, reports in points:
-            if reports is not last:
-                yield from (last := reports)
+            yield from reports
 
 
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
@@ -411,7 +412,7 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}
-    for c, w, (report,) in _path_fits(train_problem, eps, w_grid, nu, check=True):
+    for c, (w,), (report,) in _path_fits(train_problem, eps, w_grid, nu, check=True):
         scores[c, w] = sum(float(res @ res)
                            for res in residuals(holdout_problem, report.coefficients))
     rows = [{"c": c, "w": w, "epsilon": eps[c], "holdout_score": scores[c, w]}

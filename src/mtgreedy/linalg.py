@@ -17,29 +17,21 @@ of a basis step, and each single column X[:, c], read contiguous memory.
 
 ``design_product`` takes the two full products with a design: the X^T q of
 ``Basis.append`` and the fresh X^T r a factor takes after a clear, refactor
-or solve.  When BLAS is pinned to one thread at import, a product with a
-column-major design of at least 2 * SPLIT_ELEMENTS elements (4 MiB) cuts its
-columns into min(cpus, X.size // SPLIT_ELEMENTS) blocks, cpus being the CPUs
-the process may run on, with edges on multiples of SPLIT_ALIGN columns.  The
-caller and daemon worker threads, at most cpus - 1 and started at the first
-split, take the blocks from one list, so a block whose worker wakes late is
-computed by the caller instead (on a 2-core VM, one wake in ten took over
-0.4 ms, about the time of half an 800 x 2000 product).  Such a product is
-bound by memory bandwidth, so two cores finish it sooner than one.  Each
-entry is still one column's dot product with v from the same BLAS kernel, so
-the result equals ``X.T @ v`` bit for bit.  Smaller designs, designs whose
-columns make fewer than two blocks, any other layout and a single usable CPU
-take ``X.T @ v`` in the caller.  So does every product when BLAS is not
-pinned (``_CPUS`` is then 1): a threaded BLAS splits ``X.T @ v`` over its
-own threads, and blocks on top of them made a fit slower.
+or solve.  A column-major design of at least 2 * SPLIT_ELEMENTS elements
+(4 MiB) is cut into min(``processes.CPUS``, X.size // SPLIT_ELEMENTS)
+blocks of columns, with edges on multiples of SPLIT_ALIGN, that
+``processes.share`` computes on the CPUs ``processes`` owns; such a product
+is bound by memory bandwidth, so two cores finish it sooner than one.  Each
+entry is still one column's dot product with v from the same BLAS kernel,
+so the result equals ``X.T @ v`` bit for bit.  Smaller designs, fewer than
+two blocks, another layout or one CPU take ``X.T @ v`` in the caller.
 """
 
 import math
-import os
-import queue
-import threading
 
 import numpy as np
+
+from . import processes
 
 # Relative cutoff deciding rank in least-squares solves.
 RANK_RTOL = 1e-10
@@ -57,17 +49,6 @@ SPLIT_ELEMENTS = 2 ** 18
 # Block edges fall on multiples of this many columns, so every block meets
 # the BLAS kernel's column groups where the whole product does.
 SPLIT_ALIGN = 16
-# The CPUs a split may use, read once: those the process may run on when
-# BLAS is pinned to one thread, else 1.  BLAS counts as pinned when at least
-# one of these variables is set and every one set reads 1.  A threaded BLAS
-# splits X^T v by itself, and blocks on top of its threads lose: the
-# p = 2000, n = 800, r = 4 fit took 0.53-0.62 s split against 0.48-0.51 s
-# unsplit on a 2-core VM.
-_BLAS_THREADS = {os.environ.get(var) for var in
-                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} - {None}
-_CPUS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
-         if _BLAS_THREADS == {"1"} else 1)
 
 
 def design_product(X, v):
@@ -78,10 +59,10 @@ def design_product(X, v):
     for bit (see the module docstring).  An exception raised by any block is
     raised here.
     """
-    if X.size < 2 * SPLIT_ELEMENTS or _CPUS < 2 or not X.flags.f_contiguous:
+    if X.size < 2 * SPLIT_ELEMENTS or processes.CPUS < 2 or not X.flags.f_contiguous:
         return X.T @ v
     p = X.shape[1]
-    blocks = min(_CPUS, X.size // SPLIT_ELEMENTS)
+    blocks = min(processes.CPUS, X.size // SPLIT_ELEMENTS)
     step = -(-p // (SPLIT_ALIGN * blocks)) * SPLIT_ALIGN
     # No block is a single column: numpy takes that product as a dot, whose
     # rounding differs from the matrix-vector kernel's.
@@ -89,77 +70,13 @@ def design_product(X, v):
     if len(edges) < 3:
         return X.T @ v
     out = np.empty(p, dtype=np.result_type(X, v))
-    pending = [(X, a, b, v, out) for a, b in zip(edges, edges[1:])]
-    done = queue.SimpleQueue()
-    for worker in _started(len(pending) - 1):
-        worker.put((pending, done))
-    _take_blocks(pending, done)
-    errors = [done.get() for _ in range(len(edges) - 1)]
-    for error in errors:
-        if error is not None:
-            raise error
+    processes.share(_block, [(X, a, b, v, out) for a, b in zip(edges, edges[1:])])
     return out
 
 
 def _block(X, a, b, v, out):
     """Write columns a:b of X^T v into ``out``."""
     np.matmul(X[:, a:b].T, v, out=out[a:b])
-
-
-def _take_blocks(pending, done):
-    """Compute blocks taken from ``pending`` until none is left, putting each
-    block's exception, or None, on the call's own queue ``done``."""
-    while True:
-        try:
-            X, a, b, v, out = pending.pop()
-        except IndexError:
-            return
-        error = None
-        try:
-            _block(X, a, b, v, out)
-        except BaseException as exc:
-            # The caller raises it; a worker that died instead would leave
-            # the caller waiting forever.
-            error = exc
-        # Hold no array while waiting, or an idle worker keeps the last
-        # design it saw alive.
-        del X, v, out
-        done.put(error)
-
-
-_workers = []                    # the call queue of each started worker
-_workers_lock = threading.Lock()
-
-
-def _started(count):
-    """The call queues of ``count`` workers, starting any still missing."""
-    if len(_workers) < count:
-        with _workers_lock:
-            while len(_workers) < count:
-                calls = queue.SimpleQueue()
-                threading.Thread(target=_work, args=(calls,), daemon=True,
-                                 name=f"mtgreedy-product-{len(_workers) + 1}").start()
-                _workers.append(calls)
-    return _workers[:count]
-
-
-def _work(calls):
-    """A worker's loop: help each call handed over with its blocks."""
-    while True:
-        pending, done = calls.get()
-        _take_blocks(pending, done)
-        del pending, done
-
-
-def _forget_workers():
-    """A forked child has none of its parent's threads; it starts its own."""
-    global _workers, _workers_lock
-    _workers = []
-    _workers_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def solve_least_squares(A, b):

@@ -5,10 +5,22 @@ import numpy as np
 import pytest
 
 from mtgreedy import (
-    GreedyConfig, MultiTaskProblem, SupportPattern, experiments, gain_matrix, linalg, processes,
-    refit, residuals)
+    GreedyConfig, MultiTaskProblem, SupportPattern, experiments, gain_matrix, processes, refit,
+    residuals)
 from mtgreedy.digits import FEATURE_FILES
 from mtgreedy.engine import FitPath, Scales, SupportState, removal_costs
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run when a child process outlives the tests: every split
+    grid search and sweep must stop the children it forked."""
+    left = multiprocessing.active_children()
+    if left:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write_line(f"child processes left alive after the tests: {left}",
+                                red=True)
 
 
 def random_problem(rng, p, r, n_range=(15, 30)):
@@ -134,14 +146,14 @@ def split(monkeypatch):
     trials splits: the fixture patches BLAS pinned on two CPUs and both size
     rules to 0.  Yields the children started, and checks at the end that
     none is left running."""
-    monkeypatch.setattr(linalg, "_CPUS", 2)
+    monkeypatch.setattr(processes, "CPUS", 2)
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", 0)
     monkeypatch.setattr(experiments, "FORK_FIT_FEATURES", 0)
     started = []
     start = processes._Child.__init__
 
-    def counted(child, reports, count):
-        start(child, reports, count)
+    def counted(child, *args, **kwargs):
+        start(child, *args, **kwargs)
         started.append(child)
 
     monkeypatch.setattr(processes._Child, "__init__", counted)

@@ -265,7 +265,7 @@ class TestSingleTaskBaseline:
         assert fit(problem, GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5)).pattern.rows
         points = list(_path_fits(problem, {1.0: 1e-2, 0.0: 1e-9}, (1.5, 2.0), 0.5,
                                  single_task=True))
-        assert len(points) == 4
+        assert [ws for _, ws, _ in points] == [(1.5, 2.0)] * 2
         for _, _, reports in points:
             assert all(report.pattern.rows == frozenset() for report in reports)
 

@@ -427,15 +427,15 @@ def test_per_task_paths_equal_fresh_per_task_fits(monkeypatch):
     eps = dict(zip(C_GRID, epsilons(problem)))
     w_grid = (1.5, 1.0, 3.0, 1.5)
     points = list(_path_fits(problem, eps, w_grid, 0.5, single_task=True, check=True))
-    assert [(c, w) for c, w, _ in points] == [
-        (c, w) for c in sorted(C_GRID, reverse=True) for w in (1.5, 1.0, 3.0)]
-    for c, w, reports in points:
-        assert reports is points[3 * C_GRID.index(c)][2]
+    assert [(c, ws) for c, ws, _ in points] == [
+        (c, (1.5, 1.0, 3.0)) for c in sorted(C_GRID, reverse=True)]
+    for c, ws, reports in points:
         assert len(reports) == problem.r
-        config = GreedyConfig(epsilon=eps[c], w=w, nu=0.5, rows_enabled=False)
-        for j, report in enumerate(reports):
-            assert_same_report(report, fit(problem.single_task(j), config))
-    made = [(report, eps[c], j) for c, w, reports in points[::3]
+        for w in ws:
+            config = GreedyConfig(epsilon=eps[c], w=w, nu=0.5, rows_enabled=False)
+            for j, report in enumerate(reports):
+                assert_same_report(report, fit(problem.single_task(j), config))
+    made = [(report, eps[c], j) for c, _, reports in points
             for j, report in enumerate(reports)]
     assert len(checked) == len(made)
     for (report, config, zero_loss), (want, epsilon, j) in zip(checked, made):

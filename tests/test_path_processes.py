@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from mtgreedy import GreedyConfig, cross_validate, experiments, fit, linalg, processes
+from mtgreedy import GreedyConfig, cross_validate, experiments, fit, processes
 from mtgreedy.digits import C_GRID, W_GRID, split_for_validation
 from mtgreedy.engine import FitPath
 
@@ -70,7 +70,7 @@ def test_a_split_path_serves_the_serial_reports(split, monkeypatch, cpus):
     assert not split
 
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", 0)
-    monkeypatch.setattr(linalg, "_CPUS", cpus)
+    monkeypatch.setattr(processes, "CPUS", cpus)
     made = made_paths(monkeypatch)
     got = list(path_fits(problem))
     assert len(split) == cpus - 1
@@ -136,7 +136,7 @@ def test_a_grid_the_paths_refuse_is_refused_before_any_fork(split):
 def test_the_runs_never_outnumber_the_cpus_or_the_ws(monkeypatch, cpus):
     """The caller's run plus one child per further run: never more than the
     CPUs or the distinct w's, the w's kept in order, the runs near equal."""
-    monkeypatch.setattr(linalg, "_CPUS", cpus)
+    monkeypatch.setattr(processes, "CPUS", cpus)
     for count in range(1, 70):
         ws = [1.0 + k / 100 for k in range(count)]
         runs = processes._chunks(ws)
@@ -169,8 +169,8 @@ def test_a_path_splits_only_when_every_condition_holds(monkeypatch):
     problem = digits_shaped_problem()
     elements = sum(t.n for t in problem.tasks) * problem.p
     ws = [1.0, 1.5, 2.0]
-    monkeypatch.setattr(linalg, "_CPUS", 64)
-    monkeypatch.setattr(linalg, "_workers", [])
+    monkeypatch.setattr(processes, "CPUS", 64)
+    monkeypatch.setattr(processes, "_workers", [])
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", elements)
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     assert plan_of(monkeypatch, problem, ws) == [[1.0], [1.5], [2.0]]
@@ -178,13 +178,13 @@ def test_a_path_splits_only_when_every_condition_holds(monkeypatch):
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", elements + 1)
     assert plan_of(monkeypatch, problem, ws) == [ws]
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", elements)
-    monkeypatch.setattr(linalg, "_CPUS", 1)
+    monkeypatch.setattr(processes, "CPUS", 1)
     assert plan_of(monkeypatch, problem, ws) == [ws]
-    monkeypatch.setattr(linalg, "_CPUS", 64)
+    monkeypatch.setattr(processes, "CPUS", 64)
     monkeypatch.setattr(threading, "active_count", lambda: 2)
     assert plan_of(monkeypatch, problem, ws) == [ws]
     # a started product worker is no other thread
-    monkeypatch.setattr(linalg, "_workers", [None])
+    monkeypatch.setattr(processes, "_workers", [None])
     assert plan_of(monkeypatch, problem, ws) == [[1.0], [1.5], [2.0]]
 
 
@@ -196,7 +196,7 @@ PRODUCT_THEN_GRID = textwrap.dedent("""
     import numpy as np
     from mtgreedy import SynthSpec, experiments, gen_synthetic, linalg, processes
 
-    linalg._CPUS = 2
+    processes.CPUS = 2
     experiments.FORK_ELEMENTS = 0
     rng = np.random.default_rng(0)
     linalg.design_product(np.asfortranarray(rng.standard_normal((800, 2000))),
@@ -210,7 +210,7 @@ PRODUCT_THEN_GRID = textwrap.dedent("""
 
     processes._Child.__init__ = counted
     problem, _ = gen_synthetic(SynthSpec(p=40, n=30, r=2, kappa=0.5, seed=2))
-    print(threading.active_count(), len(linalg._workers))
+    print(threading.active_count(), len(processes._workers))
     list(experiments._path_fits(problem, {1.0: 1e-2, 0.0: 1e-9}, (1.0, 1.5, 2.0), 0.5))
     print(len(started))
 """)
@@ -241,7 +241,7 @@ def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):
     made = made_paths(monkeypatch)
     served = []
     with pytest.raises(ValueError, match="no fit at w = 2"):
-        for c, w, _ in path_fits(digits_shaped_problem()):
+        for c, (w,), _ in path_fits(digits_shaped_problem()):
             served.append(w)
     assert made[0][1] == [1.75, 2.0]
     assert served == [w for w in W_GRID[:4] for _ in C_GRID]
@@ -250,7 +250,7 @@ def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):
 
 def test_a_killed_child_makes_fit_raise(split, stalled_children):
     points = path_fits(digits_shaped_problem())
-    for c, w, _ in points:              # the caller's own w's
+    for c, (w,), _ in points:           # the caller's own w's
         if (c, w) == (min(C_GRID), W_GRID[2]):
             break
     (child,) = split
@@ -269,7 +269,7 @@ def test_a_killed_child_makes_fit_raise(split, stalled_children):
 
 
 def test_close_stops_the_children(split, stalled_children, monkeypatch):
-    monkeypatch.setattr(linalg, "_CPUS", 3)
+    monkeypatch.setattr(processes, "CPUS", 3)
     points = path_fits(digits_shaped_problem())
     next(points)
     assert len(split) == 2

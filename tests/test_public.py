@@ -66,20 +66,45 @@ def test_every_module_level_definition_is_used_or_exported():
     assert unused == []
 
 
-def test_the_engine_imports_nothing_that_forks_or_starts_threads():
-    """``engine`` is the estimator: sharing work out over processes stays in
-    ``processes``, so ``engine`` imports neither it nor the standard modules
-    that fork, start threads or finalize objects."""
-    tree = ast.parse((ROOT / "src" / "mtgreedy" / "engine.py").read_text())
+def imports_of(module):
+    """The top-level modules a package module imports, and the package
+    modules it imports by name (``from . import processes``)."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((ROOT / "src" / "mtgreedy" / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").split(".")[0])
-            if node.level:                 # from . import processes
+            if node.level:
                 imported.update(alias.name for alias in node.names)
-    assert imported & {"multiprocessing", "threading", "queue", "weakref", "processes"} == set()
+    return imported
+
+
+def test_the_engine_imports_nothing_that_forks_or_starts_threads():
+    """``engine`` is the estimator: sharing work out over processes stays in
+    ``processes``, so ``engine`` imports neither it nor the standard modules
+    that fork, start threads or finalize objects."""
+    assert imports_of("engine") & {
+        "multiprocessing", "threading", "queue", "weakref", "processes"} == set()
+
+
+def test_processes_alone_owns_the_other_cpus():
+    """``processes`` owns the CPU budget, the product workers and the
+    children: ``linalg`` imports none of the standard modules that read the
+    CPUs, fork or start threads, and ``processes`` reads no private name of
+    another package module, by attribute or by import."""
+    assert imports_of("linalg") & {"os", "queue", "threading", "multiprocessing"} == set()
+    package = ROOT / "src" / "mtgreedy"
+    modules = {path.stem for path in package.glob("*.py")} - {"processes"}
+    private = []
+    for node in ast.walk(ast.parse((package / "processes.py").read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules | {"mtgreedy"} and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mtgreedy"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_every_config_field_is_set_outside_the_tests():

@@ -7,7 +7,7 @@ Bit identity holds with one BLAS thread per call, as the benchmark runs.  A
 threaded BLAS splits ``X.T @ v`` itself at its own edges, so the checks of
 identity run in a fresh interpreter with BLAS pinned to one thread
 (``fresh``), as do the checks of what the thread variables select; the rest
-run here, with ``_CPUS`` patched.
+run here, with ``processes.CPUS`` patched.
 """
 
 import os
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtgreedy import engine, experiments, linalg
+from mtgreedy import engine, experiments, linalg, processes
 from mtgreedy.model import design_array
 
 HERE = Path(__file__).resolve().parent
@@ -79,7 +79,7 @@ def check_products_around_the_split_size():
         (LIMIT // 17 + 1, 17),       # too narrow for a second block
         (2 ** 19, 1),                # one column: no block edges at all
     ]
-    linalg._CPUS = 2
+    processes.CPUS = 2
     for shape in shapes:
         X = design(rng, *shape)
         v = rng.standard_normal(shape[0])
@@ -93,7 +93,7 @@ def check_products_around_the_split_size():
     assert np.array_equal(got, X.T @ v)
     assert np.all(got[[0, 15, 16, 515, 1030]] == 0.0)
 
-    linalg._CPUS = 3                 # three blocks, two workers
+    processes.CPUS = 3               # three blocks, two workers
     X = design(rng, 600, 1333)
     v = rng.standard_normal(600)
     assert np.array_equal(linalg.design_product(X, v), X.T @ v)
@@ -103,10 +103,10 @@ def check_products_around_the_split_size():
 def check_split_fit_reports_what_a_serial_fit_reports():
     problem, config = fit_problem(1100, 480, seed=3)
     assert problem.tasks[0].X.size >= LIMIT
-    linalg._CPUS = 1
+    processes.CPUS = 1
     serial = engine.fit(problem, config)
     assert not product_threads()
-    linalg._CPUS = 2
+    processes.CPUS = 2
     split = engine.fit(problem, config)
     assert product_threads()
     assert any(step.kind == "backward" for step in split.steps)
@@ -121,7 +121,7 @@ def check_forked_child_computes_a_split_product():
     rng = np.random.default_rng(1)
     X = design(rng, 512, 1024)
     v = rng.standard_normal(512)
-    linalg._CPUS = 2
+    processes.CPUS = 2
     linalg.design_product(X, v)
     assert product_threads()
     pid = os.fork()
@@ -177,7 +177,7 @@ def test_a_forked_child_computes_a_split_product():
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Split into at most two blocks, so at most one worker is started."""
-    monkeypatch.setattr(linalg, "_CPUS", 2)
+    monkeypatch.setattr(processes, "CPUS", 2)
 
 
 @pytest.fixture
@@ -185,9 +185,9 @@ def no_workers():
     """A fresh, empty worker list for the test.  The old list comes back
     after it, joined by the workers the test started, so that it still
     names every live product thread (``processes.split`` counts them)."""
-    old, linalg._workers = linalg._workers, []
+    old, processes._workers = processes._workers, []
     yield
-    linalg._workers = old + linalg._workers
+    processes._workers = old + processes._workers
 
 
 def test_a_sweep_sized_fit_starts_no_thread(two_cpus, no_workers):
@@ -196,17 +196,17 @@ def test_a_sweep_sized_fit_starts_no_thread(two_cpus, no_workers):
     engine.fit(problem, config)
     X = design(np.random.default_rng(0), 400, 649)       # the digit design
     linalg.design_product(X, np.ones(400))
-    assert linalg._workers == []
+    assert processes._workers == []
     assert threading.active_count() == before
 
 
 def test_one_cpu_starts_no_thread(rng, monkeypatch, no_workers):
-    monkeypatch.setattr(linalg, "_CPUS", 1)
+    monkeypatch.setattr(processes, "CPUS", 1)
     X = design(rng, 800, 2000)
     v = rng.standard_normal(800)
     before = threading.active_count()
     linalg.design_product(X, v)
-    assert linalg._workers == []
+    assert processes._workers == []
     assert threading.active_count() == before
 
 
@@ -247,18 +247,18 @@ def test_an_interrupted_call_passes_nothing_to_the_next(rng, two_cpus, monkeypat
     X = design(rng, 512, 1024)
     v = rng.standard_normal(512)
     expected = linalg.design_product(X, v)
-    take, block = linalg._take_blocks, linalg._block
+    take, block = processes._take, linalg._block
 
     def interrupted(pending, done):
         if threading.current_thread() is threading.main_thread():
             raise Interrupted
         take(pending, done)
 
-    monkeypatch.setattr(linalg, "_take_blocks", interrupted)
+    monkeypatch.setattr(processes, "_take", interrupted)
     with pytest.raises(Interrupted):
         linalg.design_product(X, v)
     time.sleep(0.1)                  # the worker completes the left call
-    monkeypatch.setattr(linalg, "_take_blocks", take)
+    monkeypatch.setattr(processes, "_take", take)
 
     written = threading.Event()
 
@@ -306,7 +306,7 @@ def test_concurrent_callers_share_the_workers(rng, two_cpus, no_workers):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert wrong == []
-    assert len(linalg._workers) == 1
+    assert len(processes._workers) == 1
 
 
 def test_a_call_completes_when_no_worker_wakes(rng, two_cpus, monkeypatch):
@@ -314,7 +314,7 @@ def test_a_call_completes_when_no_worker_wakes(rng, two_cpus, monkeypatch):
     X = design(rng, 512, 1024)
     v = rng.standard_normal(512)
     expected = linalg.design_product(X, v)
-    monkeypatch.setattr(linalg, "_started", lambda count: [queue.SimpleQueue()] * count)
+    monkeypatch.setattr(processes, "_started", lambda count: [queue.SimpleQueue()] * count)
     got = []
     caller = threading.Thread(target=lambda: got.append(linalg.design_product(X, v)),
                               daemon=True)

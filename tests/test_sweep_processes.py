@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from mtgreedy import GreedyConfig, SweepConfig, engine, experiments, fit, linalg, processes
+from mtgreedy import GreedyConfig, SweepConfig, engine, experiments, fit, processes
 from mtgreedy.engine import FitPath
 from mtgreedy.experiments import run_sweep, stopping_threshold, sweep_grid
 
@@ -44,7 +44,7 @@ def test_a_split_sweep_equals_the_serial_one(split, monkeypatch, single_task):
 def test_a_split_sweep_grid_equals_the_serial_one(split, monkeypatch, cpus):
     """2 c x 2 w, the runs cut between trials of one theta at 3 CPUs; the
     trials' paths of two w's stay whole."""
-    monkeypatch.setattr(linalg, "_CPUS", cpus)
+    monkeypatch.setattr(processes, "CPUS", cpus)
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", math.inf)
     args = (0.5, 48, THETAS, 3, [1e-2, 1e-5], [1.75, 1.25], sweep_config(), 5)
     got = sweep_grid(*args)
@@ -116,7 +116,7 @@ def plans(monkeypatch):
 def test_a_sweeps_runs_never_outnumber_the_cpus_or_the_trials(plans, monkeypatch, cpus):
     """The caller's run plus one per child, never more than the CPUs or
     the (theta, trial) items, the items kept in order."""
-    monkeypatch.setattr(linalg, "_CPUS", cpus)
+    monkeypatch.setattr(processes, "CPUS", cpus)
     monkeypatch.setattr(experiments, "FORK_FIT_FEATURES", 0)
     for thetas, trials in [((0.6,), 1), ((0.6,), 2), (THETAS, 1), (THETAS, 5), (THETAS, 30)]:
         with pytest.raises(Planned):
@@ -131,7 +131,7 @@ def test_a_sweeps_runs_never_outnumber_the_cpus_or_the_trials(plans, monkeypatch
 def test_a_sweep_splits_only_above_its_size_rule(plans, monkeypatch):
     """The rule reads the sweep's fits times p: at the bound a sweep of two
     items splits, and one past the bound it does not."""
-    monkeypatch.setattr(linalg, "_CPUS", 2)
+    monkeypatch.setattr(processes, "CPUS", 2)
     fits = 2 * 2 * 3                        # items, c, w
     for bound, runs in ((fits * 48, 2), (fits * 48 + 1, 1)):
         monkeypatch.setattr(experiments, "FORK_FIT_FEATURES", bound)
@@ -143,7 +143,7 @@ def test_a_sweep_splits_only_above_its_size_rule(plans, monkeypatch):
 def test_no_process_splits_while_its_child_runs(monkeypatch):
     """A sweep's caller keeps its paths whole while its child runs, so the
     processes never outnumber the CPUs; a child never splits again."""
-    monkeypatch.setattr(linalg, "_CPUS", 64)
+    monkeypatch.setattr(processes, "CPUS", 64)
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     items = list(range(5))
     assert processes.split(items, True) == [[0], [1], [2], [3], [4]]
@@ -157,18 +157,28 @@ def test_no_process_splits_while_its_child_runs(monkeypatch):
     assert processes.split(items, True) == [[0], [1], [2], [3], [4]]
 
 
-@pytest.mark.parametrize("w, nu, message", [
-    (3.0, 0.5, "w=3.0 exceeds the task count r=2"),
-    (0.5, 0.5, "w must be finite and >= 1"),
-    (math.inf, 0.5, "w must be finite and >= 1"),
-    (1.5, 1.5, "nu must lie in"),
+def refused(w, nu, message, kappa=0.5, noise=1e-2, id=None):
+    """A sweep refused with ``message``, its id the w, nu and message."""
+    return pytest.param(kappa, w, nu, noise, message, id=id or f"{w}-{nu}-{message}")
+
+
+@pytest.mark.parametrize("kappa, w, nu, noise, message", [
+    refused(3.0, 0.5, "w=3.0 exceeds the task count r=2"),
+    refused(0.5, 0.5, "w must be finite and >= 1"),
+    refused(math.inf, 0.5, "w must be finite and >= 1"),
+    refused(1.5, 1.5, "nu must lie in"),
+    refused(1.5, 0.5, "kappa must lie in", kappa=1.5, id="kappa-1.5"),
+    refused(1.5, 0.5, "noise_variance must be finite and >= 0", noise=-1.0, id="noise--1"),
+    refused(1.5, 0.5, "noise_variance must be finite and >= 0", noise=math.nan, id="noise-nan"),
 ])
-def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, w, nu, message):
+def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, kappa, w, nu,
+                                                       noise, message):
+    """A bad w or nu, and a kappa or noise variance the draws refuse."""
     drawn = []
     monkeypatch.setattr(experiments, "gen_synthetic", lambda spec: drawn.append(spec))
-    config = SweepConfig(epsilon_c=1e-4, nu=nu, noise_variance=1e-2)
+    config = SweepConfig(epsilon_c=1e-4, nu=nu, noise_variance=noise)
     with pytest.raises(ValueError, match=message):
-        sweep_grid(0.5, 48, THETAS, 3, [1e-2], [1.25, w], config, 1)
+        sweep_grid(kappa, 48, THETAS, 3, [1e-2], [1.25, w], config, 1)
     assert drawn == [] and split == []
 
 
@@ -189,8 +199,8 @@ def test_a_sweep_childs_exception_is_raised_by_the_caller(split, monkeypatch):
 def test_a_killed_sweep_child_makes_the_sweep_raise(split, stalled_children, monkeypatch):
     start = processes._Child.__init__
 
-    def killed(child, reports, count):
-        start(child, reports, count)
+    def killed(child, *args, **kwargs):
+        start(child, *args, **kwargs)
         os.kill(child.process.pid, signal.SIGKILL)
 
     monkeypatch.setattr(processes._Child, "__init__", killed)

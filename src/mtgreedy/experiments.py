@@ -207,20 +207,21 @@ class SweepRow:
 def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed):
     """``run_sweep`` at each (c, w) of a grid, the rest of ``config`` kept:
     {(c, w): [SweepRow, ...]}, c-major.  Each trial's problem is drawn once
-    and fit along ``_path_fits``'s paths.  A w or nu that the fits of the
-    two tasks refuse, and a kappa or noise variance that ``SynthSpec``
-    refuses, are refused before any problem is drawn or child forked.
+    and fit along ``_path_fits``'s paths.  A w, nu or c that the fits
+    refuse, and a kappa or noise variance that ``SynthSpec`` refuses, are
+    refused before any problem is drawn or child forked.
 
     A large sweep shares its trials out over the process's CPUs: when its
     count of fits times p reaches FORK_FIT_FEATURES, ``processes.fork_runs``
     cuts its (theta, trial) list, in order, into runs, under the guards it
     keeps for ``_path_fits``' split of w's too.  The caller draws and fits
     the first run.  Each later run goes to a forked child, which draws its
-    trials from their own ``trial_seed``s, fits them along the same paths
-    and sends each report back as soon as it is made.  The caller draws each
-    remote trial again, for its true coefficients and its problem object,
-    and serves every point of it from the child's stream, one ``fit`` per
-    point in the same order, each report checked as a fresh one is.  Each
+    trials from their own ``trial_seed``s, fits its whole run along the
+    same paths and then sends the reports.  The caller draws each remote
+    trial again, for its true coefficients and its problem object, and
+    serves every point of it from the child's stream, one ``fit`` per point
+    in the same order, each report checked as a fresh one is; the first
+    served ``fit`` of a child's run waits for that child to finish.  Each
     report equals the serial sweep's bit for bit, so the rows do too.
     """
     if trials < 1:
@@ -229,6 +230,7 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     for w in w_grid:
         _check_weight(GreedyConfig(epsilon=0.0, w=w, nu=config.nu,
                                    rows_enabled=not config.single_task), r)
+    _check_c(c_grid)
     s = _default_sparsity(p)
     ns = [n_for_theta(theta_value, s, p, kappa) for theta_value in theta_grid]
     eps = [{c: stopping_threshold(c, s, p, n) for c in c_grid} for n in ns]
@@ -345,8 +347,9 @@ def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=N
     elements ``processes.fork_runs`` may then fit later runs of the w's in
     children, stopped when the generator ends or is closed or dropped; the
     caller's paths, made after the fork, serve those w's from the
-    children's streams.  Given ``child``, a sweep's child whose stream
-    holds this problem's reports next, every point is served from it."""
+    children's streams once each child has fit all of its w's.  Given
+    ``child``, a sweep's child whose stream holds this problem's reports
+    next, every point is served from it."""
     points = _path_grid(eps, w_grid, nu, single_task)
     if not points:
         return
@@ -380,6 +383,13 @@ def _child_reports(path_fits):
             yield from reports
 
 
+def _check_c(c_grid):
+    """Refuse a c of the stopping threshold's grid that is not finite and >= 0."""
+    for c in c_grid:
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"c must be finite and >= 0, got {c}")
+
+
 def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     """Grid search over (c, w) pairs scored by holdout squared error.
 
@@ -406,9 +416,7 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     if holdout_shape != train_shape:
         raise ValueError(f"the holdout problem's (p, r) = {holdout_shape} differs from "
                          f"the training problem's {train_shape}")
-    for c in c_grid:
-        if not 0.0 <= c < math.inf:
-            raise ValueError(f"c must be finite and >= 0, got {c}")
+    _check_c(c_grid)
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}

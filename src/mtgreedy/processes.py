@@ -16,14 +16,14 @@ with them shared against 1.29 s unsplit (1.03 against 1.52 calibrated s),
 winning 7 of 8 alternating pairs of benchmark runs on wall time, seeds 0-7.
 
 ``fork_runs`` cuts independent items (a grid's w's, a sweep's trials) into
-runs and forks a ``_Child`` for each run after the caller's first; the
-caller serves each child's reports from its stream in the serial order,
-each equal to a fresh fit's bit for bit.  A fork copies only the forking
-thread, so a process forks only when no thread but the caller and the
-workers is alive: between shares the workers hold no lock and no array,
-and a forked child forgets them and starts its own.  A child never forks,
-and a process forks only while no child of its own is alive, so the
-processes never outnumber the CPUs.
+runs and forks a ``_Child`` for each later run, which fits its whole run and
+then sends it.  The caller serves the reports in the serial order, each
+equal to a fresh fit's bit for bit; its first from a child waits for that
+child to finish.  A fork copies only the forking thread, so a process forks
+only when no thread but the caller and the workers is alive: between shares
+the workers hold no lock and no array, and a forked child forgets them and
+starts its own.  A child never forks, and a process forks only while no
+child of its own is alive, so the processes never outnumber the CPUs.
 """
 
 import os
@@ -153,10 +153,10 @@ def fork_runs(items, large, reports):
 
 
 class _Child:
-    """A forked process that makes the reports of ``reports``, an iterable
-    the caller has not started, and sends each, in order, through a pipe of
-    which it holds the only write end: once it stops, the caller reads the
-    end of the stream instead of waiting."""
+    """A forked process that makes every report of ``reports``, an iterable
+    the caller has not started, and then sends each, in order, through a
+    pipe of which it holds the only write end: once it stops, the caller
+    reads the end of the stream instead of waiting."""
 
     __slots__ = ("process", "reader")
 
@@ -200,24 +200,14 @@ def stop(children):
 
 
 def _serve(reports, writer):
-    """A child's body: hand each report of ``reports`` to a sender thread,
-    or the exception that stopped them.  A report can outgrow the pipe's
-    buffer, so the child goes on while the sender waits for the caller to
-    read."""
-    outbox = queue.SimpleQueue()
-    sender = threading.Thread(target=_send, args=(outbox, writer), name="mtgreedy-sender")
-    sender.start()
+    """A child's body: make every report of ``reports``, then send each, in
+    order, with the exception that stopped them, if any, last."""
+    items = []
     try:
         for report in reports:
-            outbox.put(report)
+            items.append(report)
     except Exception as exc:        # the caller's fit raises it
-        outbox.put(exc)
-    finally:
-        outbox.put(None)
-        sender.join()
-
-
-def _send(outbox, writer):
-    while (item := outbox.get()) is not None:
+        items.append(exc)
+    for item in items:
         writer.send(item)
     writer.close()

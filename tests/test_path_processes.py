@@ -315,3 +315,17 @@ def test_a_child_never_splits_again(split):
         child.join(30)
         reader.close()
     assert child.exitcode == 0
+
+
+def thread_counts():
+    yield threading.active_count()
+
+
+def test_a_child_makes_and_sends_its_run_on_its_one_thread():
+    """A child starts no thread: it makes its whole run, then sends it from
+    the thread that made it."""
+    child = processes._Child(thread_counts())
+    try:
+        assert child.reader.poll(30) and child.receive() == 1
+    finally:
+        child.stop()

@@ -157,12 +157,12 @@ def test_no_process_splits_while_its_child_runs(monkeypatch):
     assert processes.split(items, True) == [[0], [1], [2], [3], [4]]
 
 
-def refused(w, nu, message, kappa=0.5, noise=1e-2, id=None):
+def refused(w, nu, message, kappa=0.5, noise=1e-2, c=1e-2, id=None):
     """A sweep refused with ``message``, its id the w, nu and message."""
-    return pytest.param(kappa, w, nu, noise, message, id=id or f"{w}-{nu}-{message}")
+    return pytest.param(kappa, w, nu, noise, c, message, id=id or f"{w}-{nu}-{message}")
 
 
-@pytest.mark.parametrize("kappa, w, nu, noise, message", [
+@pytest.mark.parametrize("kappa, w, nu, noise, c, message", [
     refused(3.0, 0.5, "w=3.0 exceeds the task count r=2"),
     refused(0.5, 0.5, "w must be finite and >= 1"),
     refused(math.inf, 0.5, "w must be finite and >= 1"),
@@ -170,15 +170,18 @@ def refused(w, nu, message, kappa=0.5, noise=1e-2, id=None):
     refused(1.5, 0.5, "kappa must lie in", kappa=1.5, id="kappa-1.5"),
     refused(1.5, 0.5, "noise_variance must be finite and >= 0", noise=-1.0, id="noise--1"),
     refused(1.5, 0.5, "noise_variance must be finite and >= 0", noise=math.nan, id="noise-nan"),
+    refused(1.5, 0.5, "c must be finite and >= 0, got -1", c=-1.0, id="c--1"),
+    refused(1.5, 0.5, "c must be finite and >= 0, got nan", c=math.nan, id="c-nan"),
+    refused(1.5, 0.5, "c must be finite and >= 0, got inf", c=math.inf, id="c-inf"),
 ])
 def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, kappa, w, nu,
-                                                       noise, message):
-    """A bad w or nu, and a kappa or noise variance the draws refuse."""
+                                                       noise, c, message):
+    """A bad w, nu or c, and a kappa or noise variance the draws refuse."""
     drawn = []
     monkeypatch.setattr(experiments, "gen_synthetic", lambda spec: drawn.append(spec))
     config = SweepConfig(epsilon_c=1e-4, nu=nu, noise_variance=noise)
     with pytest.raises(ValueError, match=message):
-        sweep_grid(kappa, 48, THETAS, 3, [1e-2], [1.25, w], config, 1)
+        sweep_grid(kappa, 48, THETAS, 3, [c], [1.25, w], config, 1)
     assert drawn == [] and split == []
 
 

@@ -197,9 +197,11 @@ def cmd_diagnose(args):
 
 
 def cmd_digits(args):
-    for c in args.epsilon_c_grid:
-        if not 0.0 <= c < math.inf:
-            raise ValueError(f"--epsilon-c-grid values must be finite and >= 0, got {c}")
+    # refuse a bad c by the flag, before the dataset loads
+    try:
+        experiments._check_c(args.epsilon_c_grid)
+    except ValueError as exc:
+        raise ValueError(f"--epsilon-c-grid: {exc}") from None
     try:
         dataset = digits_mod.load_mfeat(args.data_dir)
     except FileNotFoundError as exc:

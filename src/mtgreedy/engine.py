@@ -42,10 +42,8 @@ synthetic sweeps, problems read from files) share nothing.  Each task still
 does the same floating-point operations as with a basis of its own.
 
 The two full products with a design, each append's X^T q and the fresh
-X^T r after a removal, go through ``linalg.design_product``, which splits
-a large design's columns across the process's CPUs (its docstring gives the
-rule) with the same bits as one ``X.T @ v`` under one BLAS thread per call,
-so no step, pattern or coefficient depends on the split.
+X^T r after a removal, are each one ``X.T @ v`` on the calling thread: a
+fit runs on one core, and only ``processes``' forked children use others.
 
 A move is a few whole-array expressions over B and C, so the backward
 removal costs after a refit and the next forward gains read the same grids.

@@ -15,23 +15,14 @@ X^T q that ``Basis.append`` returns.
 Designs are column-major (``model.design_array``), so the gather X[:, cols]
 of a basis step, and each single column X[:, c], read contiguous memory.
 
-``design_product`` takes the two full products with a design: the X^T q of
-``Basis.append`` and the fresh X^T r a factor takes after a clear, refactor
-or solve.  A column-major design of at least 2 * SPLIT_ELEMENTS elements
-(4 MiB) is cut into min(``processes.CPUS``, X.size // SPLIT_ELEMENTS)
-blocks of columns, with edges on multiples of SPLIT_ALIGN, that
-``processes.share`` computes on the CPUs ``processes`` owns; such a product
-is bound by memory bandwidth, so two cores finish it sooner than one.  Each
-entry is still one column's dot product with v from the same BLAS kernel,
-so the result equals ``X.T @ v`` bit for bit.  Smaller designs, fewer than
-two blocks, another layout or one CPU take ``X.T @ v`` in the caller.
+The two full products with a design, the X^T q of ``Basis.append`` and the
+fresh X^T r a factor takes after a clear, refactor or solve, are each one
+``X.T @ v`` in the caller: a fit runs on one core.
 """
 
 import math
 
 import numpy as np
-
-from . import processes
 
 # Relative cutoff deciding rank in least-squares solves.
 RANK_RTOL = 1e-10
@@ -39,44 +30,6 @@ RANK_RTOL = 1e-10
 # share of its norm counts as dependent, and the factor falls back to
 # solve_least_squares.
 ORTH_RTOL = 1e-8
-# A product X^T v splits into X.size // SPLIT_ELEMENTS blocks, at most one
-# per CPU.  Handing a block to a thread and back costs about 50 us, so below
-# two blocks a split loses: on a 2-core Xeon VM with one BLAS thread, two
-# blocks took 182 us against 113 us whole at 400 x 649, 198 against 218 at
-# 500 x 1000 and 883 against 1248 at 800 x 2000 (medians of 9 runs, each
-# cycling four designs).
-SPLIT_ELEMENTS = 2 ** 18
-# Block edges fall on multiples of this many columns, so every block meets
-# the BLAS kernel's column groups where the whole product does.
-SPLIT_ALIGN = 16
-
-
-def design_product(X, v):
-    """X^T v for an (n, p) design X and a length-n vector v.
-
-    A large column-major X is split by columns across the process's CPUs
-    when BLAS is pinned to one thread, and the result equals ``X.T @ v`` bit
-    for bit (see the module docstring).  An exception raised by any block is
-    raised here.
-    """
-    if X.size < 2 * SPLIT_ELEMENTS or processes.CPUS < 2 or not X.flags.f_contiguous:
-        return X.T @ v
-    p = X.shape[1]
-    blocks = min(processes.CPUS, X.size // SPLIT_ELEMENTS)
-    step = -(-p // (SPLIT_ALIGN * blocks)) * SPLIT_ALIGN
-    # No block is a single column: numpy takes that product as a dot, whose
-    # rounding differs from the matrix-vector kernel's.
-    edges = [*range(0, p - 1, step), p]
-    if len(edges) < 3:
-        return X.T @ v
-    out = np.empty(p, dtype=np.result_type(X, v))
-    processes.share(_block, [(X, a, b, v, out) for a, b in zip(edges, edges[1:])])
-    return out
-
-
-def _block(X, a, b, v, out):
-    """Write columns a:b of X^T v into ``out``."""
-    np.matmul(X[:, a:b].T, v, out=out[a:b])
 
 
 def solve_least_squares(A, b):
@@ -146,7 +99,7 @@ class Basis:
         rinv[:k, :k] = self.rinv
         rinv[:k, k] = self.rinv @ d / -rho
         rinv[k, k] = 1.0 / rho
-        return Basis(X, self.cols + [c], rinv), q, design_product(X, q)
+        return Basis(X, self.cols + [c], rinv), q, X.T @ q
 
     def refactor(self, cols):
         """(basis of ``cols`` factored afresh by a QR, its Q), or None when
@@ -221,7 +174,7 @@ class LeastSquaresFactor:
         self.residual = residual
         self.loss = float(residual @ residual) / (2.0 * self.n)
         if shift is None:
-            self.correlation[:] = design_product(self.basis.X, residual)
+            self.correlation[:] = self.basis.X.T @ residual
         else:
             self.correlation -= shift
 

@@ -363,7 +363,7 @@ class TestDigitsCommand:
         naming the threshold derived from it."""
         assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
                     "--seed", "1", "--epsilon-c-grid", value]) == 2
-        assert "--epsilon-c-grid values must be finite and >= 0" in capsys.readouterr().err
+        assert "--epsilon-c-grid: c must be finite and >= 0" in capsys.readouterr().err
 
     def test_single_trial_report(self, mfeat_dir, tmp_path, capsys):
         out = tmp_path / "digits.json"

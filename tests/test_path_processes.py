@@ -9,7 +9,7 @@ The split needs BLAS pinned, two CPUs and a large problem; the ``split``
 fixture of ``conftest`` patches those conditions so the small problems here
 split, and every test asserts that a child was started.  The CLI test in
 ``test_cli`` runs the split with the real guard, in a fresh interpreter, and
-so does the test here of a process whose product threads have started.
+so does the test here of a process that has made a large fit.
 """
 
 import math
@@ -146,6 +146,37 @@ def test_the_runs_never_outnumber_the_cpus_or_the_ws(monkeypatch, cpus):
         assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PINNED = dict.fromkeys(BLAS_VARS, "1")
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+def run_fresh(code, blas):
+    """What ``code`` prints in a fresh interpreter that imports the package
+    from the source tree, with the BLAS thread variables set as in ``blas``
+    and unset where it has none."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("blas, cpus", [
+    (PINNED, USABLE_CPUS),
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+], ids=["pinned", "unset", "one-variable-above-1"])
+def test_cpus_counts_the_usable_cpus_only_with_blas_pinned(blas, cpus):
+    """``processes.CPUS`` as a fresh interpreter reads it at import."""
+    code = "from mtgreedy import processes; print(processes.CPUS)"
+    assert run_fresh(code, blas) == f"{cpus}\n"
+
+
 class Planned(Exception):
     """Stops a grid search once its plan is taken, before any child starts."""
 
@@ -170,7 +201,6 @@ def test_a_path_splits_only_when_every_condition_holds(monkeypatch):
     elements = sum(t.n for t in problem.tasks) * problem.p
     ws = [1.0, 1.5, 2.0]
     monkeypatch.setattr(processes, "CPUS", 64)
-    monkeypatch.setattr(processes, "_workers", [])
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", elements)
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     assert plan_of(monkeypatch, problem, ws) == [[1.0], [1.5], [2.0]]
@@ -183,24 +213,21 @@ def test_a_path_splits_only_when_every_condition_holds(monkeypatch):
     monkeypatch.setattr(processes, "CPUS", 64)
     monkeypatch.setattr(threading, "active_count", lambda: 2)
     assert plan_of(monkeypatch, problem, ws) == [ws]
-    # a started product worker is no other thread
-    monkeypatch.setattr(processes, "_workers", [None])
-    assert plan_of(monkeypatch, problem, ws) == [[1.0], [1.5], [2.0]]
 
 
-# Makes a split product, then a grid search of three w's with the real
-# guard and the size rule at 0; prints the live threads before the search
-# and the children it started.
-PRODUCT_THEN_GRID = textwrap.dedent("""
+# Fits a problem whose design is over 4 MiB, then runs a grid search of three
+# w's with the real guard and the size rule at 0; prints the live threads
+# after the fit and the children the search started.
+FIT_THEN_GRID = textwrap.dedent("""
     import threading
-    import numpy as np
-    from mtgreedy import SynthSpec, experiments, gen_synthetic, linalg, processes
+    from mtgreedy import GreedyConfig, SynthSpec, experiments, fit, gen_synthetic, processes
 
     processes.CPUS = 2
     experiments.FORK_ELEMENTS = 0
-    rng = np.random.default_rng(0)
-    linalg.design_product(np.asfortranarray(rng.standard_normal((800, 2000))),
-                          rng.standard_normal(800))
+    large, _ = gen_synthetic(SynthSpec(p=1100, n=480, r=2, kappa=0.5,
+                                       noise_variance=1e-4, seed=3))
+    assert large.tasks[0].X.nbytes >= 4 * 2 ** 20
+    fit(large, GreedyConfig(epsilon=1e-3, w=1.5, nu=0.5))
     started = []
     start = processes._Child.__init__
 
@@ -210,23 +237,17 @@ PRODUCT_THEN_GRID = textwrap.dedent("""
 
     processes._Child.__init__ = counted
     problem, _ = gen_synthetic(SynthSpec(p=40, n=30, r=2, kappa=0.5, seed=2))
-    print(threading.active_count(), len(processes._workers))
+    print(threading.active_count())
     list(experiments._path_fits(problem, {1.0: 1e-2, 0.0: 1e-9}, (1.0, 1.5, 2.0), 0.5))
     print(len(started))
 """)
 
 
-def test_a_process_that_made_a_split_product_still_splits_its_grids():
-    """``design_product``'s idle workers do not turn the split off."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", PRODUCT_THEN_GRID], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    threads, started = out.stdout.split("\n")[:2]
-    assert threads == "2 1" and started == "1"
+def test_a_process_that_made_a_large_fit_starts_no_thread_and_still_splits():
+    """A pinned fit on two CPUs runs on the calling thread alone, so the
+    process's later grid search forks."""
+    threads, started = run_fresh(FIT_THEN_GRID, PINNED).split("\n")[:2]
+    assert threads == "1" and started == "1"
 
 
 def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):

@@ -89,21 +89,20 @@ def test_the_engine_imports_nothing_that_forks_or_starts_threads():
 
 
 def test_processes_alone_owns_the_other_cpus():
-    """``processes`` owns the CPU budget, the product workers and the
-    children: ``linalg`` imports none of the standard modules that read the
-    CPUs, fork or start threads, and ``processes`` reads no private name of
-    another package module, by attribute or by import.  The product workers
-    are its only threads: it constructs ``threading.Thread`` in ``_started``
-    alone, so a forked child sends its reports from its one thread."""
-    assert imports_of("linalg") & {"os", "queue", "threading", "multiprocessing"} == set()
+    """``processes`` owns the CPU budget and the children: ``linalg``
+    imports neither it nor any standard module that reads the CPUs, forks or
+    starts threads, and ``processes`` reads no private name of another
+    package module, by attribute or by import.  ``processes`` starts no
+    thread either, so a fit runs on the calling thread alone and a forked
+    child sends its reports from its one thread."""
+    assert imports_of("linalg") & {
+        "os", "queue", "threading", "multiprocessing", "processes"} == set()
     package = ROOT / "src" / "mtgreedy"
     modules = {path.stem for path in package.glob("*.py")} - {"processes"}
     tree = ast.parse((package / "processes.py").read_text())
-    threads = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
-               and ast.unparse(node.func) in {"threading.Thread", "Thread"}}
-    (started,) = [node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_started"]
-    assert threads and threads <= set(ast.walk(started))
+    threads = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) in {"threading.Thread", "Thread"}]
+    assert threads == []
     private = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)

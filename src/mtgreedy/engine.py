@@ -54,14 +54,16 @@ sorted order, and a row beats a singleton of equal value.
 
 Epsilon enters a fit only at its forward gate, so for one problem and one
 config up to epsilon, the fit at a larger epsilon is a step-by-step prefix
-of the fit at a smaller one.  A ``FitPath`` holds the live state of the
-fits of one problem over a grid of (epsilon, w) points, each w's epsilons
-never rising, and serves the points in the order the grid gives: each
-``fit`` on it returns the next point's report, the same as a fresh fit's.
-A grid path is one epsilon-continued fit per w: each w has numeric state
-of its own, made at beta = 0, which goes on down that w's epsilons and is
-dropped after its last point.  The w's share nothing, though fits at
-different w often make the same moves for a while (in the digit grid
+of the fit at a smaller one.  A ``FitPath`` is the live state of one such
+fit, one w's, made at beta = 0 and served over that w's epsilons, never
+rising: each ``fit`` on it returns the next point's report, the same as a
+fresh fit's.  A fresh fit is the path of a one-point grid.
+``experiments._path_fits`` alone fits longer grids and owns their w's: it
+groups a grid by w (``grid_by_w``), makes each w's paths at its first point
+(one per problem, or per task for the per-task baseline), drops them after
+its last, and shares a large grid's w's out over forked children, for
+``cross_validate`` and ``sweep_grid``.  The w's share nothing, though fits
+at different w often make the same moves for a while (in the digit grid
 search, w = 1.25 retraces w = 1), so each such move is refit once per w.
 Sharing such moves would refit each once, but it needs a copy of the state
 wherever the w's part and per-w bookkeeping on every move, one-w fits
@@ -71,11 +73,7 @@ more often (seeds 0-2).  In-process on a 2-core VM, an operation of that
 workload (the grid search and the final fit) took 1.2 times as long fit
 serially and 1.15 times as long with the w's split over two processes
 (``processes``): medians of 6 alternating process pairs of 6 operations
-each, seeds 0-5.  A fresh fit is the path of a one-point grid.
-``experiments._path_fits`` alone fits longer grids, one path per problem
-(and task, for the per-task baseline), w by w from the largest threshold
-down, for ``cross_validate`` and ``sweep_grid``, and shares a large grid's
-w's out over forked children.
+each, seeds 0-5.
 """
 
 import math
@@ -314,32 +312,6 @@ class SupportState:
         return SupportPattern(singletons=frozenset(self.singles), rows=frozenset(self.rows))
 
 
-class _WFit:
-    """One w's fit on a ``FitPath``, a fresh fit continued down its epsilons.
-
-    ``todo`` holds the w's grid points not yet served, in grid order.  The
-    fit's numeric state is the ``SupportState``, the B and C grids ``beta``
-    and ``correlations`` with the ``factors`` that own each task's column of
-    them, and ``forward_taken``, the count of forward steps taken.
-    ``ledger`` holds the (reward, step index) of every forward step not yet
-    matched by a removal and ``steps`` the step records.
-    """
-
-    __slots__ = ("todo", "state", "beta", "correlations", "factors", "forward_taken",
-                 "ledger", "steps")
-
-    def __init__(self, problem, todo, designs):
-        p, r = problem.p, problem.r
-        self.todo = todo
-        self.state = SupportState(todo[0], p, r)
-        self.beta, self.correlations = np.zeros((p, r)), np.empty((p, r))
-        self.factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y, self.beta[:, j],
-                                           self.correlations[:, j])
-                        for j, t in enumerate(problem.tasks)]
-        self.forward_taken = 0
-        self.ledger, self.steps = [], []
-
-
 def grid_by_w(grid, r):
     """Each distinct w's points of ``grid``, in grid order, for a problem
     of ``r`` tasks.  ValueError refuses an empty grid, configs that differ
@@ -361,40 +333,40 @@ def grid_by_w(grid, r):
 
 
 class FitPath:
-    """The live state of the greedy fits of one problem over a grid, which
-    ``fit`` serves one point at a time.
+    """One w's greedy fit of one problem, continued down that w's epsilons,
+    which ``fit`` serves one point at a time.
 
-    ``grid`` is a non-empty sequence of ``GreedyConfig``s that differ only
-    in (epsilon, w), in which no w's epsilons rise (``grid_by_w``).  The
-    path serves its points in that order, each to one ``fit``, which must
-    name the point.
+    ``points`` is a non-empty sequence of ``GreedyConfig``s that differ only
+    in epsilon, which never rises (``grid_by_w``); points of two w's are
+    refused.  The path serves its points in that order, each to one
+    ``fit``, which must name the point.  Its numeric state is made at
+    beta = 0: the ``SupportState``, the B and C grids ``beta`` and
+    ``correlations`` with the ``factors`` that own each task's column of
+    them, and ``forward_taken``, the count of forward steps taken.
+    ``ledger`` holds the (reward, step index) of every forward step not yet
+    matched by a removal and ``steps`` the step records.  Each ``fit`` goes
+    on from where the previous point stopped, exactly as a fresh fit at the
+    smaller epsilon would.  The path also holds its ``points``, the count
+    ``served`` of those fit, the ``Scales`` and the loss at beta = 0.
 
-    A grid path is one epsilon-continued fit per distinct w.  Each w it
-    fits is a ``_WFit`` of its own, made at beta = 0 with the path; its
-    ``fit``s go on from where its previous point stopped, exactly as a
-    fresh fit at the smaller epsilon would, and the path drops it once its
-    last point is served.  No state is shared between w's, so a move that
-    several w's make alike is refit once per w; the module docstring gives
-    what that costs a digit-shaped grid search.  The path holds its
-    ``points``, the count ``served`` of those fit, its live ``fits`` by w,
-    the ``Scales`` and the loss at beta = 0.  No ``_WFit`` refers back to
-    the path, so a dropped path is freed at once.
-
-    ``remote`` maps some w's to a stream, an object whose ``receive()``
-    returns its next report, that holds those w's reports next in grid
-    order; ``fit`` serves each of their points from it, and the path makes
-    no ``_WFit`` for them.
+    ``remote`` is None or a stream, an object whose ``receive()`` returns
+    its next report, that holds the path's reports next in order; ``fit``
+    then serves every point from it, and the path keeps only its points and
+    its loss at beta = 0.
     """
 
-    def __init__(self, problem, grid, remote=None):
-        self.points = tuple(grid)
-        todo = grid_by_w(self.points, problem.r)
+    def __init__(self, problem, points, remote=None):
+        self.points = tuple(points)
+        if len(grid_by_w(self.points, problem.r)) > 1:
+            raise ValueError("a path's points span more than one w")
         self.served = 0
         self.problem = problem
         self.zero_loss = sum(float(t.y @ t.y) / (2.0 * t.n) for t in problem.tasks)
-        self.remote = remote or {}
-        self.nu = self.points[0].nu
-        self.cap = self.points[0].step_cap(problem.p, problem.r)
+        self.remote = remote
+        if remote is not None:
+            return
+        p, r = problem.p, problem.r
+        self.cap = self.points[0].step_cap(p, r)
         # one empty basis and one set of column norms per design object;
         # designs are told apart by identity, not compared by value
         designs = {}
@@ -405,25 +377,27 @@ class FitPath:
         two_n = np.array([2.0 * t.n for t in problem.tasks])
         self.scales = Scales(colsq, two_n, np.where(colsq > 0.0, two_n * colsq, np.inf))
         self.slack = COMPARISON_TOLERANCE * self.zero_loss
-        self.fits = {w: _WFit(problem, points, designs)
-                     for w, points in todo.items() if w not in self.remote}
+        self.state = SupportState(self.points[0], p, r)
+        self.beta, self.correlations = np.zeros((p, r)), np.empty((p, r))
+        self.factors = [LeastSquaresFactor(designs[id(t.X)][0], t.y, self.beta[:, j],
+                                           self.correlations[:, j])
+                        for j, t in enumerate(problem.tasks)]
+        self.forward_taken = 0
+        self.ledger, self.steps = [], []
 
-    def _advance(self, w):
-        """Go on with ``w``'s fit until its next point's forward gate stops
-        it, and return the report made there; the w's fit is dropped once
-        its last point is served.
+    def _advance(self, config):
+        """Go on with the fit until ``config``'s forward gate stops it, and
+        return the report made there.
 
         Each forward step adds the best candidate and then removes while the
         cheapest removal costs at most nu times the most recent recorded
         reward.
         """
-        wfit = self.fits[w]
-        config = wfit.todo.pop(0)
         problem, scales, gate = self.problem, self.scales, config.epsilon + self.slack
-        beta, correlations = wfit.beta, wfit.correlations
-        singles, rows = wfit.state.singles, wfit.state.rows
+        beta, correlations = self.beta, self.correlations
+        singles, rows = self.state.singles, self.state.rows
         while True:
-            if wfit.forward_taken >= self.cap:
+            if self.forward_taken >= self.cap:
                 termination, pick = "max-steps", None
             else:
                 termination = "gain-below-threshold"
@@ -431,40 +405,38 @@ class FitPath:
                                      gain_matrix(problem, correlations, scales))
             if pick is None or pick.value <= gate:
                 break
-            self._move(wfit, "forward", pick)
-            while wfit.ledger and (singles or rows):
+            self._move("forward", pick)
+            while self.ledger and (singles or rows):
                 back = _worst_backward(problem, beta, singles, rows, config,
                                        correlations, scales)
-                if not back.value <= self.nu * wfit.ledger[-1][0]:
+                if not back.value <= config.nu * self.ledger[-1][0]:
                     break
-                self._move(wfit, "backward", back)
-        if not wfit.todo:
-            del self.fits[w]
+                self._move("backward", back)
         return FitReport(
             coefficients=beta.copy(),
-            pattern=wfit.state.pattern(),
-            final_loss=sum(f.loss for f in wfit.factors),
-            steps=tuple(wfit.steps),
+            pattern=self.state.pattern(),
+            final_loss=sum(f.loss for f in self.factors),
+            steps=tuple(self.steps),
             termination=termination,
         )
 
-    def _move(self, wfit, kind, pick):
+    def _move(self, kind, pick):
         """Add the picked object and push its reward on the ledger
         ("forward"), or remove it and pop the ledger ("backward"); then
         refit and record the step."""
         promoted, popped = None, (None, None)
         if kind == "forward":
-            wfit.forward_taken += 1
-            promoted = wfit.state.add(pick.kind, pick.index)
-            wfit.ledger.append((pick.value, len(wfit.steps)))
+            self.forward_taken += 1
+            promoted = self.state.add(pick.kind, pick.index)
+            self.ledger.append((pick.value, len(self.steps)))
         else:
-            wfit.state.remove(pick.kind, pick.index)
-            popped = wfit.ledger.pop()
-        refit(self.problem, wfit.state, wfit.factors)
-        wfit.steps.append(StepRecord(
+            self.state.remove(pick.kind, pick.index)
+            popped = self.ledger.pop()
+        refit(self.problem, self.state, self.factors)
+        self.steps.append(StepRecord(
             kind=kind, object_kind=pick.kind, index=pick.index,
-            reward_or_cost=pick.value, loss_after=sum(f.loss for f in wfit.factors),
-            ledger_depth=len(wfit.ledger), popped_reward=popped[0],
+            reward_or_cost=pick.value, loss_after=sum(f.loss for f in self.factors),
+            ledger_depth=len(self.ledger), popped_reward=popped[0],
             popped_step=popped[1], promoted_row=promoted))
 
 
@@ -481,13 +453,12 @@ def fit(problem, config, path=None):
     choice are independent of it.  So for one problem and a config fixed up
     to epsilon, the fit at a larger epsilon is exactly a prefix of the fit
     at a smaller one: it ends at the first forward candidate the larger
-    gate stops.  Without a path the fit is that of the one-point grid
+    gate stops.  Without a path the fit is that of the one-point path
     ``FitPath(problem, [config])``.  Given a ``FitPath``, ``problem`` must
-    be the path's own problem object and ``config`` the path's next grid
-    point, or ValueError is raised; the fit then goes on at the config's w
-    from where the path's previous fit at that w stopped, and the report
-    equals that of a fresh fit bit for bit; a point of a w the path holds
-    as remote is served from that w's stream instead.  The report's
+    be the path's own problem object and ``config`` the path's next point,
+    or ValueError is raised; the fit then goes on from where the path's
+    previous fit stopped, and the report equals that of a fresh fit bit for
+    bit; a remote path serves it from its stream instead.  The report's
     coefficients are a copy, since the path goes on writing its B grid in
     place.
     """
@@ -500,9 +471,9 @@ def fit(problem, config, path=None):
             or config != points[path.served]):
         raise ValueError("a path fits its own problem object at its next grid point only")
     path.served += 1
-    if config.w in path.remote:
-        return path.remote[config.w].receive()
-    return path._advance(config.w)
+    if path.remote is not None:
+        return path.remote.receive()
+    return path._advance(config)
 
 
 def check_step_records(report, config, initial_loss):

@@ -10,10 +10,11 @@ different overlap levels kappa on a common axis.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
-from .engine import FitPath, _check_weight, check_step_records, fit, grid_by_w
+from .engine import FitPath, check_step_records, fit, grid_by_w
 from .model import GreedyConfig, MultiTaskProblem, residuals
 from .processes import fork_runs, stop
 
@@ -207,7 +208,8 @@ class SweepRow:
 def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed):
     """``run_sweep`` at each (c, w) of a grid, the rest of ``config`` kept:
     {(c, w): [SweepRow, ...]}, c-major.  Each trial's problem is drawn once
-    and fit along ``_path_fits``'s paths.  A w, nu or c that the fits
+    and fit along ``_path_fits``'s paths, one per w (per task, once for
+    every w, for the baseline).  An empty grid, a w, nu or c that the fits
     refuse, and a kappa or noise variance that ``SynthSpec`` refuses, are
     refused before any problem is drawn or child forked.
 
@@ -227,9 +229,9 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     if trials < 1:
         raise ValueError("need trials >= 1")
     r = 2
-    for w in w_grid:
-        _check_weight(GreedyConfig(epsilon=0.0, w=w, nu=config.nu,
-                                   rows_enabled=not config.single_task), r)
+    # the reports of one trial: a point of ``_path_grid`` on each of its paths
+    grid = _path_grid(dict.fromkeys(c_grid, 0.0), w_grid, config.nu, config.single_task)
+    grid_by_w([point for _, point in grid], r)
     _check_c(c_grid)
     s = _default_sparsity(p)
     ns = [n_for_theta(theta_value, s, p, kappa) for theta_value in theta_grid]
@@ -241,8 +243,6 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
         return gen_synthetic(replace(specs[t_idx],
                                      seed=trial_seed(master_seed, kappa, t_idx, trial)))
 
-    # the reports of one trial: a point of ``_path_grid`` on each of its paths
-    grid = _path_grid(dict.fromkeys(c_grid, 0.0), w_grid, config.nu, config.single_task)
     fits = len(grid) * (r if config.single_task else 1)
     items = [(t_idx, trial) for t_idx in range(len(theta_grid)) for trial in range(trials)]
     out = {(c, w): [] for c in c_grid for w in w_grid}
@@ -326,51 +326,57 @@ def crossing_se(rows):
 
 def _path_grid(eps, w_grid, nu, single_task):
     """(c, config) at each point ``_path_fits`` fits, with ``eps`` mapping c
-    to epsilon: w by w, each w from the largest c down; the per-task
-    baseline fits its first w only, since a rows-off fit never reads w."""
-    ws = list(dict.fromkeys(w_grid))
-    return [(c, GreedyConfig(epsilon=eps[c], w=w, nu=nu, rows_enabled=not single_task))
-            for w in (ws[:1] if single_task else ws) for c in sorted(eps, reverse=True)]
+    to epsilon: w by w, each w from the largest c down.  The per-task
+    baseline fits its first w only, since a rows-off fit never reads w, but
+    every w must make a config."""
+    configs = [GreedyConfig(epsilon=0.0, w=w, nu=nu, rows_enabled=not single_task)
+               for w in dict.fromkeys(w_grid)]
+    return [(c, replace(config, epsilon=eps[c]))
+            for config in (configs[:1] if single_task else configs)
+            for c in sorted(eps, reverse=True)]
 
 
 def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=None):
     """Yield (c, ws, reports) once per fitted point, with ``eps`` mapping c
     to epsilon and ``ws`` the distinct w's the point stands for: the
     reports of fresh fits, each checked once if ``check``.  The one place a
-    grid of more than one point is fit.  The joint fit is one ``FitPath``
-    on ``problem`` over ``_path_grid``, one epsilon-continued fit per w (the
-    ``engine`` docstring gives what that costs); ``fit`` is called once per
-    point in that order, and each point stands for its own w.  The per-task
-    baseline is one rows-off path per task alone, made once for every w:
-    each of its points stands for every w.  A grid the paths refuse is
-    refused before any fork.  On a problem of at least FORK_ELEMENTS design
-    elements ``processes.fork_runs`` may then fit later runs of the w's in
-    children, stopped when the generator ends or is closed or dropped; the
-    caller's paths, made after the fork, serve those w's from the
-    children's streams once each child has fit all of its w's.  Given
+    grid of more than one point is fit, and the one owner of its w's: the
+    points of ``_path_grid``, w by w, grouped by ``grid_by_w``.  Each w's
+    joint fit is one ``FitPath`` on ``problem``, made at the w's first
+    point and dropped after its last, so at most one w's paths are alive
+    (the ``engine`` docstring gives what fitting each w apart costs);
+    ``fit`` is called once per point in that order, and each point stands
+    for its own w.  The per-task baseline fits its first w only, one
+    rows-off path per task alone: each of its points stands for every w.
+    A grid the paths refuse is refused before any fork.  On a problem of at
+    least FORK_ELEMENTS design elements ``processes.fork_runs`` may then fit
+    later runs of the w's in children, stopped when the generator ends or
+    is closed or dropped; the caller's paths for those w's serve them from
+    the children's streams once each child has fit all of its w's.  Given
     ``child``, a sweep's child whose stream holds this problem's reports
     next, every point is served from it."""
     points = _path_grid(eps, w_grid, nu, single_task)
     if not points:
         return
-    grid = [config for _, config in points]
-    ws = list(grid_by_w(grid, problem.r))
+    by_w = grid_by_w([config for _, config in points], problem.r)
     tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
     if child is not None:
-        remote, children = dict.fromkeys(ws, child), []
+        remote, children = dict.fromkeys(by_w, child), []
     else:
         remote, children = fork_runs(
-            ws, sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS,
+            list(by_w), sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS,
             lambda run: _child_reports([_path_fits(problem, eps, run, nu, single_task)]))
     every_w = tuple(dict.fromkeys(w_grid))
     try:
-        paths = [FitPath(task, grid, remote) for task in tasks]
-        for c, config in points:
-            reports = [fit(path.problem, config, path) for path in paths]
-            if check:
-                for report, path in zip(reports, paths):
-                    check_step_records(report, config, path.zero_loss)
-            yield c, every_w if single_task else (config.w,), reports
+        for w, run in groupby(points, key=lambda point: point[1].w):
+            paths = [FitPath(task, by_w[w], remote.get(w)) for task in tasks]
+            for c, config in run:
+                reports = [fit(path.problem, config, path) for path in paths]
+                if check:
+                    for j, report in enumerate(reports):
+                        check_step_records(report, config, paths[j].zero_loss)
+                yield c, every_w if single_task else (w,), reports
+            del paths       # freed before the next w's are made
     finally:
         stop(children)
 
@@ -395,9 +401,9 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
 
     The stopping threshold is c * s_hint * log(p) / n, each c finite and
     >= 0, with n the average training sample count.  ``_path_fits`` fits
-    and checks the grid on one ``FitPath``, one epsilon-continued fit per w,
-    w by w from the largest c down; a move that several w make alike is
-    refit once per w (the ``engine`` docstring gives what that costs).  The
+    and checks the grid on one ``FitPath`` per w, each an epsilon-continued
+    fit from the largest c down; a move that several w make alike is refit
+    once per w (the ``engine`` docstring gives what that costs).  The
     rows list the grid in the caller's (c, w) order, and ties keep the first
     point in that order: the smallest c, then the smallest w, on ascending
     grids.  Returns

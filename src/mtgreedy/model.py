@@ -72,9 +72,14 @@ class MultiTaskProblem:
         """A problem with task j on (designs[j], responses[j]).
 
         Each distinct design object is made column-major (``design_array``)
-        once, so tasks passed the same array still hold one array.
+        once, so tasks passed the same array still hold one array.  No
+        designs, or a response count other than the design count, is
+        refused.
         """
-        designs = list(designs)       # alive, so no id is reused below
+        designs, responses = list(designs), list(responses)   # alive, so no id is reused
+        if not designs or len(responses) != len(designs):
+            raise ValueError(f"need one response per design and at least one task, got "
+                             f"{len(designs)} designs and {len(responses)} responses")
         made = {}
         for X in designs:
             if id(X) not in made:

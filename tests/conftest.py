@@ -167,9 +167,9 @@ def stalled_children(monkeypatch):
     nothing sent, whenever the test acts on it."""
     advance = FitPath._advance
 
-    def stalled(path, w):
+    def stalled(path, config):
         if multiprocessing.parent_process() is not None:
             time.sleep(60)
-        return advance(path, w)
+        return advance(path, config)
 
     monkeypatch.setattr(FitPath, "_advance", stalled)

@@ -5,8 +5,8 @@ of its arguments by position: ``gain_matrix``'s problem (argument 0),
 ``_worst_backward``'s singles and rows (arguments 2 and 3) and ``refit``'s
 problem and pattern (arguments 0 and 1).  A renamed or re-signed engine
 function would turn a layer "absent", or its counts wrong, without any
-benchmark run failing; this test installs the tracer over one small grid
-path instead.
+benchmark run failing; this test installs the tracer over the paths of a
+small grid instead, one path per w.
 """
 
 import importlib.util
@@ -37,9 +37,10 @@ def test_every_layer_resolves_and_counts_on_a_grid_path():
     tracer.install()
     try:
         tracer.active = True
-        path = engine.FitPath(problem, grid)
+        paths = {w: engine.FitPath(problem, [config for config in grid if config.w == w])
+                 for w in (1.25, 2.0)}
         # through the module, where the tracer binds its probe
-        reports = [engine.fit(problem, config, path) for config in grid]
+        reports = [engine.fit(problem, config, paths[config.w]) for config in grid]
     finally:
         tracer.active = False
         tracer.uninstall()

@@ -218,9 +218,9 @@ def assert_bookkeeping(state, p, r):
 
 
 def start(problem, config):
-    """The one w's fit of a fresh one-point ``FitPath``: its support state,
-    its B and C grids and the factors that own their columns."""
-    return FitPath(problem, [config]).fits[config.w]
+    """A fresh one-point ``FitPath``, whose support state, B and C grids and
+    factors that own their columns a test moves."""
+    return FitPath(problem, [config])
 
 
 def run_moves(problem, moves):

@@ -78,6 +78,13 @@ def test_problem_validation():
         MultiTaskProblem.from_arrays([np.array([[np.nan, 0.0]])], [np.ones(1)])
 
 
+@pytest.mark.parametrize("designs, responses", [(3, 2), (2, 3), (0, 0)])
+def test_from_arrays_refuses_unpaired_or_no_tasks(designs, responses):
+    """``zip`` would drop the unpaired tasks, and no task has no p."""
+    with pytest.raises(ValueError, match=f"got {designs} designs and {responses} responses"):
+        MultiTaskProblem.from_arrays([np.eye(2)] * designs, [np.ones(2)] * responses)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"epsilon": -1.0},
     {"epsilon": 0.1, "nu": 0.0},

@@ -2,19 +2,21 @@
 
 Epsilon enters ``fit`` only at its forward gate, so the fit at a larger
 epsilon is a prefix of the fit at a smaller one.  An ``engine.FitPath``
-serves its grid in the order given, no w's epsilons rising, and
-``fit(problem, config, path)`` takes the path's next point only; every
-report must equal a fresh fit bit for bit, and the reports a path hands
-out must not move when it goes on.  Each w of a grid is a fit of its
-own, continued down that w's epsilons, and the reports must be the same in
-any interleaving of the w's.  ``cross_validate`` and ``sweep_grid`` run their grid as one path per
-problem (the per-task baseline runs one path per task for the whole w
-grid), one ``fit`` per point, and must give the results of the loop that
-fits every (c, w) point afresh, without keeping more state alive than the
-largest single fit; both check each report's trace once, when it is made.
+is one w's fit, which serves that w's points in the order given, its
+epsilons never rising, and ``fit(problem, config, path)`` takes the path's
+next point only; every report must equal a fresh fit bit for bit, and the
+reports a path hands out must not move when it goes on.  The paths of
+several w's share nothing, so the reports must be the same in any
+interleaving of the w's.  ``cross_validate`` and ``sweep_grid`` run their
+grid through ``_path_fits``, one path per w and problem (the per-task
+baseline runs one path per task for the whole w grid), one ``fit`` per
+point, and must give the results of the loop that fits every (c, w) point
+afresh, without keeping more state alive than the largest single fit; both
+check each report's trace once, when it is made.
 """
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -31,15 +33,16 @@ from mtgreedy import (
     loss,
     verify_trace,
 )
-from mtgreedy.model import FitReport, StepRecord
 from mtgreedy import experiments
 from mtgreedy.digits import (
     C_GRID as C_GRID_DIGITS, W_GRID as W_GRID_DIGITS, DigitDataset, build_tasks,
     split_for_validation)
-from mtgreedy.engine import FitPath, SupportState, _WFit, promotion_count
+from mtgreedy.engine import FitPath, SupportState, promotion_count
 from mtgreedy.linalg import Basis
 from mtgreedy.experiments import (
     SweepConfig, _path_fits, run_sweep, stopping_threshold, sweep_grid)
+
+from golden_corpus import cases
 
 C_GRID = (10.0, 1.0, 1e-1, 1e-2, 1e-3, 1e-4, 0.0)
 
@@ -142,7 +145,7 @@ class TestGuards:
     only; a refused call leaves the path where it was.  The one-point path
     is the one a fit without a path makes."""
 
-    GRID = [GreedyConfig(epsilon=eps, w=w) for w in (1.5, 2.0) for eps in (1e-2, 1e-3)]
+    GRID = [GreedyConfig(epsilon=eps, w=1.5) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
 
     def test_rejects_another_problem_object(self):
         problem = synthetic_problem()
@@ -209,16 +212,24 @@ class TestGuards:
                                           GreedyConfig(epsilon=1e-3, nu=0.25)])
 
     def test_a_grid_is_not_empty_and_no_ws_epsilons_rise(self):
-        """Repeated epsilons and interleaved w's are a grid."""
+        """Repeated epsilons are a grid."""
         problem = synthetic_problem()
         with pytest.raises(ValueError, match="empty"):
             FitPath(problem, [])
-        with pytest.raises(ValueError, match="epsilons rise at w=2.0"):
+        with pytest.raises(ValueError, match="epsilons rise at w=1.5"):
             FitPath(problem, self.GRID[:3] + [replace(self.GRID[2], epsilon=2e-2)])
-        grid = [self.GRID[2], self.GRID[0], self.GRID[0], self.GRID[3], self.GRID[1]]
+        grid = [self.GRID[0], self.GRID[0], self.GRID[1], self.GRID[3], self.GRID[3]]
         path = FitPath(problem, grid)
         for config in grid:
             assert_same_report(fit(problem, config, path), fit(problem, config))
+
+    def test_a_path_refuses_points_of_two_ws(self):
+        """Interleaved or not, and also when each w alone is a grid."""
+        problem = synthetic_problem()
+        other = [replace(config, w=2.0) for config in self.GRID]
+        for grid in (self.GRID[:2] + other[:2], [self.GRID[0], other[0], self.GRID[1]]):
+            with pytest.raises(ValueError, match="more than one w"):
+                FitPath(problem, grid)
 
 
 @st.composite
@@ -247,11 +258,10 @@ def test_paths_on_degenerate_problems_equal_fresh_fits(problem, grid, w):
 
 
 def fit_grid(problem, eps_grid, w_grid, order):
-    """Fit every (epsilon, w) of a grid on one ``FitPath`` whose grid
-    interleaves the w's as ``order`` lists them, each w's epsilons
+    """Fit every (epsilon, w) of a grid on one ``FitPath`` per w, the fits
+    interleaving the w's as ``order`` lists them, each w's epsilons
     descending; each report is checked against a fresh fit, also after the
-    whole grid is fit, so the path must not write into a report it handed
-    out."""
+    whole grid is fit, so no path may write into a report it handed out."""
     eps_grid = sorted(eps_grid, reverse=True)
     done = dict.fromkeys(w_grid, 0)
     grid = []
@@ -259,10 +269,10 @@ def fit_grid(problem, eps_grid, w_grid, order):
         grid.append(GreedyConfig(epsilon=eps_grid[done[w]], w=w))
         done[w] += 1
     assert all(count == len(eps_grid) for count in done.values())
-    path = FitPath(problem, grid)
+    paths = {w: FitPath(problem, [config for config in grid if config.w == w]) for w in done}
     pairs = []
     for config in grid:
-        got = fit(problem, config, path)
+        got = fit(problem, config, paths[config.w])
         want = fit(problem, config)
         assert_same_report(got, want)
         pairs.append((got, want))
@@ -302,6 +312,39 @@ def test_grid_paths_on_a_shared_design_equal_fresh_fits(cs, data):
     fit_grid(problem, epsilons(problem, cs), w_grid, order)
 
 
+def degenerate(name, problem, config):
+    """Zero, duplicate and dependent columns, shared designs, epsilon = 0,
+    w = r and r = 1."""
+    return (name.startswith(("zero_column", "duplicate_column", "dependent_column", "shared_"))
+            or config.epsilon == 0.0 or config.w == problem.r or problem.r == 1)
+
+
+DEGENERATE = [case for case in cases() if degenerate(*case)]
+
+
+@pytest.mark.parametrize("single_task", [False, True])
+@pytest.mark.parametrize("name, problem, config", DEGENERATE,
+                         ids=[name for name, _, _ in DEGENERATE])
+def test_path_fits_on_the_degenerate_corpus_equal_fresh_fits(name, problem, config,
+                                                             single_task):
+    """``_path_fits`` over 3 c x 2 w on each degenerate case of the golden
+    corpus, down to the case's own epsilon, at its own w and one more: each
+    report equals a fresh fit's bit for bit, the joint one's and each
+    task's alone for the per-task baseline."""
+    assert config.epsilon <= 1e-3 and config.rows_enabled and config.max_forward_steps is None
+    eps = {1.0: 1e-2, 0.1: 1e-3, 0.0: config.epsilon}
+    w_grid = (config.w, 1.5 if config.w == 1.0 else 1.0)
+    tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
+    points = list(_path_fits(problem, eps, w_grid, config.nu, single_task))
+    assert len(points) == 3 * (1 if single_task else 2)
+    for c, ws, reports in points:
+        assert len(reports) == len(tasks)
+        for w in ws:
+            fresh = GreedyConfig(epsilon=eps[c], w=w, nu=config.nu, rows_enabled=not single_task)
+            for task, report in zip(tasks, reports):
+                assert_same_report(report, fit(task, fresh))
+
+
 def test_a_grid_path_appends_what_its_ws_fresh_fits_append(monkeypatch):
     """No w's moves are shared: the grid search takes exactly the basis
     steps of the per-w fresh fits at the smallest c together, and a one-w
@@ -331,21 +374,27 @@ def test_a_grid_path_appends_what_its_ws_fresh_fits_append(monkeypatch):
         assert appends_of(lambda: list(_path_fits(problem, eps, (w,), 0.5))) == fresh
 
 
-def test_a_served_grid_path_holds_no_state_of_its_ws():
-    """Each w's fit is dropped when its last point is served, so a served
-    grid leaves the path no w's state, report, step or ledger entry."""
+def test_path_fits_holds_at_most_one_ws_paths(monkeypatch):
+    """``_path_fits`` makes each w's path at the w's first point and drops
+    it after its last, so at every point the one path alive is that of the
+    point's w, and none is left, with its state, reports, steps or ledger,
+    once the grid is served."""
+    made = []
+
+    def recorded(*args):
+        path = FitPath(*args)
+        made.append(weakref.ref(path))
+        return path
+
+    monkeypatch.setattr(experiments, "FitPath", recorded)
     problem = digits_shaped_problem()
     w_grid = (1.0, 1.25, 1.5, 1.75)
-    path = FitPath(problem, [GreedyConfig(epsilon=eps, w=w, nu=0.5)
-                             for w in w_grid for eps in epsilons(problem)])
-    assert list(path.fits) == list(w_grid)
-    for k, config in enumerate(path.points, 1):
-        fit(problem, config, path)
-        assert list(path.fits) == list(dict.fromkeys(c.w for c in path.points[k:]))
-    held = [v for value in vars(path).values()
-            for v in (value.values() if isinstance(value, dict) else
-                      value if isinstance(value, (list, tuple)) else (value,))]
-    assert not any(isinstance(v, (_WFit, FitReport, StepRecord, list)) for v in held)
+    eps = dict(zip(C_GRID, epsilons(problem)))
+    for k, (_, (w,), _) in enumerate(_path_fits(problem, eps, w_grid, 0.5)):
+        assert len(made) == k // len(C_GRID) + 1
+        assert [ref().points[0].w for ref in made if ref() is not None] == [w]
+    assert len(made) == len(w_grid)
+    assert all(ref() is None for ref in made)
 
 
 @pytest.mark.parametrize("rows_enabled", [True, False])

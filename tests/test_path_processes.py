@@ -48,12 +48,13 @@ def path_fits(problem, w_grid=W_GRID):
 
 
 def made_paths(monkeypatch):
-    """The (fitted w's, remote w's) of each path ``_path_fits`` makes, as made."""
+    """The (w, remote) of each path ``_path_fits`` makes, as made: remote is
+    True for a path served from a child's stream."""
     made = []
 
     def recorded(*args):
         path = FitPath(*args)
-        made.append((list(path.fits), list(path.remote)))
+        made.append((path.points[0].w, path.remote is not None))
         return path
 
     monkeypatch.setattr(experiments, "FitPath", recorded)
@@ -63,7 +64,7 @@ def made_paths(monkeypatch):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_split_path_serves_the_serial_reports(split, monkeypatch, cpus):
     """The children fit the later runs of W_GRID's w's, and the caller's
-    path serves them from their streams."""
+    paths of those w's serve them from their streams."""
     problem = digits_shaped_problem()
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", math.inf)
     serial = list(path_fits(problem))
@@ -74,8 +75,9 @@ def test_a_split_path_serves_the_serial_reports(split, monkeypatch, cpus):
     made = made_paths(monkeypatch)
     got = list(path_fits(problem))
     assert len(split) == cpus - 1
-    ((fits, remote),) = made
-    assert fits + remote == list(W_GRID)
+    assert [w for w, _ in made] == list(W_GRID)
+    fits = [w for w, remote in made if not remote]
+    assert fits == list(W_GRID[:len(fits)]) and 0 < len(fits) < len(W_GRID)
     assert [point[:2] for point in got] == [point[:2] for point in serial]
     for (_, _, (report,)), (_, _, (want,)) in zip(got, serial):
         assert_same_report(report, want)
@@ -112,14 +114,15 @@ def test_a_split_grid_search_fits_each_point_once_in_grid_order(split, monkeypat
 
 
 def test_a_fit_path_on_its_own_starts_no_child(split):
-    """A multi-w ``FitPath`` on a problem the split's size rule takes fits
-    every w itself: only ``_path_fits`` shares w's out."""
+    """``FitPath``s of every w on a problem the split's size rule takes fit
+    their w's themselves: only ``_path_fits`` shares w's out."""
     problem = digits_shaped_problem()
-    grid = grid_of(problem)
-    path = FitPath(problem, grid)
-    assert list(path.fits) == list(W_GRID) and path.remote == {}
-    for config in grid:
-        fit(problem, config, path)
+    for w in W_GRID:
+        grid = grid_of(problem, (w,))
+        path = FitPath(problem, grid)
+        assert path.remote is None
+        for config in grid:
+            fit(problem, config, path)
     assert split == [] and multiprocessing.active_children() == []
 
 
@@ -253,10 +256,10 @@ def test_a_process_that_made_a_large_fit_starts_no_thread_and_still_splits():
 def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):
     advance = FitPath._advance
 
-    def failing(path, w):
-        if w == 2.0:
+    def failing(path, config):
+        if config.w == 2.0:
             raise ValueError("no fit at w = 2")
-        return advance(path, w)
+        return advance(path, config)
 
     monkeypatch.setattr(FitPath, "_advance", failing)
     made = made_paths(monkeypatch)
@@ -264,7 +267,7 @@ def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):
     with pytest.raises(ValueError, match="no fit at w = 2"):
         for c, (w,), _ in path_fits(digits_shaped_problem()):
             served.append(w)
-    assert made[0][1] == [1.75, 2.0]
+    assert [w for w, remote in made if remote] == [1.75, 2.0]
     assert served == [w for w in W_GRID[:4] for _ in C_GRID]
     assert len(split) == 1
 

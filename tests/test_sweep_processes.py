@@ -157,12 +157,16 @@ def test_no_process_splits_while_its_child_runs(monkeypatch):
     assert processes.split(items, True) == [[0], [1], [2], [3], [4]]
 
 
-def refused(w, nu, message, kappa=0.5, noise=1e-2, c=1e-2, id=None):
-    """A sweep refused with ``message``, its id the w, nu and message."""
-    return pytest.param(kappa, w, nu, noise, c, message, id=id or f"{w}-{nu}-{message}")
+def refused(w, nu, message, kappa=0.5, noise=1e-2, c=1e-2, id=None, c_grid=None,
+            w_grid=None):
+    """A sweep refused with ``message``, its id the w, nu and message; its
+    grids are [c] and [1.25, w] unless given."""
+    return pytest.param(kappa, [c] if c_grid is None else c_grid,
+                        [1.25, w] if w_grid is None else w_grid, nu, noise, message,
+                        id=id or f"{w}-{nu}-{message}")
 
 
-@pytest.mark.parametrize("kappa, w, nu, noise, c, message", [
+@pytest.mark.parametrize("kappa, c_grid, w_grid, nu, noise, message", [
     refused(3.0, 0.5, "w=3.0 exceeds the task count r=2"),
     refused(0.5, 0.5, "w must be finite and >= 1"),
     refused(math.inf, 0.5, "w must be finite and >= 1"),
@@ -173,25 +177,28 @@ def refused(w, nu, message, kappa=0.5, noise=1e-2, c=1e-2, id=None):
     refused(1.5, 0.5, "c must be finite and >= 0, got -1", c=-1.0, id="c--1"),
     refused(1.5, 0.5, "c must be finite and >= 0, got nan", c=math.nan, id="c-nan"),
     refused(1.5, 0.5, "c must be finite and >= 0, got inf", c=math.inf, id="c-inf"),
+    refused(1.5, 0.5, "the grid is empty", c_grid=[], id="c-empty"),
+    refused(1.5, 0.5, "the grid is empty", w_grid=[], id="w-empty"),
 ])
-def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, kappa, w, nu,
-                                                       noise, c, message):
-    """A bad w, nu or c, and a kappa or noise variance the draws refuse."""
+def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, kappa, c_grid,
+                                                       w_grid, nu, noise, message):
+    """An empty grid, a bad w, nu or c, and a kappa or noise variance the
+    draws refuse."""
     drawn = []
     monkeypatch.setattr(experiments, "gen_synthetic", lambda spec: drawn.append(spec))
     config = SweepConfig(epsilon_c=1e-4, nu=nu, noise_variance=noise)
     with pytest.raises(ValueError, match=message):
-        sweep_grid(kappa, 48, THETAS, 3, [c], [1.25, w], config, 1)
+        sweep_grid(kappa, 48, THETAS, 3, c_grid, w_grid, config, 1)
     assert drawn == [] and split == []
 
 
 def test_a_sweep_childs_exception_is_raised_by_the_caller(split, monkeypatch):
     advance = FitPath._advance
 
-    def failing(path, w):
+    def failing(path, config):
         if multiprocessing.parent_process() is not None:
             raise ValueError("no fit in a sweep's child")
-        return advance(path, w)
+        return advance(path, config)
 
     monkeypatch.setattr(FitPath, "_advance", failing)
     with pytest.raises(ValueError, match="no fit in a sweep's child"):

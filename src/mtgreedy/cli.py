@@ -197,17 +197,17 @@ def cmd_diagnose(args):
 
 
 def cmd_digits(args):
-    # refuse a bad c by the flag, before the dataset loads
+    # refuse a bad c by the flag and a bad trial count, before the dataset loads
     try:
         experiments._check_c(args.epsilon_c_grid)
     except ValueError as exc:
         raise ValueError(f"--epsilon-c-grid: {exc}") from None
+    if args.trials < 1:
+        raise ValueError("need trials >= 1")
     try:
         dataset = digits_mod.load_mfeat(args.data_dir)
     except FileNotFoundError as exc:
         raise ValueError(str(exc)) from exc
-    if args.trials < 1:
-        raise ValueError("need trials >= 1")
     keys = ("avg_error", "error_variance", "avg_row_support", "avg_support")
     per_trial = []
     for trial in range(args.trials):

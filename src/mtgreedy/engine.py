@@ -58,10 +58,11 @@ of the fit at a smaller one.  A ``FitPath`` is the live state of one such
 fit, one w's, made at beta = 0 and served over that w's epsilons, never
 rising: each ``fit`` on it returns the next point's report, the same as a
 fresh fit's.  A fresh fit is the path of a one-point grid.
-``experiments._path_fits`` alone fits longer grids and owns their w's: it
-groups a grid by w (``grid_by_w``), makes each w's paths at its first point
-(one per problem, or per task for the per-task baseline), drops them after
-its last, and shares a large grid's w's out over forked children, for
+``experiments._path_fits`` alone fits longer grids, each built and refused
+by ``experiments._path_grid`` (through ``grid_by_w``): it makes each w's
+paths at its first point (one per problem, or per task for the per-task
+baseline), drops them after its last, and shares a large grid's w's out
+over forked children, for
 ``cross_validate`` and ``sweep_grid``.  The w's share nothing, though fits
 at different w often make the same moves for a while (in the digit grid
 search, w = 1.25 retraces w = 1), so each such move is refit once per w.

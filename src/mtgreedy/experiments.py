@@ -10,13 +10,12 @@ different overlap levels kappa on a common axis.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
 from .engine import FitPath, check_step_records, fit, grid_by_w
 from .model import GreedyConfig, MultiTaskProblem, residuals
-from .processes import fork_runs, stop
+from .processes import forked
 
 
 # A grid search splits its w's across processes (``_path_fits``) only on a
@@ -207,14 +206,16 @@ class SweepRow:
 
 def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed):
     """``run_sweep`` at each (c, w) of a grid, the rest of ``config`` kept:
-    {(c, w): [SweepRow, ...]}, c-major.  Each trial's problem is drawn once
-    and fit along ``_path_fits``'s paths, one per w (per task, once for
-    every w, for the baseline).  An empty grid, a w, nu or c that the fits
-    refuse, and a kappa or noise variance that ``SynthSpec`` refuses, are
-    refused before any problem is drawn or child forked.
+    {(c, w): [SweepRow, ...]}, c-major.  Each theta's grid is built once by
+    ``_path_grid``, and each trial's problem is drawn once and fit along
+    ``_path_fits``'s paths, one per w (per task, at the first w only, for
+    the baseline, whose points each stand for every w).  An empty theta, c
+    or w grid, a w, nu or c that the fits refuse, and a kappa or noise
+    variance that ``SynthSpec`` refuses, are refused before any problem is
+    drawn or child forked.
 
     A large sweep shares its trials out over the process's CPUs: when its
-    count of fits times p reaches FORK_FIT_FEATURES, ``processes.fork_runs``
+    count of fits times p reaches FORK_FIT_FEATURES, ``processes.forked``
     cuts its (theta, trial) list, in order, into runs, under the guards it
     keeps for ``_path_fits``' split of w's too.  The caller draws and fits
     the first run.  Each later run goes to a forked child, which draws its
@@ -225,17 +226,18 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     in the same order, each report checked as a fresh one is; the first
     served ``fit`` of a child's run waits for that child to finish.  Each
     report equals the serial sweep's bit for bit, so the rows do too.
+    ``forked`` stops every child when the sweep ends, however it ends.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    r = 2
-    # the reports of one trial: a point of ``_path_grid`` on each of its paths
-    grid = _path_grid(dict.fromkeys(c_grid, 0.0), w_grid, config.nu, config.single_task)
-    grid_by_w([point for _, point in grid], r)
+    if not theta_grid:
+        raise ValueError("the theta grid is empty")
     _check_c(c_grid)
+    r = 2
     s = _default_sparsity(p)
     ns = [n_for_theta(theta_value, s, p, kappa) for theta_value in theta_grid]
-    eps = [{c: stopping_threshold(c, s, p, n) for c in c_grid} for n in ns]
+    grids = [_path_grid({c: stopping_threshold(c, s, p, n) for c in c_grid}, w_grid,
+                        config.nu, config.single_task, r) for n in ns]
     specs = [SynthSpec(p=p, n=n, r=r, s=s, kappa=kappa, noise_variance=config.noise_variance)
              for n in ns]
 
@@ -243,34 +245,31 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
         return gen_synthetic(replace(specs[t_idx],
                                      seed=trial_seed(master_seed, kappa, t_idx, trial)))
 
-    fits = len(grid) * (r if config.single_task else 1)
+    fits = sum(map(len, grids[0].values())) * (r if config.single_task else 1)
+    every_w = tuple(dict.fromkeys(w_grid))
     items = [(t_idx, trial) for t_idx in range(len(theta_grid)) for trial in range(trials)]
     out = {(c, w): [] for c in c_grid for w in w_grid}
     # the later runs go to children first, so they start at once
-    remote, children = fork_runs(
-        items, len(items) * fits * p >= FORK_FIT_FEATURES,
-        lambda run: _child_reports(
-            _path_fits(draw(t_idx, trial)[0], eps[t_idx], w_grid, config.nu,
-                       config.single_task) for t_idx, trial in run))
-    try:
+    with forked(items, len(items) * fits * p >= FORK_FIT_FEATURES,
+                lambda run: _child_reports(
+                    _path_fits(draw(t_idx, trial)[0], grids[t_idx], config.single_task)
+                    for t_idx, trial in run)) as remote:
         for t_idx, theta_value in enumerate(theta_grid):
             hits, frob = dict.fromkeys(out, 0), dict.fromkeys(out, 0.0)
             for trial in range(trials):
                 problem, beta_star = draw(t_idx, trial)
-                for c, ws, reports in _path_fits(problem, eps[t_idx], w_grid, config.nu,
-                                                 config.single_task, config.check_traces,
-                                                 remote.get((t_idx, trial))):
+                for c, w, reports in _path_fits(problem, grids[t_idx], config.single_task,
+                                                config.check_traces,
+                                                remote.get((t_idx, trial))):
                     beta = np.hstack([report.coefficients for report in reports])
                     hit = sign_support_success(beta, beta_star)
                     error = float(np.linalg.norm(beta - beta_star))
-                    for w in ws:
+                    for w in every_w if config.single_task else (w,):
                         hits[c, w] += hit
                         frob[c, w] += error
             for point, rows in out.items():
                 rows.append(SweepRow(kappa, theta_value, ns[t_idx], trials, hits[point],
                                      hits[point] / trials, frob[point] / trials))
-    finally:
-        stop(children)
     return out
 
 
@@ -324,61 +323,51 @@ def crossing_se(rows):
     return scale * math.sqrt(var)
 
 
-def _path_grid(eps, w_grid, nu, single_task):
-    """(c, config) at each point ``_path_fits`` fits, with ``eps`` mapping c
-    to epsilon: w by w, each w from the largest c down.  The per-task
-    baseline fits its first w only, since a rows-off fit never reads w, but
-    every w must make a config."""
+def _path_grid(eps, w_grid, nu, single_task, r):
+    """The one place a grid is built and refused: {w: [(c, config), ...]}
+    of the points ``_path_fits`` fits on a problem of ``r`` tasks, with
+    ``eps`` mapping c to epsilon, w's in grid order and each w's points from
+    the largest c down.  The per-task baseline fits its first w only, since
+    a rows-off fit never reads w, but every w must make a config.
+    ``engine.grid_by_w`` refuses an empty grid and a bad w."""
     configs = [GreedyConfig(epsilon=0.0, w=w, nu=nu, rows_enabled=not single_task)
                for w in dict.fromkeys(w_grid)]
-    return [(c, replace(config, epsilon=eps[c]))
-            for config in (configs[:1] if single_task else configs)
-            for c in sorted(eps, reverse=True)]
+    grid = {config.w: [(c, replace(config, epsilon=eps[c])) for c in sorted(eps, reverse=True)]
+            for config in (configs[:1] if single_task else configs)}
+    grid_by_w([config for points in grid.values() for _, config in points], r)
+    return grid
 
 
-def _path_fits(problem, eps, w_grid, nu, single_task=False, check=False, child=None):
-    """Yield (c, ws, reports) once per fitted point, with ``eps`` mapping c
-    to epsilon and ``ws`` the distinct w's the point stands for: the
-    reports of fresh fits, each checked once if ``check``.  The one place a
-    grid of more than one point is fit, and the one owner of its w's: the
-    points of ``_path_grid``, w by w, grouped by ``grid_by_w``.  Each w's
-    joint fit is one ``FitPath`` on ``problem``, made at the w's first
+def _path_fits(problem, grid, single_task=False, check=False, child=None):
+    """Yield (c, w, reports) once per point of ``grid``, a ``_path_grid``
+    of ``problem``: the reports of fresh fits, each checked once if
+    ``check``.  The one place a grid of more than one point is fit.  Each
+    w's joint fit is one ``FitPath`` on ``problem``, made at the w's first
     point and dropped after its last, so at most one w's paths are alive
     (the ``engine`` docstring gives what fitting each w apart costs);
-    ``fit`` is called once per point in that order, and each point stands
-    for its own w.  The per-task baseline fits its first w only, one
-    rows-off path per task alone: each of its points stands for every w.
-    A grid the paths refuse is refused before any fork.  On a problem of at
-    least FORK_ELEMENTS design elements ``processes.fork_runs`` may then fit
-    later runs of the w's in children, stopped when the generator ends or
-    is closed or dropped; the caller's paths for those w's serve them from
-    the children's streams once each child has fit all of its w's.  Given
+    ``fit`` is called once per point in grid order.  The per-task baseline
+    fits one rows-off path per task alone.  On a problem of at least
+    FORK_ELEMENTS design elements ``processes.forked`` may fit later runs
+    of the w's in children, stopped when the generator ends or is closed
+    or dropped; the caller's paths for those w's serve them from the
+    children's streams once each child has fit all of its w's.  Given
     ``child``, a sweep's child whose stream holds this problem's reports
     next, every point is served from it."""
-    points = _path_grid(eps, w_grid, nu, single_task)
-    if not points:
-        return
-    by_w = grid_by_w([config for _, config in points], problem.r)
     tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
-    if child is not None:
-        remote, children = dict.fromkeys(by_w, child), []
-    else:
-        remote, children = fork_runs(
-            list(by_w), sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS,
-            lambda run: _child_reports([_path_fits(problem, eps, run, nu, single_task)]))
-    every_w = tuple(dict.fromkeys(w_grid))
-    try:
-        for w, run in groupby(points, key=lambda point: point[1].w):
-            paths = [FitPath(task, by_w[w], remote.get(w)) for task in tasks]
-            for c, config in run:
+    with forked(list(grid) if child is None else [],
+                sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS,
+                lambda run: _child_reports(
+                    [_path_fits(problem, {w: grid[w] for w in run}, single_task)])) as remote:
+        for w, points in grid.items():
+            paths = [FitPath(task, [config for _, config in points], remote.get(w, child))
+                     for task in tasks]
+            for c, config in points:
                 reports = [fit(path.problem, config, path) for path in paths]
                 if check:
                     for j, report in enumerate(reports):
                         check_step_records(report, config, paths[j].zero_loss)
-                yield c, every_w if single_task else (w,), reports
+                yield c, w, reports
             del paths       # freed before the next w's are made
-    finally:
-        stop(children)
 
 
 def _child_reports(path_fits):
@@ -400,9 +389,10 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     """Grid search over (c, w) pairs scored by holdout squared error.
 
     The stopping threshold is c * s_hint * log(p) / n, each c finite and
-    >= 0, with n the average training sample count.  ``_path_fits`` fits
-    and checks the grid on one ``FitPath`` per w, each an epsilon-continued
-    fit from the largest c down; a move that several w make alike is refit
+    >= 0, with n the average training sample count.  ``_path_grid`` builds
+    and refuses the grid, an empty one included, and ``_path_fits`` fits
+    and checks it on one ``FitPath`` per w, each an epsilon-continued fit
+    from the largest c down; a move that several w make alike is refit
     once per w (the ``engine`` docstring gives what that costs).  The
     rows list the grid in the caller's (c, w) order, and ties keep the first
     point in that order: the smallest c, then the smallest w, on ascending
@@ -413,8 +403,6 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     A holdout problem whose p or r differs from the training problem's is
     refused before any fit.
     """
-    if not c_grid or not w_grid:
-        raise ValueError("grids must be non-empty")
     if s_hint < 1:
         raise ValueError("s_hint must be >= 1")
     train_shape = (train_problem.p, train_problem.r)
@@ -426,7 +414,8 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}
-    for c, (w,), (report,) in _path_fits(train_problem, eps, w_grid, nu, check=True):
+    grid = _path_grid(eps, w_grid, nu, False, train_problem.r)
+    for c, w, (report,) in _path_fits(train_problem, grid, check=True):
         scores[c, w] = sum(float(res @ res)
                            for res in residuals(holdout_problem, report.coefficients))
     rows = [{"c": c, "w": w, "epsilon": eps[c], "holdout_score": scores[c, w]}

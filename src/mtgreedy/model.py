@@ -91,7 +91,9 @@ class MultiTaskProblem:
         return cls(p=tasks[0].X.shape[1], r=len(tasks), tasks=tasks)
 
     def single_task(self, j):
-        """View task j as a standalone one-task problem."""
+        """View task j, for j in [0, r), as a standalone one-task problem."""
+        if not 0 <= j < self.r:
+            raise ValueError(f"task index j={j} is outside [0, r) for r={self.r}")
         return MultiTaskProblem(p=self.p, r=1, tasks=(self.tasks[j],))
 
 

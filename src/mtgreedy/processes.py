@@ -7,18 +7,20 @@ MKL_NUM_THREADS is set, and every one set reads 1), else 1: a threaded BLAS
 already spreads each product over every core, so a child beside it would
 only compete with it for the same cores.
 
-``fork_runs`` cuts independent items (a grid's w's, a sweep's trials) into
+``forked`` cuts independent items (a grid's w's, a sweep's trials) into
 runs and forks a ``_Child`` for each later run, which fits its whole run and
 then sends it.  The caller serves the reports in the serial order, each
 equal to a fresh fit's bit for bit; its first from a child waits for that
-child to finish.  A fork copies only the forking thread, so a process forks
-only when no other thread is alive.  A child never forks, and a process
-forks only while no child of its own is alive, so the processes never
-outnumber the CPUs.
+child to finish.  ``forked`` owns each child's lifetime: every child is
+stopped when the ``with`` block that forked it ends, however it ends.  A
+fork copies only the forking thread, so a process forks only when no other
+thread is alive.  A child never forks, and a process forks only while no
+child of its own is alive, so the processes never outnumber the CPUs.
 """
 
 import os
 import threading
+from contextlib import contextmanager
 
 _BLAS_THREADS = {os.environ.get(var) for var in
                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} - {None}
@@ -55,20 +57,21 @@ def split(items, large):
     return _chunks(items)
 
 
-def fork_runs(items, large, reports):
+@contextmanager
+def forked(items, large, reports):
     """Start a child for each later run of ``split(items, large)``: the
-    child sends the reports of ``reports(run)``, a generator.  Returns
-    ({item: its child} over the children's items, [children]); the caller
-    serves the first run's items itself and stops the children."""
+    child sends the reports of ``reports(run)``, a generator.  Yields
+    {item: its child} over the children's items, and stops every child
+    when the block ends; the caller serves the first run's items itself."""
     remote, children = {}, []
     try:
         for run in split(items, large)[1:]:
             children.append(_Child(reports(run)))
             remote.update(dict.fromkeys(run, children[-1]))
-    except BaseException:
-        stop(children)
-        raise
-    return remote, children
+        yield remote
+    finally:
+        for child in children:
+            child.stop()
 
 
 class _Child:
@@ -111,11 +114,6 @@ class _Child:
             self.process.join()
             self.reader.close()
         return self.process.exitcode
-
-
-def stop(children):
-    for child in children:
-        child.stop()
 
 
 def _serve(reports, writer):

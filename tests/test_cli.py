@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtgreedy import GreedyConfig, experiments, fit
+from mtgreedy import GreedyConfig, digits, experiments, fit
 from mtgreedy.cli import main
 from mtgreedy.fileio import (
     format_float,
@@ -364,6 +364,16 @@ class TestDigitsCommand:
         assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
                     "--seed", "1", "--epsilon-c-grid", value]) == 2
         assert "--epsilon-c-grid: c must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bad_trial_count_is_refused_before_the_dataset_loads(self, mfeat_dir, capsys,
+                                                                  monkeypatch, trials):
+        loads = []
+        monkeypatch.setattr(digits, "load_mfeat", lambda *args: loads.append(args))
+        assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
+                    "--seed", "1", "--trials", trials]) == 2
+        assert "need trials >= 1" in capsys.readouterr().err
+        assert loads == []
 
     def test_single_trial_report(self, mfeat_dir, tmp_path, capsys):
         out = tmp_path / "digits.json"

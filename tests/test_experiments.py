@@ -20,7 +20,7 @@ from mtgreedy import (
     trial_seed,
 )
 from mtgreedy import experiments
-from mtgreedy.experiments import _path_fits, crossing_se
+from mtgreedy.experiments import _path_fits, _path_grid, crossing_se
 
 
 class TestTheta:
@@ -223,8 +223,9 @@ class TestCrossValidate:
 
     def test_empty_grid_rejected(self):
         train, hold, _ = self._split_instance(seed=4)
-        with pytest.raises(ValueError):
-            cross_validate(train, hold, [], [1.5], 0.5, s_hint=2)
+        for c_grid, w_grid in (([], [1.5]), ([1e-2], [])):
+            with pytest.raises(ValueError, match="the grid is empty"):
+                cross_validate(train, hold, c_grid, w_grid, 0.5, s_hint=2)
 
     @pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
     def test_rejects_a_negative_or_non_finite_c_naming_it(self, monkeypatch, c):
@@ -263,9 +264,9 @@ class TestSingleTaskBaseline:
         spec = SynthSpec(p=12, n=30, r=2, s=2, kappa=1.0, noise_variance=0.0, seed=6)
         problem, _ = gen_synthetic(spec)
         assert fit(problem, GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5)).pattern.rows
-        points = list(_path_fits(problem, {1.0: 1e-2, 0.0: 1e-9}, (1.5, 2.0), 0.5,
-                                 single_task=True))
-        assert [ws for _, ws, _ in points] == [(1.5, 2.0)] * 2
+        grid = _path_grid({1.0: 1e-2, 0.0: 1e-9}, (1.5, 2.0), 0.5, True, problem.r)
+        points = list(_path_fits(problem, grid, single_task=True))
+        assert [w for _, w, _ in points] == [1.5] * 2
         for _, _, reports in points:
             assert all(report.pattern.rows == frozenset() for report in reports)
 

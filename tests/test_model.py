@@ -85,6 +85,14 @@ def test_from_arrays_refuses_unpaired_or_no_tasks(designs, responses):
         MultiTaskProblem.from_arrays([np.eye(2)] * designs, [np.ones(2)] * responses)
 
 
+@pytest.mark.parametrize("j", [-1, 2, 3])
+def test_single_task_refuses_an_index_outside_the_tasks(j):
+    """A negative j would count from the end, and j = r has no task."""
+    problem = MultiTaskProblem.from_arrays([np.eye(2)] * 2, [np.ones(2)] * 2)
+    with pytest.raises(ValueError, match=rf"j={j} is outside \[0, r\) for r=2"):
+        problem.single_task(j)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"epsilon": -1.0},
     {"epsilon": 0.1, "nu": 0.0},

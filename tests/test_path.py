@@ -40,7 +40,7 @@ from mtgreedy.digits import (
 from mtgreedy.engine import FitPath, SupportState, promotion_count
 from mtgreedy.linalg import Basis
 from mtgreedy.experiments import (
-    SweepConfig, _path_fits, run_sweep, stopping_threshold, sweep_grid)
+    SweepConfig, _path_fits, _path_grid, run_sweep, stopping_threshold, sweep_grid)
 
 from golden_corpus import cases
 
@@ -335,11 +335,12 @@ def test_path_fits_on_the_degenerate_corpus_equal_fresh_fits(name, problem, conf
     eps = {1.0: 1e-2, 0.1: 1e-3, 0.0: config.epsilon}
     w_grid = (config.w, 1.5 if config.w == 1.0 else 1.0)
     tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
-    points = list(_path_fits(problem, eps, w_grid, config.nu, single_task))
+    grid = _path_grid(eps, w_grid, config.nu, single_task, problem.r)
+    points = list(_path_fits(problem, grid, single_task))
     assert len(points) == 3 * (1 if single_task else 2)
-    for c, ws, reports in points:
+    for c, w, reports in points:
         assert len(reports) == len(tasks)
-        for w in ws:
+        for w in w_grid if single_task else (w,):
             fresh = GreedyConfig(epsilon=eps[c], w=w, nu=config.nu, rows_enabled=not single_task)
             for task, report in zip(tasks, reports):
                 assert_same_report(report, fit(task, fresh))
@@ -366,12 +367,15 @@ def test_a_grid_path_appends_what_its_ws_fresh_fits_append(monkeypatch):
         run()
         return len(appends)
 
-    grid = appends_of(lambda: list(_path_fits(problem, eps, w_grid, 0.5)))
+    def grid_appends(ws):
+        grid = _path_grid(eps, ws, 0.5, False, problem.r)
+        return appends_of(lambda: list(_path_fits(problem, grid)))
+
     apart = [appends_of(lambda: fit(problem, GreedyConfig(epsilon=0.0, w=w, nu=0.5)))
              for w in w_grid]
-    assert grid == sum(apart)
+    assert grid_appends(w_grid) == sum(apart)
     for w, fresh in zip(w_grid, apart):
-        assert appends_of(lambda: list(_path_fits(problem, eps, (w,), 0.5))) == fresh
+        assert grid_appends((w,)) == fresh
 
 
 def test_path_fits_holds_at_most_one_ws_paths(monkeypatch):
@@ -390,7 +394,8 @@ def test_path_fits_holds_at_most_one_ws_paths(monkeypatch):
     problem = digits_shaped_problem()
     w_grid = (1.0, 1.25, 1.5, 1.75)
     eps = dict(zip(C_GRID, epsilons(problem)))
-    for k, (_, (w,), _) in enumerate(_path_fits(problem, eps, w_grid, 0.5)):
+    grid = _path_grid(eps, w_grid, 0.5, False, problem.r)
+    for k, (_, w, _) in enumerate(_path_fits(problem, grid)):
         assert len(made) == k // len(C_GRID) + 1
         assert [ref().points[0].w for ref in made if ref() is not None] == [w]
     assert len(made) == len(w_grid)
@@ -466,21 +471,21 @@ def counted_checks(monkeypatch):
 
 
 def test_per_task_paths_equal_fresh_per_task_fits(monkeypatch):
-    """The per-task baseline's paths over a descending c grid and a w grid:
-    at each c every w reads the same reports, and each task's report equals
-    a fresh rows-off fit of that task at that w bit for bit.  Each report is
-    checked once, when it is made, against the task's own loss at
+    """The per-task baseline's paths over a descending c grid fit the w
+    grid's first w only: at each c each task's report equals a fresh
+    rows-off fit of that task at every w of the grid bit for bit.  Each
+    report is checked once, when it is made, against the task's own loss at
     beta = 0."""
     checked = counted_checks(monkeypatch)
     problem = synthetic_problem()
     eps = dict(zip(C_GRID, epsilons(problem)))
     w_grid = (1.5, 1.0, 3.0, 1.5)
-    points = list(_path_fits(problem, eps, w_grid, 0.5, single_task=True, check=True))
-    assert [(c, ws) for c, ws, _ in points] == [
-        (c, (1.5, 1.0, 3.0)) for c in sorted(C_GRID, reverse=True)]
-    for c, ws, reports in points:
+    grid = _path_grid(eps, w_grid, 0.5, True, problem.r)
+    points = list(_path_fits(problem, grid, single_task=True, check=True))
+    assert [(c, w) for c, w, _ in points] == [(c, 1.5) for c in sorted(C_GRID, reverse=True)]
+    for c, _, reports in points:
         assert len(reports) == problem.r
-        for w in ws:
+        for w in (1.5, 1.0, 3.0):
             config = GreedyConfig(epsilon=eps[c], w=w, nu=0.5, rows_enabled=False)
             for j, report in enumerate(reports):
                 assert_same_report(report, fit(problem.single_task(j), config))

@@ -44,7 +44,9 @@ def eps_of(problem):
 
 
 def path_fits(problem, w_grid=W_GRID):
-    return experiments._path_fits(problem, eps_of(problem), w_grid, 0.5)
+    """``_path_fits`` over W_GRID's w's, or ``w_grid``'s, at C_GRID's c's."""
+    return experiments._path_fits(
+        problem, experiments._path_grid(eps_of(problem), w_grid, 0.5, False, problem.r))
 
 
 def made_paths(monkeypatch):
@@ -131,7 +133,8 @@ def test_a_grid_the_paths_refuse_is_refused_before_any_fork(split):
     with pytest.raises(ValueError, match="w=11.0 exceeds the task count r=10"):
         next(path_fits(problem, (1.0, 11.0)))
     with pytest.raises(ValueError, match="the grid's epsilons rise at w=1.0"):
-        next(experiments._path_fits(problem, {1.0: 1e-4, 0.5: 1e-2}, (1.0, 2.0), 0.5))
+        grid = experiments._path_grid({1.0: 1e-4, 0.5: 1e-2}, (1.0, 2.0), 0.5, False, problem.r)
+        next(experiments._path_fits(problem, grid))
     assert split == []
 
 
@@ -241,7 +244,8 @@ FIT_THEN_GRID = textwrap.dedent("""
     processes._Child.__init__ = counted
     problem, _ = gen_synthetic(SynthSpec(p=40, n=30, r=2, kappa=0.5, seed=2))
     print(threading.active_count())
-    list(experiments._path_fits(problem, {1.0: 1e-2, 0.0: 1e-9}, (1.0, 1.5, 2.0), 0.5))
+    grid = experiments._path_grid({1.0: 1e-2, 0.0: 1e-9}, (1.0, 1.5, 2.0), 0.5, False, problem.r)
+    list(experiments._path_fits(problem, grid))
     print(len(started))
 """)
 
@@ -265,7 +269,7 @@ def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):
     made = made_paths(monkeypatch)
     served = []
     with pytest.raises(ValueError, match="no fit at w = 2"):
-        for c, (w,), _ in path_fits(digits_shaped_problem()):
+        for c, w, _ in path_fits(digits_shaped_problem()):
             served.append(w)
     assert [w for w, remote in made if remote] == [1.75, 2.0]
     assert served == [w for w in W_GRID[:4] for _ in C_GRID]
@@ -274,7 +278,7 @@ def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):
 
 def test_a_killed_child_makes_fit_raise(split, stalled_children):
     points = path_fits(digits_shaped_problem())
-    for c, (w,), _ in points:           # the caller's own w's
+    for c, w, _ in points:              # the caller's own w's
         if (c, w) == (min(C_GRID), W_GRID[2]):
             break
     (child,) = split

@@ -92,6 +92,31 @@ def test_a_split_sweep_fits_and_checks_each_point_in_the_caller(split, monkeypat
         for c in (1e-2, 1e-5) for _ in range(2 if single_task else 1)]
 
 
+@pytest.mark.parametrize("forks", [False, True], ids=["serial", "split"])
+def test_a_sweep_builds_each_thetas_grid_once_before_any_draw_or_fork(split, monkeypatch,
+                                                                      forks):
+    """The caller calls ``_path_grid`` once per theta, before any draw or
+    fork (at 3 trials a theta, each trial once used to build its own)."""
+    built, drawn = [], []
+    path_grid, gen_synthetic = experiments._path_grid, experiments.gen_synthetic
+
+    def counted(*args):
+        built.append((len(drawn), len(split)))
+        return path_grid(*args)
+
+    def drawing(spec):
+        drawn.append(spec)
+        return gen_synthetic(spec)
+
+    monkeypatch.setattr(experiments, "_path_grid", counted)
+    monkeypatch.setattr(experiments, "gen_synthetic", drawing)
+    if not forks:
+        monkeypatch.setattr(experiments, "FORK_FIT_FEATURES", math.inf)
+    run_sweep(0.5, 48, THETAS, 3, sweep_config(), 7)
+    assert len(split) == forks
+    assert built == [(0, 0)] * len(THETAS)
+
+
 class Planned(Exception):
     """Stops a sweep once its plan is taken, before any child starts."""
 
@@ -158,15 +183,15 @@ def test_no_process_splits_while_its_child_runs(monkeypatch):
 
 
 def refused(w, nu, message, kappa=0.5, noise=1e-2, c=1e-2, id=None, c_grid=None,
-            w_grid=None):
+            w_grid=None, theta_grid=THETAS):
     """A sweep refused with ``message``, its id the w, nu and message; its
-    grids are [c] and [1.25, w] unless given."""
-    return pytest.param(kappa, [c] if c_grid is None else c_grid,
+    grids are THETAS, [c] and [1.25, w] unless given."""
+    return pytest.param(kappa, theta_grid, [c] if c_grid is None else c_grid,
                         [1.25, w] if w_grid is None else w_grid, nu, noise, message,
                         id=id or f"{w}-{nu}-{message}")
 
 
-@pytest.mark.parametrize("kappa, c_grid, w_grid, nu, noise, message", [
+@pytest.mark.parametrize("kappa, theta_grid, c_grid, w_grid, nu, noise, message", [
     refused(3.0, 0.5, "w=3.0 exceeds the task count r=2"),
     refused(0.5, 0.5, "w must be finite and >= 1"),
     refused(math.inf, 0.5, "w must be finite and >= 1"),
@@ -179,16 +204,17 @@ def refused(w, nu, message, kappa=0.5, noise=1e-2, c=1e-2, id=None, c_grid=None,
     refused(1.5, 0.5, "c must be finite and >= 0, got inf", c=math.inf, id="c-inf"),
     refused(1.5, 0.5, "the grid is empty", c_grid=[], id="c-empty"),
     refused(1.5, 0.5, "the grid is empty", w_grid=[], id="w-empty"),
+    refused(1.5, 0.5, "the theta grid is empty", theta_grid=[], id="theta-empty"),
 ])
-def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, kappa, c_grid,
-                                                       w_grid, nu, noise, message):
+def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, kappa, theta_grid,
+                                                       c_grid, w_grid, nu, noise, message):
     """An empty grid, a bad w, nu or c, and a kappa or noise variance the
     draws refuse."""
     drawn = []
     monkeypatch.setattr(experiments, "gen_synthetic", lambda spec: drawn.append(spec))
     config = SweepConfig(epsilon_c=1e-4, nu=nu, noise_variance=noise)
     with pytest.raises(ValueError, match=message):
-        sweep_grid(kappa, 48, THETAS, 3, c_grid, w_grid, config, 1)
+        sweep_grid(kappa, 48, theta_grid, 3, c_grid, w_grid, config, 1)
     assert drawn == [] and split == []
 
 

@@ -125,8 +125,6 @@ def _theta_grid(lo, hi, step):
     for flag, value in (("--theta-min", lo), ("--theta-max", hi), ("--theta-step", step)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{flag} must be finite and > 0, got {value}")
-    if hi < lo:
-        raise ValueError("empty theta grid")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
 

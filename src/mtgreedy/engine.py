@@ -58,14 +58,14 @@ of the fit at a smaller one.  A ``FitPath`` is the live state of one such
 fit, one w's, made at beta = 0 and served over that w's epsilons, never
 rising: each ``fit`` on it returns the next point's report, the same as a
 fresh fit's.  A fresh fit is the path of a one-point grid.
-``experiments._path_fits`` alone fits longer grids, each built and refused
-by ``experiments._path_grid`` (through ``grid_by_w``): it makes each w's
-paths at its first point (one per problem, or per task for the per-task
-baseline), drops them after its last, and shares a large grid's w's out
-over forked children, for
-``cross_validate`` and ``sweep_grid``.  The w's share nothing, though fits
-at different w often make the same moves for a while (in the digit grid
-search, w = 1.25 retraces w = 1), so each such move is refit once per w.
+``experiments._path_fits`` alone fits longer grids, each built by
+``experiments._path_grid`` and refused there by ``_check_points``: it
+makes each w's paths at its first point (one per problem, or per task for
+the per-task baseline) and drops them after its last, for
+``cross_validate`` and ``sweep_grid``, and never forks.  The w's share
+nothing, though fits at different w often make the same moves for a while
+(in the digit grid search, w = 1.25 retraces w = 1), so each such move is
+refit once per w.
 Sharing such moves would refit each once, but it needs a copy of the state
 wherever the w's part and per-w bookkeeping on every move, one-w fits
 included.  Without it the grid search of the benchmark's
@@ -313,24 +313,19 @@ class SupportState:
         return SupportPattern(singletons=frozenset(self.singles), rows=frozenset(self.rows))
 
 
-def grid_by_w(grid, r):
-    """Each distinct w's points of ``grid``, in grid order, for a problem
-    of ``r`` tasks.  ValueError refuses an empty grid, configs that differ
-    in more than (epsilon, w), a w that ``_check_weight`` refuses and a w
-    whose epsilons rise."""
-    if not grid:
+def _check_points(points, r):
+    """Refuse ``points`` unless they are one w's path on a problem of ``r``
+    tasks: a non-empty sequence of configs that differ only in epsilon,
+    which never rises, at a w that ``_check_weight`` takes."""
+    if not points:
         raise ValueError("the grid is empty")
-    base = grid[0]
-    todo = {}
-    for config in grid:
-        if config is not base and replace(config, epsilon=base.epsilon, w=base.w) != base:
-            raise ValueError("the grid's configs differ in more than epsilon and w")
-        _check_weight(config, r)
-        mine = todo.setdefault(config.w, [])
-        if mine and config.epsilon > mine[-1].epsilon:
+    base = points[0]
+    _check_weight(base, r)
+    for before, config in zip(points, points[1:]):
+        if replace(config, epsilon=base.epsilon) != base:
+            raise ValueError("a path's points differ in more than epsilon")
+        if config.epsilon > before.epsilon:
             raise ValueError(f"the grid's epsilons rise at w={config.w}")
-        mine.append(config)
-    return todo
 
 
 class FitPath:
@@ -338,8 +333,8 @@ class FitPath:
     which ``fit`` serves one point at a time.
 
     ``points`` is a non-empty sequence of ``GreedyConfig``s that differ only
-    in epsilon, which never rises (``grid_by_w``); points of two w's are
-    refused.  The path serves its points in that order, each to one
+    in epsilon, which never rises (``_check_points``), so points of two
+    w's are refused.  The path serves its points in that order, each to one
     ``fit``, which must name the point.  Its numeric state is made at
     beta = 0: the ``SupportState``, the B and C grids ``beta`` and
     ``correlations`` with the ``factors`` that own each task's column of
@@ -358,8 +353,7 @@ class FitPath:
 
     def __init__(self, problem, points, remote=None):
         self.points = tuple(points)
-        if len(grid_by_w(self.points, problem.r)) > 1:
-            raise ValueError("a path's points span more than one w")
+        _check_points(self.points, problem.r)
         self.served = 0
         self.problem = problem
         self.zero_loss = sum(float(t.y @ t.y) / (2.0 * t.n) for t in problem.tasks)

@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import FitPath, check_step_records, fit, grid_by_w
+from .engine import FitPath, _check_points, check_step_records, fit
 from .model import GreedyConfig, MultiTaskProblem, residuals
 from .processes import forked
 
 
-# A grid search splits its w's across processes (``_path_fits``) only on a
+# A grid search splits its w's across processes (``cross_validate``) only on a
 # problem of at least this many design elements, the sum of n_j * p over its
 # tasks.  A fork, its report transfers and the join took 6-15 ms in a process
 # of 100-140 MB.  On a 2-core Xeon VM with BLAS pinned, the split took
@@ -217,7 +217,7 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     A large sweep shares its trials out over the process's CPUs: when its
     count of fits times p reaches FORK_FIT_FEATURES, ``processes.forked``
     cuts its (theta, trial) list, in order, into runs, under the guards it
-    keeps for ``_path_fits``' split of w's too.  The caller draws and fits
+    keeps for ``cross_validate``'s split of w's too.  The caller draws and fits
     the first run.  Each later run goes to a forked child, which draws its
     trials from their own ``trial_seed``s, fits its whole run along the
     same paths and then sends the reports.  The caller draws each remote
@@ -328,17 +328,20 @@ def _path_grid(eps, w_grid, nu, single_task, r):
     of the points ``_path_fits`` fits on a problem of ``r`` tasks, with
     ``eps`` mapping c to epsilon, w's in grid order and each w's points from
     the largest c down.  The per-task baseline fits its first w only, since
-    a rows-off fit never reads w, but every w must make a config.
-    ``engine.grid_by_w`` refuses an empty grid and a bad w."""
+    a rows-off fit never reads w.  An empty grid is refused, and each w's
+    points by ``engine._check_points``."""
     configs = [GreedyConfig(epsilon=0.0, w=w, nu=nu, rows_enabled=not single_task)
-               for w in dict.fromkeys(w_grid)]
+               for w in list(dict.fromkeys(w_grid))[:1 if single_task else None]]
+    if not configs:
+        raise ValueError("the grid is empty")
     grid = {config.w: [(c, replace(config, epsilon=eps[c])) for c in sorted(eps, reverse=True)]
-            for config in (configs[:1] if single_task else configs)}
-    grid_by_w([config for points in grid.values() for _, config in points], r)
+            for config in configs}
+    for points in grid.values():
+        _check_points([config for _, config in points], r)
     return grid
 
 
-def _path_fits(problem, grid, single_task=False, check=False, child=None):
+def _path_fits(problem, grid, single_task=False, check=False, remote=None):
     """Yield (c, w, reports) once per point of ``grid``, a ``_path_grid``
     of ``problem``: the reports of fresh fits, each checked once if
     ``check``.  The one place a grid of more than one point is fit.  Each
@@ -346,28 +349,19 @@ def _path_fits(problem, grid, single_task=False, check=False, child=None):
     point and dropped after its last, so at most one w's paths are alive
     (the ``engine`` docstring gives what fitting each w apart costs);
     ``fit`` is called once per point in grid order.  The per-task baseline
-    fits one rows-off path per task alone.  On a problem of at least
-    FORK_ELEMENTS design elements ``processes.forked`` may fit later runs
-    of the w's in children, stopped when the generator ends or is closed
-    or dropped; the caller's paths for those w's serve them from the
-    children's streams once each child has fit all of its w's.  Given
-    ``child``, a sweep's child whose stream holds this problem's reports
-    next, every point is served from it."""
+    fits one rows-off path per task alone.  It never forks: given
+    ``remote``, a child's stream that holds this call's reports next, every
+    point is served from it."""
     tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
-    with forked(list(grid) if child is None else [],
-                sum(t.n for t in problem.tasks) * problem.p >= FORK_ELEMENTS,
-                lambda run: _child_reports(
-                    [_path_fits(problem, {w: grid[w] for w in run}, single_task)])) as remote:
-        for w, points in grid.items():
-            paths = [FitPath(task, [config for _, config in points], remote.get(w, child))
-                     for task in tasks]
-            for c, config in points:
-                reports = [fit(path.problem, config, path) for path in paths]
-                if check:
-                    for j, report in enumerate(reports):
-                        check_step_records(report, config, paths[j].zero_loss)
-                yield c, w, reports
-            del paths       # freed before the next w's are made
+    for w, points in grid.items():
+        paths = [FitPath(task, [config for _, config in points], remote) for task in tasks]
+        for c, config in points:
+            reports = [fit(path.problem, config, path) for path in paths]
+            if check:
+                for j, report in enumerate(reports):
+                    check_step_records(report, config, paths[j].zero_loss)
+            yield c, w, reports
+        del paths       # freed before the next w's are made
 
 
 def _child_reports(path_fits):
@@ -390,14 +384,16 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
 
     The stopping threshold is c * s_hint * log(p) / n, each c finite and
     >= 0, with n the average training sample count.  ``_path_grid`` builds
-    and refuses the grid, an empty one included, and ``_path_fits`` fits
-    and checks it on one ``FitPath`` per w, each an epsilon-continued fit
-    from the largest c down; a move that several w make alike is refit
-    once per w (the ``engine`` docstring gives what that costs).  The
-    rows list the grid in the caller's (c, w) order, and ties keep the first
-    point in that order: the smallest c, then the smallest w, on ascending
-    grids.  Returns
-    (epsilon, w, report): the winner's epsilon at the training problem's mean n
+    and refuses the grid, an empty one included, and one ``_path_fits`` per
+    w fits and checks that w's points, an epsilon-continued fit from the
+    largest c down.  On a training problem of at least FORK_ELEMENTS design
+    elements ``processes.forked`` splits the w's, in grid order, as
+    ``sweep_grid`` splits its trials: a child fits each w of its run by its
+    own ``_path_fits``, and the caller's path of that w serves its reports,
+    one checked ``fit`` per point.  The rows list the grid in the caller's
+    (c, w) order, and ties keep the first point in that order: the smallest
+    c, then the smallest w, on ascending grids.  Returns (epsilon, w,
+    report): the winner's epsilon at the training problem's mean n
     (``digits.run_trial`` derives the final fit's again on the full problem)
     and a report naming the winning c "best_c" and listing every grid point.
     A holdout problem whose p or r differs from the training problem's is
@@ -415,9 +411,16 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}
     grid = _path_grid(eps, w_grid, nu, False, train_problem.r)
-    for c, w, (report,) in _path_fits(train_problem, grid, check=True):
-        scores[c, w] = sum(float(res @ res)
-                           for res in residuals(holdout_problem, report.coefficients))
+    large = sum(t.n for t in train_problem.tasks) * train_problem.p >= FORK_ELEMENTS
+    # the later runs go to children first, so they start at once
+    with forked(list(grid), large,
+                lambda run: _child_reports(_path_fits(train_problem, {w: grid[w]})
+                                           for w in run)) as remote:
+        for w, points in grid.items():
+            for c, _, (report,) in _path_fits(train_problem, {w: points}, check=True,
+                                              remote=remote.get(w)):
+                scores[c, w] = sum(float(res @ res)
+                                   for res in residuals(holdout_problem, report.coefficients))
     rows = [{"c": c, "w": w, "epsilon": eps[c], "holdout_score": scores[c, w]}
             for c in c_grid for w in w_grid]
     best = min(rows, key=lambda row: row["holdout_score"])      # the first of equals

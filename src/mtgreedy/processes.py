@@ -12,7 +12,9 @@ runs and forks a ``_Child`` for each later run, which fits its whole run and
 then sends it.  The caller serves the reports in the serial order, each
 equal to a fresh fit's bit for bit; its first from a child waits for that
 child to finish.  ``forked`` owns each child's lifetime: every child is
-stopped when the ``with`` block that forked it ends, however it ends.  A
+stopped when the ``with`` block that forked it ends, however it ends.  Only
+``experiments.sweep_grid`` and ``experiments.cross_validate`` fork, each in
+one ``with`` in a plain function, so no child outlives its operation.  A
 fork copies only the forking thread, so a process forks only when no other
 thread is alive.  A child never forks, and a process forks only while no
 child of its own is alive, so the processes never outnumber the CPUs.

@@ -221,10 +221,12 @@ class TestSweep:
         assert len(lines) == 2
         assert "50% crossing" in capsys.readouterr().out
 
-    def test_empty_grid_is_usage_error(self, tmp_path):
+    def test_empty_grid_is_usage_error(self, capsys):
+        """Refused by the sweep itself, the one check of an empty theta grid."""
         assert run(["sweep", "--p", "32", "--kappa", "0.5", "--theta-min", "2",
                     "--theta-max", "1", "--theta-step", "0.5", "--trials", "1",
                     "--seed", "1", "--epsilon-c", "1e-5"]) == 2
+        assert "the theta grid is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--theta-step", "nan"), ("--theta-min", "nan"), ("--theta-min", "-1")])

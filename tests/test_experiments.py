@@ -270,6 +270,12 @@ class TestSingleTaskBaseline:
         for _, _, reports in points:
             assert all(report.pattern.rows == frozenset() for report in reports)
 
+    def test_the_baseline_grid_holds_its_first_w_only(self):
+        """A rows-off config refuses no w, so only the first w's are built."""
+        grid = _path_grid({1.0: 0.1}, (1.5, 0.5, math.inf, 99.0), 0.5, True, 2)
+        assert grid == {1.5: [(1.0, GreedyConfig(epsilon=0.1, w=1.5, nu=0.5,
+                                                 rows_enabled=False))]}
+
     def test_full_sharing_needs_more_samples_than_joint(self):
         # statistical: at full overlap and a sample size between the two
         # transitions, pooled row selection succeeds where per-task fits fail

@@ -207,7 +207,9 @@ class TestGuards:
                 fit(problem, config, path)
 
     def test_a_grid_differs_only_in_epsilon_and_w(self):
-        with pytest.raises(ValueError, match="more than epsilon and w"):
+        """Only in epsilon, on a path: ``test_a_path_refuses_points_of_two_ws``
+        gives the points of two w's."""
+        with pytest.raises(ValueError, match="differ in more than epsilon"):
             FitPath(synthetic_problem(), [GreedyConfig(epsilon=1e-2),
                                           GreedyConfig(epsilon=1e-3, nu=0.25)])
 
@@ -228,7 +230,7 @@ class TestGuards:
         problem = synthetic_problem()
         other = [replace(config, w=2.0) for config in self.GRID]
         for grid in (self.GRID[:2] + other[:2], [self.GRID[0], other[0], self.GRID[1]]):
-            with pytest.raises(ValueError, match="more than one w"):
+            with pytest.raises(ValueError, match="differ in more than epsilon"):
                 FitPath(problem, grid)
 
 

@@ -1,15 +1,18 @@
-"""A grid search split across processes: ``experiments._path_fits`` fits
-the later runs of its w's in forked children, and every report must still
-equal the serial search's bit for bit, each served by one ``fit`` in the
-caller in grid order.  A child's exception must reach the caller, a child
-that dies must make ``fit`` raise instead of wait, and no child may outlive
-a closed or dropped ``_path_fits``.  A ``FitPath`` on its own never forks.
+"""Operations split across processes.  A grid search
+(``experiments.cross_validate``) fits the later runs of its w's in forked
+children, and every report must still equal the serial search's bit for
+bit, each served by one ``fit`` in the caller in grid order.  The behaviour
+it shares with a split sweep is tested here over both operations: a child's
+exception must reach the caller, a child that dies must make the operation
+raise instead of wait, and an exception in the caller must stop every
+child.  ``_path_fits`` and a ``FitPath`` on their own never fork.
 
 The split needs BLAS pinned, two CPUs and a large problem; the ``split``
 fixture of ``conftest`` patches those conditions so the small problems here
-split, and every test asserts that a child was started.  The CLI test in
-``test_cli`` runs the split with the real guard, in a fresh interpreter, and
-so does the test here of a process that has made a large fit.
+split, and every test asserts that a child was started, or that none was.
+The CLI test in ``test_cli`` runs the split with the real guard, in a fresh
+interpreter, and so does the test here of a process that has made a large
+fit.
 """
 
 import math
@@ -28,8 +31,10 @@ import pytest
 from mtgreedy import GreedyConfig, cross_validate, experiments, fit, processes
 from mtgreedy.digits import C_GRID, W_GRID, split_for_validation
 from mtgreedy.engine import FitPath
+from mtgreedy.experiments import run_sweep
 
 from test_path import assert_same_report, digits_shaped_problem, epsilons
+from test_sweep_processes import THETAS, sweep_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SPLIT = processes.split
@@ -39,18 +44,20 @@ def grid_of(problem, w_grid=W_GRID):
     return [GreedyConfig(epsilon=eps, w=w, nu=0.5) for w in w_grid for eps in epsilons(problem)]
 
 
-def eps_of(problem):
-    return dict(zip(C_GRID, epsilons(problem, C_GRID)))
+def grid_search(w_grid=W_GRID):
+    """The digit-shaped grid search at C_GRID's c's and W_GRID's w's, or
+    ``w_grid``'s."""
+    train, holdout = split_for_validation(digits_shaped_problem(seed=11))
+    return cross_validate(train, holdout, C_GRID, w_grid, 0.5, 8)
 
 
-def path_fits(problem, w_grid=W_GRID):
-    """``_path_fits`` over W_GRID's w's, or ``w_grid``'s, at C_GRID's c's."""
-    return experiments._path_fits(
-        problem, experiments._path_grid(eps_of(problem), w_grid, 0.5, False, problem.r))
+def sweep():
+    """A joint sweep of 3 thetas x 3 trials at one (c, w = 1.5)."""
+    return run_sweep(0.5, 48, THETAS, 3, sweep_config(), 7)
 
 
 def made_paths(monkeypatch):
-    """The (w, remote) of each path ``_path_fits`` makes, as made: remote is
+    """The (w, remote) of each path the operations make, as made: remote is
     True for a path served from a child's stream."""
     made = []
 
@@ -63,25 +70,39 @@ def made_paths(monkeypatch):
     return made
 
 
+def served_fits(monkeypatch):
+    """The (config, report) of each ``fit`` the caller returns, in order."""
+    served = []
+
+    def recorded(problem, config, path=None):
+        served.append((config, fit(problem, config, path)))
+        return served[-1][1]
+
+    monkeypatch.setattr(experiments, "fit", recorded)
+    return served
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_split_path_serves_the_serial_reports(split, monkeypatch, cpus):
     """The children fit the later runs of W_GRID's w's, and the caller's
     paths of those w's serve them from their streams."""
-    problem = digits_shaped_problem()
+    served = served_fits(monkeypatch)
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", math.inf)
-    serial = list(path_fits(problem))
+    grid_search()
+    serial = served[:]
     assert not split
 
+    served.clear()
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", 0)
     monkeypatch.setattr(processes, "CPUS", cpus)
     made = made_paths(monkeypatch)
-    got = list(path_fits(problem))
+    grid_search()
     assert len(split) == cpus - 1
     assert [w for w, _ in made] == list(W_GRID)
     fits = [w for w, remote in made if not remote]
     assert fits == list(W_GRID[:len(fits)]) and 0 < len(fits) < len(W_GRID)
-    assert [point[:2] for point in got] == [point[:2] for point in serial]
-    for (_, _, (report,)), (_, _, (want,)) in zip(got, serial):
+    assert [config for config, _ in served] == [config for config, _ in serial]
+    for (_, report), (_, want) in zip(served, serial):
         assert_same_report(report, want)
     assert multiprocessing.active_children() == []
 
@@ -128,13 +149,22 @@ def test_a_fit_path_on_its_own_starts_no_child(split):
     assert split == [] and multiprocessing.active_children() == []
 
 
-def test_a_grid_the_paths_refuse_is_refused_before_any_fork(split):
+def test_path_fits_starts_no_child(split):
+    """``_path_fits`` fits every w of a grid the split's size rule takes
+    itself, in grid order: only whole operations fork."""
     problem = digits_shaped_problem()
+    eps = dict(zip(C_GRID, epsilons(problem, C_GRID)))
+    grid = experiments._path_grid(eps, W_GRID, 0.5, False, problem.r)
+    points = [point[:2] for point in experiments._path_fits(problem, grid)]
+    assert points == [(c, w) for w in W_GRID for c in sorted(C_GRID, reverse=True)]
+    assert split == [] and multiprocessing.active_children() == []
+
+
+def test_a_grid_the_paths_refuse_is_refused_before_any_fork(split):
     with pytest.raises(ValueError, match="w=11.0 exceeds the task count r=10"):
-        next(path_fits(problem, (1.0, 11.0)))
+        grid_search((1.0, 11.0))
     with pytest.raises(ValueError, match="the grid's epsilons rise at w=1.0"):
-        grid = experiments._path_grid({1.0: 1e-4, 0.5: 1e-2}, (1.0, 2.0), 0.5, False, problem.r)
-        next(experiments._path_fits(problem, grid))
+        experiments._path_grid({1.0: 1e-4, 0.5: 1e-2}, (1.0, 2.0), 0.5, False, 10)
     assert split == []
 
 
@@ -187,8 +217,8 @@ class Planned(Exception):
     """Stops a grid search once its plan is taken, before any child starts."""
 
 
-def plan_of(monkeypatch, problem, ws):
-    """The runs of the w's ``ws`` that ``_path_fits`` plans on ``problem``."""
+def plan_of(monkeypatch, ws):
+    """The runs of the w's ``ws`` that ``grid_search`` plans."""
     taken = []
 
     def planned(items, large):
@@ -198,27 +228,29 @@ def plan_of(monkeypatch, problem, ws):
     with monkeypatch.context() as patched:
         patched.setattr(processes, "split", planned)
         with pytest.raises(Planned):
-            next(path_fits(problem, ws))
+            grid_search(ws)
     return taken[0]
 
 
 def test_a_path_splits_only_when_every_condition_holds(monkeypatch):
-    problem = digits_shaped_problem()
-    elements = sum(t.n for t in problem.tasks) * problem.p
+    """A grid search splits its w's only then; its size rule reads the
+    training problem's design elements."""
+    train, _ = split_for_validation(digits_shaped_problem(seed=11))
+    elements = sum(t.n for t in train.tasks) * train.p
     ws = [1.0, 1.5, 2.0]
     monkeypatch.setattr(processes, "CPUS", 64)
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", elements)
     monkeypatch.setattr(threading, "active_count", lambda: 1)
-    assert plan_of(monkeypatch, problem, ws) == [[1.0], [1.5], [2.0]]
-    assert plan_of(monkeypatch, problem, [1.5]) == [[1.5]]
+    assert plan_of(monkeypatch, ws) == [[1.0], [1.5], [2.0]]
+    assert plan_of(monkeypatch, [1.5]) == [[1.5]]
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", elements + 1)
-    assert plan_of(monkeypatch, problem, ws) == [ws]
+    assert plan_of(monkeypatch, ws) == [ws]
     monkeypatch.setattr(experiments, "FORK_ELEMENTS", elements)
     monkeypatch.setattr(processes, "CPUS", 1)
-    assert plan_of(monkeypatch, problem, ws) == [ws]
+    assert plan_of(monkeypatch, ws) == [ws]
     monkeypatch.setattr(processes, "CPUS", 64)
     monkeypatch.setattr(threading, "active_count", lambda: 2)
-    assert plan_of(monkeypatch, problem, ws) == [ws]
+    assert plan_of(monkeypatch, ws) == [ws]
 
 
 # Fits a problem whose design is over 4 MiB, then runs a grid search of three
@@ -244,8 +276,7 @@ FIT_THEN_GRID = textwrap.dedent("""
     processes._Child.__init__ = counted
     problem, _ = gen_synthetic(SynthSpec(p=40, n=30, r=2, kappa=0.5, seed=2))
     print(threading.active_count())
-    grid = experiments._path_grid({1.0: 1e-2, 0.0: 1e-9}, (1.0, 1.5, 2.0), 0.5, False, problem.r)
-    list(experiments._path_fits(problem, grid))
+    experiments.cross_validate(problem, problem, (1.0, 1e-3), (1.0, 1.5, 2.0), 0.5, 2)
     print(len(started))
 """)
 
@@ -257,70 +288,84 @@ def test_a_process_that_made_a_large_fit_starts_no_thread_and_still_splits():
     assert threads == "1" and started == "1"
 
 
-def test_a_childs_exception_is_raised_by_the_callers_fit(split, monkeypatch):
+@pytest.mark.parametrize("operation, failing_w, made, served", [
+    pytest.param(sweep, 1.5, [(1.5, False)] * 5 + [(1.5, True)], [1.5] * 5, id="sweep"),
+    pytest.param(grid_search, 2.0, [(w, w >= 1.75) for w in W_GRID],
+                 [w for w in W_GRID[:4] for _ in C_GRID], id="cross_validate"),
+])
+def test_a_childs_exception_is_raised_by_the_caller(split, monkeypatch, operation, failing_w,
+                                                    made, served):
+    """A child's fits at ``failing_w`` raise.  The caller makes its paths
+    (w, remote) as ``made`` and serves fits at the w's ``served``, its own
+    run's and those the child sent first; its next ``fit`` raises."""
     advance = FitPath._advance
 
     def failing(path, config):
-        if config.w == 2.0:
-            raise ValueError("no fit at w = 2")
+        if multiprocessing.parent_process() is not None and config.w == failing_w:
+            raise ValueError("no fit in a child")
         return advance(path, config)
 
     monkeypatch.setattr(FitPath, "_advance", failing)
-    made = made_paths(monkeypatch)
-    served = []
-    with pytest.raises(ValueError, match="no fit at w = 2"):
-        for c, w, _ in path_fits(digits_shaped_problem()):
-            served.append(w)
-    assert [w for w, remote in made if remote] == [1.75, 2.0]
-    assert served == [w for w in W_GRID[:4] for _ in C_GRID]
+    got_made, got_served = made_paths(monkeypatch), served_fits(monkeypatch)
+    with pytest.raises(ValueError, match="no fit in a child"):
+        operation()
+    assert got_made == made
+    assert [config.w for config, _ in got_served] == served
     assert len(split) == 1
 
 
-def test_a_killed_child_makes_fit_raise(split, stalled_children):
-    points = path_fits(digits_shaped_problem())
-    for c, w, _ in points:              # the caller's own w's
-        if (c, w) == (min(C_GRID), W_GRID[2]):
-            break
-    (child,) = split
-    os.kill(child.process.pid, signal.SIGKILL)
+@pytest.mark.parametrize("operation, served", [
+    pytest.param(sweep, [1.5] * 5, id="sweep"),
+    pytest.param(grid_search, [w for w in W_GRID[:3] for _ in C_GRID], id="cross_validate"),
+])
+def test_a_killed_child_makes_the_operation_raise(split, stalled_children, monkeypatch,
+                                                  operation, served):
+    """The child is killed as it starts; the caller serves its own run's
+    fits, at the w's ``served``, and then raises instead of waiting."""
+    start = processes._Child.__init__
+
+    def killed(child, *args, **kwargs):
+        start(child, *args, **kwargs)
+        os.kill(child.process.pid, signal.SIGKILL)
+
+    monkeypatch.setattr(processes._Child, "__init__", killed)
+    got_served = served_fits(monkeypatch)
     # a wait that never ends is cut by the alarm
-    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("fit waited on a dead child"))
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the caller waited"))
     signal.alarm(30)
-    start = time.monotonic()
+    start_time = time.monotonic()
     try:
         with pytest.raises(RuntimeError, match="exit code -9"):
-            next(points)
+            operation()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert time.monotonic() - start < 10
+    assert time.monotonic() - start_time < 10
+    assert [config.w for config, _ in got_served] == served
+    assert len(split) == 1
 
 
-def test_close_stops_the_children(split, stalled_children, monkeypatch):
-    monkeypatch.setattr(processes, "CPUS", 3)
-    points = path_fits(digits_shaped_problem())
-    next(points)
-    assert len(split) == 2
-    assert ({child.process.pid for child in split}
-            == {process.pid for process in multiprocessing.active_children()})
-    points.close()
-    assert multiprocessing.active_children() == []
-    points.close()
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("operation, scorer", [
+    pytest.param(sweep, "sign_support_success", id="sweep"),
+    pytest.param(grid_search, "residuals", id="cross_validate"),
+])
+def test_an_exception_in_the_caller_stops_every_child(split, stalled_children, monkeypatch,
+                                                      operation, scorer, cpus):
+    """The caller's scoring of its first report raises while every child
+    still runs."""
+    alive = []
 
+    def failing(*args):
+        alive.append({process.pid for process in multiprocessing.active_children()})
+        raise ArithmeticError("no score")
 
-def test_closing_path_fits_early_stops_the_children(split, stalled_children):
-    points = path_fits(digits_shaped_problem())
-    next(points)
-    assert len(multiprocessing.active_children()) == len(split) == 1
-    points.close()
-    assert multiprocessing.active_children() == []
-
-
-def test_a_dropped_path_stops_its_children(split, stalled_children):
-    points = path_fits(digits_shaped_problem())
-    next(points)
-    assert len(multiprocessing.active_children()) == len(split) == 1
-    del points
+    monkeypatch.setattr(processes, "CPUS", cpus)
+    monkeypatch.setattr(experiments, scorer, failing)
+    with pytest.raises(ArithmeticError, match="no score"):
+        operation()
+    assert len(split) == cpus - 1
+    assert alive == [{child.process.pid for child in split}]
     assert multiprocessing.active_children() == []
 
 

@@ -114,6 +114,26 @@ def test_processes_alone_owns_the_other_cpus():
     assert private == []
 
 
+def test_only_whole_operations_fork():
+    """``forked`` is called once in ``experiments.sweep_grid`` and once in
+    ``experiments.cross_validate`` and nowhere else, and neither yields: a
+    child lives inside one ``with`` of a plain function, never as long as a
+    generator that nobody closed."""
+    forks, yields = [], set()
+    for path in sorted((ROOT / "src" / "mtgreedy").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for scope in node.body if isinstance(node, ast.ClassDef) else [node]:
+                name = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+                for inner in ast.walk(scope):
+                    if (isinstance(inner, ast.Call)
+                            and ast.unparse(inner.func).split(".")[-1] == "forked"):
+                        forks.append(name)
+                    elif isinstance(inner, (ast.Yield, ast.YieldFrom)):
+                        yields.add(name)
+    assert sorted(forks) == ["experiments.cross_validate", "experiments.sweep_grid"]
+    assert yields.isdisjoint(forks)
+
+
 def test_every_config_field_is_set_outside_the_tests():
     """Each field of ``GreedyConfig``, ``SweepConfig`` and ``SynthSpec`` is
     passed by keyword to that class, or to ``replace``, in some call in

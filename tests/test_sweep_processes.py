@@ -1,9 +1,9 @@
 """A sweep split across processes: its later (theta, trial) runs are drawn
 and fit in forked children, and the rows must still equal the serial
 sweep's, every point served by one ``fit`` in the caller, in order, and
-checked there.  A child's exception must reach the caller, a child that
-dies must make the sweep raise instead of wait, and no child may outlive
-a sweep that the caller's own code stops.
+checked there.  ``test_path_processes`` tests what a split sweep shares
+with a split grid search, over both: a child's exception, a child that
+dies and an exception in the caller.
 
 The ``split`` fixture of ``conftest`` forces the split, and every test
 that uses it asserts that a child was started.  The CLI tests in
@@ -12,15 +12,12 @@ that uses it asserts that a child was started.  The CLI tests in
 
 import math
 import multiprocessing
-import os
-import signal
 import threading
 import time
 
 import pytest
 
 from mtgreedy import GreedyConfig, SweepConfig, engine, experiments, fit, processes
-from mtgreedy.engine import FitPath
 from mtgreedy.experiments import run_sweep, stopping_threshold, sweep_grid
 
 THETAS = (0.6, 1.2, 1.8)
@@ -42,10 +39,8 @@ def test_a_split_sweep_equals_the_serial_one(split, monkeypatch, single_task):
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_split_sweep_grid_equals_the_serial_one(split, monkeypatch, cpus):
-    """2 c x 2 w, the runs cut between trials of one theta at 3 CPUs; the
-    trials' paths of two w's stay whole."""
+    """2 c x 2 w, the runs cut between trials of one theta at 3 CPUs."""
     monkeypatch.setattr(processes, "CPUS", cpus)
-    monkeypatch.setattr(experiments, "FORK_ELEMENTS", math.inf)
     args = (0.5, 48, THETAS, 3, [1e-2, 1e-5], [1.75, 1.25], sweep_config(), 5)
     got = sweep_grid(*args)
     assert len(split) == cpus - 1
@@ -59,8 +54,7 @@ def test_a_split_sweep_fits_and_checks_each_point_in_the_caller(split, monkeypat
                                                                  single_task):
     """``fit`` and ``check_step_records`` run in the caller, once per point
     and task, in the serial sweep's order: the calls made in a child go to
-    its own copy of these lists.  The trials' paths of two w's stay whole."""
-    monkeypatch.setattr(experiments, "FORK_ELEMENTS", math.inf)
+    its own copy of these lists."""
     calls, checked = [], []
 
     def counted(problem, config, path=None):
@@ -166,8 +160,8 @@ def test_a_sweep_splits_only_above_its_size_rule(plans, monkeypatch):
 
 
 def test_no_process_splits_while_its_child_runs(monkeypatch):
-    """A sweep's caller keeps its paths whole while its child runs, so the
-    processes never outnumber the CPUs; a child never splits again."""
+    """A process plans one run while a child of its own runs, so the
+    processes never outnumber the CPUs."""
     monkeypatch.setattr(processes, "CPUS", 64)
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     items = list(range(5))
@@ -216,50 +210,3 @@ def test_a_bad_grid_is_refused_before_any_draw_or_fork(split, monkeypatch, kappa
     with pytest.raises(ValueError, match=message):
         sweep_grid(kappa, 48, theta_grid, 3, c_grid, w_grid, config, 1)
     assert drawn == [] and split == []
-
-
-def test_a_sweep_childs_exception_is_raised_by_the_caller(split, monkeypatch):
-    advance = FitPath._advance
-
-    def failing(path, config):
-        if multiprocessing.parent_process() is not None:
-            raise ValueError("no fit in a sweep's child")
-        return advance(path, config)
-
-    monkeypatch.setattr(FitPath, "_advance", failing)
-    with pytest.raises(ValueError, match="no fit in a sweep's child"):
-        run_sweep(0.5, 48, THETAS, 3, sweep_config(), 7)
-    assert len(split) == 1
-
-
-def test_a_killed_sweep_child_makes_the_sweep_raise(split, stalled_children, monkeypatch):
-    start = processes._Child.__init__
-
-    def killed(child, *args, **kwargs):
-        start(child, *args, **kwargs)
-        os.kill(child.process.pid, signal.SIGKILL)
-
-    monkeypatch.setattr(processes._Child, "__init__", killed)
-    # a wait that never ends is cut by the alarm
-    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the sweep waited"))
-    signal.alarm(30)
-    start_time = time.monotonic()
-    try:
-        with pytest.raises(RuntimeError, match="exit code -9"):
-            run_sweep(0.5, 48, THETAS, 3, sweep_config(), 7)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.monotonic() - start_time < 10
-    assert len(split) == 1
-
-
-def test_an_exception_in_the_caller_stops_the_children(split, stalled_children, monkeypatch):
-    def failing(beta_hat, beta_star):
-        raise ArithmeticError("no score")
-
-    monkeypatch.setattr(experiments, "sign_support_success", failing)
-    with pytest.raises(ArithmeticError, match="no score"):
-        run_sweep(0.5, 48, THETAS, 3, sweep_config(), 7)
-    assert len(split) == 1
-    assert multiprocessing.active_children() == []

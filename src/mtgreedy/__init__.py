@@ -7,7 +7,6 @@ backward steps, and re-solves restricted least squares after every move.
 
 from .engine import (
     check_step_records,
-    coalesce_threshold,
     fit,
     gain_matrix,
     refit,
@@ -55,7 +54,7 @@ __all__ = [
     "FitReport", "GreedyConfig", "MultiTaskProblem", "StepRecord", "SupportPattern",
     "SweepConfig", "SweepRow", "SynthSpec", "Task", "TheoremInputs",
     "TruthPartition",
-    "beta_min", "check_step_records", "coalesce_threshold", "cost_oracle",
+    "beta_min", "check_step_records", "cost_oracle",
     "cross_validate", "epsilon_lower_bound", "error_bound", "eta_lower_bound",
     "exhaustive_best_fit", "fit", "gain_matrix", "gain_oracle",
     "gen_synthetic", "gradient_bound_lambda", "loss", "n_for_theta",

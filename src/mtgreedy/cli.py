@@ -195,13 +195,16 @@ def cmd_diagnose(args):
 
 
 def cmd_digits(args):
-    # refuse a bad c by the flag and a bad trial count, before the dataset loads
+    # refuse a bad c by the flag and a bad trial or row count, before the dataset loads
     try:
         experiments._check_c(args.epsilon_c_grid)
     except ValueError as exc:
         raise ValueError(f"--epsilon-c-grid: {exc}") from None
     if args.trials < 1:
         raise ValueError("need trials >= 1")
+    if not 1 <= args.n_per_class < digits_mod.PER_CLASS:
+        raise ValueError(f"--n-per-class must lie in [1, {digits_mod.PER_CLASS - 1}], "
+                         f"got {args.n_per_class}")
     try:
         dataset = digits_mod.load_mfeat(args.data_dir)
     except FileNotFoundError as exc:

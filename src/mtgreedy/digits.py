@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import fit
 from .experiments import _default_sparsity, cross_validate, stopping_threshold
-from .model import GreedyConfig, MultiTaskProblem, Task
+from .model import GreedyConfig, MultiTaskProblem
 
 # (file suffix, column count), concatenated in this order.
 FEATURE_FILES = (
@@ -103,10 +103,11 @@ def build_tasks(dataset, n_per_class, seed):
 
     Every task shares the same column-major training design; task i's
     response is the 0/1 indicator of digit i.  Rows not drawn form the test
-    split.
+    split, so n_per_class must leave each class a test row: it lies in
+    [1, PER_CLASS - 1].
     """
-    if not (1 <= n_per_class <= PER_CLASS):
-        raise ValueError(f"n_per_class must lie in [1, {PER_CLASS}], got {n_per_class}")
+    if not (1 <= n_per_class < PER_CLASS):
+        raise ValueError(f"n_per_class must lie in [1, {PER_CLASS - 1}], got {n_per_class}")
     rng = np.random.default_rng(seed)
     train_idx = []
     for c in range(N_CLASSES):
@@ -116,11 +117,10 @@ def build_tasks(dataset, n_per_class, seed):
     train_idx = np.asarray(train_idx)
     mask = np.zeros(dataset.features.shape[0], dtype=bool)
     mask[train_idx] = True
-    X = design_rows(dataset.features, train_idx)
     train_labels = dataset.labels[train_idx]
-    tasks = tuple(
-        Task(X, (train_labels == i).astype(float)) for i in range(N_CLASSES))
-    problem = MultiTaskProblem(p=dataset.features.shape[1], r=N_CLASSES, tasks=tasks)
+    problem = MultiTaskProblem.from_arrays(
+        [design_rows(dataset.features, train_idx)] * N_CLASSES,
+        [(train_labels == i).astype(float) for i in range(N_CLASSES)])
     test = DigitDataset(features=dataset.features[~mask], labels=dataset.labels[~mask])
     return problem, test
 
@@ -144,7 +144,7 @@ def classify_and_report(fit_report, test):
 
     Predicted class is the argmax over task scores (ties to the lower class
     id).  Row support counts features nonzero in any task; support counts all
-    nonzero coefficients.
+    nonzero coefficients.  A test split with no row of some class is refused.
     """
     beta = fit_report.coefficients
     if beta.shape[1] != N_CLASSES:
@@ -155,8 +155,7 @@ def classify_and_report(fit_report, test):
     for c in range(N_CLASSES):
         mine = test.labels == c
         if not np.any(mine):
-            per_digit.append(0.0)
-            continue
+            raise ValueError(f"the test split has no row of class {c}")
         per_digit.append(float(np.mean(pred[mine] != c)))
     per_digit = tuple(per_digit)
     errs = np.asarray(per_digit)
@@ -174,10 +173,11 @@ def split_for_validation(problem):
 
     Tasks share the design, so the split is computed once on the indicator
     responses and applied to every task, and X is gathered once per half
-    into a column-major array (``design_rows``): every task of a half holds
-    that half's one design array, so a fit shares its orthogonalizations
-    between them.  Returns (train, holdout) problems.  A class with fewer
-    than two rows cannot be halved, so it raises ValueError.
+    into a column-major array (``design_rows``) that ``from_arrays`` keeps
+    as the one design of every task of that half, so a fit shares its
+    orthogonalizations between them.  Returns (train, holdout) problems.
+    A class with fewer than two rows cannot be halved, so it raises
+    ValueError.
     """
     X = problem.tasks[0].X
     labels = np.full(X.shape[0], -1, dtype=int)
@@ -193,12 +193,9 @@ def split_for_validation(problem):
         second.extend(block[half:])
     first = np.asarray(first)
     second = np.asarray(second)
-    halves = []
-    for rows in (first, second):
-        X_half = design_rows(X, rows)
-        tasks = tuple(Task(X_half, t.y[rows]) for t in problem.tasks)
-        halves.append(MultiTaskProblem(p=problem.p, r=problem.r, tasks=tasks))
-    return tuple(halves)
+    return tuple(MultiTaskProblem.from_arrays([design_rows(X, rows)] * problem.r,
+                                              [t.y[rows] for t in problem.tasks])
+                 for rows in (first, second))
 
 
 def run_trial(dataset, n_per_class, seed, c_grid=C_GRID, w_grid=W_GRID, nu=0.5):

@@ -227,15 +227,11 @@ def _check_weight(config, r):
         raise ValueError(f"w={config.w} exceeds the task count r={r}")
 
 
-def coalesce_threshold(w):
-    """Singleton count at which a feature row out-earns the w-weighted row gate."""
-    return math.floor(w) + 1
-
-
 def promotion_count(config):
     """Singleton count at which a fit under ``config`` promotes a feature to
-    a row: coalesce_threshold(w) with rows enabled, None with rows off."""
-    return coalesce_threshold(config.w) if config.rows_enabled else None
+    a row, the count at which the feature's row out-earns the w-weighted row
+    gate: floor(w) + 1 with rows enabled, None with rows off."""
+    return math.floor(config.w) + 1 if config.rows_enabled else None
 
 
 class MaskedSet(set):
@@ -261,7 +257,7 @@ class SupportState:
     Every move is applied here, so a fit and the replay of its trace move
     identically.  Adding a row drops that feature's singletons.  Adding a
     singleton promotes its feature to a row once the feature holds
-    coalesce_threshold(w) singletons, whenever rows are enabled.
+    ``promotion_count(config)`` singletons, whenever rows are enabled.
     Removing an object the support does not hold raises KeyError.
 
     ``singles`` (cells over the (p, r) grid) and ``rows`` (features over p)

@@ -20,13 +20,16 @@ from .processes import forked
 
 # A grid search splits its w's across processes (``cross_validate``) only on a
 # problem of at least this many design elements, the sum of n_j * p over its
-# tasks.  A fork, its report transfers and the join took 6-15 ms in a process
-# of 100-140 MB.  On a 2-core Xeon VM with BLAS pinned, the split took
-# 0.71-0.72 of the serial time of the digit grid search (6 c x 5 w, medians
-# of 7) at 10 x 200 x 649 elements (1.3e6), 0.75-0.83 at 6.5e5 but 1.20 in
-# one run of 7, 0.94-1.08 at 3.2e5, and 1.12-1.19 on a sweep-sized 2 x 100 x
-# 128 problem (3 w's).
-FORK_ELEMENTS = 2 ** 20
+# tasks.  On a 2-core VM with BLAS pinned, split over serial time of the digit
+# grid search (6 c x 5 w) on the training halves of digits-shaped problems,
+# 48 alternating in-process pairs per size, median (quartiles): 0.86
+# (0.83-1.22) at 6.5e4 elements, 0.75 (0.71-0.89) at 1.3e5, 0.65-0.72 at
+# 1.9e5-5.2e5 and 0.56 (0.52-0.69) at 1.3e6.  In 2 of 11 rounds of 8 pairs,
+# while the host's second core was busy, the split lost at every size up to
+# 5.2e5 (round medians 1.15-1.54).  Two-task synthetic 3 c x 3 w grids at
+# 3.2e3-5.1e4 elements, 3-8 ms serial, took 2.0-3.2 times as long split in
+# all of 72 pairs: a fork and its join cost more than such a grid.
+FORK_ELEMENTS = 2 ** 16
 # A sweep splits its trials across processes (``sweep_grid``) only when its
 # count of fits times p is at least this: a fit's cost follows p and theta,
 # not the design's size.  On a 2-core Xeon VM with BLAS pinned, split over

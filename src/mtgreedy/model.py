@@ -195,9 +195,8 @@ def loss(problem, beta):
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (problem.p, problem.r):
         raise ValueError(f"beta shape {beta.shape} does not match ({problem.p}, {problem.r})")
-    total = 0.0
-    for j, t in enumerate(problem.tasks):
-        res = t.y - t.X @ beta[:, j]
+    total = 0.0       # a plain loop: from Python 3.12 on, sum() compensates its additions
+    for t, res in zip(problem.tasks, residuals(problem, beta)):
         total += float(res @ res) / (2.0 * t.n)
     return total
 

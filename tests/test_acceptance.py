@@ -18,7 +18,6 @@ from mtgreedy import (
     GreedyConfig,
     SweepConfig,
     SynthSpec,
-    coalesce_threshold,
     epsilon_lower_bound,
     error_bound,
     eta_lower_bound,
@@ -38,6 +37,7 @@ from mtgreedy import (
     TheoremInputs,
 )
 from mtgreedy.cli import main as cli_main
+from mtgreedy.engine import promotion_count
 from mtgreedy.experiments import crossing_se, stopping_threshold, sweep_grid
 
 from conftest import gains_at, planted_shared_problem, random_pattern, random_problem
@@ -198,7 +198,7 @@ def test_criterion_4_trace_invariants(recovery_runs, planted_runs):
         verify_trace(problem, config, report)
         backward_seen += sum(1 for s in report.steps if s.kind == "backward")
         checked += 1
-    d = coalesce_threshold(1.5)
+    d = promotion_count(config)
     ok = True
     report_line(4, "trace invariants", ok,
                 f"{checked} traces replayed (gradient, ledger pairing, pair decrease, "

@@ -34,15 +34,16 @@ PINNED_SWEEP_DIGESTS = [
     (["--single-task"], "33486a5662aced024ad86add418bad46ade8a3d6dded40e45ada0c102c5ffc99"),
 ]
 # Runs the CLI with its first argument, when not empty, as both size rules
-# (experiments.FORK_ELEMENTS and experiments.FORK_FIT_FEATURES), and reports
-# on stderr how many children grid searches and sweeps started.
+# (experiments.FORK_ELEMENTS and experiments.FORK_FIT_FEATURES; "inf" keeps
+# everything serial), and reports on stderr how many children grid searches
+# and sweeps started.
 COUNTING_MAIN = textwrap.dedent("""
     import sys
     from mtgreedy import cli, experiments, processes
 
     limit = sys.argv.pop(1)
     if limit:
-        experiments.FORK_ELEMENTS = experiments.FORK_FIT_FEATURES = int(limit)
+        experiments.FORK_ELEMENTS = experiments.FORK_FIT_FEATURES = float(limit)
     started = []
     start = processes._Child.__init__
 
@@ -377,6 +378,38 @@ class TestDigitsCommand:
         assert "need trials >= 1" in capsys.readouterr().err
         assert loads == []
 
+    @pytest.mark.parametrize("n_per_class", ["0", "200", "201"])
+    def test_bad_row_count_is_refused_before_the_dataset_loads(self, mfeat_dir, capsys,
+                                                                monkeypatch, n_per_class):
+        """200 rows per class would leave no test row, and every class would
+        score 0.0."""
+        loads = []
+        monkeypatch.setattr(digits, "load_mfeat", lambda *args: loads.append(args))
+        assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", n_per_class,
+                    "--seed", "1"]) == 2
+        assert "--n-per-class must lie in [1, 199]" in capsys.readouterr().err
+        assert loads == []
+
+    @pytest.mark.parametrize("extra, code, message", [
+        (["--w-grid", "1.5,x"], 2, "argument --w-grid: bad float list '1.5,x'"),
+        (["--epsilon-c-grid", ","], 2, "argument --epsilon-c-grid: empty list"),
+        ([], 3, "internal error: the loader broke"),
+    ], ids=["bad-list", "empty-list", "internal"])
+    def test_exit_codes(self, mfeat_dir, capsys, monkeypatch, extra, code, message):
+        """A bad float list is a usage error, exit 2 from the parser; an
+        exception that is not an input error exits 3."""
+        def broken(directory):
+            raise RuntimeError("the loader broke")
+
+        monkeypatch.setattr(digits, "load_mfeat", broken)
+        try:
+            got = run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
+                       "--seed", "1", *extra])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert message in capsys.readouterr().err
+
     def test_single_trial_report(self, mfeat_dir, tmp_path, capsys):
         out = tmp_path / "digits.json"
         assert run(["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
@@ -397,13 +430,13 @@ class TestDigitsCommand:
     @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs two usable CPUs")
     def test_a_split_grid_search_prints_the_same_bytes(self, mfeat_dir):
         """The real CLI in fresh interpreters with BLAS pinned: with the
-        split size at 0 every grid search forks, unchanged the fixture's
-        problems are too small to split, and both print the pinned bytes."""
+        split size at 0 every grid search forks, at infinity none does, and
+        both print the pinned bytes."""
         args = ["digits", "--data-dir", str(mfeat_dir), "--n-per-class", "10",
                 "--trials", "2", "--seed", "1"]
         runs = [subprocess.run([sys.executable, "-c", COUNTING_MAIN, limit, *args],
                                env=pinned_env(), capture_output=True, timeout=300)
-                for limit in ("0", "")]
+                for limit in ("0", "inf")]
         for run in runs:
             assert run.returncode == 0, run.stderr.decode()
         assert runs[0].stdout == runs[1].stdout
@@ -423,6 +456,29 @@ class TestRoundTrip:
         from mtgreedy.fileio import problem_to_dict
         again = to_json(problem_to_dict(problem, beta_star=beta_star, meta=meta))
         assert again == original
+
+
+def problem_doc():
+    """A valid two-feature, one-task problem document."""
+    return {"p": 2, "r": 1, "beta_star": [[1.0], [2.0]],
+            "tasks": [{"n": 2, "X": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 2.0]}]}
+
+
+@pytest.mark.parametrize("change, refusal", [
+    (lambda doc: doc.pop("p"), "malformed problem file"),
+    (lambda doc: doc.update(r="one"), "malformed problem file"),
+    (lambda doc: doc["tasks"][0].pop("y"), "task 0: malformed arrays"),
+    (lambda doc: doc["tasks"][0].update(X=[[1.0, 0.0], [0.0]]), "task 0: malformed arrays"),
+    (lambda doc: doc["tasks"][0].update(n=3), "task 0: declared n=3 but X has 2 rows"),
+    (lambda doc: doc.update(beta_star=[[1.0, 2.0]]),
+     r"beta_star shape \(1, 2\) does not match \(2, 1\)"),
+], ids=["no-p", "bad-r", "no-y", "ragged-X", "declared-n", "beta-star-shape"])
+def test_problem_from_dict_refuses_a_malformed_document(change, refusal):
+    problem_from_dict(problem_doc())
+    doc = problem_doc()
+    change(doc)
+    with pytest.raises(ValueError, match=refusal):
+        problem_from_dict(doc)
 
 
 class TestSerialization:

@@ -62,6 +62,19 @@ class TestLoader:
         with pytest.raises(ValueError, match="mfeat-zer:5"):
             load_mfeat(broken)
 
+    @pytest.mark.parametrize("token", ["abc", "1.2.3"])
+    def test_non_numeric_value_reports_line(self, mfeat_dir, tmp_path, token):
+        broken = tmp_path / "nonnumeric"
+        broken.mkdir()
+        for name, _ in FEATURE_FILES:
+            (broken / f"mfeat-{name}").write_text((mfeat_dir / f"mfeat-{name}").read_text())
+        target = broken / "mfeat-mor"
+        lines = target.read_text().splitlines()
+        lines[2] = " ".join([token] + lines[2].split()[1:])
+        target.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="mfeat-mor:3: non-numeric value"):
+            load_mfeat(broken)
+
 
 class TestBuildTasks:
     def test_split_sizes_and_indicators(self, mfeat_dir):
@@ -82,11 +95,15 @@ class TestBuildTasks:
         assert np.array_equal(t1.labels, t2.labels)
 
     def test_out_of_range_count(self, mfeat_dir):
+        """A count of PER_CLASS (200) or more leaves a class no test row."""
         ds = load_mfeat(mfeat_dir)
-        with pytest.raises(ValueError):
-            build_tasks(ds, n_per_class=0, seed=1)
-        with pytest.raises(ValueError):
-            build_tasks(ds, n_per_class=201, seed=1)
+        for n_per_class in (0, 200, 201):
+            with pytest.raises(ValueError, match=r"n_per_class must lie in \[1, 199\]"):
+                build_tasks(ds, n_per_class=n_per_class, seed=1)
+
+    def test_the_largest_count_leaves_each_class_one_test_row(self, mfeat_dir):
+        _, test = build_tasks(load_mfeat(mfeat_dir), n_per_class=199, seed=1)
+        assert np.array_equal(np.bincount(test.labels), np.ones(10))
 
     def test_validation_split_halves_classes(self, mfeat_dir):
         ds = load_mfeat(mfeat_dir)
@@ -140,6 +157,18 @@ class TestClassifyAndReport:
         # class 0 rows are right by tie-break, every other class is wrong
         assert report.per_digit_errors[0] == 0.0
         assert report.avg_error == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("r", [9, 11])
+    def test_a_report_of_another_task_count_is_refused(self, r):
+        test = DigitDataset(features=np.ones((20, 4)), labels=np.repeat(np.arange(10), 2))
+        with pytest.raises(ValueError, match=f"expected 10 task columns, got {r}"):
+            classify_and_report(self._zero_report(4, r), test)
+
+    def test_a_class_without_test_rows_is_refused(self):
+        """Scoring a class with no test row as 0.0 would hide it in avg_error."""
+        test = DigitDataset(features=np.ones((18, 4)), labels=np.repeat(np.arange(9), 2))
+        with pytest.raises(ValueError, match="no row of class 9"):
+            classify_and_report(self._zero_report(4, 10), test)
 
     def test_perfect_separator_has_zero_error(self):
         rng = np.random.default_rng(2)

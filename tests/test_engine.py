@@ -294,6 +294,11 @@ class TestFit:
         assert report.termination == "max-steps"
         assert sum(1 for s in report.steps if s.kind == "forward") == 1
 
+    @pytest.mark.parametrize("config", [None, 1e-3, {"epsilon": 1e-3}])
+    def test_rejects_a_config_that_is_not_a_greedy_config(self, config):
+        with pytest.raises(TypeError, match="config must be a GreedyConfig"):
+            fit(two_point_problem(), config)
+
     def test_rejects_weight_above_task_count(self):
         problem = two_point_problem(y0=(1.0, 1.0), y1=(1.0, 1.0))
         with pytest.raises(ValueError):
@@ -398,6 +403,8 @@ def retouched(report, k, **change):
 # where step k removes a singleton against step f and no step touches
 # feature u.
 TAMPERS = [
+    ("under-threshold", lambda rep, k, u, zero: retouched(rep, 0, reward_or_cost=0.0),
+     "step 0: recorded reward 0.0 under threshold"),
     ("negative-cost", lambda rep, k, u, zero: retouched(rep, k, reward_or_cost=-1.0),
      "step {k}: negative removal cost"),
     ("empty-ledger", lambda rep, k, u, zero: replace(rep, steps=rep.steps[k:]),

@@ -238,6 +238,12 @@ class TestCrossValidate:
             cross_validate(train, hold, [1e-2, c], [1.5], 0.5, s_hint=2)
         assert derived == []
 
+    @pytest.mark.parametrize("s_hint", [0, 0.5, -1])
+    def test_rejects_an_s_hint_below_one(self, s_hint):
+        train, hold, _ = self._split_instance(seed=4)
+        with pytest.raises(ValueError, match="s_hint must be >= 1"):
+            cross_validate(train, hold, [1e-2], [1.5], 0.5, s_hint=s_hint)
+
     @pytest.mark.parametrize("shape", ["one task", "one more feature"])
     def test_rejects_a_holdout_of_another_shape_naming_both(self, monkeypatch, shape):
         """An r = 1 holdout would be scored on task 0 alone, and a wider one

@@ -42,6 +42,23 @@ def test_dimension_mismatch_raises():
         solve_least_squares(np.eye(3), np.ones(2))
 
 
+@pytest.mark.parametrize("a_shape, b_shape, refusal", [
+    ((3,), (3,), r"expected a 2-d design, got shape \(3,\)"),
+    ((3, 0), (3,), None),
+    ((0, 2), (0,), None),
+    ((0, 0), (0,), None),
+])
+def test_a_design_not_2d_is_refused_and_an_empty_one_solves_to_zeros(a_shape, b_shape,
+                                                                      refusal):
+    A, b = np.ones(a_shape), np.ones(b_shape)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=refusal):
+            solve_least_squares(A, b)
+    else:
+        x = solve_least_squares(A, b)
+        assert x.shape == (a_shape[1],) and not x.any()
+
+
 def test_residual_orthogonality_on_random_systems():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mtgreedy import GreedyConfig, MultiTaskProblem, SupportPattern, loss
+from mtgreedy import GreedyConfig, MultiTaskProblem, SupportPattern, Task, loss
 
 from conftest import random_problem
 
@@ -76,6 +76,20 @@ def test_problem_validation():
         MultiTaskProblem.from_arrays([np.eye(2)], [np.ones(3)])
     with pytest.raises(ValueError):
         MultiTaskProblem.from_arrays([np.array([[np.nan, 0.0]])], [np.ones(1)])
+
+
+@pytest.mark.parametrize("p, r, designs, refusal", [
+    (0, 1, [np.eye(2)], "need p >= 1 and r >= 1, got p=0, r=1"),
+    (2, 0, [], "need p >= 1 and r >= 1, got p=2, r=0"),
+    (2, 2, [np.eye(2)], "r=2 but 1 tasks supplied"),
+    (3, 1, [np.eye(2)], r"task 0: design shape \(2, 2\) incompatible with p=3"),
+    (2, 1, [np.ones(2)], r"task 0: design shape \(2,\) incompatible with p=2"),
+    (2, 1, [np.zeros((0, 2))], "task 0: needs at least one sample"),
+])
+def test_problem_refuses_bad_counts_and_designs(p, r, designs, refusal):
+    tasks = tuple(Task(X, np.ones(X.shape[0])) for X in designs)
+    with pytest.raises(ValueError, match=refusal):
+        MultiTaskProblem(p=p, r=r, tasks=tasks)
 
 
 @pytest.mark.parametrize("designs, responses", [(3, 2), (2, 3), (0, 0)])

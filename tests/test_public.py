@@ -66,6 +66,28 @@ def test_every_module_level_definition_is_used_or_exported():
     assert unused == []
 
 
+def test_every_imported_name_is_read():
+    """Each name that a file of ``src/``, ``tests/`` or ``demos/`` imports is
+    read in that file, or listed in its ``__all__``."""
+    unread = []
+    for where in ("src", "tests", "demos"):
+        for path in sorted((ROOT / where).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and "__all__" in [
+                        getattr(target, "id", None) for target in node.targets]:
+                    read.update(ast.literal_eval(node.value))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                        isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                    unread += [f"{path.relative_to(ROOT)}:{node.lineno}:{name}"
+                               for name in (alias.asname or alias.name.split(".")[0]
+                                            for alias in node.names)
+                               if name not in read]
+    assert unread == []
+
+
 def imports_of(module):
     """The top-level modules a package module imports, and the package
     modules it imports by name (``from . import processes``)."""

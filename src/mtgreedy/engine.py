@@ -60,12 +60,11 @@ rising: each ``fit`` on it returns the next point's report, the same as a
 fresh fit's.  A fresh fit is the path of a one-point grid.
 ``experiments._path_fits`` alone fits longer grids, each built by
 ``experiments._path_grid`` and refused there by ``_check_points``: it
-makes each w's paths at its first point (one per problem, or per task for
-the per-task baseline) and drops them after its last, for
-``cross_validate`` and ``sweep_grid``, and never forks.  The w's share
-nothing, though fits at different w often make the same moves for a while
-(in the digit grid search, w = 1.25 retraces w = 1), so each such move is
-refit once per w.
+makes each w's path on the one problem it is given at the w's first
+point and drops it after its last, for ``cross_validate`` and
+``sweep_grid``, and never forks.  The w's share nothing, though fits at
+different w often make the same moves for a while (in the digit grid
+search, w = 1.25 retraces w = 1), so each such move is refit once per w.
 Sharing such moves would refit each once, but it needs a copy of the state
 wherever the w's part and per-w bookkeeping on every move, one-w fits
 included.  Without it the grid search of the benchmark's

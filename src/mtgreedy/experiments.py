@@ -210,12 +210,13 @@ class SweepRow:
 def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed):
     """``run_sweep`` at each (c, w) of a grid, the rest of ``config`` kept:
     {(c, w): [SweepRow, ...]}, c-major.  Each theta's grid is built once by
-    ``_path_grid``, and each trial's problem is drawn once and fit along
-    ``_path_fits``'s paths, one per w (per task, at the first w only, for
-    the baseline, whose points each stand for every w).  An empty theta, c
-    or w grid, a w, nu or c that the fits refuse, and a kappa or noise
-    variance that ``SynthSpec`` refuses, are refused before any problem is
-    drawn or child forked.
+    ``_path_grid``, and each trial's problem is drawn once and fit by
+    ``_path_fits``, one path per w.  Only here is the per-task baseline
+    known: its grid holds the first w only, rows off, and each task is fit
+    alone, the tasks' paths zipped, each point standing for every w.  An
+    empty theta, c or w grid, a w, nu or c that the fits refuse, and a
+    kappa or noise variance that ``SynthSpec`` refuses, are refused before
+    any problem is drawn or child forked.
 
     A large sweep shares its trials out over the process's CPUs: when its
     count of fits times p reaches FORK_FIT_FEATURES, ``processes.forked``
@@ -239,8 +240,10 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
     r = 2
     s = _default_sparsity(p)
     ns = [n_for_theta(theta_value, s, p, kappa) for theta_value in theta_grid]
-    grids = [_path_grid({c: stopping_threshold(c, s, p, n) for c in c_grid}, w_grid,
-                        config.nu, config.single_task, r) for n in ns]
+    every_w = tuple(dict.fromkeys(w_grid))
+    grids = [_path_grid({c: stopping_threshold(c, s, p, n) for c in c_grid},
+                        every_w[:1] if config.single_task else every_w, config.nu, r,
+                        rows_enabled=not config.single_task) for n in ns]
     specs = [SynthSpec(p=p, n=n, r=r, s=s, kappa=kappa, noise_variance=config.noise_variance)
              for n in ns]
 
@@ -248,23 +251,27 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
         return gen_synthetic(replace(specs[t_idx],
                                      seed=trial_seed(master_seed, kappa, t_idx, trial)))
 
+    def paths(problem, grid, check=False, remote=None):
+        """Each point's (c, w, report)s: the joint fit's, or each task's alone."""
+        tasks = [problem.single_task(j) for j in range(r)] if config.single_task else [problem]
+        return zip(*(_path_fits(task, grid, check, remote) for task in tasks))
+
     fits = sum(map(len, grids[0].values())) * (r if config.single_task else 1)
-    every_w = tuple(dict.fromkeys(w_grid))
     items = [(t_idx, trial) for t_idx in range(len(theta_grid)) for trial in range(trials)]
     out = {(c, w): [] for c in c_grid for w in w_grid}
     # the later runs go to children first, so they start at once
     with forked(items, len(items) * fits * p >= FORK_FIT_FEATURES,
-                lambda run: _child_reports(
-                    _path_fits(draw(t_idx, trial)[0], grids[t_idx], config.single_task)
-                    for t_idx, trial in run)) as remote:
+                lambda run: (report for t_idx, trial in run
+                             for point in paths(draw(t_idx, trial)[0], grids[t_idx])
+                             for _, _, report in point)) as remote:
         for t_idx, theta_value in enumerate(theta_grid):
             hits, frob = dict.fromkeys(out, 0), dict.fromkeys(out, 0.0)
             for trial in range(trials):
                 problem, beta_star = draw(t_idx, trial)
-                for c, w, reports in _path_fits(problem, grids[t_idx], config.single_task,
-                                                config.check_traces,
-                                                remote.get((t_idx, trial))):
-                    beta = np.hstack([report.coefficients for report in reports])
+                for point in paths(problem, grids[t_idx], config.check_traces,
+                                   remote.get((t_idx, trial))):
+                    c, w, _ = point[0]
+                    beta = np.hstack([report.coefficients for _, _, report in point])
                     hit = sign_support_success(beta, beta_star)
                     error = float(np.linalg.norm(beta - beta_star))
                     for w in every_w if config.single_task else (w,):
@@ -278,7 +285,7 @@ def sweep_grid(kappa, p, theta_grid, trials, c_grid, w_grid, config, master_seed
 
 def run_sweep(kappa, p, theta_grid, trials, config, master_seed):
     """Success statistics along a theta grid, one seeded batch per point: the
-    one-point ``sweep_grid``, where each of ``_path_fits``'s paths is one fit."""
+    one-point ``sweep_grid``, whose every path is one fit."""
     return sweep_grid(kappa, p, theta_grid, trials, (config.epsilon_c,), (config.w,),
                       config, master_seed)[config.epsilon_c, config.w]
 
@@ -326,15 +333,14 @@ def crossing_se(rows):
     return scale * math.sqrt(var)
 
 
-def _path_grid(eps, w_grid, nu, single_task, r):
+def _path_grid(eps, w_grid, nu, r, *, rows_enabled=True):
     """The one place a grid is built and refused: {w: [(c, config), ...]}
     of the points ``_path_fits`` fits on a problem of ``r`` tasks, with
     ``eps`` mapping c to epsilon, w's in grid order and each w's points from
-    the largest c down.  The per-task baseline fits its first w only, since
-    a rows-off fit never reads w.  An empty grid is refused, and each w's
-    points by ``engine._check_points``."""
-    configs = [GreedyConfig(epsilon=0.0, w=w, nu=nu, rows_enabled=not single_task)
-               for w in list(dict.fromkeys(w_grid))[:1 if single_task else None]]
+    the largest c down.  An empty grid is refused, and each w's points by
+    ``engine._check_points``."""
+    configs = [GreedyConfig(epsilon=0.0, w=w, nu=nu, rows_enabled=rows_enabled)
+               for w in dict.fromkeys(w_grid)]
     if not configs:
         raise ValueError("the grid is empty")
     grid = {config.w: [(c, replace(config, epsilon=eps[c])) for c in sorted(eps, reverse=True)]
@@ -344,35 +350,24 @@ def _path_grid(eps, w_grid, nu, single_task, r):
     return grid
 
 
-def _path_fits(problem, grid, single_task=False, check=False, remote=None):
-    """Yield (c, w, reports) once per point of ``grid``, a ``_path_grid``
-    of ``problem``: the reports of fresh fits, each checked once if
-    ``check``.  The one place a grid of more than one point is fit.  Each
-    w's joint fit is one ``FitPath`` on ``problem``, made at the w's first
-    point and dropped after its last, so at most one w's paths are alive
-    (the ``engine`` docstring gives what fitting each w apart costs);
-    ``fit`` is called once per point in grid order.  The per-task baseline
-    fits one rows-off path per task alone.  It never forks: given
-    ``remote``, a child's stream that holds this call's reports next, every
-    point is served from it."""
-    tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
+def _path_fits(problem, grid, check=False, remote=None):
+    """Yield (c, w, report) once per point of ``grid``, a ``_path_grid``
+    of ``problem``: the report of a fresh fit, checked once if ``check``.
+    The one place a grid of more than one point is fit.  Each w's fit is
+    one ``FitPath`` on ``problem``, made at the w's first point and dropped
+    after its last, so at most one w's path is alive (the ``engine``
+    docstring gives what fitting each w apart costs); ``fit`` is called
+    once per point in grid order.  It never forks: given ``remote``, a
+    child's stream that holds this call's reports next, every point is
+    served from it."""
     for w, points in grid.items():
-        paths = [FitPath(task, [config for _, config in points], remote) for task in tasks]
+        path = FitPath(problem, [config for _, config in points], remote)
         for c, config in points:
-            reports = [fit(path.problem, config, path) for path in paths]
+            report = fit(problem, config, path)
             if check:
-                for j, report in enumerate(reports):
-                    check_step_records(report, config, paths[j].zero_loss)
-            yield c, w, reports
-        del paths       # freed before the next w's are made
-
-
-def _child_reports(path_fits):
-    """A child's body: the reports of the ``_path_fits`` generators
-    ``path_fits`` in the order the caller serves them."""
-    for points in path_fits:
-        for _, _, reports in points:
-            yield from reports
+                check_step_records(report, config, path.zero_loss)
+            yield c, w, report
+        del path        # freed before the next w's path is made
 
 
 def _check_c(c_grid):
@@ -413,15 +408,15 @@ def cross_validate(train_problem, holdout_problem, c_grid, w_grid, nu, s_hint):
     n_avg = sum(t.n for t in train_problem.tasks) / train_problem.r
     eps = {c: stopping_threshold(c, s_hint, train_problem.p, n_avg) for c in c_grid}
     scores = {}
-    grid = _path_grid(eps, w_grid, nu, False, train_problem.r)
+    grid = _path_grid(eps, w_grid, nu, train_problem.r)
     large = sum(t.n for t in train_problem.tasks) * train_problem.p >= FORK_ELEMENTS
     # the later runs go to children first, so they start at once
     with forked(list(grid), large,
-                lambda run: _child_reports(_path_fits(train_problem, {w: grid[w]})
-                                           for w in run)) as remote:
+                lambda run: (report for w in run for _, _, report
+                             in _path_fits(train_problem, {w: grid[w]}))) as remote:
         for w, points in grid.items():
-            for c, _, (report,) in _path_fits(train_problem, {w: points}, check=True,
-                                              remote=remote.get(w)):
+            for c, _, report in _path_fits(train_problem, {w: points}, check=True,
+                                           remote=remote.get(w)):
                 scores[c, w] = sum(float(res @ res)
                                    for res in residuals(holdout_problem, report.coefficients))
     rows = [{"c": c, "w": w, "epsilon": eps[c], "holdout_score": scores[c, w]}

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .model import MultiTaskProblem, Task, design_array
+from .model import MultiTaskProblem, design_array
 
 
 def format_float(x):
@@ -86,8 +86,10 @@ def problem_from_dict(doc):
             raise ValueError(f"task {j}: malformed arrays: {exc}") from exc
         if "n" in entry and int(entry["n"]) != X.shape[0]:
             raise ValueError(f"task {j}: declared n={entry['n']} but X has {X.shape[0]} rows")
-        tasks.append(Task(X, y))
-    problem = MultiTaskProblem(p=p, r=r, tasks=tuple(tasks))
+        tasks.append((X, y))
+    problem = MultiTaskProblem.from_arrays([X for X, _ in tasks], [y for _, y in tasks])
+    if problem.p != p:
+        raise ValueError(f"problem file declares p={p} but its designs have {problem.p} columns")
     beta_star = None
     if doc.get("beta_star") is not None:
         beta_star = np.asarray(doc["beta_star"], dtype=float)

@@ -73,8 +73,8 @@ class MultiTaskProblem:
 
         Each distinct design object is made column-major (``design_array``)
         once, so tasks passed the same array still hold one array.  No
-        designs, or a response count other than the design count, is
-        refused.
+        designs, a response count other than the design count, or a first
+        design that is not 2-d, and so has no p, is refused.
         """
         designs, responses = list(designs), list(responses)   # alive, so no id is reused
         if not designs or len(responses) != len(designs):
@@ -88,6 +88,8 @@ class MultiTaskProblem:
             Task(made[id(X)], np.asarray(y, dtype=float))
             for X, y in zip(designs, responses)
         )
+        if tasks[0].X.ndim != 2:
+            raise ValueError(f"task 0: design shape {tasks[0].X.shape} is not 2-d")
         return cls(p=tasks[0].X.shape[1], r=len(tasks), tasks=tasks)
 
     def single_task(self, j):

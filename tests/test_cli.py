@@ -190,6 +190,9 @@ class TestFit:
         garbled = tmp_path / "garbled.json"
         garbled.write_text("{not json")
         assert run(["fit", "--in", str(garbled), "--epsilon", "1e-9"]) == 2
+        flat = tmp_path / "flat.json"
+        flat.write_text('{"p": 2, "r": 1, "tasks": [{"X": [1.0, 2.0], "y": [1.0, 2.0]}]}')
+        assert run(["fit", "--in", str(flat), "--epsilon", "1e-9"]) == 2
 
     @pytest.mark.parametrize("command", [["fit", "--epsilon", "1e-9"],
                                          ["diagnose", "--d", "2", "--s", "2"]])
@@ -470,9 +473,12 @@ def problem_doc():
     (lambda doc: doc["tasks"][0].pop("y"), "task 0: malformed arrays"),
     (lambda doc: doc["tasks"][0].update(X=[[1.0, 0.0], [0.0]]), "task 0: malformed arrays"),
     (lambda doc: doc["tasks"][0].update(n=3), "task 0: declared n=3 but X has 2 rows"),
+    (lambda doc: doc["tasks"][0].update(X=[1.0, 0.0]), r"task 0: design shape \(2,\) is not 2-d"),
+    (lambda doc: doc.update(p=3), "problem file declares p=3 but its designs have 2 columns"),
     (lambda doc: doc.update(beta_star=[[1.0, 2.0]]),
      r"beta_star shape \(1, 2\) does not match \(2, 1\)"),
-], ids=["no-p", "bad-r", "no-y", "ragged-X", "declared-n", "beta-star-shape"])
+], ids=["no-p", "bad-r", "no-y", "ragged-X", "declared-n", "flat-X", "declared-p",
+        "beta-star-shape"])
 def test_problem_from_dict_refuses_a_malformed_document(change, refusal):
     problem_from_dict(problem_doc())
     doc = problem_doc()
@@ -493,6 +499,13 @@ class TestSerialization:
         assert to_json(doc) == to_json(doc)
         parsed = json.loads(to_json(doc))
         assert parsed == {"a": [1.5, 2, None], "b": {"c": True, "d": "x"}}
+
+    @pytest.mark.parametrize("obj, text", [
+        ({}, "{}"),
+        ({"meta": {}, "rows": []}, '{\n  "meta": {},\n  "rows": []\n}'),
+    ])
+    def test_empty_containers(self, obj, text):
+        assert to_json(obj) == text and json.loads(text) == obj
 
     def test_rejects_an_array(self):
         with pytest.raises(TypeError, match="cannot serialize"):

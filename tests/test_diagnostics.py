@@ -207,6 +207,28 @@ class TestBounds:
                           nu=0.5, r=1, s_star=1, epsilon=0.0)
 
 
+INPUTS = dict(C_min=1.0, rho=1.0, lam=0.0, eta=1.0, w=1.0, nu=0.5, r=1, s_star=1,
+              epsilon=0.0)
+ONE_TASK = MultiTaskProblem.from_arrays([np.eye(2)], [np.ones(2)])
+
+
+@pytest.mark.parametrize("call, refusal", [
+    *[(lambda name=name: TheoremInputs(**{**INPUTS, name: -0.5}),
+       f"{name} must be non-negative")
+      for name in ("C_min", "lam", "eta", "w", "nu", "epsilon")],
+    (lambda: gradient_bound_lambda(ONE_TASK, np.zeros((2, 2))),
+     r"beta shape \(2, 2\) vs \(2, 1\)"),
+    (lambda: rep_constants(np.array([[1.0, 0.0], [2.0, 0.0]]), 1),
+     "restricted design is singular"),
+], ids=["C_min", "lam", "eta", "w", "nu", "epsilon", "gradient-shape", "singular-design"])
+def test_diagnostics_refuse_bad_inputs(call, refusal):
+    """A negative bound input, a truth of another shape than the problem's,
+    and a design with a zero column (a restricted constant of 0)."""
+    TheoremInputs(**INPUTS)
+    with pytest.raises(ValueError, match=refusal):
+        call()
+
+
 class TestUnionSupport:
     def test_perfect_pattern_matches_true_size(self):
         truth = partition_supports(EXAMPLE, d=2)

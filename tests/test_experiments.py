@@ -20,7 +20,7 @@ from mtgreedy import (
     trial_seed,
 )
 from mtgreedy import experiments
-from mtgreedy.experiments import _path_fits, _path_grid, crossing_se
+from mtgreedy.experiments import _path_grid, crossing_se
 
 
 class TestTheta:
@@ -264,23 +264,45 @@ class TestCrossValidate:
 
 
 class TestSingleTaskBaseline:
-    def test_rows_always_empty(self):
+    def test_rows_always_empty(self, monkeypatch):
         """At full overlap the joint fit takes rows; the baseline's paths
-        run with rows off and hold none at any point."""
+        run with rows off, each task alone, and hold none at any point."""
         spec = SynthSpec(p=12, n=30, r=2, s=2, kappa=1.0, noise_variance=0.0, seed=6)
         problem, _ = gen_synthetic(spec)
         assert fit(problem, GreedyConfig(epsilon=1e-9, w=1.5, nu=0.5)).pattern.rows
-        grid = _path_grid({1.0: 1e-2, 0.0: 1e-9}, (1.5, 2.0), 0.5, True, problem.r)
-        points = list(_path_fits(problem, grid, single_task=True))
-        assert [w for _, w, _ in points] == [1.5] * 2
-        for _, _, reports in points:
-            assert all(report.pattern.rows == frozenset() for report in reports)
+        reports = []
 
-    def test_the_baseline_grid_holds_its_first_w_only(self):
-        """A rows-off config refuses no w, so only the first w's are built."""
-        grid = _path_grid({1.0: 0.1}, (1.5, 0.5, math.inf, 99.0), 0.5, True, 2)
-        assert grid == {1.5: [(1.0, GreedyConfig(epsilon=0.1, w=1.5, nu=0.5,
-                                                 rows_enabled=False))]}
+        def kept(problem, config, path=None):
+            reports.append(fit(problem, config, path))
+            return reports[-1]
+
+        monkeypatch.setattr(experiments, "fit", kept)
+        single = SweepConfig(epsilon_c=1e-4, noise_variance=0.0, single_task=True)
+        experiments.sweep_grid(1.0, 12, (2.0,), 2, [1.0, 0.0], [1.5, 2.0], single, 6)
+        assert len(reports) == 2 * 2 * 2                # trials, c, tasks
+        assert {report.coefficients.shape for report in reports} == {(12, 1)}
+        assert all(report.pattern.rows == frozenset() for report in reports)
+
+    def test_the_baseline_grid_holds_its_first_w_only(self, monkeypatch):
+        """A rows-off config refuses no w, so the sweep builds the first w's
+        grid only, with rows off, and that w's rows stand for every w."""
+        built = []
+
+        def path_grid(*args, **kwargs):
+            built.append(_path_grid(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "_path_grid", path_grid)
+        single = SweepConfig(epsilon_c=1.0, nu=0.5, noise_variance=1e-2, single_task=True)
+        ws = (1.5, 0.5, math.inf, 99.0)
+        got = experiments.sweep_grid(0.5, 32, (1.0,), 2, [1.0], ws, single, 3)
+        eps = experiments.stopping_threshold(1.0, 3, 32, n_for_theta(1.0, 3, 32, 0.5))
+        assert built == [{1.5: [(1.0, GreedyConfig(epsilon=eps, w=1.5, nu=0.5,
+                                                   rows_enabled=False))]}]
+        assert len({tuple(got[1.0, w]) for w in ws}) == 1
+        assert _path_grid({1.0: 0.1}, ws, 0.5, 2, rows_enabled=False) == {
+            w: [(1.0, GreedyConfig(epsilon=0.1, w=w, nu=0.5, rows_enabled=False))]
+            for w in ws}
 
     def test_full_sharing_needs_more_samples_than_joint(self):
         # statistical: at full overlap and a sample size between the two

@@ -99,6 +99,13 @@ def test_from_arrays_refuses_unpaired_or_no_tasks(designs, responses):
         MultiTaskProblem.from_arrays([np.eye(2)] * designs, [np.ones(2)] * responses)
 
 
+@pytest.mark.parametrize("design", [np.zeros(3), 5.0], ids=["1-d", "scalar"])
+def test_from_arrays_refuses_a_first_design_that_is_not_2d(design):
+    """p is read from the first design's second axis, which it lacks."""
+    with pytest.raises(ValueError, match=r"task 0: design shape \(\d,\) is not 2-d"):
+        MultiTaskProblem.from_arrays([design], [np.zeros(3)])
+
+
 @pytest.mark.parametrize("j", [-1, 2, 3])
 def test_single_task_refuses_an_index_outside_the_tasks(j):
     """A negative j would count from the end, and j = r has no task."""

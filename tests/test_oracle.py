@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtgreedy import oracle
 from mtgreedy import (
     MultiTaskProblem,
     SupportPattern,
@@ -47,6 +48,18 @@ def test_oracle_rejects_unknown_objects(rng):
         gain_oracle(problem, beta, ("block", 1))
     with pytest.raises(ValueError):
         cost_oracle(problem, beta, ("block", 1))
+
+
+@pytest.mark.parametrize("steps", [0, 5])
+def test_gain_oracle_refuses_a_golden_section_that_disagrees(monkeypatch, steps):
+    """With too few golden-section steps the search stops far from the
+    least-squares update, and the cross-check raises."""
+    problem = MultiTaskProblem.from_arrays([np.eye(2)], [np.array([1.0, 2.0])])
+    beta = np.zeros((2, 1))
+    assert gain_oracle(problem, beta, ("singleton", 1, 0)) == 1.0
+    monkeypatch.setattr(oracle, "GOLDEN_SECTION_STEPS", steps)
+    with pytest.raises(AssertionError, match="golden-section gain .* disagrees"):
+        gain_oracle(problem, beta, ("singleton", 1, 0))
 
 
 def test_cost_oracle_by_hand():

@@ -8,9 +8,11 @@ next point only; every report must equal a fresh fit bit for bit, and the
 reports a path hands out must not move when it goes on.  The paths of
 several w's share nothing, so the reports must be the same in any
 interleaving of the w's.  ``cross_validate`` and ``sweep_grid`` run their
-grid through ``_path_fits``, one path per w and problem (the per-task
-baseline runs one path per task for the whole w grid), one ``fit`` per
-point, and must give the results of the loop that fits every (c, w) point
+grid through ``_path_fits``, one path per w of the one problem it is
+given, one ``fit`` per point.  The per-task baseline is ``sweep_grid``'s
+alone: it gives ``_path_fits`` each task as a problem of its own, at the
+first w with rows off, so each task's path stands for the whole w grid.
+Both must give the results of the loop that fits every (c, w) point
 afresh, without keeping more state alive than the largest single fit; both
 check each report's trace once, when it is made.
 """
@@ -331,20 +333,20 @@ def test_path_fits_on_the_degenerate_corpus_equal_fresh_fits(name, problem, conf
                                                              single_task):
     """``_path_fits`` over 3 c x 2 w on each degenerate case of the golden
     corpus, down to the case's own epsilon, at its own w and one more: each
-    report equals a fresh fit's bit for bit, the joint one's and each
-    task's alone for the per-task baseline."""
+    report equals a fresh fit's bit for bit, the joint problem's, or, rows
+    off as in the per-task baseline, each task's alone at every w."""
     assert config.epsilon <= 1e-3 and config.rows_enabled and config.max_forward_steps is None
     eps = {1.0: 1e-2, 0.1: 1e-3, 0.0: config.epsilon}
     w_grid = (config.w, 1.5 if config.w == 1.0 else 1.0)
     tasks = [problem.single_task(j) for j in range(problem.r)] if single_task else [problem]
-    grid = _path_grid(eps, w_grid, config.nu, single_task, problem.r)
-    points = list(_path_fits(problem, grid, single_task))
-    assert len(points) == 3 * (1 if single_task else 2)
-    for c, w, reports in points:
-        assert len(reports) == len(tasks)
-        for w in w_grid if single_task else (w,):
-            fresh = GreedyConfig(epsilon=eps[c], w=w, nu=config.nu, rows_enabled=not single_task)
-            for task, report in zip(tasks, reports):
+    grid = _path_grid(eps, w_grid, config.nu, problem.r, rows_enabled=not single_task)
+    for task in tasks:
+        points = list(_path_fits(task, grid))
+        assert [(c, w) for c, w, _ in points] == [(c, w) for w in w_grid for c in eps]
+        for c, w, report in points:
+            for w in w_grid if single_task else (w,):
+                fresh = GreedyConfig(epsilon=eps[c], w=w, nu=config.nu,
+                                     rows_enabled=not single_task)
                 assert_same_report(report, fit(task, fresh))
 
 
@@ -370,7 +372,7 @@ def test_a_grid_path_appends_what_its_ws_fresh_fits_append(monkeypatch):
         return len(appends)
 
     def grid_appends(ws):
-        grid = _path_grid(eps, ws, 0.5, False, problem.r)
+        grid = _path_grid(eps, ws, 0.5, problem.r)
         return appends_of(lambda: list(_path_fits(problem, grid)))
 
     apart = [appends_of(lambda: fit(problem, GreedyConfig(epsilon=0.0, w=w, nu=0.5)))
@@ -396,7 +398,7 @@ def test_path_fits_holds_at_most_one_ws_paths(monkeypatch):
     problem = digits_shaped_problem()
     w_grid = (1.0, 1.25, 1.5, 1.75)
     eps = dict(zip(C_GRID, epsilons(problem)))
-    grid = _path_grid(eps, w_grid, 0.5, False, problem.r)
+    grid = _path_grid(eps, w_grid, 0.5, problem.r)
     for k, (_, w, _) in enumerate(_path_fits(problem, grid)):
         assert len(made) == k // len(C_GRID) + 1
         assert [ref().points[0].w for ref in made if ref() is not None] == [w]
@@ -473,26 +475,25 @@ def counted_checks(monkeypatch):
 
 
 def test_per_task_paths_equal_fresh_per_task_fits(monkeypatch):
-    """The per-task baseline's paths over a descending c grid fit the w
-    grid's first w only: at each c each task's report equals a fresh
-    rows-off fit of that task at every w of the grid bit for bit.  Each
-    report is checked once, when it is made, against the task's own loss at
-    beta = 0."""
+    """The per-task baseline's paths, each task alone with rows off over a
+    descending c grid at one w: at each c each task's report equals a fresh
+    rows-off fit of that task at every w of a grid bit for bit, so the one
+    w stands for them all (``sweep_grid`` fits the first w only; see
+    ``test_sweep_grid_fits_each_task_once_per_c``).  Each report is checked
+    once, when it is made, against the task's own loss at beta = 0."""
     checked = counted_checks(monkeypatch)
     problem = synthetic_problem()
     eps = dict(zip(C_GRID, epsilons(problem)))
-    w_grid = (1.5, 1.0, 3.0, 1.5)
-    grid = _path_grid(eps, w_grid, 0.5, True, problem.r)
-    points = list(_path_fits(problem, grid, single_task=True, check=True))
-    assert [(c, w) for c, w, _ in points] == [(c, 1.5) for c in sorted(C_GRID, reverse=True)]
-    for c, _, reports in points:
-        assert len(reports) == problem.r
-        for w in (1.5, 1.0, 3.0):
-            config = GreedyConfig(epsilon=eps[c], w=w, nu=0.5, rows_enabled=False)
-            for j, report in enumerate(reports):
+    grid = _path_grid(eps, (1.5,), 0.5, problem.r, rows_enabled=False)
+    made = []
+    for j in range(problem.r):
+        points = list(_path_fits(problem.single_task(j), grid, check=True))
+        assert [(c, w) for c, w, _ in points] == [(c, 1.5) for c in sorted(C_GRID, reverse=True)]
+        for c, _, report in points:
+            for w in (1.5, 1.0, 3.0):
+                config = GreedyConfig(epsilon=eps[c], w=w, nu=0.5, rows_enabled=False)
                 assert_same_report(report, fit(problem.single_task(j), config))
-    made = [(report, eps[c], j) for c, _, reports in points
-            for j, report in enumerate(reports)]
+            made.append((report, eps[c], j))
     assert len(checked) == len(made)
     for (report, config, zero_loss), (want, epsilon, j) in zip(checked, made):
         assert report is want

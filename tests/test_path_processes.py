@@ -138,7 +138,7 @@ def test_a_split_grid_search_fits_each_point_once_in_grid_order(split, monkeypat
 
 def test_a_fit_path_on_its_own_starts_no_child(split):
     """``FitPath``s of every w on a problem the split's size rule takes fit
-    their w's themselves: only ``_path_fits`` shares w's out."""
+    their w's themselves: only ``cross_validate`` shares w's out."""
     problem = digits_shaped_problem()
     for w in W_GRID:
         grid = grid_of(problem, (w,))
@@ -154,7 +154,7 @@ def test_path_fits_starts_no_child(split):
     itself, in grid order: only whole operations fork."""
     problem = digits_shaped_problem()
     eps = dict(zip(C_GRID, epsilons(problem, C_GRID)))
-    grid = experiments._path_grid(eps, W_GRID, 0.5, False, problem.r)
+    grid = experiments._path_grid(eps, W_GRID, 0.5, problem.r)
     points = [point[:2] for point in experiments._path_fits(problem, grid)]
     assert points == [(c, w) for w in W_GRID for c in sorted(C_GRID, reverse=True)]
     assert split == [] and multiprocessing.active_children() == []
@@ -164,7 +164,7 @@ def test_a_grid_the_paths_refuse_is_refused_before_any_fork(split):
     with pytest.raises(ValueError, match="w=11.0 exceeds the task count r=10"):
         grid_search((1.0, 11.0))
     with pytest.raises(ValueError, match="the grid's epsilons rise at w=1.0"):
-        experiments._path_grid({1.0: 1e-4, 0.5: 1e-2}, (1.0, 2.0), 0.5, False, 10)
+        experiments._path_grid({1.0: 1e-4, 0.5: 1e-2}, (1.0, 2.0), 0.5, 10)
     assert split == []
 
 

@@ -136,24 +136,48 @@ def test_processes_alone_owns_the_other_cpus():
     assert private == []
 
 
+def package_nodes():
+    """(scope, node) of every AST node in the package, where scope names the
+    module-level function, class method or module statement holding it, as
+    ``experiments.sweep_grid``."""
+    for path in sorted((ROOT / "src" / "mtgreedy").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for scope in node.body if isinstance(node, ast.ClassDef) else [node]:
+                name = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+                for inner in ast.walk(scope):
+                    yield name, inner
+
+
 def test_only_whole_operations_fork():
     """``forked`` is called once in ``experiments.sweep_grid`` and once in
     ``experiments.cross_validate`` and nowhere else, and neither yields: a
     child lives inside one ``with`` of a plain function, never as long as a
     generator that nobody closed."""
     forks, yields = [], set()
-    for path in sorted((ROOT / "src" / "mtgreedy").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            for scope in node.body if isinstance(node, ast.ClassDef) else [node]:
-                name = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
-                for inner in ast.walk(scope):
-                    if (isinstance(inner, ast.Call)
-                            and ast.unparse(inner.func).split(".")[-1] == "forked"):
-                        forks.append(name)
-                    elif isinstance(inner, (ast.Yield, ast.YieldFrom)):
-                        yields.add(name)
+    for name, node in package_nodes():
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "forked":
+            forks.append(name)
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)):
+            yields.add(name)
     assert sorted(forks) == ["experiments.cross_validate", "experiments.sweep_grid"]
     assert yields.isdisjoint(forks)
+
+
+def test_only_the_sweep_knows_the_per_task_baseline():
+    """No function of the package takes a ``single_task`` parameter, and
+    only ``experiments.sweep_grid`` splits a problem into its tasks with
+    ``.single_task(j)``: the baseline is the sweep's decision alone, and
+    ``_path_grid`` and ``_path_fits`` build and fit what they are given."""
+    flags, splits = [], set()
+    for name, node in package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            flags += [name for param in params if param.arg == "single_task"]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "single_task"):
+            splits.add(name)
+    assert flags == []
+    assert splits == {"experiments.sweep_grid"}
 
 
 def test_every_config_field_is_set_outside_the_tests():

@@ -94,9 +94,9 @@ def test_a_sweep_builds_each_thetas_grid_once_before_any_draw_or_fork(split, mon
     built, drawn = [], []
     path_grid, gen_synthetic = experiments._path_grid, experiments.gen_synthetic
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         built.append((len(drawn), len(split)))
-        return path_grid(*args)
+        return path_grid(*args, **kwargs)
 
     def drawing(spec):
         drawn.append(spec)

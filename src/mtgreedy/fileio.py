@@ -64,17 +64,27 @@ def problem_to_dict(problem, beta_star=None, meta=None):
     return doc
 
 
+def _count(value, field):
+    """``value`` when it is an int (a bool is not), else ValueError naming ``field``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"malformed problem file: {field} must be an integer, got {value!r}")
+    return value
+
+
 def problem_from_dict(doc):
     """Parse and validate a problem document; returns (problem, beta_star, meta).
 
-    Each design is read column-major, the layout ``gen_synthetic`` builds.
+    The declared p, r and each task's n must be JSON integers; any other
+    value is refused, never truncated.  Each design is read column-major,
+    the layout ``gen_synthetic`` builds.
     """
     try:
-        p = int(doc["p"])
-        r = int(doc["r"])
-        raw_tasks = doc["tasks"]
-    except (KeyError, TypeError, ValueError) as exc:
+        p, r, raw_tasks = doc["p"], doc["r"], doc["tasks"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed problem file: {exc}") from exc
+    p, r = _count(p, "p"), _count(r, "r")
+    if not isinstance(raw_tasks, list):
+        raise ValueError(f"malformed problem file: tasks must be a list, got {raw_tasks!r}")
     if len(raw_tasks) != r:
         raise ValueError(f"problem file declares r={r} but has {len(raw_tasks)} tasks")
     tasks = []
@@ -84,7 +94,7 @@ def problem_from_dict(doc):
             y = np.asarray(entry["y"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"task {j}: malformed arrays: {exc}") from exc
-        if "n" in entry and int(entry["n"]) != X.shape[0]:
+        if "n" in entry and _count(entry["n"], f"task {j}: n") != X.shape[0]:
             raise ValueError(f"task {j}: declared n={entry['n']} but X has {X.shape[0]} rows")
         tasks.append((X, y))
     problem = MultiTaskProblem.from_arrays([X for X, _ in tasks], [y for _, y in tasks])
@@ -92,7 +102,10 @@ def problem_from_dict(doc):
         raise ValueError(f"problem file declares p={p} but its designs have {problem.p} columns")
     beta_star = None
     if doc.get("beta_star") is not None:
-        beta_star = np.asarray(doc["beta_star"], dtype=float)
+        try:
+            beta_star = np.asarray(doc["beta_star"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed problem file: beta_star: {exc}") from exc
         if beta_star.shape != (p, r):
             raise ValueError(
                 f"beta_star shape {beta_star.shape} does not match ({p}, {r})")

@@ -194,6 +194,32 @@ class TestFit:
         flat.write_text('{"p": 2, "r": 1, "tasks": [{"X": [1.0, 2.0], "y": [1.0, 2.0]}]}')
         assert run(["fit", "--in", str(flat), "--epsilon", "1e-9"]) == 2
 
+    @pytest.mark.parametrize("change, field", [
+        (lambda doc: doc.update(p=2.9), "p must be an integer, got 2.9"),
+        (lambda doc: doc.update(p="2"), "p must be an integer, got '2'"),
+        (lambda doc: doc.update(r=1.5), "r must be an integer, got 1.5"),
+        (lambda doc: doc.update(r=True), "r must be an integer, got True"),
+        (lambda doc: doc["tasks"][0].update(n=2.2), "task 0: n must be an integer, got 2.2"),
+        (lambda doc: doc["tasks"][0].update(n=None), "task 0: n must be an integer, got None"),
+        (lambda doc: doc.update(tasks=5), "tasks must be a list, got 5"),
+        (lambda doc: doc.update(beta_star={"a": 1}), "beta_star: float() argument"),
+    ], ids=["float-p", "string-p", "float-r", "bool-r", "float-n", "null-n", "scalar-tasks",
+            "dict-beta-star"])
+    def test_a_field_of_the_wrong_type_is_input_error(self, tmp_path, capsys, change, field):
+        """A declared p, r or n that is not a JSON integer, a ``tasks`` that
+        is not a list and a ``beta_star`` that is not numeric exit 2 naming
+        the field: none is truncated, coerced or left to raise TypeError,
+        which would exit 3 as an internal error."""
+        prob = tmp_path / "prob.json"
+        doc = problem_doc()
+        prob.write_text(json.dumps(doc))
+        assert run(["fit", "--in", str(prob), "--epsilon", "1e-9"]) == 0
+        change(doc)
+        prob.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["fit", "--in", str(prob), "--epsilon", "1e-9"]) == 2
+        assert f"malformed problem file: {field}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["fit", "--epsilon", "1e-9"],
                                          ["diagnose", "--d", "2", "--s", "2"]])
     def test_non_finite_truth_rejected_at_parse_time(self, tmp_path, capsys, command):

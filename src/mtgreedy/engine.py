@@ -54,17 +54,6 @@ taken as the array's method: the module functions ``np.argmax`` and
 move.  Ties go to the first cell in sorted (i, j) order and the first row in
 sorted order, and a row beats a singleton of equal value.
 
-A row's value, gain or cost, comes from the one helper ``_row_sums``, in
-numpy's own summation order, so it equals ``grid.sum(axis=1)`` bit for bit,
-signed zeros included.  Below 8 columns numpy adds a row left to right from
-+0.0, and the helper adds the grid's columns in that order; from 8 on numpy
-sums pairwise over 8 accumulators, and the helper calls it.  The axis-1
-reduction of a C-order grid loops over the rows inside numpy: with numpy
-2.4.6 on one core it took 3.3-4.6 us at (p, r) = (128, 2) against 1.8-3.2 us
-for the column adds, and 41 us at (2000, 4) against 8.5-8.8 us.  At
-(649, 10) it took 16-20 us, and a column-wise copy of the pairwise order
-14 us, too little to write the order out twice.
-
 Epsilon enters a fit only at its forward gate, so for one problem and one
 config up to epsilon, the fit at a larger epsilon is a step-by-step prefix
 of the fit at a smaller one.  A ``FitPath`` is the live state of one such
@@ -171,23 +160,6 @@ def gain_matrix(problem, correlations, scales):
     return correlations * correlations / scales.denom
 
 
-def _row_sums(grid):
-    """Each row's sum of the C-order (p, r) ``grid``, bit for bit
-    ``grid.sum(axis=1)``.
-
-    Below 8 columns numpy adds a row's entries left to right from +0.0, so
-    the columns are added in that order, which skips numpy's per-row loop;
-    from 8 on numpy's pairwise order is kept by calling it.
-    """
-    r = grid.shape[1]
-    if r >= 8:
-        return grid.sum(axis=1)
-    total = grid[:, 0] + 0.0
-    for k in range(1, r):
-        total += grid[:, k]
-    return total
-
-
 def _best_forward(singles, rows, config, gains):
     """Pick the best admissible candidate under ``config``, or None when the
     support is saturated.
@@ -205,7 +177,7 @@ def _best_forward(singles, rows, config, gains):
     best_single = masked[i, j]
     best_row = -1.0
     if config.rows_enabled:
-        row_sums = np.where(rows.mask, -1.0, _row_sums(gains))
+        row_sums = np.where(rows.mask, -1.0, gains.sum(axis=1))
         m = int(row_sums.argmax())
         if row_sums[m] >= 0.0:
             best_row = row_sums[m] / config.w
@@ -243,7 +215,7 @@ def _worst_backward(problem, beta, singles, rows, config, correlations, scales):
         i, j = divmod(int(np.where(singles.mask, costs, np.inf).argmin()), problem.r)
         best = Candidate("singleton", (i, j), float(costs[i, j]))
     if rows:
-        held = np.where(rows.mask, _row_sums(costs), np.inf) / config.w
+        held = np.where(rows.mask, costs.sum(axis=1), np.inf) / config.w
         m = int(held.argmin())
         if best is None or held[m] <= best.value:
             best = Candidate("row", (m,), float(held[m]))

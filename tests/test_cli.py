@@ -207,9 +207,9 @@ class TestFit:
             "dict-beta-star"])
     def test_a_field_of_the_wrong_type_is_input_error(self, tmp_path, capsys, change, field):
         """A declared p, r or n that is not a JSON integer, a ``tasks`` that
-        is not a list and a ``beta_star`` that is not numeric exit 2 naming
-        the field: none is truncated, coerced or left to raise TypeError,
-        which would exit 3 as an internal error."""
+        is not a list and a ``beta_star`` that numpy cannot convert to
+        floats exit 2 naming the field: none is truncated, coerced or left
+        to raise TypeError, which would exit 3 as an internal error."""
         prob = tmp_path / "prob.json"
         doc = problem_doc()
         prob.write_text(json.dumps(doc))

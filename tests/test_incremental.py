@@ -39,7 +39,7 @@ from mtgreedy import (
 )
 from mtgreedy import engine
 from mtgreedy.engine import (
-    Candidate, FitPath, _best_forward, _row_sums, _worst_backward, gain_matrix, removal_costs)
+    Candidate, FitPath, _best_forward, _worst_backward, gain_matrix, removal_costs)
 from mtgreedy.linalg import Basis, LeastSquaresFactor
 
 from conftest import (
@@ -604,24 +604,6 @@ class TestMaskedSelectors:
                         _worst_backward(PROBLEM, beta, state.singles, state.rows, config,
                                         corr, scales),
                         set_worst_backward(PROBLEM, beta, singles, rows, config, corr, colsq))
-
-    @pytest.mark.parametrize("r", [*range(1, 21), 129])
-    def test_row_sums_are_numpys_axis_1_sums_byte_for_byte(self, r):
-        """On grids of both signed zeros, mixed signs and magnitudes from
-        1e-3 to 1e3, the selectors' row sums equal ``grid.sum(axis=1)`` in
-        every byte: an all-zero row sums to +0.0 whatever its zeros' signs,
-        as numpy's does."""
-        rng = np.random.default_rng(r)
-        grid = rng.choice([-1.0, 1.0], (300, r)) * 10.0 ** rng.uniform(-3.0, 3.0, (300, r))
-        zeros = rng.random((300, r))
-        grid[zeros < 0.2] = 0.0
-        grid[zeros > 0.8] = -0.0
-        grid[:3] = -0.0
-        grid[3, ::2] = -0.0
-        grid[3, 1::2] = 0.0
-        got = _row_sums(grid)
-        assert got.tobytes() == grid.sum(axis=1).tobytes()
-        assert not np.signbit(got[:4]).any()
 
     def test_forward_ties_and_saturation(self):
         """Columns 0 and 1 duplicate each other in both tasks and every gain

@@ -23,12 +23,11 @@ is the only full-length copy of task j's values, and task j's
 ``LeastSquaresFactor`` owns it and writes it in place when, and only when,
 the task's support moves.  An added column is orthogonalized against the
 task's current columns; the factor writes B[cols, j], updates the residual
-and loss in O(n) and sets C[:, j] -= zeta X^T q.  A removal refactors that
-task, zeroes the columns it drops and writes C[:, j] = X^T r afresh.  A task
-whose columns become dependent, or outnumber its samples, falls back to the
-minimum-norm solve of the reference ``refit`` until a removal makes it
-factor again.  The updated correlations agree with the product to
-round-off.  A task whose support did not move does no work.
+and loss in O(n) and sets C[:, j] -= zeta X^T q.  Any other move refactors
+that task by a QR, or, on dependent columns or more columns than samples, by
+the minimum-norm solve of the reference ``refit``; either zeroes the columns
+it drops and writes C[:, j] = X^T r afresh.  The updated correlations agree
+with the product to round-off.  A task whose support did not move does no work.
 
 Tasks whose designs are one array object (``t.X is``; the digit tasks are)
 share the orthogonalizations.  The factors of such tasks start on one empty
@@ -520,15 +519,15 @@ def check_step_records(report, config, initial_loss):
             raise AssertionError(f"a non-shared row holds {worst} singletons; limit is {d - 1}")
 
 
-def verify_trace(problem, config, report, loss_tol=1e-10):
+def verify_trace(problem, config, report):
     """Replay a fit trace and verify the engine's state invariants.
 
     On top of ``check_step_records`` this re-applies every move through a
     ``SupportState``, refits it with the reference ``refit``, and checks that
     each addition adds an object the support does not hold and each removal
     one it holds, that each replayed promotion equals the recorded one, that
-    recorded losses match to loss_tol times the loss at beta = 0, that the
-    loss gradient vanishes on the support after every refit, and that the
+    after every refit the loss gradient vanishes on the support and then the
+    recorded loss matches to 1e-10 times the loss at beta = 0, and that the
     replayed final pattern and coefficients agree with the report.  A
     violation raises AssertionError naming the step, also under ``python -O``.
 
@@ -560,10 +559,6 @@ def verify_trace(problem, config, report, loss_tol=1e-10):
             except KeyError:
                 raise AssertionError(f"step {idx}: removing absent {s.object_kind}") from None
         beta = refit(problem, state)
-        step_loss = loss(problem, beta)
-        if not abs(step_loss - s.loss_after) <= loss_tol * zero_loss:
-            raise AssertionError(
-                f"step {idx}: replayed loss {step_loss} vs recorded {s.loss_after}")
         res = compute_residuals(problem, beta)
         for j, t in enumerate(problem.tasks):
             grad = -(t.X.T @ res[j]) / t.n
@@ -573,6 +568,10 @@ def verify_trace(problem, config, report, loss_tol=1e-10):
                     raise AssertionError(
                         f"step {idx}: gradient {grad[i]} on supported ({i},{j}) "
                         f"exceeds {bound:.3g}")
+        step_loss = loss(problem, beta)
+        if not abs(step_loss - s.loss_after) <= 1e-10 * zero_loss:
+            raise AssertionError(
+                f"step {idx}: replayed loss {step_loss} vs recorded {s.loss_after}")
     if state.pattern() != report.pattern:
         raise AssertionError("replayed pattern differs")
     beta = refit(problem, report.pattern)
@@ -587,6 +586,6 @@ def verify_trace(problem, config, report, loss_tol=1e-10):
             raise AssertionError(
                 f"task {j}: replayed coefficients differ by {diff:.3g}, tolerance {tol:.3g}")
     final_loss = loss(problem, beta)
-    if not abs(final_loss - report.final_loss) <= loss_tol * zero_loss:
+    if not abs(final_loss - report.final_loss) <= 1e-10 * zero_loss:
         raise AssertionError(
             f"replayed final loss {final_loss} vs recorded {report.final_loss}")

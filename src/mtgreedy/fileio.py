@@ -71,12 +71,22 @@ def _count(value, field):
     return value
 
 
+def _numbers(value, field):
+    """Refuse, naming ``field``, an entry of ``value``'s nested lists that is
+    not a JSON number; numpy would take a bool, null or number string for one."""
+    if type(value) is list and not set(map(type, value)) <= {int, float}:
+        for v in value:
+            if type(v) not in (int, float, list):
+                raise ValueError(f"malformed problem file: {field}: entry {v!r} is not a number")
+            _numbers(v, field)
+
+
 def problem_from_dict(doc):
     """Parse and validate a problem document; returns (problem, beta_star, meta).
 
-    The declared p, r and each task's n must be JSON integers; any other
-    value is refused, never truncated.  Each design is read column-major,
-    the layout ``gen_synthetic`` builds.
+    The declared p, r and each task's n must be JSON integers and every
+    entry of X, y and beta_star a JSON number: nothing is truncated or
+    converted.  Each design is read column-major, as ``gen_synthetic`` builds.
     """
     try:
         p, r, raw_tasks = doc["p"], doc["r"], doc["tasks"]
@@ -94,6 +104,8 @@ def problem_from_dict(doc):
             y = np.asarray(entry["y"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"task {j}: malformed arrays: {exc}") from exc
+        for name in ("X", "y"):
+            _numbers(entry[name], f"task {j}: {name}")
         if "n" in entry and _count(entry["n"], f"task {j}: n") != X.shape[0]:
             raise ValueError(f"task {j}: declared n={entry['n']} but X has {X.shape[0]} rows")
         tasks.append((X, y))
@@ -102,6 +114,7 @@ def problem_from_dict(doc):
         raise ValueError(f"problem file declares p={p} but its designs have {problem.p} columns")
     beta_star = None
     if doc.get("beta_star") is not None:
+        _numbers(doc["beta_star"], "beta_star")
         try:
             beta_star = np.asarray(doc["beta_star"], dtype=float)
         except (TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ Designs are column-major (``model.design_array``), so the gather X[:, cols]
 of a basis step, and each single column X[:, c], read contiguous memory.
 
 The two full products with a design, the X^T q of ``Basis.append`` and the
-fresh X^T r a factor takes after a clear, refactor or solve, are each one
+fresh X^T r a factor takes after a clear or a refactor, are each one
 ``X.T @ v`` in the caller: a fit runs on one core.
 """
 
@@ -27,8 +27,7 @@ import numpy as np
 # Relative cutoff deciding rank in least-squares solves.
 RANK_RTOL = 1e-10
 # A column whose part orthogonal to the columns before it is at most this
-# share of its norm counts as dependent, and the factor falls back to
-# solve_least_squares.
+# share of its norm counts as dependent.
 ORTH_RTOL = 1e-8
 
 
@@ -102,16 +101,16 @@ class Basis:
         return Basis(X, self.cols + [c], rinv), q, X.T @ q
 
     def refactor(self, cols):
-        """(basis of ``cols`` factored afresh by a QR, its Q), or None when
-        ``cols`` outnumber the samples or are rank deficient."""
+        """(basis of ``cols`` factored afresh by a QR, its Q), or (the inexact
+        basis of ``sorted(cols)``, None) when ``cols`` outnumber the samples,
+        are rank deficient or only add to this basis, itself inexact."""
         X = self.X
-        if len(cols) > X.shape[0]:
-            return None
-        A = X[:, cols]
-        Q, R = np.linalg.qr(A)
-        if np.any(np.abs(np.diag(R)) <= ORTH_RTOL * np.linalg.norm(A, axis=0)):
-            return None
-        return Basis(X, cols, np.linalg.solve(R, np.eye(len(cols)))), Q
+        if len(cols) <= X.shape[0] and (self.rinv is not None or not self.col_set.issubset(cols)):
+            A = X[:, cols]
+            Q, R = np.linalg.qr(A)
+            if not np.any(np.abs(np.diag(R)) <= ORTH_RTOL * np.linalg.norm(A, axis=0)):
+                return Basis(X, cols, np.linalg.solve(R, np.eye(len(cols)))), Q
+        return Basis(X, sorted(cols)), None
 
 
 _UNSEEN = object()
@@ -131,22 +130,21 @@ class LeastSquaresFactor:
     ``beta`` zero; factors made on the same ``empty`` may share every later
     basis.
 
-    Appending a column takes the basis's Gram-Schmidt step, writes the new
-    coefficients and updates the residual and loss in O(n) and the
-    correlation in O(p).  Removing a column refactors the remaining ones
-    with a QR.  When a column's orthogonal part is at most ORTH_RTOL of its
-    norm, or the support outgrows the sample count, the basis is inexact and
-    the factor solves with solve_least_squares on the sorted columns (the
-    minimum-norm answer) until a removal leaves a support that factors
-    again.  A refactor, a solve or a clear zeroes the columns it drops and
-    takes the product X^T r afresh.  A move diffs the support against the
-    basis's column set.
+    A move diffs the support against the basis's column set.  When an exact
+    basis only gains columns, the factor appends each by a Gram-Schmidt
+    step, writing the new coefficients and updating the residual and loss in
+    O(n) and the correlation in O(p).  Any other move (a removal, a refused
+    append or a move from an inexact basis) takes ``Basis.refactor``: a QR,
+    or, on dependent columns or more columns than samples, an inexact basis
+    on which the factor takes solve_least_squares's minimum-norm answer
+    until a removal leaves a support that factors again.  A refactor or a
+    clear zeroes the columns it drops and takes the product X^T r afresh.
 
     ``move_to`` takes a memo, a dict from (basis, step) to the step's result.
     Factors that hold the same basis and pass the same memo compute each
-    step once: the orthogonalization with its X^T q, the QR and the inexact
-    basis are shared, while z, the coefficients, the residual, X^T r and the
-    solve stay the task's own.
+    step once: the orthogonalization with its X^T q and the refactored
+    basis with its Q are shared, while z, the coefficients, the residual,
+    X^T r and the minimum-norm solve stay the task's own.
     """
 
     def __init__(self, empty, y, beta, correlation):
@@ -187,54 +185,43 @@ class LeastSquaresFactor:
         if held == support:
             return
         added = sorted(support - held)
-        if len(held) + len(added) > len(support):
-            self._refactor([c for c in cols if c in support] + added, memo)
-        elif self.basis.rinv is None:
-            self._solve(cols + added, memo)
-        else:
+        if len(held) + len(added) == len(support) and self.basis.rinv is not None:
             for c in added:
                 key = (self.basis, c)
                 step = memo.get(key, _UNSEEN)
                 if step is _UNSEEN:
                     step = memo[key] = self.basis.append(c)
                 if step is None:
-                    self._solve(cols + added, memo)
-                    return
+                    break
                 basis, q, g = step
                 zeta = float(q @ self.residual)
                 self.basis = basis
                 self._z = np.concatenate((self._z, (zeta,)))
                 self.beta[basis.cols] = basis.rinv @ self._z
                 self._set_residual(self.residual - zeta * q, zeta * g)
+            else:
+                return                  # every column appended
+        self._refactor([c for c in cols if c in support] + added, memo)
 
     def _refactor(self, cols, memo):
-        """Factor ``cols`` afresh with a QR; fall back when it is rank deficient."""
+        """Factor ``cols`` afresh: by the QR's Q, or by the minimum-norm solve."""
         if not cols:
             self._clear()
             return
-        key = (self.basis, "qr", tuple(cols))
-        step = memo.get(key, _UNSEEN)
-        if step is _UNSEEN:
-            step = memo[key] = self.basis.refactor(cols)
+        key = (self.basis, tuple(cols))
+        step = memo.get(key)
         if step is None:
-            self._solve(cols, memo)
-            return
+            step = memo[key] = self.basis.refactor(cols)
         basis, Q = step
         self._take(basis)
-        self._z = Q.T @ self.y
-        self.beta[basis.cols] = basis.rinv @ self._z
-        self._set_residual(self.y - Q @ self._z)
-
-    def _solve(self, cols, memo):
-        """Inexact support: the minimum-norm solve on the sorted columns."""
-        key = (self.basis, "min-norm", tuple(cols))
-        basis = memo.get(key)
-        if basis is None:
-            basis = memo[key] = Basis(self.basis.X, sorted(cols))
-        self._take(basis)
-        A = basis.X[:, basis.cols]
-        self.beta[basis.cols] = coef = solve_least_squares(A, self.y)
-        self._set_residual(self.y - A @ coef)
+        if Q is None:
+            A = basis.X[:, basis.cols]
+            self.beta[basis.cols] = coef = solve_least_squares(A, self.y)
+            self._set_residual(self.y - A @ coef)
+        else:
+            self._z = Q.T @ self.y
+            self.beta[basis.cols] = basis.rinv @ self._z
+            self._set_residual(self.y - Q @ self._z)
 
 
 def effective_condition(A):

@@ -203,13 +203,29 @@ class TestFit:
         (lambda doc: doc["tasks"][0].update(n=None), "task 0: n must be an integer, got None"),
         (lambda doc: doc.update(tasks=5), "tasks must be a list, got 5"),
         (lambda doc: doc.update(beta_star={"a": 1}), "beta_star: float() argument"),
+        (lambda doc: doc["tasks"][0].update(y=["1.5", False]),
+         "task 0: y: entry '1.5' is not a number"),
+        (lambda doc: doc["tasks"][0].update(y=[1.0, True]),
+         "task 0: y: entry True is not a number"),
+        (lambda doc: doc["tasks"][0].update(y=[1.0, None]),
+         "task 0: y: entry None is not a number"),
+        (lambda doc: doc["tasks"][0].update(X=[[1.0, False], [0.0, 1.0]]),
+         "task 0: X: entry False is not a number"),
+        (lambda doc: doc["tasks"][0].update(X=[[1.0, 0.0], ["0", 1.0]]),
+         "task 0: X: entry '0' is not a number"),
+        (lambda doc: doc.update(beta_star=[[1.0], [True]]),
+         "beta_star: entry True is not a number"),
+        (lambda doc: doc.update(beta_star=[[1.0], ["2"]]), "beta_star: entry '2' is not a number"),
     ], ids=["float-p", "string-p", "float-r", "bool-r", "float-n", "null-n", "scalar-tasks",
-            "dict-beta-star"])
+            "dict-beta-star", "string-and-bool-y", "bool-y", "null-y", "bool-X", "string-X",
+            "bool-beta-star", "string-beta-star"])
     def test_a_field_of_the_wrong_type_is_input_error(self, tmp_path, capsys, change, field):
         """A declared p, r or n that is not a JSON integer, a ``tasks`` that
-        is not a list and a ``beta_star`` that numpy cannot convert to
-        floats exit 2 naming the field: none is truncated, coerced or left
-        to raise TypeError, which would exit 3 as an internal error."""
+        is not a list, a ``beta_star`` that numpy cannot convert to floats
+        and an entry of X, y or ``beta_star`` that is not a JSON number (a
+        bool, null or number string, which numpy would convert) exit 2
+        naming the field: none is truncated, coerced or left to raise
+        TypeError, which would exit 3 as an internal error."""
         prob = tmp_path / "prob.json"
         doc = problem_doc()
         prob.write_text(json.dumps(doc))

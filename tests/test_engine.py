@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -534,7 +533,7 @@ class TestVerifyTrace:
             with monkeypatch.context() as m:
                 m.setattr(engine, "refit", nudged)
                 with pytest.raises(AssertionError, match="step 0: gradient"):
-                    verify_trace(problem, scaled, report, loss_tol=math.inf)
+                    verify_trace(problem, scaled, report)
         assert len(moves) == 25
 
     def test_removal_cost_floor_scales_with_the_loss_at_zero(self):

@@ -319,10 +319,71 @@ def test_a_removal_that_leaves_more_columns_than_samples_takes_the_min_norm_solv
         state.add("singleton", (i, 0))
         refit(problem, state, factors)
     state.remove("singleton", (2, 0))
-    assert f.basis.refactor([0, 1, 3, 4, 5]) is None
+    assert f.basis.refactor([0, 1, 3, 4, 5])[1] is None
     refit(problem, state, factors)
     assert f.basis.rinv is None and f.basis.cols == [0, 1, 3, 4, 5]
     assert np.array_equal(beta, refit(problem, state))
+
+
+def test_refactor_takes_an_inexact_sorted_basis_where_no_qr_factors():
+    """More columns than samples, and rank-deficient columns (a zero column,
+    a combined one), give the inexact basis of the sorted columns with Q
+    None; independent columns keep their order and get X_S = QR."""
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((4, 8))
+    X[:, 4] = 0.0
+    X[:, 6] = X[:, 1] - X[:, 3]
+    empty = Basis(X)
+    for cols in ([5, 0, 2, 7, 1], [7, 4], [6, 3, 1]):
+        basis, Q = empty.refactor(cols)
+        assert Q is None and basis.rinv is None and basis.cols == sorted(cols)
+    basis, Q = empty.refactor([3, 1])
+    assert basis.cols == [3, 1] and basis.rinv is not None
+    assert np.allclose(Q @ np.linalg.inv(basis.rinv), X[:, [3, 1]], rtol=0.0, atol=1e-12)
+
+
+def test_an_inexact_basis_that_only_gains_columns_runs_no_qr(monkeypatch):
+    """Task 1's duplicate column makes its basis inexact; gaining columns
+    then keeps the inexact basis of the sorted columns without a QR, and a
+    removal tries one again."""
+    t = PROBLEM.tasks[1]
+    f = LeastSquaresFactor(Basis(t.X), t.y, np.zeros(P), np.empty(P))
+    f.move_to({1, 2}, {})
+    assert f.basis.rinv is None
+    shapes = []
+    qr = np.linalg.qr
+
+    def counting(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return qr(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    f.move_to({1, 2, 6, 4}, {})
+    assert shapes == [] and f.basis.rinv is None and f.basis.cols == [1, 2, 4, 6]
+    f.move_to({1, 4, 6}, {})
+    assert shapes == [(t.n, 3)] and f.basis.rinv is not None
+
+
+def test_every_way_onto_the_fallback_matches_the_reference_bit_for_bit():
+    """An append ``Basis.append`` refuses, an inexact basis gaining columns
+    and a removal whose QR declines each leave task 1's factor on the
+    minimum-norm solve: its coefficients equal the reference ``refit``'s
+    bit for bit, and its X^T r the product at its residual."""
+    run = start(PROBLEM, CONFIG)
+    factors, beta = run.factors, run.beta
+    f = factors[1]
+    refit(PROBLEM, SupportPattern(singletons=frozenset({(1, 1)})), factors)
+    walk = [({1, 2}, "refused append"), ({1, 2, 5, 7}, "inexact gains"),
+            ({1, 2, 7}, "declined QR")]
+    for support, entry in walk:
+        held, exact = f.basis.col_set, f.basis.rinv is not None
+        assert entry == ("refused append" if exact else
+                         "inexact gains" if held < support else "declined QR")
+        pattern = SupportPattern(singletons=frozenset((i, 1) for i in support))
+        refit(PROBLEM, pattern, factors)
+        assert f.basis.rinv is None and f.basis.cols == sorted(support)
+        assert np.array_equal(beta, refit(PROBLEM, pattern))
+        assert_correlation(f, direct=True)
 
 
 def test_nearly_collinear_columns_keep_the_residual_orthogonal():

@@ -199,6 +199,30 @@ def test_the_fit_loop_takes_arg_extrema_as_array_methods():
     assert module_calls == []
 
 
+def test_linalg_solves_and_factors_in_one_place_each():
+    """Inside ``linalg`` the minimum-norm ``solve_least_squares`` is called
+    only from ``LeastSquaresFactor._refactor`` and the QR only from
+    ``Basis.refactor``: the fallback is one result of a refactor, not a
+    path of its own."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, where + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                name = ast.unparse(child.func)
+                if name in {"solve_least_squares", "qr", "linalg.qr", "np.linalg.qr",
+                            "numpy.linalg.qr"}:
+                    calls.append((name, ".".join(where)))
+            visit(child, where)
+
+    visit(ast.parse((ROOT / "src" / "mtgreedy" / "linalg.py").read_text()), [])
+    assert sorted(calls) == [("np.linalg.qr", "Basis.refactor"),
+                             ("solve_least_squares", "LeastSquaresFactor._refactor")]
+
+
 def test_every_config_field_is_set_outside_the_tests():
     """Each field of ``GreedyConfig``, ``SweepConfig`` and ``SynthSpec`` is
     passed by keyword to that class, or to ``replace``, in some call in
